@@ -15,34 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .frames import DynamicalFrame
-
-
-def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
-    """Connected components of the chain graph over the True positions.
-
-    Edges join positions l and l+j for j = 1..jumps+1 when both are True;
-    this mirrors the edge rule of the recovery chain with a complete aligned
-    grid.
-    """
-    alive = [i for i, flag in enumerate(nonzero) if flag]
-    alive_set = set(alive)
-    components: list[list[int]] = []
-    seen: set[int] = set()
-    for start in alive:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for j in range(1, jumps + 2):
-                for other in (node + j, node - j):
-                    if other in alive_set and other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        components.append(sorted(comp))
-    return components
+from .retrieval import chain_components
 
 
 def effective_chain_size(nonzero: Sequence[bool], jumps: int) -> int:

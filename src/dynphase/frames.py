@@ -60,25 +60,26 @@ class DynamicalFrame:
             raise DimensionMismatchError(
                 f"expected {self.length} orbit vectors, got {len(self.vectors)}"
             )
-        vecs = tuple(as_vector(v, "orbit vector") for v in self.vectors)
-        scale = max(np.linalg.norm(A) * max(np.linalg.norm(v) for v in vecs), 1e-300)
-        if np.linalg.norm(vecs[0] - phi) > RECURRENCE_RTOL * scale:
+        V = np.column_stack([as_vector(v, "orbit vector") for v in self.vectors])
+        scale = max(np.linalg.norm(A) * np.linalg.norm(V, axis=0).max(), 1e-300)
+        if np.linalg.norm(V[:, 0] - phi) > RECURRENCE_RTOL * scale:
             raise ValueError("vectors[0] must equal the generator")
-        for prev, nxt in zip(vecs, vecs[1:]):
-            if np.linalg.norm(nxt - A @ prev) > RECURRENCE_RTOL * scale:
-                raise ValueError("orbit vectors do not satisfy the one-step recurrence")
+        if np.any(np.linalg.norm(V[:, 1:] - A @ V[:, :-1], axis=0) > RECURRENCE_RTOL * scale):
+            raise ValueError("orbit vectors do not satisfy the one-step recurrence")
+        V.setflags(write=False)
         object.__setattr__(self, "operator", frozen_copy(A))
         object.__setattr__(self, "generator", frozen_copy(phi))
         object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "vectors", tuple(frozen_copy(v) for v in vecs))
+        object.__setattr__(self, "vectors", tuple(V.T))
+        object.__setattr__(self, "_synthesis", V)
 
     @property
     def dim(self) -> int:
         return self.operator.shape[0]
 
     def synthesis(self) -> np.ndarray:
-        """d x L matrix whose columns are the orbit vectors."""
-        return np.column_stack(self.vectors)
+        """Read-only d x L matrix whose columns are the orbit vectors."""
+        return self._synthesis
 
     def coefficients(self, x) -> np.ndarray:
         """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1."""
@@ -159,14 +160,15 @@ def analyze(
     matrix. Fewer vectors than dimensions can never span, so the lower bound
     is reported as zero in that case.
     """
-    sv = np.linalg.svd(frame.synthesis(), compute_uv=False)
+    Phi = frame.synthesis()
+    sv = np.linalg.svd(Phi, compute_uv=False)
     upper = float(sv[0] ** 2)
     smin = float(sv[-1]) if frame.length >= frame.dim else 0.0
     lower = smin**2
     is_frame = smin > tol * float(sv[0])
     certificate = None
     if spark:
-        certificate = full_spark(frame.synthesis(), tol=spark_tol, budget=budget)
+        certificate = full_spark(Phi, tol=spark_tol, budget=budget)
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 

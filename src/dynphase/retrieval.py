@@ -7,25 +7,25 @@ Under the conjugate-linear-second-argument inner product the aligned value
 expands to ``|c_l + exp(-1j a_k) c_{l+j}|`` with ``c_l = <x, A^l phi>``, so
 relative phases are recovered by polarization with the NEGATED angle pair.
 
-Recovery walks a chain over the indices whose base magnitude is nonzero:
-every edge (l, l+j) with aligned data yields the product
-``conj(c_l) c_{l+j}`` and therefore the phase step between the endpoints.
-Indices classified as zero still contribute: each pins the linear constraint
-``<x, A^l phi> = 0``. A connected chain of size s together with m zero
-indices gives s + m independent rows over a full-spark frame, so recovery
-needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
-zeros the signal is identically zero.
+Recovery chains phases over the indices whose base magnitude is nonzero. A
+component is a maximal run of nonzero indices whose gaps stay within
+``jumps + 1``; phases chain along its consecutive indices (l, m), each step
+taken from the polarization product ``conj(c_l) c_m`` of the aligned family
+``j = m - l``. Indices classified as zero still contribute: each pins the
+linear constraint ``<x, A^l phi> = 0``. A connected chain of size s together
+with m zero indices gives s + m independent rows over a full-spark frame, so
+recovery needs a chain of size ``dim - m`` rather than ``dim``. With at least
+``dim`` zeros the signal is identically zero.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -197,105 +197,48 @@ def _check_consistency(ms: MeasurementSet, frame: DynamicalFrame, config: Measur
         raise InconsistentDataError("angle mismatch between measurement set and config")
 
 
-def _zero_partition(base: np.ndarray, rel_tol: float) -> tuple[list[int], list[int]]:
-    scale = float(base.max()) if base.size else 0.0
-    zeros = [l for l in range(base.size) if base[l] <= rel_tol * scale]
-    zero_set = set(zeros)
-    nonzeros = [l for l in range(base.size) if l not in zero_set]
-    return zeros, nonzeros
+def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
+    """Chain components over the True positions of a boolean mask.
 
-
-def _components(nonzeros: list[int], jumps: int, ms: MeasurementSet, need_two: bool) -> list[list[int]]:
-    """Connected components of the chain graph over the nonzero indices."""
-    alive = set(nonzeros)
-
-    def has_edge(l: int, j: int) -> bool:
-        if (l, j, 1) not in ms.aligned:
-            return False
-        return (l, j, 2) in ms.aligned or not need_two
-
-    adjacency: dict[int, list[int]] = {l: [] for l in nonzeros}
-    for l in nonzeros:
-        for j in range(1, jumps + 2):
-            if l + j in alive and has_edge(l, j):
-                adjacency[l].append(l + j)
-                adjacency[l + j].append(l)
-    components, seen = [], set()
-    for start in nonzeros:
-        if start in seen:
-            continue
-        queue, comp = deque([start]), []
-        seen.add(start)
-        while queue:
-            node = queue.popleft()
-            comp.append(node)
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        components.append(sorted(comp))
-    return components
-
-
-def _best_component(components: list[list[int]]) -> list[int]:
-    if not components:
-        return []
-    return max(components, key=lambda c: (len(c), -c[0]))
-
-
-def _edge_product_complex(ms: MeasurementSet, l: int, j: int) -> complex:
-    data = PolarizationData(
-        float(ms.base[l]), float(ms.base[l + j]), ms.aligned[(l, j, 1)], ms.aligned[(l, j, 2)]
-    )
-    return recover_product(data, ms.angles.negated())
-
-
-def _propagate_phases(
-    component: list[int], jumps: int, ms: MeasurementSet, real_sign: int | None
-) -> dict[int, complex]:
-    """Unit phases (or signs) per index, anchored at the component's lowest index.
-
-    Breadth-first over edges (l, l+j); each edge's polarization product
-    ``conj(c_l) c_{l+j}`` carries the phase step from l to l+j.
+    Positions l < m join when both are True and ``m - l <= jumps + 1``; with
+    a complete aligned grid this is the whole edge rule of the recovery
+    chain. No edge can cross a gap wider than ``jumps + 1`` between
+    consecutive True positions, so the components are exactly the maximal
+    runs whose gaps stay within that bound, in increasing order.
     """
-    if not component:
-        return {}
-    alive = set(component)
-    phases: dict[int, complex] = {component[0]: 1.0 + 0.0j}
-    queue = deque([component[0]])
-    while queue:
-        node = queue.popleft()
-        for j in range(1, jumps + 2):
-            for other, low in ((node + j, node), (node - j, node - j)):
-                if other not in alive or other in phases:
-                    continue
-                if (low, j, 1) not in ms.aligned:
-                    continue
-                if real_sign is None:
-                    if (low, j, 2) not in ms.aligned:
-                        continue
-                    product = _edge_product_complex(ms, low, j)
-                    step = cmath.exp(1j * cmath.phase(product))
-                else:
-                    product = recover_product_real(
-                        float(ms.base[low]), float(ms.base[low + j]), ms.aligned[(low, j, 1)], real_sign
-                    )
-                    step = 1.0 if product >= 0.0 else -1.0
-                phases[other] = phases[node] * step if other > node else phases[node] / step
-                queue.append(other)
-    return phases
+    alive = np.flatnonzero(np.asarray(nonzero, dtype=bool))
+    if alive.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(alive) > jumps + 1) + 1
+    return [run.tolist() for run in np.split(alive, cuts)]
+
+
+def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:
+    """Unit phases (or signs) along a chain, anchored at its first index.
+
+    Consecutive chain indices (l, m) form the aligned edge of offset
+    ``j = m - l``; its polarization product ``conj(c_l) c_m`` carries the
+    phase step from l to m, and the steps accumulate by cumulative product.
+    """
+    angles = ms.angles.negated()
+    steps = np.ones(len(chain), dtype=complex)
+    for i, (l, m) in enumerate(zip(chain, chain[1:]), start=1):
+        shifted = ms.aligned[(l, m - l, 1)]
+        if real_sign is None:
+            data = PolarizationData(
+                float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)]
+            )
+            steps[i] = cmath.exp(1j * cmath.phase(recover_product(data, angles)))
+        else:
+            product = recover_product_real(float(ms.base[l]), float(ms.base[m]), shifted, real_sign)
+            steps[i] = 1.0 if product >= 0.0 else -1.0
+    return np.cumprod(steps)
 
 
 def _solve_rows(
-    frame: DynamicalFrame,
-    phased: dict[int, complex],
-    zero_rows: list[int],
-    require_full_rank: bool,
+    frame: DynamicalFrame, indices: list[int], rhs: np.ndarray, require_full_rank: bool
 ) -> np.ndarray:
-    synthesis = frame.synthesis()
-    indices = sorted(phased) + sorted(zero_rows)
-    rows = synthesis[:, indices].conj().T
-    rhs = np.array([phased[l] for l in sorted(phased)] + [0.0] * len(zero_rows), dtype=complex)
+    rows = frame.synthesis()[:, indices].conj().T
     solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if require_full_rank and rank < frame.dim:
         raise SingularMatrixError(
@@ -330,13 +273,7 @@ def recover_generic(
     if ms.length > 1 and not ms.has_two_angles:
         raise InconsistentDataError("measurement set lacks the second aligned angle family")
     L = ms.length
-    phases = np.empty(L)
-    phases[0] = 0.0
-    for l in range(L - 1):
-        product = _edge_product_complex(ms, l, 1)
-        phases[l + 1] = phases[l] + cmath.phase(product)
-    coeffs = base * np.exp(1j * phases)
-    estimate = dual(frame).reconstruct(coeffs)
+    estimate = dual(frame).reconstruct(base * _chain_phases(ms, range(L), None))
     return RecoveryResult(
         estimate,
         RecoveryStatus.RECOVERED,
@@ -354,8 +291,29 @@ def _recover_by_chain(
 ) -> RecoveryResult:
     base = ms.base
     d = frame.dim
-    zeros, nonzeros = _zero_partition(base, config.zero_tol)
+    scale = float(base.max())
 
+    def attempt(zero_tol: float) -> tuple[np.ndarray, list[int], list[int]]:
+        nonzero = base > zero_tol * scale
+        # max keeps the first longest run, so ties go to the lowest indices
+        best = max(chain_components(nonzero, config.jumps), key=len, default=[])
+        return nonzero, np.flatnonzero(~nonzero).tolist(), best
+
+    def result(status: RecoveryStatus, chain: list[int], zeros: list[int]) -> RecoveryResult:
+        rhs = np.zeros(len(chain) + len(zeros), dtype=complex)
+        rhs[: len(chain)] = base[chain] * _chain_phases(ms, chain, real_sign)
+        estimate = _solve_rows(
+            frame, chain + zeros, rhs, require_full_rank=status is not RecoveryStatus.FAILED
+        )
+        return RecoveryResult(
+            estimate,
+            status,
+            tuple(chain),
+            len(chain) + len(zeros),
+            _remeasure_residual(frame, estimate, base),
+        )
+
+    nonzero, zeros, best = attempt(config.zero_tol)
     # at least d zero coefficients over a full-spark frame pin the signal to 0
     if len(zeros) >= d:
         estimate = np.zeros(d, dtype=complex)
@@ -366,52 +324,17 @@ def _recover_by_chain(
             len(zeros),
             _remeasure_residual(frame, estimate, base),
         )
-
-    need_two = real_sign is None
-    components = _components(nonzeros, config.jumps, ms, need_two)
-    best = _best_component(components)
-
     if len(best) + len(zeros) >= d:
-        phases = _propagate_phases(best, config.jumps, ms, real_sign)
-        phased = {l: base[l] * phases[l] for l in best}
-        estimate = _solve_rows(frame, phased, zeros, require_full_rank=True)
-        return RecoveryResult(
-            estimate,
-            RecoveryStatus.RECOVERED,
-            tuple(best),
-            len(best) + len(zeros),
-            _remeasure_residual(frame, estimate, base),
-        )
+        return result(RecoveryStatus.RECOVERED, best, zeros)
 
     # Rescue pass: magnitudes between the machine floor and zero_tol may be
     # honest small coefficients; reclassifying them can bridge chain gaps.
-    rzeros, rnonzeros = _zero_partition(base, RELAXED_ZERO_FLOOR)
-    if rnonzeros != nonzeros:
-        rcomponents = _components(rnonzeros, config.jumps, ms, need_two)
-        rbest = _best_component(rcomponents)
-        if len(rbest) + len(rzeros) >= d:
-            phases = _propagate_phases(rbest, config.jumps, ms, real_sign)
-            phased = {l: base[l] * phases[l] for l in rbest}
-            estimate = _solve_rows(frame, phased, rzeros, require_full_rank=True)
-            return RecoveryResult(
-                estimate,
-                RecoveryStatus.PARTIAL,
-                tuple(rbest),
-                len(rbest) + len(rzeros),
-                _remeasure_residual(frame, estimate, base),
-            )
+    relaxed, rzeros, rbest = attempt(RELAXED_ZERO_FLOOR)
+    if not np.array_equal(relaxed, nonzero) and len(rbest) + len(rzeros) >= d:
+        return result(RecoveryStatus.PARTIAL, rbest, rzeros)
 
     # no chain reaches far enough: report failure with a minimum-norm guess
-    phases = _propagate_phases(best, config.jumps, ms, real_sign)
-    phased = {l: base[l] * phases[l] for l in best}
-    estimate = _solve_rows(frame, phased, zeros, require_full_rank=False)
-    return RecoveryResult(
-        estimate,
-        RecoveryStatus.FAILED,
-        tuple(best),
-        len(best) + len(zeros),
-        _remeasure_residual(frame, estimate, base),
-    )
+    return result(RecoveryStatus.FAILED, best, zeros)
 
 
 def recover_full_spark(

@@ -44,11 +44,6 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_same_dim(x: np.ndarray, y: np.ndarray, what: str = "vectors") -> None:
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"{what} have mismatched shapes {x.shape} vs {y.shape}")
-
-
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
     """Read-only copy, used when storing arrays inside immutable dataclasses."""
     out = np.array(arr, dtype=arr.dtype, copy=True)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it checks: matrix
 products by triple loops, determinants by cofactor expansion, singular
 values through Gram eigenvalues, least squares through normal equations,
-matrix powers by repeated multiplication, spark by subset SVD ranks, and the
-phase-free distance by brute-force grid search.
+matrix powers by repeated multiplication, spark by subset SVD ranks, the
+phase-free distance by brute-force grid search, and chain components by
+breadth-first search over an explicit edge list.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -121,3 +123,29 @@ def random_distinct(rng: np.random.Generator, count: int, gap: float = 0.15) -> 
         diffs = np.abs(values[:, None] - values[None, :])
         if diffs[~np.eye(count, dtype=bool)].min() > gap:
             return values
+
+
+def chain_components_bfs(nonzero, jumps: int) -> list[list[int]]:
+    """Connected components of the graph joining True positions l, l+j, j = 1..jumps+1."""
+    alive = [l for l, flag in enumerate(nonzero) if flag]
+    adjacency: dict[int, list[int]] = {l: [] for l in alive}
+    for l in alive:
+        for j in range(1, jumps + 2):
+            if l + j in adjacency:
+                adjacency[l].append(l + j)
+                adjacency[l + j].append(l)
+    components, seen = [], set()
+    for start in alive:
+        if start in seen:
+            continue
+        queue, comp = deque([start]), []
+        seen.add(start)
+        while queue:
+            node = queue.popleft()
+            comp.append(node)
+            for nxt in adjacency[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        components.append(sorted(comp))
+    return components

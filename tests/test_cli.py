@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import dynphase
 from dynphase.cli import main
 from dynphase.serialization import dump_json, load_json, vector_to_json
 
@@ -225,10 +228,13 @@ class TestBench:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child must import the package this process imported, installed or not
+        paths = [str(Path(dynphase.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         out = subprocess.run(
             [sys.executable, "-m", "dynphase", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
         )
         assert out.returncode == 0
         assert "dynphase" in out.stdout

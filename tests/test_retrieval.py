@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from dynphase.experiments import (
     zero_patterns,
 )
 from dynphase.instances import random_signal_for
-from oracles import grid_phase_distance, random_distinct, random_unitary
+from oracles import chain_components_bfs, grid_phase_distance, random_distinct, random_unitary
 
 CFG = MeasurementConfig()
 
@@ -281,6 +282,22 @@ class TestRecoverReal:
         err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
         assert err <= 1e-9
 
+    def test_jump_skips_interior_zero(self):
+        # distinct positive eigenvalues give a full-spark real orbit
+        cfg = MeasurementConfig(jumps=1, real_mode=True)
+        frame = build(np.diag([0.6, 0.9, 1.2, 1.5]), np.ones(4), min_length(4, 1))
+        rows = frame.synthesis().real
+        x = np.random.default_rng(96).standard_normal(4)
+        x -= (x @ rows[:, 3]) / (rows[:, 3] @ rows[:, 3]) * rows[:, 3]
+        coeffs = np.abs(rows.T @ x)
+        assert coeffs[3] <= 1e-12 * coeffs.max()
+        assert np.delete(coeffs, 3).min() > 1e-3 * coeffs.max()
+        result = recover_real(measure(x, frame, cfg), frame, cfg)
+        assert result.status == RecoveryStatus.RECOVERED
+        assert result.used_indices == (0, 1, 2, 4, 5, 6, 7)
+        err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
+        assert err <= 1e-9 * np.linalg.norm(x)
+
     def test_requires_real_mode_config(self):
         cfg = MeasurementConfig(real_mode=True)
         frame = build(rotation(math.pi / 3), np.array([1.0, 0.0], dtype=complex), 4)
@@ -369,6 +386,12 @@ class TestChainCombinatorics:
         flags = pattern_flags(5, (1, 3))
         assert chain_components(flags, 0) == [[0], [2], [4]]
         assert chain_components(flags, 1) == [[0, 2, 4]]
+
+    def test_components_match_bfs_oracle(self):
+        for length in range(11):
+            for flags in itertools.product((False, True), repeat=length):
+                for jumps in range(4):
+                    assert chain_components(flags, jumps) == chain_components_bfs(flags, jumps)
 
     def test_effective_size_counts_zeros(self):
         flags = pattern_flags(5, (1, 3))
