@@ -1,0 +1,150 @@
+"""Compare the full-spark certificates of two dynphase source trees.
+
+    python scripts/compare_spark.py OLD_SRC NEW_SRC
+
+Each tree runs the same matrix grid in its own child process, with the
+tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}:
+
+* orbit synthesis matrices of harmonic, random-diagonalizable, Jordan
+  (non-diagonalizable) and circulant operators, two seeds each, checked with
+  ``full_spark`` and, for the diagonalizable ones, with
+  ``full_spark_criterion`` on the operator's eigenvalues and the generator's
+  eigenbasis coordinates;
+* classical Vandermonde matrices in random distinct complex points, in
+  positive real points, in geometric points and in roots of unity of order
+  d - 1 (which repeat, so some minors vanish), checked with ``full_spark``
+  and ``full_spark_criterion`` (all-ones coordinates).
+
+Matrices come from fixed seeds, so both trees see identical inputs (the
+script checks their bytes). The verdict, the witness and ``repr`` of
+``min_abs_det`` as a Python float must match exactly; an exception is an
+outcome and must match by type. Exit status 0 means every outcome matched.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _points(rng, d):
+    return rng.uniform(0.7, 1.25, d) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
+
+
+def emit(path: str) -> None:
+    """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
+    from dynphase import build, circulant_frame, classical, full_spark, harmonic_frame
+    from dynphase.frames import full_spark_criterion
+    from dynphase.spectral import JordanSpec, assemble
+
+    records = []
+
+    def certify(check, *args):
+        try:
+            c = check(*args)
+        except Exception as exc:  # an exception is an outcome to compare
+            return type(exc).__name__
+        mad = None if c.min_abs_det is None else repr(float(c.min_abs_det))
+        return [c.full_spark, None if c.witness is None else list(c.witness), mad]
+
+    def run(key, m, spectrum=None):
+        entry = {"key": key, "input": hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()}
+        entry["full_spark"] = certify(full_spark, m)
+        if spectrum is not None:
+            entry["criterion"] = certify(full_spark_criterion, *spectrum, m.shape[1])
+        records.append(entry)
+
+    def orbit_spectrum(frame):
+        values, vectors = np.linalg.eig(frame.operator)
+        return values, np.linalg.solve(vectors, frame.generator)
+
+    for d in range(3, 9):
+        for L in (d + 2, 2 * d):
+            frame = harmonic_frame(d, L)
+            run(f"harmonic d={d} L={L}", frame.synthesis(), orbit_spectrum(frame))
+            for seed in range(2):
+                rng = np.random.default_rng([d, L, seed])
+                tag = f"d={d} L={L} seed={seed}"
+
+                U, values, coords = _unitary(rng, d), _points(rng, d), _points(rng, d)
+                frame = build((U * values) @ U.conj().T, U @ coords, L)
+                run(f"random-diag {tag}", frame.synthesis(), (values, coords))
+
+                mults = (d - 2, 1, 1) if d > 3 else (2, 1)
+                spec = JordanSpec(_points(rng, len(mults)), mults, _unitary(rng, d))
+                frame = build(assemble(spec), spec.basis @ coords, L)
+                run(f"jordan {tag}", frame.synthesis())
+
+                kernel = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                frame, _ = circulant_frame(kernel, coords, L)
+                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame))
+
+                for name, pts in (
+                    ("random", _points(rng, d)),
+                    ("positive", np.sort(rng.uniform(0.2, 2.0, d))),
+                    ("geometric", 0.8 * (0.95 * np.exp(0.9j + 0.1j * seed)) ** np.arange(d)),
+                    ("roots", np.exp(2j * np.pi * (np.arange(d) + seed) / (d - 1))),
+                ):
+                    run(f"classical-{name} {tag}", classical(pts, L), (pts, np.ones(d)))
+    with open(path, "w") as fh:
+        json.dump(records, fh)
+
+
+def compare(old: list[dict], new: list[dict]) -> int:
+    if [r["key"] for r in old] != [r["key"] for r in new]:
+        print("matrix grids differ")
+        return 1
+    mismatches, tally = [], {}
+    for a, b in zip(old, new):
+        if a["input"] != b["input"]:
+            mismatches.append((a["key"], "input matrices differ"))
+            continue
+        for check in ("full_spark", "criterion"):
+            if check not in a:
+                continue
+            outcome = a[check]
+            verdict = outcome if isinstance(outcome, str) else ("pass" if outcome[0] else "fail")
+            label = f"{check} {verdict}"
+            tally[label] = tally.get(label, 0) + 1
+            if a[check] != b.get(check):
+                mismatches.append((a["key"], f"{check}: {a[check]} vs {b.get(check)}"))
+    for label in sorted(tally):
+        print(f"{label}: {tally[label]}")
+    print(f"compared {sum(tally.values())} certificates on {len(old)} matrices")
+    for key, what in mismatches[:20]:
+        print(f"MISMATCH {key}: {what}")
+    print(f"{len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--emit":
+        emit(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__)
+        return 2
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, src in enumerate(argv):
+            out = os.path.join(tmp, f"{i}.json")
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+            subprocess.run([sys.executable, __file__, "--emit", out], env=env, check=True)
+            with open(out) as fh:
+                outcomes.append(json.load(fh))
+    return compare(*outcomes)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -385,12 +385,16 @@ def min_length(dim: int, jumps: int = 0) -> int:
 
 
 def global_phase_distance(x, y) -> float:
-    """``min over theta of || x - exp(1j theta) y ||``, the phase-free metric."""
+    """``min over theta of || x - exp(1j theta) y ||``, the phase-free metric.
+
+    Evaluated as the norm of the difference at the optimal phase, which keeps
+    full precision for tiny distances; the expanded form
+    ``|x|^2 + |y|^2 - 2|<x, y>|`` cancels to about sqrt(eps) * |x|.
+    """
     x = as_vector(x, "x")
     y = as_vector(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatchError(f"vectors have dims {x.size} vs {y.size}")
-    nx = float(np.linalg.norm(x)) ** 2
-    ny = float(np.linalg.norm(y)) ** 2
-    cross = abs(complex(np.sum(x * np.conj(y))))
-    return math.sqrt(max(0.0, nx + ny - 2.0 * cross))
+    inner = complex(np.vdot(y, x))
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    return float(np.linalg.norm(x - phase * y))

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: matrix
 products by triple loops, determinants by cofactor expansion, singular
 values through Gram eigenvalues, least squares through normal equations,
 matrix powers by repeated multiplication, spark by subset SVD ranks, the
-phase-free distance by brute-force grid search, and chain components by
-breadth-first search over an explicit edge list.
+phase-free distance by brute-force grid search, chain components by
+breadth-first search over an explicit edge list, and full-spark certificates
+by one determinant call per column subset.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ import math
 from collections import deque
 
 import numpy as np
+
+from dynphase.exceptions import BudgetExceededError, DimensionMismatchError
+from dynphase.validation import as_matrix
+from dynphase.vandermonde import DEFAULT_BUDGET, DEFAULT_SPARK_TOL, SparkCertificate
 
 
 def matmul_triple_loop(a, b) -> np.ndarray:
@@ -85,6 +90,35 @@ def spark_by_enumeration(matrix, rtol: float = 1e-10):
         if sv[0] == 0.0 or sv[-1] <= rtol * sv[0]:
             return False, subset
     return True, None
+
+
+def full_spark_serial(
+    matrix,
+    tol: float = DEFAULT_SPARK_TOL,
+    budget: int = DEFAULT_BUDGET,
+) -> SparkCertificate:
+    """``vandermonde.full_spark`` as a Python loop with one ``det`` per subset."""
+    m = as_matrix(matrix, "matrix")
+    d, L = m.shape
+    if d > L:
+        raise DimensionMismatchError(f"matrix must be wide (rows <= cols), got {m.shape}")
+    count = math.comb(L, d)
+    if count > budget:
+        raise BudgetExceededError(
+            f"C({L},{d}) = {count} column subsets exceed the budget of {budget}"
+        )
+    col_norms = np.linalg.norm(m, axis=0)
+    witness: tuple[int, ...] | None = None
+    min_scaled = float("inf")
+    for subset in itertools.combinations(range(L), d):
+        idx = list(subset)
+        scale = float(np.prod(col_norms[idx]))
+        absdet = abs(np.linalg.det(m[:, idx]))
+        scaled = absdet / scale if scale > 0.0 else 0.0
+        min_scaled = min(min_scaled, scaled)
+        if scaled <= tol and witness is None:
+            witness = subset
+    return SparkCertificate(witness is None, witness, min_scaled)
 
 
 def polarization_forward(z1: complex, z2: complex, alpha1: float, alpha2: float):

@@ -347,6 +347,14 @@ class TestGlobalPhaseDistance:
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert global_phase_distance(x, np.exp(1.3j) * x) <= 1e-7 * np.linalg.norm(x)
 
+    def test_phase_multiple_has_no_cancellation_floor(self):
+        rng = np.random.default_rng(95)
+        for _ in range(20):
+            x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            for theta in (0.3, 1.3, 2.9, -2.2):
+                y = np.exp(1j * theta) * x
+                assert global_phase_distance(x, y) <= 1e-14 * np.linalg.norm(x)
+
     def test_zero_vector(self):
         x = np.array([3.0, 4.0], dtype=complex)
         assert global_phase_distance(x, np.zeros(2, dtype=complex)) == pytest.approx(5.0)

@@ -14,8 +14,23 @@ from dynphase import (
     full_spark,
     schur_value,
     second_kind,
+    vandermonde,
 )
-from oracles import det_cofactor, random_distinct, spark_by_enumeration
+from dynphase.instances import make_instance
+from oracles import det_cofactor, full_spark_serial, random_distinct, spark_by_enumeration
+
+
+def _fields(certificate):
+    return certificate.full_spark, certificate.witness, certificate.min_abs_det
+
+
+def _orbit(kind, d, seed):
+    return make_instance(kind, d, 2 * d, seed=seed).build_frame().synthesis()
+
+
+def _subsets_per_chunk(monkeypatch, d, count):
+    """Shrink full_spark's chunk to ``count`` complex d x d minors."""
+    monkeypatch.setattr(vandermonde, "_CHUNK_BYTES", count * d * d * 16)
 
 
 class TestClassical:
@@ -213,7 +228,13 @@ class TestFullSpark:
         ok, first = spark_by_enumeration(classical(values, 6))
         assert not ok and first == (0, 1, 3)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("enumeration started before the budget check")
+
+        monkeypatch.setattr(np.linalg, "det", unreachable)
+        monkeypatch.setattr(np.linalg, "norm", unreachable)
+        monkeypatch.setattr(itertools, "combinations", unreachable)
         with pytest.raises(BudgetExceededError):
             full_spark(np.ones((3, 40)), budget=100)
 
@@ -228,3 +249,60 @@ class TestFullSpark:
         assert certificate.full_spark
         ok, _ = spark_by_enumeration(classical(values, 6))
         assert ok
+
+
+class TestFullSparkChunks:
+    """The chunked enumeration against the one-subset-at-a-time loop, exactly."""
+
+    @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
+    def test_orbits_match_serial_oracle(self, kind):
+        verdicts = []
+        for d in (4, 5, 6):
+            for seed in (0, 2):
+                m = _orbit(kind, d, seed)
+                certificate = full_spark(m)
+                assert _fields(certificate) == _fields(full_spark_serial(m)), (d, seed)
+                verdicts.append(certificate.full_spark)
+        if kind == "jordan":
+            assert not all(verdicts)  # jordan 6/12 seeds 0 and 2 fail
+
+    @pytest.mark.parametrize("per_chunk", [1, 5, 64])
+    def test_witness_in_later_partial_chunk(self, monkeypatch, per_chunk):
+        # C(12, 6) = 924 subsets: chunks of 5 and 64 leave a partial last chunk
+        m = _orbit("jordan", 6, 0)
+        expected = full_spark_serial(m)
+        order = list(itertools.combinations(range(12), 6))
+        assert order.index(expected.witness) >= per_chunk
+        _subsets_per_chunk(monkeypatch, 6, per_chunk)
+        assert _fields(full_spark(m)) == _fields(expected)
+
+    def test_square_matrix_is_one_subset(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        m = classical(random_distinct(rng, 5), 5)
+        assert _fields(full_spark(m)) == _fields(full_spark_serial(m))
+        m[:, 3] = m[:, 1]
+        _subsets_per_chunk(monkeypatch, 5, 1)
+        certificate = full_spark(m)
+        assert certificate.witness == (0, 1, 2, 3, 4)
+        assert _fields(certificate) == _fields(full_spark_serial(m))
+
+    def test_zero_column_in_later_chunk(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        m = classical(random_distinct(rng, 3), 10)
+        m[:, 7] = 0.0
+        _subsets_per_chunk(monkeypatch, 3, 4)
+        certificate = full_spark(m)
+        # (0, 1, 7) is the sixth subset, in the second chunk of four
+        assert certificate.witness == (0, 1, 7)
+        assert certificate.min_abs_det == 0.0
+        assert _fields(certificate) == _fields(full_spark_serial(m))
+
+    def test_real_input(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        m = rng.standard_normal((4, 9))
+        assert _fields(full_spark(m)) == _fields(full_spark_serial(m))
+        m[:, 6] = -2.0 * m[:, 2]
+        _subsets_per_chunk(monkeypatch, 4, 3)
+        certificate = full_spark(m)
+        assert certificate.witness == (0, 1, 2, 6)
+        assert _fields(certificate) == _fields(full_spark_serial(m))
