@@ -198,18 +198,11 @@ def _cmd_measure(args) -> int:
 def _run_recovery(ms, frame, config, method: str):
     if method == "generic":
         return recover_generic(ms, frame, config)
-    if method == "full-spark":
-        return recover_full_spark(ms, frame, config)
-    if method == "real":
+    # auto: real data routes to sign recovery, everything else to the
+    # zero-tolerant chain, which on dense data gives recover_generic's result
+    if method == "real" or (method == "auto" and config.real_mode):
         return recover_real(ms, frame, config)
-    # auto: real data routes to sign recovery, a broken chain to the
-    # zero-tolerant path, the dense case to the plain chain
-    if config.real_mode:
-        return recover_real(ms, frame, config)
-    scale = float(ms.base.max()) if ms.base.size else 0.0
-    if scale <= 0.0 or bool(np.any(ms.base <= config.zero_tol * scale)):
-        return recover_full_spark(ms, frame, config)
-    return recover_generic(ms, frame, config)
+    return recover_full_spark(ms, frame, config)
 
 
 def _cmd_recover(args) -> int:

@@ -93,7 +93,7 @@ def recover_product(
     magnitudes cannot come from any phase.
     """
     m1, m2 = data.m1, data.m2
-    floor = zero_tol * max(m1, m2, 1.0)
+    floor = zero_tol * max(m1, m2)
     if m1 <= floor or m2 <= floor:
         raise ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
     r1 = _extract_cosine(data.mplus1, m1, m2, clamp_tol)
@@ -121,7 +121,7 @@ def recover_product_real(
     for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-    floor = zero_tol * max(m1, m2, 1.0)
+    floor = zero_tol * max(m1, m2)
     if m1 <= floor or m2 <= floor:
         raise ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
     return (mplus**2 - m1**2 - m2**2) / (2.0 * sign)

@@ -35,7 +35,7 @@ from .exceptions import (
     SingularMatrixError,
     ZeroMagnitudeError,
 )
-from .frames import DynamicalFrame, dual
+from .frames import DynamicalFrame
 from .polarization import (
     PolarizationAngles,
     PolarizationData,
@@ -118,6 +118,9 @@ class MeasurementSet:
                 for k in ks:
                     if (l, j, k) not in aligned:
                         raise ValueError(f"aligned grid incomplete: missing {(l, j, k)}")
+        cells = len(ks) * sum(max(0, self.length - j) for j in range(1, self.jumps + 2))
+        if len(aligned) > cells:
+            raise ValueError(f"aligned holds {len(aligned) - cells} key(s) outside the grid")
         object.__setattr__(self, "length", int(self.length))
         object.__setattr__(self, "jumps", int(self.jumps))
         object.__setattr__(self, "base", frozen_copy(base))
@@ -257,10 +260,12 @@ def recover_generic(
     """Recovery along the dense chain; every base magnitude must be nonzero.
 
     Phases are chained index by index through offset-1 polarization, the
-    first coefficient's phase is fixed to zero, and the signal is rebuilt
-    through the canonical dual frame. The result matches the true signal up
-    to one global phase. A zero base magnitude breaks the chain and raises
-    ``ZeroMagnitudeError``; route such data to :func:`recover_full_spark`.
+    first coefficient's phase is fixed to zero, and the signal is the
+    least-squares solution of all L phased frame rows, the same solve as
+    :func:`recover_full_spark`, whose result it equals on dense data. The
+    result matches the true signal up to one global phase. A zero base
+    magnitude breaks the chain and raises ``ZeroMagnitudeError``; route such
+    data to :func:`recover_full_spark`.
     """
     _check_consistency(ms, frame, config)
     base = ms.base
@@ -272,15 +277,7 @@ def recover_generic(
         )
     if ms.length > 1 and not ms.has_two_angles:
         raise InconsistentDataError("measurement set lacks the second aligned angle family")
-    L = ms.length
-    estimate = dual(frame).reconstruct(base * _chain_phases(ms, range(L), None))
-    return RecoveryResult(
-        estimate,
-        RecoveryStatus.RECOVERED,
-        tuple(range(L)),
-        L,
-        _remeasure_residual(frame, estimate, base),
-    )
+    return _recover_by_chain(ms, frame, config, real_sign=None)
 
 
 def _recover_by_chain(
@@ -329,9 +326,13 @@ def _recover_by_chain(
 
     # Rescue pass: magnitudes between the machine floor and zero_tol may be
     # honest small coefficients; reclassifying them can bridge chain gaps.
+    # Polarizing such a magnitude may still fail, which ends in Failed below.
     relaxed, rzeros, rbest = attempt(RELAXED_ZERO_FLOOR)
     if not np.array_equal(relaxed, nonzero) and len(rbest) + len(rzeros) >= d:
-        return result(RecoveryStatus.PARTIAL, rbest, rzeros)
+        try:
+            return result(RecoveryStatus.PARTIAL, rbest, rzeros)
+        except (ZeroMagnitudeError, InconsistentDataError):
+            pass
 
     # no chain reaches far enough: report failure with a minimum-norm guess
     return result(RecoveryStatus.FAILED, best, zeros)

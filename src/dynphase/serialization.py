@@ -188,11 +188,15 @@ class Instance:
             object.__setattr__(self, "signal", frozen_copy(np.asarray(self.signal, dtype=complex)))
 
     def build_frame(self) -> DynamicalFrame:
-        frame = frame_from_spec(self.frame_spec)
-        if self.signal is not None and self.signal.size != frame.dim:
-            raise SchemaError(
-                f"signal has dim {self.signal.size} but the frame has dim {frame.dim}"
-            )
+        """The described frame, built on the first call and kept (frames are immutable)."""
+        frame = self.__dict__.get("_frame")
+        if frame is None:
+            frame = frame_from_spec(self.frame_spec)
+            if self.signal is not None and self.signal.size != frame.dim:
+                raise SchemaError(
+                    f"signal has dim {self.signal.size} but the frame has dim {frame.dim}"
+                )
+            object.__setattr__(self, "_frame", frame)
         return frame
 
 

@@ -8,6 +8,7 @@ from dynphase import (
     DimensionMismatchError,
     InconsistentDataError,
     MeasurementConfig,
+    MeasurementSet,
     PolarizationAngles,
     RecoveryStatus,
     SingularMatrixError,
@@ -31,7 +32,8 @@ from dynphase.experiments import (
     worst_case_pattern,
     zero_patterns,
 )
-from dynphase.instances import random_signal_for
+from dynphase.instances import make_instance, random_signal_for
+from dynphase.retrieval import RELAXED_ZERO_FLOOR
 from oracles import chain_components_bfs, grid_phase_distance, random_distinct, random_unitary
 
 CFG = MeasurementConfig()
@@ -146,8 +148,44 @@ class TestRecoverGeneric:
             L = int(rng.integers(d, 2 * d + 1))
             frame = random_frame(rng, d, L)
             x = random_signal_for(frame, rng)
-            result = recover_generic(measure(x, frame, CFG), frame, CFG)
+            ms = measure(x, frame, CFG)
+            result = recover_generic(ms, frame, CFG)
             assert global_phase_distance(result.estimate, x) <= 1e-7
+            # one solve: the dense chain is the zero-tolerant chain with no zeros
+            chained = recover_full_spark(ms, frame, CFG)
+            assert result.status == chained.status
+            assert result.used_indices == chained.used_indices
+            assert result.component_size == chained.component_size
+            assert np.array_equal(result.estimate, chained.estimate)
+
+    def test_ill_conditioned_jordan_orbits(self):
+        # ill-conditioned orbits: normal equations would square their condition number
+        for seed in range(10):
+            instance = make_instance("jordan", 16, 24, seed=seed)
+            frame = instance.build_frame()
+            result = recover_generic(measure(instance.signal, frame, CFG), frame, CFG)
+            assert result.status == RecoveryStatus.RECOVERED, seed
+            assert global_phase_distance(result.estimate, instance.signal) <= 1e-7, seed
+
+    def test_short_orbit_fails_with_minimum_norm_guess(self):
+        rng = np.random.default_rng(97)
+        frame = random_frame(rng, 4, 3)
+        x = random_signal_for(frame, rng)
+        result = recover_generic(measure(x, frame, CFG), frame, CFG)
+        assert result.status == RecoveryStatus.FAILED
+        assert result.used_indices == (0, 1, 2)
+        assert result.residual < 1e-9
+
+    @pytest.mark.parametrize("norm", [1e-12, 1e-13, 1e-14])
+    def test_tiny_signal_recovers(self, norm):
+        # the polarization zero floor is relative, so scale does not matter
+        frame = harmonic_frame(4, 6)
+        x = norm * random_signal_for(frame, np.random.default_rng(98))
+        ms = measure(x, frame, CFG)
+        for recover in (recover_generic, recover_full_spark):
+            result = recover(ms, frame, CFG)
+            assert result.status == RecoveryStatus.RECOVERED
+            assert global_phase_distance(result.estimate, x) <= 1e-7 * norm
 
 
 class TestRecoverFullSpark:
@@ -227,6 +265,28 @@ class TestRecoverFullSpark:
         assert result.status == RecoveryStatus.PARTIAL
         assert global_phase_distance(result.estimate, x) <= 1e-6
 
+    def test_rescue_pass_ends_in_a_verdict(self):
+        # two near-zero coefficients pass the relaxed floor, but their
+        # aligned magnitudes carry too little precision to polarize
+        rng = np.random.default_rng(1)
+        frame = harmonic_frame(5, 6)
+        x = signal_with_zero_pattern(frame, (1, 4), rng)
+        x = x + 3e-13 * np.linspace(1.0, 2.0, 5) * np.exp(1j * np.arange(5))
+        coeffs = np.abs(frame.coefficients(x))
+        assert np.count_nonzero(coeffs > RELAXED_ZERO_FLOOR * coeffs.max()) == 6
+        result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
+        assert result.status == RecoveryStatus.FAILED
+        assert result.used_indices == (2, 3)
+
+    def test_corrupted_data_still_raises(self):
+        frame = harmonic_frame(4, 6)
+        ms = measure(random_signal_for(frame, np.random.default_rng(99)), frame, CFG)
+        aligned = dict(ms.aligned)
+        aligned[(2, 1, 1)] = 10.0 * float(ms.base.max())
+        bad = MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, aligned)
+        with pytest.raises(InconsistentDataError):
+            recover_full_spark(bad, frame, CFG)
+
     def test_rank_deficient_orbit_reported(self):
         frame = build(np.eye(2), np.array([1.0, 0.0], dtype=complex), 4)
         x = np.array([1.0, 0.5], dtype=complex)
@@ -242,8 +302,6 @@ class TestRecoverFullSpark:
             for l in range(6 - j):
                 for k in (1, 2):
                     aligned[(l, j, k)] = 1.0
-        from dynphase import MeasurementSet
-
         ms = MeasurementSet(6, 0, CFG.angles, base, aligned)
         result = recover_full_spark(ms, frame, CFG)
         assert result.status == RecoveryStatus.RECOVERED

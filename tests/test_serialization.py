@@ -128,6 +128,13 @@ class TestInstanceSchema:
         assert np.array_equal(parsed.signal, signal)
         assert parsed.seed == 42
 
+    def test_frame_built_once(self):
+        obj = {"frame": {"harmonic": {"d": 3, "L": 6}}, "seed": 1}
+        instance = json_to_instance(obj)
+        frame = instance.build_frame()
+        assert frame is instance.build_frame()
+        assert np.array_equal(frame.synthesis(), harmonic_frame(3, 6).synthesis())
+
     def test_signal_dimension_checked(self):
         obj = {
             "frame": {"harmonic": {"d": 3, "L": 6}},
@@ -165,6 +172,15 @@ class TestMeasurementSetSchema:
             "base": [1.0, 1.0, 1.0],
             "aligned": [{"l": 0, "j": 1, "k": 1, "value": 1.0}],
         }
+        with pytest.raises(SchemaError):
+            json_to_measurement_set(obj)
+
+    @pytest.mark.parametrize("extra", [(7, 1, 1), (0, 1, 3), (-1, 1, 1), (0, 2, 1)])
+    def test_key_outside_grid_rejected(self, extra):
+        frame = harmonic_frame(3, 3)
+        obj = measurement_set_to_json(measure(np.ones(3), frame, MeasurementConfig()))
+        l, j, k = extra
+        obj["aligned"].append({"l": l, "j": j, "k": k, "value": 1.0})
         with pytest.raises(SchemaError):
             json_to_measurement_set(obj)
 
