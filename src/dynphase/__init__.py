@@ -38,7 +38,6 @@ from .frames import (
 )
 from .linalg import (
     determinant,
-    eigendecompose,
     inner_product,
     matmul,
     singular_values,
@@ -68,6 +67,7 @@ from .spectral import (
     JordanSpec,
     assemble,
     depends_on_all_generators,
+    eigendecompose,
     generator_coordinates,
     hankel_of,
     jordan_matrix,
@@ -97,7 +97,6 @@ __all__ = [
     "ZeroMagnitudeError",
     # linalg
     "determinant",
-    "eigendecompose",
     "inner_product",
     "matmul",
     "singular_values",
@@ -107,6 +106,7 @@ __all__ = [
     "JordanSpec",
     "assemble",
     "depends_on_all_generators",
+    "eigendecompose",
     "generator_coordinates",
     "hankel_of",
     "jordan_matrix",

@@ -38,6 +38,7 @@ from .instances import KINDS, make_instance, random_signal_for
 from .polarization import PolarizationAngles
 from .retrieval import (
     MeasurementConfig,
+    MeasurementSet,
     RecoveryStatus,
     global_phase_distance,
     measure,
@@ -178,8 +179,6 @@ def _cmd_measure(args) -> int:
     if args.noise > 0.0:
         # exploration plumbing only: additive magnitude noise, no accuracy claims
         rng = np.random.default_rng(instance.seed if instance.seed is not None else 0)
-        from .retrieval import MeasurementSet
-
         base = np.clip(ms.base + args.noise * rng.standard_normal(ms.length), 0.0, None)
         aligned = {
             key: max(0.0, value + args.noise * float(rng.standard_normal()))
@@ -280,7 +279,7 @@ def _cmd_verify(args) -> int:
     return 0 if result.status != RecoveryStatus.FAILED else 1
 
 
-def _parse_lengths(text: str, dim: int) -> list[int]:
+def _parse_lengths(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -293,7 +292,7 @@ def _cmd_bench(args) -> int:
     rows = []
     total_runs = 0
     for dim in dims:
-        lengths = _parse_lengths(args.lengths, dim) if args.lengths else list(
+        lengths = _parse_lengths(args.lengths) if args.lengths else list(
             range(dim, min_length(dim, 0) + 1)
         )
         for length in lengths:
@@ -350,12 +349,13 @@ def _cmd_bench(args) -> int:
         "outcome": {"rows": rows},
         "wall_time_ms": None,
     }
-    lines = ["  d   L   J  minL  rate      attempts"]
+    lines = ["  d   L   J  minL  rate      attempts  skipped"]
     for row in rows:
         rate = "n/a" if row["success_rate"] is None else f"{row['success_rate']:.3f}"
         marker = "*" if row["at_or_above_min_length"] else " "
         lines.append(
-            f"  {row['d']:<3d} {row['L']:<3d} {row['J']:<2d} {row['min_length']:<4d} {rate:<9s} {row['attempts']}{marker}"
+            f"  {row['d']:<3d} {row['L']:<3d} {row['J']:<2d} {row['min_length']:<4d} {rate:<9s}"
+            f" {row['attempts']:<9d} {row['skipped']}{marker}"
         )
     _emit(args, report, lines)
     return 0

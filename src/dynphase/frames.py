@@ -36,18 +36,14 @@ from .vandermonde import (
 #: treated as rank deficient (not a frame).
 FRAME_RTOL = 1e-10
 
-#: Recurrence slack allowed when validating externally constructed frames.
-RECURRENCE_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DynamicalFrame:
-    """An orbit ``phi, A phi, ..., A^(L-1) phi`` with its defining data."""
+    """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data."""
 
     operator: np.ndarray
     generator: np.ndarray
     length: int
-    vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         A = as_square(self.operator, "operator")
@@ -56,22 +52,22 @@ class DynamicalFrame:
             raise DimensionMismatchError(
                 f"generator has dim {phi.size}, operator is {A.shape[0]}x{A.shape[1]}"
             )
-        if self.length < 1 or len(self.vectors) != self.length:
-            raise DimensionMismatchError(
-                f"expected {self.length} orbit vectors, got {len(self.vectors)}"
-            )
-        V = np.column_stack([as_vector(v, "orbit vector") for v in self.vectors])
-        scale = max(np.linalg.norm(A) * np.linalg.norm(V, axis=0).max(), 1e-300)
-        if np.linalg.norm(V[:, 0] - phi) > RECURRENCE_RTOL * scale:
-            raise ValueError("vectors[0] must equal the generator")
-        if np.any(np.linalg.norm(V[:, 1:] - A @ V[:, :-1], axis=0) > RECURRENCE_RTOL * scale):
-            raise ValueError("orbit vectors do not satisfy the one-step recurrence")
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
+        vectors = [phi]
+        for _ in range(self.length - 1):
+            vectors.append(A @ vectors[-1])
+        V = np.column_stack(vectors)
         V.setflags(write=False)
         object.__setattr__(self, "operator", frozen_copy(A))
         object.__setattr__(self, "generator", frozen_copy(phi))
         object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "vectors", tuple(V.T))
         object.__setattr__(self, "_synthesis", V)
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        """The orbit vectors, as read-only columns of the synthesis matrix."""
+        return tuple(self._synthesis.T)
 
     @property
     def dim(self) -> int:
@@ -133,18 +129,7 @@ class DualFrame:
 
 def build(operator, generator, length: int) -> DynamicalFrame:
     """Materialize ``{A^l phi}`` by iterated matrix-vector products."""
-    A = as_square(operator, "operator")
-    phi = as_vector(generator, "generator")
-    if phi.size != A.shape[0]:
-        raise DimensionMismatchError(
-            f"generator has dim {phi.size}, operator is {A.shape[0]}x{A.shape[1]}"
-        )
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    vectors = [phi]
-    for _ in range(length - 1):
-        vectors.append(A @ vectors[-1])
-    return DynamicalFrame(A, phi, length, tuple(vectors))
+    return DynamicalFrame(operator, generator, length)
 
 
 def analyze(

@@ -13,22 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DefectiveMatrixError,
-    DimensionMismatchError,
-    SingularMatrixError,
-)
+from .exceptions import DimensionMismatchError, SingularMatrixError
 from .validation import as_matrix, as_square, as_vector
-
-#: Relative singular-value spread beyond which an eigenvector basis is treated
-#: as numerically defective. Defective inputs measure near 1e8 (double
-#: eigenvalue) up to 1e10+ (triple); clean separated spectra stay below 1e4.
-DEFECTIVE_COND = 1e7
-
-#: Default absolute / relative tolerances for numerical contracts.
-ABS_TOL = 1e-10
-REL_TOL = 1e-8
 
 
 def matmul(a, b) -> np.ndarray:
@@ -55,42 +41,6 @@ def determinant(m) -> complex:
     """Determinant of a square matrix via pivoted LU."""
     m = as_square(m, "m")
     return complex(np.linalg.det(m))
-
-
-def eigendecompose(
-    m,
-    cond_threshold: float = DEFECTIVE_COND,
-    residual_rtol: float = REL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm eigenvector columns of a diagonalizable matrix.
-
-    Returns ``(values, vectors)`` with ``m @ vectors ~= vectors @ diag(values)``.
-    Raises ``DefectiveMatrixError`` when the eigenvector basis is so badly
-    conditioned that ``m`` is numerically non-diagonalizable; such operators
-    must be described by an explicit Jordan structure instead (see
-    :mod:`dynphase.spectral`).
-    """
-    a = as_square(m, "m")
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-
-    scale = np.linalg.norm(a)
-    residual = np.linalg.norm(a @ vectors - vectors * values)
-    if residual > residual_rtol * max(scale, 1e-300):
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {residual_rtol:.1e} * |m|"
-        )
-    spread = np.linalg.svd(vectors, compute_uv=False)
-    if spread[-1] == 0.0 or spread[0] / spread[-1] > cond_threshold:
-        raise DefectiveMatrixError(
-            "eigenvector basis condition "
-            f"{np.inf if spread[-1] == 0 else spread[0] / spread[-1]:.3e} exceeds "
-            f"{cond_threshold:.1e}; matrix is numerically defective"
-        )
-    return values, vectors
 
 
 def singular_values(m) -> np.ndarray:

@@ -23,6 +23,15 @@ from .spectral import JordanSpec, assemble
 from .validation import frozen_copy
 
 
+def _is_real(value: Any) -> bool:
+    """A JSON number; ``bool`` is a subclass of ``int`` but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -32,7 +41,7 @@ def json_to_complex(obj: Any, where: str = "value") -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in obj)
+        or not all(_is_real(p) for p in obj)
     ):
         raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
@@ -79,7 +88,7 @@ def json_to_jordan_spec(obj: Any, where: str = "jordan") -> JordanSpec:
         if key not in obj:
             raise SchemaError(f"{where}: missing key {key!r}")
     mults = obj["multiplicities"]
-    if not isinstance(mults, list) or not all(isinstance(m, int) and m >= 1 for m in mults):
+    if not isinstance(mults, list) or not all(_is_int(m) and m >= 1 for m in mults):
         raise SchemaError(f"{where}.multiplicities: expected positive integers")
     try:
         return JordanSpec(
@@ -99,7 +108,7 @@ def json_to_angles(obj: Any, where: str = "angles") -> PolarizationAngles:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in obj)
+        or not all(_is_real(a) for a in obj)
     ):
         raise SchemaError(f"{where}: expected [alpha1, alpha2]")
     try:
@@ -125,10 +134,12 @@ def json_to_config(obj: Any, where: str = "config") -> MeasurementConfig:
     if angles is not None:
         kwargs["angles"] = angles
     if "J" in obj:
-        if not isinstance(obj["J"], int) or obj["J"] < 0:
+        if not _is_int(obj["J"]) or obj["J"] < 0:
             raise SchemaError(f"{where}.J: expected a nonnegative integer")
         kwargs["jumps"] = obj["J"]
     if "zero_tol" in obj:
+        if not _is_real(obj["zero_tol"]):
+            raise SchemaError(f"{where}.zero_tol: expected a real number")
         kwargs["zero_tol"] = float(obj["zero_tol"])
     if "real_mode" in obj:
         if not isinstance(obj["real_mode"], bool):
@@ -146,15 +157,13 @@ def frame_from_spec(spec: Any, where: str = "frame") -> DynamicalFrame:
         raise SchemaError(f"{where}: expected an object")
     if "harmonic" in spec:
         h = spec["harmonic"]
-        if not isinstance(h, dict) or not isinstance(h.get("d"), int) or not isinstance(
-            h.get("L"), int
-        ):
+        if not isinstance(h, dict) or not _is_int(h.get("d")) or not _is_int(h.get("L")):
             raise SchemaError(f"{where}.harmonic: expected integer fields 'd' and 'L'")
         try:
             return harmonic_frame(h["d"], h["L"])
         except ValueError as exc:
             raise SchemaError(f"{where}.harmonic: {exc}") from exc
-    if "L" not in spec or not isinstance(spec["L"], int) or spec["L"] < 1:
+    if not _is_int(spec.get("L")) or spec["L"] < 1:
         raise SchemaError(f"{where}: missing positive integer field 'L'")
     if "phi" not in spec:
         raise SchemaError(f"{where}: missing generator field 'phi'")
@@ -216,7 +225,7 @@ def json_to_instance(obj: Any) -> Instance:
     config = json_to_config(obj["config"]) if "config" in obj else MeasurementConfig()
     signal = json_to_vector(obj["x"], "instance.x") if "x" in obj else None
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise SchemaError("instance.seed: expected an integer")
     instance = Instance(obj["frame"], config, signal, seed)
     instance.build_frame()  # validates the frame spec and dimension consistency
@@ -243,12 +252,10 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
     for key in ("L", "J", "angles", "base", "aligned"):
         if key not in obj:
             raise SchemaError(f"measurements: missing key {key!r}")
-    if not isinstance(obj["L"], int) or not isinstance(obj["J"], int):
+    if not _is_int(obj["L"]) or not _is_int(obj["J"]):
         raise SchemaError("measurements: 'L' and 'J' must be integers")
     base = obj["base"]
-    if not isinstance(base, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in base
-    ):
+    if not isinstance(base, list) or not all(_is_real(v) for v in base):
         raise SchemaError("measurements.base: expected a list of reals")
     entries = obj["aligned"]
     if not isinstance(entries, list):
@@ -257,8 +264,10 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not {"l", "j", "k", "value"} <= set(entry):
             raise SchemaError(f"measurements.aligned[{i}]: expected keys l, j, k, value")
-        if not all(isinstance(entry[f], int) for f in ("l", "j", "k")):
+        if not all(_is_int(entry[f]) for f in ("l", "j", "k")):
             raise SchemaError(f"measurements.aligned[{i}]: l, j, k must be integers")
+        if not _is_real(entry["value"]):
+            raise SchemaError(f"measurements.aligned[{i}].value: expected a real number")
         aligned[(entry["l"], entry["j"], entry["k"])] = float(entry["value"])
     try:
         return MeasurementSet(

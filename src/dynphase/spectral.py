@@ -5,7 +5,9 @@ is ill-posed); instead it is supplied as an explicit :class:`JordanSpec`,
 which fixes the block eigenvalues, block sizes, and the similarity basis.
 This module assembles such operators, raises them to integer powers through
 the closed-form binomial formula for Jordan blocks, and tests whether a
-generator vector reaches every Jordan chain.
+generator vector reaches every Jordan chain. Diagonalizable operators are
+decomposed by :func:`eigendecompose`, which refuses numerically defective
+ones.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SingularMatrixError
+from .exceptions import (
+    ConvergenceError,
+    DefectiveMatrixError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from .validation import as_square, as_vector, frozen_copy
 
 #: Condition-number ceiling for a user-supplied similarity basis.
@@ -26,6 +33,14 @@ DISTINCT_RTOL = 1e-9
 
 #: Relative threshold for "this coordinate is nonzero" in dependence tests.
 DEPENDENCE_RTOL = 1e-10
+
+#: Relative singular-value spread beyond which an eigenvector basis is treated
+#: as numerically defective. Defective inputs measure near 1e8 (double
+#: eigenvalue) up to 1e10+ (triple); clean separated spectra stay below 1e4.
+DEFECTIVE_COND = 1e7
+
+#: Relative residual ``|m V - V diag(values)| / |m|`` an eigendecomposition may leave.
+EIG_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -206,3 +221,38 @@ def eigenvalues_distinct(values, rtol: float = DISTINCT_RTOL) -> bool:
     v = as_vector(values, "values")
     scale = max(1.0, float(np.max(np.abs(v))))
     return min_eigenvalue_gap(v) > rtol * scale
+
+
+def eigendecompose(
+    m,
+    cond_threshold: float = DEFECTIVE_COND,
+    residual_rtol: float = EIG_RESIDUAL_RTOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit-norm eigenvector columns of a diagonalizable matrix.
+
+    Returns ``(values, vectors)`` with ``m @ vectors ~= vectors @ diag(values)``.
+    Raises ``DefectiveMatrixError`` when the eigenvector basis is so badly
+    conditioned that ``m`` is numerically non-diagonalizable; such operators
+    must be described by an explicit :class:`JordanSpec` instead.
+    """
+    a = as_square(m, "m")
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+
+    scale = np.linalg.norm(a)
+    residual = np.linalg.norm(a @ vectors - vectors * values)
+    if residual > residual_rtol * max(scale, 1e-300):
+        raise ConvergenceError(
+            f"eigendecomposition residual {residual:.3e} exceeds {residual_rtol:.1e} * |m|"
+        )
+    spread = np.linalg.svd(vectors, compute_uv=False)
+    if spread[-1] == 0.0 or spread[0] / spread[-1] > cond_threshold:
+        raise DefectiveMatrixError(
+            "eigenvector basis condition "
+            f"{np.inf if spread[-1] == 0 else spread[0] / spread[-1]:.3e} exceeds "
+            f"{cond_threshold:.1e}; matrix is numerically defective"
+        )
+    return values, vectors

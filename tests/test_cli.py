@@ -127,6 +127,15 @@ class TestMeasureRecover:
         assert main(["measure", str(other), "--output", str(ms_path)]) == 0
         assert main(["recover", str(ms_path), str(instance)]) == 2
 
+    def test_null_measurement_value_exit_code(self, tmp_path):
+        instance = gen_instance(tmp_path, "harmonic", 4, 6)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        obj = load_json(ms_path)
+        obj["aligned"][0]["value"] = None
+        dump_json(obj, ms_path)
+        assert main(["recover", str(ms_path), str(instance)]) == 2
+
     def test_external_signal_override(self, tmp_path):
         instance = gen_instance(tmp_path, "harmonic", 3, 5)
         x_path = tmp_path / "x.json"
@@ -235,8 +244,32 @@ class TestBench:
         rate1 = load_json(out1)["outcome"]["rows"][0]["success_rate"]
         assert rate1 == 1.0 > rate0
 
+    def test_text_table_shows_skipped_patterns(self, tmp_path, capsys, monkeypatch):
+        from dynphase import cli
+
+        realizable = cli.signal_with_zero_pattern
+
+        def one_unrealizable(frame, pattern, rng):
+            return None if pattern == (2,) else realizable(frame, pattern, rng)
+
+        monkeypatch.setattr(cli, "signal_with_zero_pattern", one_unrealizable)
+        report_path = tmp_path / "bench.json"
+        capsys.readouterr()
+        assert main(["bench", "--dims", "4", "--lengths", "6:6", "--output", str(report_path)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "skipped"
+        json_row = load_json(report_path)["outcome"]["rows"][0]
+        assert json_row["skipped"] == 1
+        assert int(row.split()[6].rstrip("*")) == json_row["skipped"]
+
     def test_budget_guard(self):
         assert main(["bench", "--dims", "4", "--lengths", "6:9", "--budget", "10"]) == 3
+
+
+class TestPackage:
+    def test_every_public_name_resolves(self):
+        missing = [name for name in dynphase.__all__ if not hasattr(dynphase, name)]
+        assert missing == []
 
 
 class TestConsoleEntry:

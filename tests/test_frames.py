@@ -3,6 +3,7 @@ import pytest
 
 from dynphase import (
     DimensionMismatchError,
+    DynamicalFrame,
     JordanSpec,
     SingularMatrixError,
     analyze,
@@ -64,6 +65,41 @@ class TestBuild:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             build(np.eye(3), np.array([1.0, 0.0]), 3)
+
+    def test_constructor_computes_the_orbit(self):
+        rng = np.random.default_rng(51)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        frame = DynamicalFrame(a, phi, 7)
+        assert np.array_equal(frame.synthesis(), build(a, phi, 7).synthesis())
+        assert not frame.synthesis().flags.writeable
+
+    def test_vectors_are_read_only_columns(self):
+        frame = build(rotation(0.3), np.array([1.0, 2.0]), 5)
+        assert len(frame.vectors) == 5
+        for l, v in enumerate(frame.vectors):
+            assert np.array_equal(v, frame.synthesis()[:, l])
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_orbit_vectors_cannot_be_supplied(self):
+        phi = np.array([1.0, 0.0])
+        with pytest.raises(TypeError):
+            DynamicalFrame(np.eye(2), phi, 2, (phi, phi))
+
+    @pytest.mark.parametrize(
+        "operator, generator, length, error",
+        [
+            (np.eye(2), [1.0, 0.0], 0, ValueError),
+            (np.eye(3), [1.0, 0.0], 2, DimensionMismatchError),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), [1.0, 0.0], 2, ValueError),
+        ],
+        ids=["zero-length", "dimension-mismatch", "nan-operator"],
+    )
+    def test_invalid_input_rejected(self, operator, generator, length, error):
+        with pytest.raises(error):
+            DynamicalFrame(operator, np.array(generator), length)
 
 
 class TestAnalyze:

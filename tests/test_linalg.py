@@ -4,12 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dynphase import (
-    ConvergenceError,
-    DefectiveMatrixError,
     DimensionMismatchError,
     SingularMatrixError,
     determinant,
-    eigendecompose,
     inner_product,
     matmul,
     singular_values,
@@ -105,42 +102,6 @@ class TestDeterminant:
             lhs = determinant(a @ b)
             rhs = determinant(a) * determinant(b)
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
-
-
-class TestEigendecompose:
-    def test_diagonal(self):
-        values, vectors = eigendecompose(np.diag([1.0, 2.0, 3.0]))
-        assert sorted(np.round(values.real, 9)) == [1, 2, 3]
-        assert np.allclose(np.abs(vectors), np.abs(vectors.round()), atol=1e-12)
-        assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0)
-
-    def test_rotation_eigenvalues(self):
-        theta = np.pi / 4
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        values, _ = eigendecompose(rot)
-        expected = {np.exp(1j * theta), np.exp(-1j * theta)}
-        for v in values:
-            assert min(abs(v - e) for e in expected) < 1e-12
-
-    def test_similarity_round_trip(self):
-        rng = np.random.default_rng(3)
-        diag = np.array([0.5, -1.0 + 0.5j, 2.0, 1j])
-        q = random_unitary(rng, 4)
-        a = (q * diag) @ q.conj().T
-        values, vectors = eigendecompose(a)
-        recovered = sorted(values, key=lambda z: (z.real, z.imag))
-        expected = sorted(diag, key=lambda z: (z.real, z.imag))
-        assert np.max(np.abs(np.array(recovered) - np.array(expected))) < 1e-8
-        assert np.linalg.norm(a @ vectors - vectors * values) < 1e-8 * np.linalg.norm(a)
-
-    def test_defective_flagged(self):
-        rng = np.random.default_rng(4)
-        q = random_unitary(rng, 3)
-        block = np.array([[0.7, 1, 0], [0, 0.7, 1], [0, 0, 0.7]], dtype=complex)
-        with pytest.raises(DefectiveMatrixError):
-            eigendecompose(q @ block @ q.conj().T)
 
 
 class TestSingularValues:

@@ -152,6 +152,42 @@ class TestInstanceSchema:
         with pytest.raises(SchemaError):
             json_to_instance(obj)
 
+    @pytest.mark.parametrize(
+        "frame, extra",
+        [
+            ({"harmonic": {"d": 3, "L": 6}}, {"config": {"zero_tol": [1]}}),
+            ({"harmonic": {"d": 3, "L": 6}}, {"config": {"zero_tol": "1e-9"}}),
+            ({"harmonic": {"d": 3, "L": 6}}, {"config": {"J": True}}),
+            ({"harmonic": {"d": True, "L": 4}}, {}),
+            ({"A": [[[1.0, 0.0]]], "phi": [[1.0, 0.0]], "L": True}, {}),
+            ({"harmonic": {"d": 3, "L": 6}}, {"seed": True}),
+            (
+                {
+                    "jordan": {
+                        "eigenvalues": [[0.5, 0.0]],
+                        "multiplicities": [True],
+                        "basis": [[[1.0, 0.0]]],
+                    },
+                    "phi": [[1.0, 0.0]],
+                    "L": 2,
+                },
+                {},
+            ),
+        ],
+        ids=[
+            "zero_tol-list",
+            "zero_tol-string",
+            "J-bool",
+            "harmonic-d-bool",
+            "frame-L-bool",
+            "seed-bool",
+            "multiplicity-bool",
+        ],
+    )
+    def test_non_numeric_fields_rejected(self, frame, extra):
+        with pytest.raises(SchemaError):
+            json_to_instance({"frame": frame, **extra})
+
 
 class TestMeasurementSetSchema:
     def test_round_trip(self):
@@ -181,6 +217,19 @@ class TestMeasurementSetSchema:
         obj = measurement_set_to_json(measure(np.ones(3), frame, MeasurementConfig()))
         l, j, k = extra
         obj["aligned"].append({"l": l, "j": j, "k": k, "value": 1.0})
+        with pytest.raises(SchemaError):
+            json_to_measurement_set(obj)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("value", None), ("value", "1.5"), ("value", True), ("l", True), ("k", True)],
+    )
+    def test_non_numeric_entry_rejected(self, field, bad):
+        frame = harmonic_frame(3, 4)
+        obj = measurement_set_to_json(measure(np.ones(3), frame, MeasurementConfig()))
+        # l = k = 1 here, so a bool True in place of either aliases the entry's own key
+        entry = next(e for e in obj["aligned"] if e["l"] == 1 and e["k"] == 1)
+        entry[field] = bad
         with pytest.raises(SchemaError):
             json_to_measurement_set(obj)
 

@@ -9,7 +9,6 @@ from dynphase import (
     classical,
     det_product_classical,
     det_product_second_kind,
-    determinant,
     first_kind,
     full_spark,
     schur_value,
@@ -43,7 +42,7 @@ class TestClassical:
 
     def test_one_two_three_determinant(self):
         v = classical(np.array([1.0, 2.0, 3.0]), 3)
-        assert determinant(v) == pytest.approx(2.0)
+        assert np.linalg.det(v) == pytest.approx(2.0)
         assert det_cofactor(v) == pytest.approx(2.0)
 
 
@@ -63,7 +62,7 @@ class TestDetProductClassical:
         for d in range(2, 7):
             values = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             product = det_product_classical(values)
-            lu = determinant(classical(values, d))
+            lu = np.linalg.det(classical(values, d))
             assert abs(product - lu) <= 1e-9 * abs(lu)
 
 
@@ -133,7 +132,7 @@ class TestSchurValue:
         rng = np.random.default_rng(36)
         values = random_distinct(rng, 3)
         exponents = (1, 3, 4)
-        det = determinant(first_kind(values, exponents))
+        det = np.linalg.det(first_kind(values, exponents))
         rebuilt = det_product_classical(values) * schur_value(values, exponents)
         assert abs(det - rebuilt) <= 1e-12 * abs(det)
 
@@ -144,7 +143,7 @@ class TestSchurValue:
             if np.min(np.abs(np.diff(values))) < 0.05:
                 continue
             exponents = sorted(rng.choice(7, size=3, replace=False))
-            det = determinant(first_kind(values, exponents)).real
+            det = np.linalg.det(first_kind(values, exponents)).real
             prefactor = det_product_classical(values).real
             assert np.sign(det) == np.sign(prefactor)
 
@@ -169,7 +168,7 @@ class TestSecondKind:
     def test_repeated_points_singular(self):
         values = np.array([1.5, 1.5])
         assert det_product_second_kind(values, (2, 1)) == 0
-        assert abs(determinant(second_kind(values, (2, 1), 3))) < 1e-9
+        assert abs(np.linalg.det(second_kind(values, (2, 1), 3))) < 1e-9
 
     def test_two_simple_points(self):
         a, b = 0.3 + 1j, -1.2
@@ -180,7 +179,7 @@ class TestSecondKind:
         for _ in range(10):
             values = random_distinct(rng, 3)
             product = det_product_second_kind(values, (3, 1, 2))
-            lu = determinant(second_kind(values, (3, 1, 2), 6))
+            lu = np.linalg.det(second_kind(values, (3, 1, 2), 6))
             assert abs(product - lu) <= 1e-9 * abs(lu)
 
     def test_product_matches_lu_across_profiles(self):
@@ -189,7 +188,7 @@ class TestSecondKind:
             values = random_distinct(rng, len(mults))
             d = sum(mults)
             product = det_product_second_kind(values, mults)
-            lu = determinant(second_kind(values, mults, d))
+            lu = np.linalg.det(second_kind(values, mults, d))
             assert abs(product - lu) <= 1e-9 * abs(lu)
 
 
