@@ -15,6 +15,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -390,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--zero-tol", dest="zero_tol", type=float, default=None)
     gen.add_argument("--real", action="store_true", help="real (sign-recovery) mode")
     gen.add_argument("--output", help="write the instance here instead of stdout")
-    gen.set_defaults(func=_cmd_gen)
 
     an = sub.add_parser("analyze", help="frame bounds and spark certificate")
     an.add_argument("instance")
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--budget", type=int, default=2_000_000)
     an.add_argument("--no-spark", action="store_true", help="skip the spark certificate")
     _add_common_output(an)
-    an.set_defaults(func=_cmd_analyze)
 
     me = sub.add_parser("measure", help="simulate phaseless measurements")
     me.add_argument("instance")
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="additive magnitude noise level (exploration only, seeded by the instance)",
     )
     me.add_argument("--output", help="write the measurement set here instead of stdout")
-    me.set_defaults(func=_cmd_measure)
 
     re = sub.add_parser("recover", help="reconstruct a signal from measurements")
     re.add_argument("measurements")
@@ -428,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     re.add_argument("--jumps", type=int, default=None)
     re.add_argument("--zero-tol", dest="zero_tol", type=float, default=None)
     _add_common_output(re)
-    re.set_defaults(func=_cmd_recover)
 
     be = sub.add_parser("bench", help="zero-pattern success-rate table")
     be.add_argument("--dims", default="4", help="comma-separated dimensions")
@@ -438,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--budget", type=int, default=20_000, help="max recoveries")
     _add_common_output(be)
-    be.set_defaults(func=_cmd_bench)
 
     ve = sub.add_parser("verify", help="analyze + measure + recover + error")
     ve.add_argument("instance")
@@ -451,16 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--budget", type=int, default=2_000_000)
     ve.add_argument("--no-spark", action="store_true")
     _add_common_output(ve)
-    ve.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so that a rebound _cmd_* module attribute is the one run
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,6 +7,13 @@ Under the conjugate-linear-second-argument inner product the aligned value
 expands to ``|c_l + exp(-1j a_k) c_{l+j}|`` with ``c_l = <x, A^l phi>``, so
 relative phases are recovered by polarization with the NEGATED angle pair.
 
+A :class:`MeasurementSet` keeps the aligned magnitudes in one dense float
+grid, ``grid[j - 1, k - 1, l]`` for offset j, angle family k and index l,
+of shape ``(jumps + 1, K, L - 1)`` with K = 2 (K = 1 in real mode) and NaN
+in the cells past ``L - j``. ``measure`` fills it with one array expression
+per offset, and the polarization steps of a chain are solved for all of its
+edges at once.
+
 Recovery chains phases over the indices whose base magnitude is nonzero. A
 component is a maximal run of nonzero indices whose gaps stay within
 ``jumps + 1``; phases chain along its consecutive indices (l, m), each step
@@ -21,11 +28,12 @@ recovery needs a chain of size ``dim - m`` rather than ``dim``. With at least
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,11 +44,13 @@ from .exceptions import (
     ZeroMagnitudeError,
 )
 from .frames import DynamicalFrame
+# the scalar products stay importable from here: perfbench/spans.py binds them
 from .polarization import (
+    CLAMP_TOL,
+    MAGNITUDE_RTOL,
     PolarizationAngles,
-    PolarizationData,
-    recover_product,
-    recover_product_real,
+    recover_product,  # noqa: F401
+    recover_product_real,  # noqa: F401
 )
 from .validation import as_vector, frozen_copy
 
@@ -87,49 +97,124 @@ class MeasurementConfig:
         return 1 if c > 0 else -1
 
 
+class _AlignedView(Mapping):
+    """Read-only ``(l, j, k) -> magnitude`` view over an aligned grid."""
+
+    __slots__ = ("_grid",)
+
+    def __init__(self, grid: np.ndarray):
+        self._grid = grid
+
+    def __getitem__(self, key) -> float:
+        offsets, families, width = self._grid.shape
+        try:
+            l, j, k = (operator.index(i) for i in key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if 1 <= j <= offsets and 1 <= k <= families and 0 <= l <= width - j:
+            return float(self._grid[j - 1, k - 1, l])
+        raise KeyError(key)
+
+    def __iter__(self):
+        offsets, families, width = self._grid.shape
+        for l in range(width):
+            for j in range(1, min(offsets, width - l) + 1):
+                for k in range(1, families + 1):
+                    yield (l, j, k)
+
+    def __len__(self) -> int:
+        offsets, families, width = self._grid.shape
+        return families * sum(max(0, width + 1 - j) for j in range(1, offsets + 1))
+
+
+def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
+    # NaN fails both comparisons, +inf the second
+    return (values >= 0.0) & (values < math.inf)
+
+
+def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
+    """The grid of a complete ``{(l, j, k): value}`` dict."""
+    families = 2 if any(k == 2 for (_, _, k) in aligned) else 1
+    grid = np.full((jumps + 1, families, max(length - 1, 0)), np.nan)
+    outside = 0
+    for (l, j, k), v in aligned.items():
+        l, j, k, v = int(l), int(j), int(k), float(v)
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"aligned[{(l, j, k)}] must be finite nonnegative, got {v}")
+        if 1 <= j <= jumps + 1 and 1 <= k <= families and 0 <= l < length - j:
+            grid[j - 1, k - 1, l] = v
+        else:
+            outside += 1
+    missing = [key for key, v in _AlignedView(grid).items() if math.isnan(v)]
+    if missing:
+        raise ValueError(f"aligned grid incomplete: missing {missing[0]}")
+    if outside:
+        raise ValueError(f"aligned holds {outside} key(s) outside the grid")
+    return grid
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Base and aligned magnitudes with their full (l, j, k) index grid."""
+    """Base and aligned magnitudes of one signal over one frame.
+
+    ``grid[j - 1, k - 1, l]`` is the aligned magnitude of index l, offset j
+    and angle family k. The grid has shape ``(jumps + 1, K, length - 1)``,
+    with K = 2 for the two-angle families and K = 1 for real mode's single
+    shift; cells with ``l >= length - j`` do not exist and hold NaN.
+
+    ``aligned`` is given either as that array (its padding is ignored) or as
+    a complete ``{(l, j, k): value}`` dict, and is stored as a read-only
+    mapping view over the grid, which iterates in sorted key order.
+    """
 
     length: int
     jumps: int
     angles: PolarizationAngles
     base: np.ndarray
-    aligned: Mapping[tuple[int, int, int], float]
+    aligned: Mapping[tuple[int, int, int], float] = field(repr=False)
+    grid: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        if base.ndim != 1 or base.size != self.length:
+        length, jumps = int(self.length), int(self.jumps)
+        base = np.array(self.base, dtype=float)
+        if base.shape != (length,):
             raise DimensionMismatchError(
-                f"base must hold {self.length} values, got shape {base.shape}"
+                f"base must hold {length} values, got shape {base.shape}"
             )
-        if not np.all(np.isfinite(base)) or np.any(base < 0.0):
-            raise ValueError("base magnitudes must be finite and nonnegative")
-        aligned = {
-            (int(l), int(j), int(k)): float(v) for (l, j, k), v in self.aligned.items()
-        }
-        for (l, j, k), v in aligned.items():
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"aligned[{(l, j, k)}] must be finite nonnegative, got {v}")
-        two = any(k == 2 for (_, _, k) in aligned)
-        ks = (1, 2) if two else (1,)
-        for j in range(1, self.jumps + 2):
-            for l in range(0, self.length - j):
-                for k in ks:
-                    if (l, j, k) not in aligned:
-                        raise ValueError(f"aligned grid incomplete: missing {(l, j, k)}")
-        cells = len(ks) * sum(max(0, self.length - j) for j in range(1, self.jumps + 2))
-        if len(aligned) > cells:
-            raise ValueError(f"aligned holds {len(aligned) - cells} key(s) outside the grid")
-        object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "jumps", int(self.jumps))
-        object.__setattr__(self, "base", frozen_copy(base))
-        object.__setattr__(self, "aligned", MappingProxyType(aligned))
-        object.__setattr__(self, "_two_angles", two)
+        if jumps < 0:
+            raise ValueError("jumps must be >= 0")
+        if isinstance(self.aligned, np.ndarray):
+            grid = np.array(self.aligned, dtype=float)
+            shape = (jumps + 1, grid.shape[1] if grid.ndim == 3 else 0, max(length - 1, 0))
+            if grid.shape != shape or shape[1] not in (1, 2):
+                raise DimensionMismatchError(
+                    f"aligned grid must have shape ({jumps + 1}, 1 or 2, {shape[2]}), "
+                    f"got {grid.shape}"
+                )
+        else:
+            grid = _grid_from_dict(self.aligned, length, jumps)
+        cells = 0
+        for j in range(1, jumps + 2):
+            grid[j - 1, :, max(length - j, 0) :] = np.nan
+            cells += max(length - j, 0)
+        # one test for every value: only the NaN padding may fail it
+        passed = np.count_nonzero(_finite_nonnegative(base)) + np.count_nonzero(
+            _finite_nonnegative(grid)
+        )
+        if passed != length + grid.shape[1] * cells:
+            what = "aligned" if _finite_nonnegative(base).all() else "base"
+            raise ValueError(f"{what} magnitudes must be finite and nonnegative")
+        base.setflags(write=False)
+        grid.setflags(write=False)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "aligned", _AlignedView(grid))
 
     @property
     def has_two_angles(self) -> bool:
-        return self._two_angles
+        return self.grid.shape[1] == 2
 
 
 class RecoveryStatus(Enum):
@@ -170,20 +255,21 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
             f"jumps={config.jumps} exceeds the admissible maximum {max(0, frame.dim - 2)}"
         )
     coeffs = frame.coefficients(x)
-    base = np.abs(coeffs)
-    aligned: dict[tuple[int, int, int], float] = {}
+    length = frame.length
     if config.real_mode:
-        sign = config.real_sign
-        for j in range(1, config.jumps + 2):
-            for l in range(0, frame.length - j):
-                aligned[(l, j, 1)] = float(abs(coeffs[l] + sign * coeffs[l + j]))
+        shifts = np.array([complex(config.real_sign)])
     else:
-        shifts = {1: cmath.exp(-1j * config.angles.alpha1), 2: cmath.exp(-1j * config.angles.alpha2)}
-        for j in range(1, config.jumps + 2):
-            for l in range(0, frame.length - j):
-                for k in (1, 2):
-                    aligned[(l, j, k)] = float(abs(coeffs[l] + shifts[k] * coeffs[l + j]))
-    return MeasurementSet(frame.length, config.jumps, config.angles, base, aligned)
+        # cmath.exp as in the scalar formula, so the shifts are bit-identical to it
+        angles = config.angles
+        shifts = np.array([cmath.exp(-1j * angles.alpha1), cmath.exp(-1j * angles.alpha2)])
+    # MeasurementSet pads the cells past length - j
+    grid = np.empty((config.jumps + 1, shifts.size, max(length - 1, 0)))
+    for j in range(1, min(config.jumps + 1, length - 1) + 1):
+        z = coeffs[: length - j] + shifts[:, None] * coeffs[j:]
+        # hypot, not np.abs: the vectorized complex abs can differ from the
+        # scalar abs by one ulp, which moves borderline recoveries
+        grid[j - 1, :, : length - j] = np.hypot(z.real, z.imag)
+    return MeasurementSet(length, config.jumps, config.angles, np.abs(coeffs), grid)
 
 
 def _check_consistency(ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig) -> None:
@@ -216,26 +302,80 @@ def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
     return [run.tolist() for run in np.split(alive, cuts)]
 
 
+@functools.lru_cache(maxsize=16)
+def _unmixing(angles: PolarizationAngles) -> np.ndarray:
+    """The matrix taking twice the cosine terms ``(r1, r2)`` to ``(cos D, sin D)``.
+
+    It inverts the 2x2 system of :func:`recover_product` for the NEGATED
+    angle pair; the factor 1/2 is exact in binary, so the rounding is that
+    of the cosine terms themselves.
+    """
+    a1, a2 = -angles.alpha1, -angles.alpha2
+    det = math.sin(a1 - a2)
+    unmix = np.array([[-math.sin(a2), math.sin(a1)], [-math.cos(a2), math.cos(a1)]]) / (2.0 * det)
+    unmix.setflags(write=False)
+    return unmix
+
+
 def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:
     """Unit phases (or signs) along a chain, anchored at its first index.
 
     Consecutive chain indices (l, m) form the aligned edge of offset
     ``j = m - l``; its polarization product ``conj(c_l) c_m`` carries the
     phase step from l to m, and the steps accumulate by cumulative product.
+    All edges are solved at once with the formula of :func:`recover_product`
+    (of :func:`recover_product_real` in real mode); when edges fail, the
+    error is that of the first failing edge in chain order.
     """
-    angles = ms.angles.negated()
-    steps = np.ones(len(chain), dtype=complex)
-    for i, (l, m) in enumerate(zip(chain, chain[1:]), start=1):
-        shifted = ms.aligned[(l, m - l, 1)]
-        if real_sign is None:
-            data = PolarizationData(
-                float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)]
-            )
-            steps[i] = cmath.exp(1j * cmath.phase(recover_product(data, angles)))
+    # (cos, sin) of each step, read as complex at the end
+    steps = np.zeros((len(chain), 2))
+    steps[0, 0] = 1.0
+    if len(chain) > 1:
+        lo, hi = chain[0], chain[-1]
+        if hi - lo == len(chain) - 1:  # consecutive indices: every edge has offset 1
+            cells = ms.grid[0, :, lo:hi]
+            mags = ms.base[lo : hi + 1]
         else:
-            product = recover_product_real(float(ms.base[l]), float(ms.base[m]), shifted, real_sign)
-            steps[i] = 1.0 if product >= 0.0 else -1.0
-    return np.cumprod(steps)
+            index = np.asarray(chain)
+            l = index[:-1]
+            cells = ms.grid[index[1:] - l - 1, :, l].T
+            mags = ms.base[index]
+        m1, m2 = mags[:-1], mags[1:]
+        zero = np.minimum(m1, m2) <= MAGNITUDE_RTOL * np.maximum(m1, m2)
+        first = zero.argmax()
+        if zero[first]:
+            # an inconsistent edge before the zero one is reported first
+            _chain_phases(ms, chain[: first + 1], real_sign)
+            raise ZeroMagnitudeError(
+                f"base magnitudes ({m1[first]:.3g}, {m2[first]:.3g}) too close to zero"
+            )
+        squares = mags * mags
+        excess = cells * cells - squares[:-1] - squares[1:]
+        if real_sign is not None:
+            steps[1:, 0] = np.where(excess[0] / (2.0 * real_sign) >= 0.0, 1.0, -1.0)
+        else:
+            _polarize(excess / (m1 * m2), ms.angles, out=steps[1:].T)
+    return np.multiply.accumulate(steps.view(complex)[:, 0])
+
+
+def _polarize(twice: np.ndarray, angles: PolarizationAngles, out: np.ndarray) -> None:
+    """Unit ``(cos D, sin D)`` columns from twice the cosine terms ``(r1, r2)``.
+
+    ``twice`` holds one column per edge. The checks and the clip are those
+    of :func:`recover_product`, scaled by 2.
+    """
+    over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
+    direction = _unmixing(angles) @ np.minimum(np.maximum(twice, -2.0), 2.0)
+    norm = np.hypot(direction[0], direction[1])
+    bad = over[0] | over[1] | (norm < 1e-12)
+    first = bad.argmax()
+    if bad[first]:
+        if not (over[0, first] or over[1, first]):
+            raise InconsistentDataError("extracted phase direction has vanishing length")
+        r = 0.5 * twice[0 if over[0, first] else 1, first]
+        raise InconsistentDataError(f"shifted magnitude implies cos term {r:.6g} outside [-1, 1]")
+    # project back onto the unit circle; roundoff pushes (cos, sin) slightly off it
+    np.divide(direction, norm, out=out)
 
 
 def _solve_rows(

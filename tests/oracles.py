@@ -5,8 +5,9 @@ products by triple loops, determinants by cofactor expansion, singular
 values through Gram eigenvalues, least squares through normal equations,
 matrix powers by repeated multiplication, spark by subset SVD ranks, the
 phase-free distance by brute-force grid search, chain components by
-breadth-first search over an explicit edge list, and full-spark certificates
-by one determinant call per column subset.
+breadth-first search over an explicit edge list, full-spark certificates
+by one determinant call per column subset, measurements by one scalar ``abs``
+per aligned cell, and chain phases by one ``recover_product`` call per edge.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from collections import deque
 import numpy as np
 
 from dynphase.exceptions import BudgetExceededError, DimensionMismatchError
-from dynphase.validation import as_matrix
+from dynphase.polarization import PolarizationData, recover_product, recover_product_real
+from dynphase.retrieval import MeasurementSet
+from dynphase.validation import as_matrix, as_vector
 from dynphase.vandermonde import DEFAULT_BUDGET, DEFAULT_SPARK_TOL, SparkCertificate
 
 
@@ -183,3 +186,46 @@ def chain_components_bfs(nonzero, jumps: int) -> list[list[int]]:
                     queue.append(nxt)
         components.append(sorted(comp))
     return components
+
+
+def measure_loop(x, frame, config) -> MeasurementSet:
+    """``retrieval.measure`` as a loop filling an ``(l, j, k)`` dict cell by cell."""
+    x = as_vector(x, "x")
+    if x.size != frame.dim:
+        raise DimensionMismatchError(f"x has dim {x.size}, frame dim is {frame.dim}")
+    if config.jumps > max(0, frame.dim - 2):
+        raise ValueError(
+            f"jumps={config.jumps} exceeds the admissible maximum {max(0, frame.dim - 2)}"
+        )
+    coeffs = frame.coefficients(x)
+    base = np.abs(coeffs)
+    aligned: dict[tuple[int, int, int], float] = {}
+    if config.real_mode:
+        sign = config.real_sign
+        for j in range(1, config.jumps + 2):
+            for l in range(0, frame.length - j):
+                aligned[(l, j, 1)] = float(abs(coeffs[l] + sign * coeffs[l + j]))
+    else:
+        shifts = {1: cmath.exp(-1j * config.angles.alpha1), 2: cmath.exp(-1j * config.angles.alpha2)}
+        for j in range(1, config.jumps + 2):
+            for l in range(0, frame.length - j):
+                for k in (1, 2):
+                    aligned[(l, j, k)] = float(abs(coeffs[l] + shifts[k] * coeffs[l + j]))
+    return MeasurementSet(frame.length, config.jumps, config.angles, base, aligned)
+
+
+def chain_phases_loop(ms, chain, real_sign) -> np.ndarray:
+    """``retrieval._chain_phases`` as a loop with one scalar polarization per edge."""
+    angles = ms.angles.negated()
+    steps = np.ones(len(chain), dtype=complex)
+    for i, (l, m) in enumerate(zip(chain, chain[1:]), start=1):
+        shifted = ms.aligned[(l, m - l, 1)]
+        if real_sign is None:
+            data = PolarizationData(
+                float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)]
+            )
+            steps[i] = cmath.exp(1j * cmath.phase(recover_product(data, angles)))
+        else:
+            product = recover_product_real(float(ms.base[l]), float(ms.base[m]), shifted, real_sign)
+            steps[i] = 1.0 if product >= 0.0 else -1.0
+    return np.cumprod(steps)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import dynphase
+from dynphase import cli
 from dynphase.cli import main
 from dynphase.serialization import dump_json, load_json, vector_to_json
 
@@ -264,6 +265,25 @@ class TestBench:
 
     def test_budget_guard(self):
         assert main(["bench", "--dims", "4", "--lengths", "6:9", "--budget", "10"]) == 3
+
+
+class TestMain:
+    def test_repeated_calls_give_identical_output(self, tmp_path, capsys):
+        instance = gen_instance(tmp_path)
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", str(instance), "--format", "json", "--no-spark"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    def test_command_looked_up_per_call(self, tmp_path, monkeypatch):
+        instance = gen_instance(tmp_path)
+        assert main(["verify", str(instance), "--no-spark"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.instance) or 7)
+        assert main(["verify", str(instance), "--no-spark"]) == 7
+        assert seen == [str(instance)]
 
 
 class TestPackage:

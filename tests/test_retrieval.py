@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,16 @@ from dynphase.experiments import (
     zero_patterns,
 )
 from dynphase.instances import make_instance, random_signal_for
-from dynphase.retrieval import RELAXED_ZERO_FLOOR
-from oracles import chain_components_bfs, grid_phase_distance, random_distinct, random_unitary
+from dynphase.retrieval import RELAXED_ZERO_FLOOR, _chain_phases
+from dynphase.serialization import dump_json, measurement_set_to_json
+from oracles import (
+    chain_components_bfs,
+    chain_phases_loop,
+    grid_phase_distance,
+    measure_loop,
+    random_distinct,
+    random_unitary,
+)
 
 CFG = MeasurementConfig()
 
@@ -107,6 +116,156 @@ class TestMeasure:
         assert np.max(np.abs(plain.base - spun.base)) <= 1e-12 * plain.base.max()
         for key, value in plain.aligned.items():
             assert abs(value - spun.aligned[key]) <= 1e-12 * max(plain.base.max(), 1.0)
+
+
+class TestMeasurementSetGrid:
+    def measured(self, real=False):
+        frame = harmonic_frame(4, 6)
+        cfg = MeasurementConfig(jumps=1, real_mode=real)
+        x = np.random.default_rng(110).standard_normal(4) + (0j if real else 1j)
+        return measure(x, frame, cfg)
+
+    def test_layout(self):
+        ms = self.measured()
+        assert ms.grid.shape == (2, 2, 5)
+        assert self.measured(real=True).grid.shape == (2, 1, 5)
+        assert np.isnan(ms.grid[1, :, 4]).all()
+        for (l, j, k), value in ms.aligned.items():
+            assert ms.grid[j - 1, k - 1, l] == value
+        assert list(ms.aligned) == sorted(ms.aligned)
+        assert len(ms.aligned) == 2 * (5 + 4)
+        assert not ms.grid.flags.writeable and not ms.base.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4), (1, 2, 5), (2, 3, 5), (2, 5), (2, 0, 5)])
+    def test_wrong_shape_rejected(self, shape):
+        ms = self.measured()
+        with pytest.raises(DimensionMismatchError):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, np.ones(shape))
+
+    def test_negative_jumps_rejected(self):
+        ms = self.measured()
+        with pytest.raises(ValueError, match="jumps"):
+            MeasurementSet(ms.length, -1, ms.angles, ms.base, {})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_cell_rejected(self, bad):
+        ms = self.measured()
+        grid = ms.grid.copy()
+        grid[1, 0, 3] = bad
+        with pytest.raises(ValueError, match="aligned magnitudes"):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_base_rejected(self, bad):
+        ms = self.measured()
+        base = ms.base.copy()
+        base[2] = bad
+        with pytest.raises(ValueError, match="base magnitudes"):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, base, ms.grid)
+
+    def test_padding_ignored(self):
+        ms = self.measured()
+        grid = ms.grid.copy()
+        grid[1, 0, 4], grid[1, 1, 4] = -1.0, math.inf
+        rebuilt = MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, grid)
+        assert np.isnan(rebuilt.grid[1, :, 4]).all()
+        assert rebuilt.aligned == ms.aligned
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_dict_rebuilds_equal_set(self, real):
+        ms = self.measured(real)
+        rebuilt = MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, dict(ms.aligned))
+        assert np.array_equal(rebuilt.base, ms.base)
+        assert np.array_equal(rebuilt.grid, ms.grid, equal_nan=True)
+        assert rebuilt.aligned == ms.aligned
+        assert rebuilt.has_two_angles == ms.has_two_angles == (not real)
+        assert dump_json(measurement_set_to_json(rebuilt)) == dump_json(measurement_set_to_json(ms))
+
+
+def _orbit_signals(kind, real, count=8):
+    frame = make_instance(kind, 6, 14, seed=5).build_frame()
+    rng = np.random.default_rng(111)
+    shape = (count, 6)
+    xs = rng.standard_normal(shape) + (0.0 if real else 1j) * rng.standard_normal(shape)
+    return frame, xs
+
+
+class TestVectorizedAgainstLoops:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("jumps", [0, 1])
+    @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
+    def test_grid_is_the_scalar_abs(self, kind, jumps, real):
+        frame, xs = _orbit_signals(kind, real)
+        cfg = MeasurementConfig(jumps=jumps, real_mode=real)
+        for x in xs:
+            ms, loop = measure(x, frame, cfg), measure_loop(x, frame, cfg)
+            assert np.array_equal(ms.base, loop.base)
+            # bit for bit: the loop takes one scalar abs per cell
+            assert np.array_equal(ms.grid, loop.grid, equal_nan=True)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_orbits_shorter_than_the_offsets(self, real):
+        rng = np.random.default_rng(113)
+        for length in range(1, 9):
+            frame = build(np.diag(np.linspace(0.5, 1.3, 8)), np.ones(8), length)
+            for jumps in range(7):
+                cfg = MeasurementConfig(jumps=jumps, real_mode=real)
+                x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                assert measure(x, frame, cfg).aligned == measure_loop(x, frame, cfg).aligned
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("jumps", [0, 1])
+    @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
+    def test_steps_match_scalar_polarization(self, kind, jumps, real):
+        frame, xs = _orbit_signals(kind, real)
+        cfg = MeasurementConfig(jumps=jumps, real_mode=real)
+        sign = cfg.real_sign if real else None
+        chains = [list(range(14)), [3, 4, 5]]
+        if jumps:
+            chains.append([l for l in range(14) if l % 3 != 1])  # offsets 1 and 2
+        for x in xs:
+            ms = measure(x, frame, cfg)
+            for chain in chains:
+                got = _chain_phases(ms, chain, sign)
+                assert np.max(np.abs(got - chain_phases_loop(ms, chain, sign))) <= 1e-14
+
+    @staticmethod
+    def broken(real, edits):
+        """A set over harmonic 4/8 with base indices zeroed and offset-1 cells inflated."""
+        frame = harmonic_frame(4, 8)
+        cfg = MeasurementConfig(real_mode=real)
+        ms = measure(random_signal_for(frame, np.random.default_rng(112)), frame, cfg)
+        base, grid = ms.base.copy(), ms.grid.copy()
+        for k, (what, l) in enumerate(edits):
+            if what == "base":
+                base[l] = 0.0
+            else:  # a different family and size for each inflated cell
+                grid[0, k % grid.shape[1], l] = (10 + k) * base.max()
+        return MeasurementSet(ms.length, ms.jumps, ms.angles, base, grid), cfg
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ([("cell", 2), ("base", 6)], InconsistentDataError),
+            ([("base", 2), ("cell", 5)], ZeroMagnitudeError),
+            ([("cell", 1), ("cell", 4)], InconsistentDataError),
+            ([("base", 3), ("base", 6)], ZeroMagnitudeError),
+        ],
+    )
+    @pytest.mark.parametrize("real", [False, True])
+    def test_first_failing_edge_decides(self, edits, error, real):
+        ms, cfg = self.broken(real, edits)
+        sign = cfg.real_sign if real else None
+        if real and all(what == "cell" for what, _ in edits):
+            # real polarization has no clamp check: inflated cells only flip signs
+            got = _chain_phases(ms, range(8), sign)
+            assert np.array_equal(got, chain_phases_loop(ms, range(8), sign))
+            return
+        with pytest.raises(ValueError) as want:
+            chain_phases_loop(ms, range(8), sign)
+        assert type(want.value) is (ZeroMagnitudeError if real else error)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            _chain_phases(ms, range(8), sign)
 
 
 class TestRecoverGeneric:
