@@ -28,7 +28,6 @@ recovery needs a chain of size ``dim - m`` rather than ``dim``. With at least
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from collections.abc import Mapping, Sequence
@@ -44,14 +43,7 @@ from .exceptions import (
     ZeroMagnitudeError,
 )
 from .frames import DynamicalFrame
-# the scalar products stay importable from here: perfbench/spans.py binds them
-from .polarization import (
-    CLAMP_TOL,
-    MAGNITUDE_RTOL,
-    PolarizationAngles,
-    recover_product,  # noqa: F401
-    recover_product_real,  # noqa: F401
-)
+from .polarization import PolarizationAngles, recover_phases, recover_signs
 from .validation import as_vector, frozen_copy
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -302,80 +294,27 @@ def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
     return [run.tolist() for run in np.split(alive, cuts)]
 
 
-@functools.lru_cache(maxsize=16)
-def _unmixing(angles: PolarizationAngles) -> np.ndarray:
-    """The matrix taking twice the cosine terms ``(r1, r2)`` to ``(cos D, sin D)``.
-
-    It inverts the 2x2 system of :func:`recover_product` for the NEGATED
-    angle pair; the factor 1/2 is exact in binary, so the rounding is that
-    of the cosine terms themselves.
-    """
-    a1, a2 = -angles.alpha1, -angles.alpha2
-    det = math.sin(a1 - a2)
-    unmix = np.array([[-math.sin(a2), math.sin(a1)], [-math.cos(a2), math.cos(a1)]]) / (2.0 * det)
-    unmix.setflags(write=False)
-    return unmix
-
-
 def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:
     """Unit phases (or signs) along a chain, anchored at its first index.
 
     Consecutive chain indices (l, m) form the aligned edge of offset
     ``j = m - l``; its polarization product ``conj(c_l) c_m`` carries the
     phase step from l to m, and the steps accumulate by cumulative product.
-    All edges are solved at once with the formula of :func:`recover_product`
-    (of :func:`recover_product_real` in real mode); when edges fail, the
-    error is that of the first failing edge in chain order.
+    All edges are gathered from the grid and solved at once by
+    :func:`recover_phases` (:func:`recover_signs` in real mode), which raise
+    the error of the first failing edge in chain order.
     """
-    # (cos, sin) of each step, read as complex at the end
-    steps = np.zeros((len(chain), 2))
-    steps[0, 0] = 1.0
+    steps = np.ones(len(chain), dtype=complex)
     if len(chain) > 1:
-        lo, hi = chain[0], chain[-1]
-        if hi - lo == len(chain) - 1:  # consecutive indices: every edge has offset 1
-            cells = ms.grid[0, :, lo:hi]
-            mags = ms.base[lo : hi + 1]
+        index = np.asarray(chain)
+        l = index[:-1]
+        cells = ms.grid[index[1:] - l - 1, :, l].T
+        mags = ms.base[index]
+        if real_sign is None:
+            steps[1:] = recover_phases(mags[:-1], mags[1:], cells, ms.angles.negated())
         else:
-            index = np.asarray(chain)
-            l = index[:-1]
-            cells = ms.grid[index[1:] - l - 1, :, l].T
-            mags = ms.base[index]
-        m1, m2 = mags[:-1], mags[1:]
-        zero = np.minimum(m1, m2) <= MAGNITUDE_RTOL * np.maximum(m1, m2)
-        first = zero.argmax()
-        if zero[first]:
-            # an inconsistent edge before the zero one is reported first
-            _chain_phases(ms, chain[: first + 1], real_sign)
-            raise ZeroMagnitudeError(
-                f"base magnitudes ({m1[first]:.3g}, {m2[first]:.3g}) too close to zero"
-            )
-        squares = mags * mags
-        excess = cells * cells - squares[:-1] - squares[1:]
-        if real_sign is not None:
-            steps[1:, 0] = np.where(excess[0] / (2.0 * real_sign) >= 0.0, 1.0, -1.0)
-        else:
-            _polarize(excess / (m1 * m2), ms.angles, out=steps[1:].T)
-    return np.multiply.accumulate(steps.view(complex)[:, 0])
-
-
-def _polarize(twice: np.ndarray, angles: PolarizationAngles, out: np.ndarray) -> None:
-    """Unit ``(cos D, sin D)`` columns from twice the cosine terms ``(r1, r2)``.
-
-    ``twice`` holds one column per edge. The checks and the clip are those
-    of :func:`recover_product`, scaled by 2.
-    """
-    over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
-    direction = _unmixing(angles) @ np.minimum(np.maximum(twice, -2.0), 2.0)
-    norm = np.hypot(direction[0], direction[1])
-    bad = over[0] | over[1] | (norm < 1e-12)
-    first = bad.argmax()
-    if bad[first]:
-        if not (over[0, first] or over[1, first]):
-            raise InconsistentDataError("extracted phase direction has vanishing length")
-        r = 0.5 * twice[0 if over[0, first] else 1, first]
-        raise InconsistentDataError(f"shifted magnitude implies cos term {r:.6g} outside [-1, 1]")
-    # project back onto the unit circle; roundoff pushes (cos, sin) slightly off it
-    np.divide(direction, norm, out=out)
+            steps[1:] = recover_signs(mags[:-1], mags[1:], cells[0], real_sign)
+    return np.multiply.accumulate(steps)
 
 
 def _solve_rows(

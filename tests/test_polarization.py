@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dynphase import (
     recover_product_real,
     recover_product_roots_of_unity,
 )
+from dynphase.polarization import recover_phases, recover_signs
 from oracles import polarization_forward
 
 RIGHT = PolarizationAngles(0.0, math.pi / 2)
@@ -173,3 +175,55 @@ class TestRootsOfUnity:
     def test_too_few_magnitudes_rejected(self):
         with pytest.raises(ValueError):
             recover_product_roots_of_unity([1.0, 1.0])
+
+
+class TestArrayForms:
+    """recover_phases / recover_signs against the scalar functions, pair by pair."""
+
+    @staticmethod
+    def pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        return z[0], z[1]
+
+    def test_phases_match_recover_product(self):
+        angles = PolarizationAngles(0.3, 1.9)
+        z1, z2 = self.pairs(50, 74)
+        data = [forward(a, b, angles) for a, b in zip(z1, z2)]
+        m1, m2, p1, p2 = (np.array(col) for col in zip(*(astuple(d) for d in data)))
+        got = recover_phases(m1, m2, np.array([p1, p2]), angles)
+        want = np.array([recover_product(d, angles) for d in data])
+        assert np.max(np.abs(got - want / np.abs(want))) <= 1e-14
+
+    def test_signs_match_recover_product_real(self):
+        rng = np.random.default_rng(75)
+        z1, z2 = rng.standard_normal((2, 50))
+        for sign in (-1, 1):
+            shifted = np.abs(z1 + sign * z2)
+            got = recover_signs(np.abs(z1), np.abs(z2), shifted, sign)
+            want = [
+                recover_product_real(abs(a), abs(b), s, sign) for a, b, s in zip(z1, z2, shifted)
+            ]
+            assert np.array_equal(got, np.where(np.array(want) >= 0, 1.0, -1.0))
+
+    def test_empty(self):
+        empty = np.zeros(0)
+        assert recover_phases(empty, empty, np.zeros((2, 0)), RIGHT).shape == (0,)
+        assert recover_signs(empty, empty, empty, 1).shape == (0,)
+
+    def test_first_failing_pair_decides(self):
+        m = np.ones(3)
+        # z1 = z2 = 1 under the angles (0, pi/2)
+        shifted = np.array([[2.0] * 3, [math.sqrt(2.0)] * 3])
+        shifted[0, 2] = 5.0  # inconsistent, after a zero magnitude
+        zero = m.copy()
+        zero[1] = 0.0
+        with pytest.raises(ZeroMagnitudeError):
+            recover_phases(m, zero, shifted, RIGHT)
+        shifted[1, 0] = 5.0  # inconsistent, before it
+        with pytest.raises(InconsistentDataError, match="cos term 11.5 outside"):
+            recover_phases(m, zero, shifted, RIGHT)
+
+    def test_bad_sign_rejected(self):
+        with pytest.raises(ValueError):
+            recover_signs(np.ones(1), np.ones(1), np.ones(1), 0)

@@ -214,6 +214,17 @@ class TestVectorizedAgainstLoops:
                 assert measure(x, frame, cfg).aligned == measure_loop(x, frame, cfg).aligned
 
     @pytest.mark.parametrize("real", [False, True])
+    def test_zero_signal_on_a_short_orbit_fails(self, real):
+        # every base magnitude is zero and L < d: the chain is empty
+        frame = build(np.diag(np.linspace(0.5, 1.3, 8)), np.ones(8), 3)
+        cfg = MeasurementConfig(real_mode=real)
+        ms = measure(np.zeros(8), frame, cfg)
+        recover = recover_real if real else recover_full_spark
+        result = recover(ms, frame, cfg)
+        assert result.status is RecoveryStatus.FAILED
+        assert _chain_phases(ms, [], cfg.real_sign if real else None).shape == (0,)
+
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("jumps", [0, 1])
     @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
     def test_steps_match_scalar_polarization(self, kind, jumps, real):
