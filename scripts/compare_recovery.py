@@ -12,12 +12,17 @@ tree's directory on PYTHONPATH:
   for the pattern without zeros);
 * real mode: the same grid over the real orbit of ``diag(linspace(0.6, 1.5,
   d))`` from the all-ones generator, with real signals recovered by
-  ``recover_real``.
+  ``recover_real``;
+* generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
+  every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
+  ``dump_json(instance_to_json(...))``.
 
 Signals come from a fixed seed, so both trees see identical inputs (the
 script checks this). Status (or exception type), ``used_indices`` and
 ``component_size`` must match exactly, and the estimates must agree within
-phase-free distance 1e-10. Exit status 0 means every outcome matched.
+phase-free distance 1e-10. Generated instances must serialize to the same
+text byte for byte, or fail with the same exception type. Exit status 0
+means every outcome matched.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
     from dynphase import build, harmonic_frame, measure, min_length, retrieval
     from dynphase.experiments import signal_with_zero_pattern, zero_patterns
+    from dynphase.instances import KINDS, make_instance
+    from dynphase.serialization import dump_json, instance_to_json
 
     records = []
 
@@ -96,6 +103,16 @@ def emit(path: str) -> None:
             run(key, x, retrieval.recover_full_spark, frame, config)
             if not pattern:
                 run(key + " generic", x, retrieval.recover_generic, frame, config)
+    for kind in KINDS:
+        for d in range(1, 9):
+            for seed in range(10):
+                entry = {"key": f"instance {kind} d={d} seed={seed}", "instance": None}
+                try:
+                    instance = make_instance(kind, d, min_length(d), seed=seed)
+                    entry.update(instance=dump_json(instance_to_json(instance)), status="ok")
+                except Exception as exc:  # an exception is an outcome to compare
+                    entry["status"] = type(exc).__name__
+                records.append(entry)
     with open(path, "w") as fh:
         json.dump(records, fh)
 
@@ -121,6 +138,12 @@ def compare(old: list[dict], new: list[dict]) -> int:
         return 1
     mismatches, worst, tally = [], 0.0, {}
     for a, b in zip(old, new):
+        if "instance" in a:
+            label = f"instance {a['status']}"
+            tally[label] = tally.get(label, 0) + 1
+            if (a["instance"], a["status"]) != (b["instance"], b["status"]):
+                mismatches.append((a["key"], f"generated instances differ ({b['status']})"))
+            continue
         if a["x"] != b["x"]:
             mismatches.append((a["key"], "input signals differ"))
             continue

@@ -36,13 +36,6 @@ from .frames import (
     full_spark_criterion,
     harmonic_frame,
 )
-from .linalg import (
-    determinant,
-    inner_product,
-    matmul,
-    singular_values,
-    solve_least_squares,
-)
 from .polarization import (
     PolarizationAngles,
     PolarizationData,
@@ -95,12 +88,6 @@ __all__ = [
     "SchemaError",
     "SingularMatrixError",
     "ZeroMagnitudeError",
-    # linalg
-    "determinant",
-    "inner_product",
-    "matmul",
-    "singular_values",
-    "solve_least_squares",
     # spectral
     "GeneratorCoordinates",
     "JordanSpec",

@@ -15,6 +15,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import math
@@ -78,24 +79,19 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
 
 
 def _config_from_args(args, base: MeasurementConfig) -> MeasurementConfig:
-    kwargs = {
-        "angles": base.angles,
-        "jumps": base.jumps,
-        "zero_tol": base.zero_tol,
-        "real_mode": base.real_mode,
-    }
+    changes = {}
     if getattr(args, "angles", None):
         parts = args.angles.split(",")
         if len(parts) != 2:
             raise SchemaError("--angles expects 'a1,a2'")
-        kwargs["angles"] = PolarizationAngles(float(parts[0]), float(parts[1]))
+        changes["angles"] = PolarizationAngles(float(parts[0]), float(parts[1]))
     if getattr(args, "jumps", None) is not None:
-        kwargs["jumps"] = args.jumps
+        changes["jumps"] = args.jumps
     if getattr(args, "zero_tol", None) is not None:
-        kwargs["zero_tol"] = args.zero_tol
+        changes["zero_tol"] = args.zero_tol
     if getattr(args, "real", False):
-        kwargs["real_mode"] = True
-    return MeasurementConfig(**kwargs)
+        changes["real_mode"] = True
+    return dataclasses.replace(base, **changes)
 
 
 def _cmd_gen(args) -> int:

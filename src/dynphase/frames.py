@@ -37,7 +37,7 @@ from .vandermonde import (
 FRAME_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicalFrame:
     """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data."""
 
@@ -78,7 +78,12 @@ class DynamicalFrame:
         return self._synthesis
 
     def coefficients(self, x) -> np.ndarray:
-        """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1."""
+        """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1.
+
+        The inner product is conjugate-linear in the second argument,
+        ``<x, y> = sum_k x[k] * conj(y[k])``, and every phase convention in
+        this package follows from that choice.
+        """
         x = as_vector(x, "x")
         if x.size != self.dim:
             raise DimensionMismatchError(f"x has dim {x.size}, expected {self.dim}")
@@ -93,7 +98,7 @@ class FrameAnalysis:
     spark: SparkCertificate | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualFrame:
     """Frame operator ``T = sum v_l v_l*`` and the canonical dual data.
 

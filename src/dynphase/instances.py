@@ -18,7 +18,7 @@ from .serialization import (
     matrix_to_json,
     vector_to_json,
 )
-from .spectral import JordanSpec
+from .spectral import JordanSpec, min_eigenvalue_gap
 
 KINDS = ("random-diag", "jordan", "circulant", "harmonic", "rotation")
 
@@ -38,8 +38,7 @@ def _distinct_eigenvalues(rng: np.random.Generator, count: int, gap: float = EIG
         radii = rng.uniform(0.7, 1.25, size=count)
         args = rng.uniform(0.0, 2.0 * math.pi, size=count)
         values = radii * np.exp(1j * args)
-        diff = np.abs(values[:, None] - values[None, :])
-        if count == 1 or diff[~np.eye(count, dtype=bool)].min() > gap:
+        if min_eigenvalue_gap(values) > gap:
             return values
 
 
@@ -114,9 +113,7 @@ def make_instance(
         F = dft_matrix(dim)
         while True:
             kernel = _dense_coordinates(rng, dim)
-            k_hat = F @ kernel
-            gaps = np.abs(k_hat[:, None] - k_hat[None, :])
-            if dim == 1 or gaps[~np.eye(dim, dtype=bool)].min() > EIGENVALUE_GAP:
+            if min_eigenvalue_gap(F @ kernel) > EIGENVALUE_GAP:
                 break
         while True:
             phi = _dense_coordinates(rng, dim)

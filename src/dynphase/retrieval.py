@@ -145,7 +145,7 @@ def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Base and aligned magnitudes of one signal over one frame.
 
@@ -164,7 +164,7 @@ class MeasurementSet:
     angles: PolarizationAngles
     base: np.ndarray
     aligned: Mapping[tuple[int, int, int], float] = field(repr=False)
-    grid: np.ndarray = field(init=False, compare=False)
+    grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         length, jumps = int(self.length), int(self.jumps)
@@ -215,7 +215,7 @@ class RecoveryStatus(Enum):
     FAILED = "Failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Estimate plus chain diagnostics.
 

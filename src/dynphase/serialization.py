@@ -268,7 +268,10 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
             raise SchemaError(f"measurements.aligned[{i}]: l, j, k must be integers")
         if not _is_real(entry["value"]):
             raise SchemaError(f"measurements.aligned[{i}].value: expected a real number")
-        aligned[(entry["l"], entry["j"], entry["k"])] = float(entry["value"])
+        key = (entry["l"], entry["j"], entry["k"])
+        if key in aligned:
+            raise SchemaError(f"measurements.aligned[{i}]: duplicate entry {key}")
+        aligned[key] = float(entry["value"])
     try:
         return MeasurementSet(
             obj["L"],

@@ -43,7 +43,7 @@ DEFECTIVE_COND = 1e7
 EIG_RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanSpec:
     """Exact structural description of an operator ``S J S^{-1}``.
 
@@ -83,10 +83,6 @@ class JordanSpec:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.multiplicities)
-
     def block_slices(self) -> list[slice]:
         slices, start = [], 0
         for m in self.multiplicities:
@@ -95,7 +91,7 @@ class JordanSpec:
         return slices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorCoordinates:
     """Coordinates of a generator in the Jordan basis, split block by block."""
 

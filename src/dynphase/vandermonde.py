@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BudgetExceededError, DimensionMismatchError
+from .spectral import min_eigenvalue_gap
 from .validation import as_matrix, as_vector
 
 DEFAULT_SPARK_TOL = 1e-10
@@ -121,7 +122,7 @@ def schur_value(values, exponents) -> complex:
             f"need a square selection: {v.size} values but {len(exps)} exponents"
         )
     scale = max(1.0, float(np.max(np.abs(v))))
-    gap = _min_gap(v)
+    gap = min_eigenvalue_gap(v)
     if gap <= COINCIDENCE_RTOL * scale:
         raise ValueError(f"entries coincide within tolerance (gap {gap:.3e})")
     det = complex(np.linalg.det(first_kind(v, exps)))
@@ -214,10 +215,3 @@ def full_spark(
             if failing.size:
                 witness = tuple(int(i) for i in idx[failing[0]])
     return SparkCertificate(witness is None, witness, min_scaled)
-
-
-def _min_gap(v: np.ndarray) -> float:
-    if v.size < 2:
-        return float("inf")
-    diff = np.abs(v[:, None] - v[None, :])
-    return float(diff[~np.eye(v.size, dtype=bool)].min())

@@ -1,9 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it checks: matrix
-products by triple loops, determinants by cofactor expansion, singular
-values through Gram eigenvalues, least squares through normal equations,
-matrix powers by repeated multiplication, spark by subset SVD ranks, the
+products by triple loops, determinants by cofactor expansion, matrix
+powers by repeated multiplication, spark by subset SVD ranks, the
 phase-free distance by brute-force grid search, chain components by
 breadth-first search over an explicit edge list, full-spark certificates
 by one determinant call per column subset, measurements by one scalar ``abs``
@@ -49,19 +48,6 @@ def det_cofactor(m) -> complex:
         minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         total += (-1) ** j * m[0, j] * det_cofactor(minor)
     return total
-
-
-def gram_singular_values(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    gram = m @ m.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-
-
-def lstsq_normal_equations(m, b) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return np.linalg.solve(m.conj().T @ m, m.conj().T @ b)
 
 
 def matrix_power_naive(a, power: int) -> np.ndarray:

@@ -182,6 +182,18 @@ class TestMeasurementSetGrid:
         assert dump_json(measurement_set_to_json(rebuilt)) == dump_json(measurement_set_to_json(ms))
 
 
+def test_array_holders_compare_by_identity():
+    x = np.random.default_rng(112).standard_normal(4) + 0j
+    pairs = []
+    for _ in range(2):
+        frame = harmonic_frame(4, 6)
+        ms = measure(x, frame, CFG)
+        pairs.append((frame, ms, recover_full_spark(ms, frame, CFG)))
+    for first, second in zip(*pairs):
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
+
 def _orbit_signals(kind, real, count=8):
     frame = make_instance(kind, 6, 14, seed=5).build_frame()
     rng = np.random.default_rng(111)

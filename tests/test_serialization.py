@@ -233,6 +233,14 @@ class TestMeasurementSetSchema:
         with pytest.raises(SchemaError):
             json_to_measurement_set(obj)
 
+    def test_duplicate_entry_rejected(self):
+        frame = harmonic_frame(3, 4)
+        obj = measurement_set_to_json(measure(np.ones(3), frame, MeasurementConfig()))
+        first = obj["aligned"][0]
+        obj["aligned"].append({**first, "value": first["value"] + 1200.0})
+        with pytest.raises(SchemaError, match=r"aligned\[6\]: duplicate entry \(0, 1, 1\)"):
+            json_to_measurement_set(obj)
+
     def test_negative_value_rejected(self):
         obj = {
             "L": 2,

@@ -14,6 +14,7 @@ from dynphase import (
     jordan_matrix,
     jordan_power,
 )
+from dynphase.spectral import min_eigenvalue_gap
 from oracles import matrix_power_naive, orbit_rank, random_unitary
 
 
@@ -225,3 +226,21 @@ class TestHankel:
         assert np.linalg.det(h) == pytest.approx(-(c**3), rel=1e-10)
         degenerate = hankel_of([a, b, 0.0])
         assert abs(np.linalg.det(degenerate)) < 1e-12
+
+
+class TestMinEigenvalueGap:
+    def test_single_value_is_infinitely_separated(self):
+        assert min_eigenvalue_gap([1.0 + 2j]) == float("inf")
+
+    def test_repeated_value_has_zero_gap(self):
+        assert min_eigenvalue_gap([1.0, 0.5j, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_matches_pairwise_minimum(self, count):
+        rng = np.random.default_rng(22 + count)
+        for _ in range(10):
+            values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            brute = min(
+                abs(values[i] - values[j]) for i in range(count) for j in range(i + 1, count)
+            )
+            assert min_eigenvalue_gap(values) == pytest.approx(brute, rel=1e-15)
