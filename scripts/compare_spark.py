@@ -9,7 +9,7 @@ tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}:
   (non-diagonalizable) and circulant operators, two seeds each, checked with
   ``full_spark`` and, for the diagonalizable ones, with
   ``full_spark_criterion`` on the operator's eigenvalues and the generator's
-  eigenbasis coordinates;
+  eigenbasis coordinates, and every orbit with ``analyze(spark=True)``;
 * classical Vandermonde matrices in random distinct complex points, in
   positive real points, in geometric points and in roots of unity of order
   d - 1 (which repeat, so some minors vanish), checked with ``full_spark``
@@ -18,7 +18,11 @@ tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}:
 Matrices come from fixed seeds, so both trees see identical inputs (the
 script checks their bytes). The verdict, the witness and ``repr`` of
 ``min_abs_det`` as a Python float must match exactly; an exception is an
-outcome and must match by type. Exit status 0 means every outcome matched.
+outcome and must match by type. One difference is allowed and listed: an
+``analyze`` record of an exactly diagonal operator that passes in both trees
+with a number in OLD and with ``min_abs_det`` None in NEW, which is a
+structural certificate standing in for enumeration. Exit status 0 means
+every other outcome matched.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def _points(rng, d):
 
 def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
-    from dynphase import build, circulant_frame, classical, full_spark, harmonic_frame
+    from dynphase import analyze, build, circulant_frame, classical, full_spark, harmonic_frame
     from dynphase.frames import full_spark_criterion
     from dynphase.spectral import JordanSpec, assemble
 
@@ -58,11 +62,15 @@ def emit(path: str) -> None:
         mad = None if c.min_abs_det is None else repr(float(c.min_abs_det))
         return [c.full_spark, None if c.witness is None else list(c.witness), mad]
 
-    def run(key, m, spectrum=None):
+    def run(key, m, spectrum=None, frame=None):
         entry = {"key": key, "input": hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()}
         entry["full_spark"] = certify(full_spark, m)
         if spectrum is not None:
             entry["criterion"] = certify(full_spark_criterion, *spectrum, m.shape[1])
+        if frame is not None:
+            A = frame.operator
+            entry["diagonal"] = not np.any(A - np.diag(np.diagonal(A)))
+            entry["analyze"] = certify(lambda: analyze(frame, spark=True).spark)
         records.append(entry)
 
     def orbit_spectrum(frame):
@@ -72,23 +80,23 @@ def emit(path: str) -> None:
     for d in range(3, 9):
         for L in (d + 2, 2 * d):
             frame = harmonic_frame(d, L)
-            run(f"harmonic d={d} L={L}", frame.synthesis(), orbit_spectrum(frame))
+            run(f"harmonic d={d} L={L}", frame.synthesis(), orbit_spectrum(frame), frame)
             for seed in range(2):
                 rng = np.random.default_rng([d, L, seed])
                 tag = f"d={d} L={L} seed={seed}"
 
                 U, values, coords = _unitary(rng, d), _points(rng, d), _points(rng, d)
                 frame = build((U * values) @ U.conj().T, U @ coords, L)
-                run(f"random-diag {tag}", frame.synthesis(), (values, coords))
+                run(f"random-diag {tag}", frame.synthesis(), (values, coords), frame)
 
                 mults = (d - 2, 1, 1) if d > 3 else (2, 1)
                 spec = JordanSpec(_points(rng, len(mults)), mults, _unitary(rng, d))
                 frame = build(assemble(spec), spec.basis @ coords, L)
-                run(f"jordan {tag}", frame.synthesis())
+                run(f"jordan {tag}", frame.synthesis(), frame=frame)
 
                 kernel = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 frame, _ = circulant_frame(kernel, coords, L)
-                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame))
+                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame), frame)
 
                 for name, pts in (
                     ("random", _points(rng, d)),
@@ -105,23 +113,37 @@ def compare(old: list[dict], new: list[dict]) -> int:
     if [r["key"] for r in old] != [r["key"] for r in new]:
         print("matrix grids differ")
         return 1
-    mismatches, tally = [], {}
+    mismatches, structural, tally = [], [], {}
     for a, b in zip(old, new):
         if a["input"] != b["input"]:
             mismatches.append((a["key"], "input matrices differ"))
             continue
-        for check in ("full_spark", "criterion"):
+        for check in ("full_spark", "criterion", "analyze"):
             if check not in a:
                 continue
             outcome = a[check]
             verdict = outcome if isinstance(outcome, str) else ("pass" if outcome[0] else "fail")
             label = f"{check} {verdict}"
             tally[label] = tally.get(label, 0) + 1
-            if a[check] != b.get(check):
+            if a[check] == b.get(check):
+                continue
+            if (
+                check == "analyze"
+                and a["diagonal"]
+                and not isinstance(outcome, str)
+                and outcome[0] is True
+                and outcome[2] is not None
+                and b[check] == [True, None, None]
+            ):
+                structural.append((a["key"], outcome[2]))
+            else:
                 mismatches.append((a["key"], f"{check}: {a[check]} vs {b.get(check)}"))
     for label in sorted(tally):
         print(f"{label}: {tally[label]}")
     print(f"compared {sum(tally.values())} certificates on {len(old)} matrices")
+    for key, mad in structural:
+        print(f"STRUCTURAL {key}: analyze min_abs_det {mad} -> None")
+    print(f"{len(structural)} diagonal analyze records certified by structure")
     for key, what in mismatches[:20]:
         print(f"MISMATCH {key}: {what}")
     print(f"{len(mismatches)} mismatches")

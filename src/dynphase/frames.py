@@ -6,7 +6,10 @@ application of an operator. This module builds orbits, computes frame bounds
 canonical dual frame from the frame operator, evaluates the spectral spanning
 criteria (distinct block eigenvalues plus generator dependence), and issues
 full-spark certificates, with structural shortcuts for geometric and for
-distinct positive real spectra.
+distinct positive real spectra. ``analyze`` takes those shortcuts for every
+exactly diagonal operator (harmonic frames among them), whose eigenvalues are
+its diagonal and whose eigenbasis coordinates are the generator itself; any
+other operator has its minors enumerated.
 """
 
 from __future__ import annotations
@@ -149,6 +152,16 @@ def analyze(
     The bounds are the squared extreme singular values of the synthesis
     matrix. Fewer vectors than dimensions can never span, so the lower bound
     is reported as zero in that case.
+
+    With ``spark=True`` an exactly diagonal operator (``length >= dim``) is
+    first tried against the structural shortcuts of
+    :func:`full_spark_criterion`, with its diagonal as the eigenvalues and
+    the generator as the eigenbasis coordinates. When one applies, the
+    certificate is ``SparkCertificate(True, None, None)``: no minor is
+    enumerated and ``budget`` is not consulted. Every other orbit, including
+    every non-diagonal one, is certified by enumerating its minors with
+    :func:`~dynphase.vandermonde.full_spark`, which raises
+    ``BudgetExceededError`` past ``budget`` subsets.
     """
     Phi = frame.synthesis()
     sv = np.linalg.svd(Phi, compute_uv=False)
@@ -158,7 +171,16 @@ def analyze(
     is_frame = smin > tol * float(sv[0])
     certificate = None
     if spark:
-        certificate = full_spark(Phi, tol=spark_tol, budget=budget)
+        A = frame.operator
+        diagonal = np.diagonal(A)
+        if (
+            frame.length >= frame.dim
+            and not np.any(A - np.diag(diagonal))
+            and _structurally_full_spark(diagonal, frame.generator, frame.length)
+        ):
+            certificate = SparkCertificate(True, None, None)
+        else:
+            certificate = full_spark(Phi, tol=spark_tol, budget=budget)
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
@@ -272,6 +294,44 @@ def _geometric_ratio(values: np.ndarray) -> complex | None:
     return r
 
 
+def _coordinates_nonzero(coords: np.ndarray) -> bool:
+    """No eigenbasis coordinate vanishes relative to the largest one."""
+    return bool(np.min(np.abs(coords)) > DEPENDENCE_RTOL * np.max(np.abs(coords)))
+
+
+def _structurally_full_spark(values: np.ndarray, coords: np.ndarray, length: int) -> bool:
+    """True when a structural shortcut proves the orbit has full spark.
+
+    ``values`` are a diagonalizable operator's eigenvalues and ``coords``
+    the generator's eigenbasis coordinates, with ``length >= values.size``.
+    The eigenvalues must be pairwise distinct and no coordinate may vanish;
+    then either spectrum below certifies every d-column minor:
+
+    * geometric eigenvalues ``v[k] = v[0] * r^k`` where no power
+      ``r^1..r^(length-1)`` equals one (every minor is then an invertible
+      Vandermonde matrix in distinct points), or
+    * pairwise distinct, strictly positive real eigenvalues (every minor's
+      determinant is a positive combination of Schur values). A zero
+      eigenvalue is excluded on purpose: any minor that skips the constant
+      column then has an all-zero row, so nonnegative spectra do not in
+      general give full spark.
+
+    False means only that no shortcut applies, not that the orbit fails.
+    """
+    if not eigenvalues_distinct(values) or not _coordinates_nonzero(coords):
+        return False
+    ratio = _geometric_ratio(values)
+    if ratio is not None and abs(ratio) > 0.0:
+        powers = ratio ** np.arange(1, length)
+        if np.min(np.abs(powers - 1.0)) > DISTINCT_RTOL:
+            return True
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return bool(
+        np.max(np.abs(values.imag)) <= 1e-12 * scale
+        and np.min(values.real) > DISTINCT_RTOL * scale
+    )
+
+
 def full_spark_criterion(
     eigenvalues,
     coordinates,
@@ -283,17 +343,11 @@ def full_spark_criterion(
 
     The orbit has full spark exactly when the generator's eigenbasis
     coordinates all stay nonzero and the eigenvalue power matrix
-    ``classical(eigenvalues, length)`` has full spark. Two spectra admit
-    shortcuts that skip enumeration entirely:
-
-    * geometric eigenvalues ``v[k] = v[0] * r^k`` where no power
-      ``r^1..r^(length-1)`` equals one (every minor is then an invertible
-      Vandermonde matrix in distinct points), and
-    * pairwise distinct, strictly positive real eigenvalues (every minor's
-      determinant is a positive combination of Schur values). A zero
-      eigenvalue is excluded from this shortcut on purpose: any minor that
-      skips the constant column then has an all-zero row, so nonnegative
-      spectra do not in general give full spark.
+    ``classical(eigenvalues, length)`` has full spark. Geometric spectra
+    without a root of unity among ``r^1..r^(length-1)``, and distinct
+    strictly positive real spectra, skip enumeration entirely (see
+    ``_structurally_full_spark``, which :func:`analyze` shares) and return
+    a certificate with ``min_abs_det=None``.
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -304,21 +358,10 @@ def full_spark_criterion(
         raise ValueError(f"need length >= {d}, got {length}")
     if not eigenvalues_distinct(values):
         raise ValueError("eigenvalues coincide: the orbit is not even a frame")
-    if np.min(np.abs(coords)) <= DEPENDENCE_RTOL * np.max(np.abs(coords)):
+    if not _coordinates_nonzero(coords):
         # a dead eigendirection confines the orbit to a hyperplane, so every
         # d-subset is singular; the lexicographically first one is returned
         return SparkCertificate(False, tuple(range(d)), 0.0)
-
-    scale = max(1.0, float(np.max(np.abs(values))))
-    ratio = _geometric_ratio(values)
-    if ratio is not None and abs(ratio) > 0.0:
-        powers = ratio ** np.arange(1, length)
-        if np.min(np.abs(powers - 1.0)) > DISTINCT_RTOL:
-            return SparkCertificate(True, None, None)
-    if (
-        np.max(np.abs(values.imag)) <= 1e-12 * scale
-        and np.min(values.real) > DISTINCT_RTOL * scale
-    ):
+    if _structurally_full_spark(values, coords, length):
         return SparkCertificate(True, None, None)
-
     return full_spark(classical(values, length), tol=tol, budget=budget)

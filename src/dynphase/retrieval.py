@@ -290,8 +290,9 @@ def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
     alive = np.flatnonzero(np.asarray(nonzero, dtype=bool))
     if alive.size == 0:
         return []
-    cuts = np.flatnonzero(np.diff(alive) > jumps + 1) + 1
-    return [run.tolist() for run in np.split(alive, cuts)]
+    cuts = (np.flatnonzero(np.diff(alive) > jumps + 1) + 1).tolist()
+    positions = alive.tolist()
+    return [positions[a:b] for a, b in zip([0, *cuts], [*cuts, len(positions)])]
 
 
 def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:

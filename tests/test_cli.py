@@ -70,8 +70,17 @@ class TestAnalyze:
         assert load_json(report_path)["outcome"]["is_frame"] is False
 
     def test_budget_exceeded_exit_code(self, tmp_path):
-        instance = gen_instance(tmp_path, "harmonic", 4, 12)
+        # a dense operator: its C(12,4) minors must be enumerated
+        instance = gen_instance(tmp_path, "random-diag", 4, 12)
         assert main(["analyze", str(instance), "--budget", "3"]) == 3
+
+    def test_structural_certificate_ignores_budget(self, tmp_path):
+        instance = gen_instance(tmp_path, "harmonic", 4, 12)
+        report_path = tmp_path / "report.json"
+        code = main(["analyze", str(instance), "--budget", "3", "--output", str(report_path)])
+        assert code == 0
+        spark = load_json(report_path)["outcome"]["spark"]
+        assert spark == {"full_spark": True, "witness": None, "min_abs_det": None}
 
     def test_malformed_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -209,6 +218,15 @@ class TestVerify:
         report = load_json(report_path)
         assert report["outcome"]["recovery_status"] == "Recovered"
         assert report["outcome"]["global_phase_error"] <= 1e-8
+
+    def test_harmonic_beyond_enumeration_budget(self, tmp_path):
+        # C(30,10) = 30,045,015 minors exceed the default budget of 2,000,000
+        instance = gen_instance(tmp_path, "harmonic", 10, 30)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", str(instance), "--output", str(report_path)]) == 0
+        outcome = load_json(report_path)["outcome"]
+        assert outcome["spark"] == {"full_spark": True, "witness": None, "min_abs_det": None}
+        assert outcome["recovery_status"] == "Recovered"
 
 
 class TestBench:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import dynphase.frames
 from dynphase import (
     DimensionMismatchError,
     DynamicalFrame,
     JordanSpec,
     SingularMatrixError,
+    SparkCertificate,
     analyze,
     assemble,
     build,
@@ -126,6 +128,60 @@ class TestAnalyze:
         assert analyze(frame).spark is None
         analysis = analyze(frame, spark=True)
         assert analysis.spark is not None and analysis.spark.full_spark
+
+
+class TestAnalyzeStructuralSpark:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """Records the matrices ``analyze`` hands to ``full_spark``."""
+        seen = []
+
+        def spy(matrix, **kwargs):
+            seen.append(matrix)
+            return full_spark(matrix, **kwargs)
+
+        monkeypatch.setattr(dynphase.frames, "full_spark", spy)
+        return seen
+
+    def test_harmonic_certified_without_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full_spark must not run for a harmonic orbit")
+
+        monkeypatch.setattr(dynphase.frames, "full_spark", refuse)
+        certificate = analyze(harmonic_frame(10, 30), spark=True).spark
+        assert certificate == SparkCertificate(True, None, None)
+
+    @pytest.mark.parametrize(
+        "values", [2.0 ** np.arange(8), np.arange(1.0, 9.0)], ids=["geometric", "positive"]
+    )
+    def test_provably_full_spark_diagonal_passes(self, values, enumerations):
+        # enumeration calls both of these orbits failing: their scaled minors
+        # fall to 2.5e-88 and 5.8e-36, far below the 1e-10 cut
+        certificate = analyze(build(np.diag(values), np.ones(8), 16), spark=True).spark
+        assert certificate == SparkCertificate(True, None, None)
+        assert enumerations == []
+
+    def test_repeating_root_of_unity_ratio_enumerates(self, enumerations):
+        values = np.exp(2j * np.pi / 3) ** np.arange(3)
+        frame = build(np.diag(values), np.ones(3), 6)
+        certificate = analyze(frame, spark=True).spark
+        assert len(enumerations) == 1
+        assert not certificate.full_spark
+        assert certificate.witness == (0, 1, 3)
+        assert certificate == full_spark(frame.synthesis())
+
+    def test_zero_generator_entry_enumerates(self, enumerations):
+        frame = build(np.diag([0.5, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]), 6)
+        certificate = analyze(frame, spark=True).spark
+        assert len(enumerations) == 1
+        assert certificate == SparkCertificate(False, (0, 1, 2), 0.0)
+
+    def test_dense_operator_enumerates(self, enumerations):
+        frame, _, _ = diagonalizable_frame(np.random.default_rng(61), 4, 8)
+        certificate = analyze(frame, spark=True).spark
+        assert len(enumerations) == 1
+        assert certificate == full_spark(frame.synthesis())
+        assert certificate.min_abs_det is not None
 
 
 class TestFrameCriterionDiagonalizable:
