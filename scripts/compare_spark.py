@@ -8,21 +8,30 @@ tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}:
 * orbit synthesis matrices of harmonic, random-diagonalizable, Jordan
   (non-diagonalizable) and circulant operators, two seeds each, checked with
   ``full_spark`` and, for the diagonalizable ones, with
-  ``full_spark_criterion`` on the operator's eigenvalues and the generator's
-  eigenbasis coordinates, and every orbit with ``analyze(spark=True)``;
+  ``full_spark_criterion`` and the spanning test
+  ``frame_criterion_diagonalizable`` on the operator's eigenvalues and the
+  generator's eigenbasis coordinates, every orbit with
+  ``analyze(spark=True)``, and every circulant orbit with the spanning
+  verdict of ``circulant_frame``;
 * classical Vandermonde matrices in random distinct complex points, in
   positive real points, in geometric points and in roots of unity of order
-  d - 1 (which repeat, so some minors vanish), checked with ``full_spark``
-  and ``full_spark_criterion`` (all-ones coordinates).
+  d - 1 (which repeat, so some minors vanish), checked with ``full_spark``,
+  ``full_spark_criterion`` and ``frame_criterion_diagonalizable`` (all-ones
+  coordinates);
+* one diagonal orbit whose coordinate ratio lies in the band below, checked
+  like the diagonalizable orbits.
 
 Matrices come from fixed seeds, so both trees see identical inputs (the
 script checks their bytes). The verdict, the witness and ``repr`` of
 ``min_abs_det`` as a Python float must match exactly; an exception is an
-outcome and must match by type. One difference is allowed and listed: an
+outcome and must match by type. Two differences are allowed and listed: an
 ``analyze`` record of an exactly diagonal operator that passes in both trees
 with a number in OLD and with ``min_abs_det`` None in NEW, which is a
-structural certificate standing in for enumeration. Exit status 0 means
-every other outcome matched.
+structural certificate standing in for enumeration; and a spanning verdict
+that turns from False to True where the smallest eigenbasis coordinate is
+above 1e-10 and at most 1e-9 of the largest, the band between the 1e-9 cut
+``frame_criterion_diagonalizable`` once applied and the 1e-10 cut of every
+other verdict. Exit status 0 means every other outcome matched.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ def _points(rng, d):
 def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
     from dynphase import analyze, build, circulant_frame, classical, full_spark, harmonic_frame
-    from dynphase.frames import full_spark_criterion
+    from dynphase.frames import frame_criterion_diagonalizable, full_spark_criterion
     from dynphase.spectral import JordanSpec, assemble
 
     records = []
@@ -62,11 +71,22 @@ def emit(path: str) -> None:
         mad = None if c.min_abs_det is None else repr(float(c.min_abs_det))
         return [c.full_spark, None if c.witness is None else list(c.witness), mad]
 
-    def run(key, m, spectrum=None, frame=None):
+    def span(*spectrum):
+        try:
+            return [bool(frame_criterion_diagonalizable(*spectrum))]
+        except Exception as exc:
+            return type(exc).__name__
+
+    def run(key, m, spectrum=None, frame=None, circulant=None):
         entry = {"key": key, "input": hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()}
         entry["full_spark"] = certify(full_spark, m)
         if spectrum is not None:
             entry["criterion"] = certify(full_spark_criterion, *spectrum, m.shape[1])
+            entry["spanning"] = span(*spectrum)
+            coords = np.abs(spectrum[1])
+            entry["ratio"] = float(coords.min() / coords.max())
+        if circulant is not None:
+            entry["circulant"] = [bool(circulant)]
         if frame is not None:
             A = frame.operator
             entry["diagonal"] = not np.any(A - np.diag(np.diagonal(A)))
@@ -95,8 +115,8 @@ def emit(path: str) -> None:
                 run(f"jordan {tag}", frame.synthesis(), frame=frame)
 
                 kernel = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                frame, _ = circulant_frame(kernel, coords, L)
-                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame), frame)
+                frame, spans = circulant_frame(kernel, coords, L)
+                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame), frame, spans)
 
                 for name, pts in (
                     ("random", _points(rng, d)),
@@ -105,6 +125,10 @@ def emit(path: str) -> None:
                     ("roots", np.exp(2j * np.pi * (np.arange(d) + seed) / (d - 1))),
                 ):
                     run(f"classical-{name} {tag}", classical(pts, L), (pts, np.ones(d)))
+    # one orbit whose smallest coordinate ratio, 5e-10, lies inside the band
+    values, coords = np.exp(2j * np.pi / 8) ** np.arange(4), np.array([1.0, 1.0, 1.0, 5e-10])
+    frame = build(np.diag(values), coords, 8)
+    run("band d=4 L=8", frame.synthesis(), (values, coords), frame)
     with open(path, "w") as fh:
         json.dump(records, fh)
 
@@ -113,12 +137,12 @@ def compare(old: list[dict], new: list[dict]) -> int:
     if [r["key"] for r in old] != [r["key"] for r in new]:
         print("matrix grids differ")
         return 1
-    mismatches, structural, tally = [], [], {}
+    mismatches, structural, moved, tally = [], [], [], {}
     for a, b in zip(old, new):
         if a["input"] != b["input"]:
             mismatches.append((a["key"], "input matrices differ"))
             continue
-        for check in ("full_spark", "criterion", "analyze"):
+        for check in ("full_spark", "criterion", "analyze", "spanning", "circulant"):
             if check not in a:
                 continue
             outcome = a[check]
@@ -136,6 +160,13 @@ def compare(old: list[dict], new: list[dict]) -> int:
                 and b[check] == [True, None, None]
             ):
                 structural.append((a["key"], outcome[2]))
+            elif (
+                check == "spanning"
+                and outcome == [False]
+                and b[check] == [True]
+                and 1e-10 < a["ratio"] <= 1e-9
+            ):
+                moved.append((a["key"], a["ratio"]))
             else:
                 mismatches.append((a["key"], f"{check}: {a[check]} vs {b.get(check)}"))
     for label in sorted(tally):
@@ -144,6 +175,9 @@ def compare(old: list[dict], new: list[dict]) -> int:
     for key, mad in structural:
         print(f"STRUCTURAL {key}: analyze min_abs_det {mad} -> None")
     print(f"{len(structural)} diagonal analyze records certified by structure")
+    for key, ratio in moved:
+        print(f"MOVED {key}: spanning False -> True, coordinate ratio {ratio!r}")
+    print(f"{len(moved)} spanning verdicts moved by the single coordinate cut")
     for key, what in mismatches[:20]:
         print(f"MISMATCH {key}: {what}")
     print(f"{len(mismatches)} mismatches")

@@ -60,6 +60,7 @@ from .serialization import (
     recovery_result_to_json,
     vector_to_json,
 )
+from .vandermonde import DEFAULT_BUDGET
 
 RECOVERY_TOL = 1e-7
 
@@ -71,7 +72,7 @@ def _sha256(path: str | Path) -> str:
 def _emit(args, report: dict, text_lines: list[str]) -> None:
     if args.output:
         dump_json(report, args.output)
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         sys.stdout.write(dump_json(report))
     else:
         for line in text_lines:
@@ -94,17 +95,20 @@ def _config_from_args(args, base: MeasurementConfig) -> MeasurementConfig:
     return dataclasses.replace(base, **changes)
 
 
+def _write(text: str, output: str | None, what: str) -> None:
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+        print(f"wrote {what} to {output}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen(args) -> int:
     config = _config_from_args(args, MeasurementConfig())
     instance = make_instance(
         args.kind, args.d, args.L, seed=args.seed, theta=args.theta, config=config
     )
-    text = dump_json(instance_to_json(instance))
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote instance to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(dump_json(instance_to_json(instance)), args.output, "instance")
     return 0
 
 
@@ -118,25 +122,37 @@ def _spark_report(certificate) -> dict | None:
     }
 
 
+def _analysis_outcome(frame, analysis) -> dict:
+    return {
+        "dim": frame.dim,
+        "length": frame.length,
+        "is_frame": analysis.is_frame,
+        "lower_bound": analysis.lower_bound,
+        "upper_bound": analysis.upper_bound,
+        "spark": _spark_report(analysis.spark),
+    }
+
+
+def _recovery_outcome(result, error: float | None) -> dict:
+    return {
+        "recovery_status": result.status.value,
+        "used_indices": list(result.used_indices),
+        "component_size": result.component_size,
+        "residual": result.residual,
+        "global_phase_error": error,
+    }
+
+
 def _cmd_analyze(args) -> int:
     instance = json_to_instance(load_json(args.instance))
     frame = instance.build_frame()
     started = time.perf_counter()
-    analysis = analyze(
-        frame, tol=args.tol, spark=not args.no_spark, budget=args.budget
-    )
+    analysis = analyze(frame, spark=not args.no_spark, budget=args.budget)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     report = {
         "command": "analyze",
         "inputs": {"instance_sha256": _sha256(args.instance)},
-        "outcome": {
-            "dim": frame.dim,
-            "length": frame.length,
-            "is_frame": analysis.is_frame,
-            "lower_bound": analysis.lower_bound,
-            "upper_bound": analysis.upper_bound,
-            "spark": _spark_report(analysis.spark),
-        },
+        "outcome": _analysis_outcome(frame, analysis),
         "wall_time_ms": elapsed_ms if args.timings else None,
     }
     lines = [
@@ -182,12 +198,7 @@ def _cmd_measure(args) -> int:
             for key, value in sorted(ms.aligned.items())
         }
         ms = MeasurementSet(ms.length, ms.jumps, ms.angles, base, aligned)
-    text = dump_json(measurement_set_to_json(ms))
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote measurements to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(dump_json(measurement_set_to_json(ms)), args.output, "measurements")
     return 0
 
 
@@ -196,7 +207,7 @@ def _run_recovery(ms, frame, config, method: str):
         return recover_generic(ms, frame, config)
     # auto: real data routes to sign recovery, everything else to the
     # zero-tolerant chain, which on dense data gives recover_generic's result
-    if method == "real" or (method == "auto" and config.real_mode):
+    if config.real_mode:
         return recover_real(ms, frame, config)
     return recover_full_spark(ms, frame, config)
 
@@ -218,13 +229,7 @@ def _cmd_recover(args) -> int:
             "instance_sha256": _sha256(args.instance),
             "measurements_sha256": _sha256(args.measurements),
         },
-        "outcome": {
-            "recovery_status": result.status.value,
-            "used_indices": list(result.used_indices),
-            "component_size": result.component_size,
-            "residual": result.residual,
-            "global_phase_error": error,
-        },
+        "outcome": _recovery_outcome(result, error),
         "wall_time_ms": elapsed_ms if args.timings else None,
     }
     if args.estimate:
@@ -253,19 +258,7 @@ def _cmd_verify(args) -> int:
     report = {
         "command": "verify",
         "inputs": {"instance_sha256": _sha256(args.instance)},
-        "outcome": {
-            "dim": frame.dim,
-            "length": frame.length,
-            "is_frame": analysis.is_frame,
-            "lower_bound": analysis.lower_bound,
-            "upper_bound": analysis.upper_bound,
-            "spark": _spark_report(analysis.spark),
-            "recovery_status": result.status.value,
-            "used_indices": list(result.used_indices),
-            "component_size": result.component_size,
-            "residual": result.residual,
-            "global_phase_error": error,
-        },
+        "outcome": {**_analysis_outcome(frame, analysis), **_recovery_outcome(result, error)},
         "wall_time_ms": elapsed_ms if args.timings else None,
     }
     lines = [
@@ -285,7 +278,6 @@ def _parse_lengths(text: str) -> list[int]:
 
 def _cmd_bench(args) -> int:
     dims = [int(v) for v in args.dims.split(",")]
-    config_angles = PolarizationAngles(0.0, math.pi / 2.0)
     rows = []
     total_runs = 0
     for dim in dims:
@@ -303,7 +295,7 @@ def _cmd_bench(args) -> int:
                 )
             if args.jumps > max(0, dim - 2):
                 raise SchemaError(f"--jumps {args.jumps} out of range for dim {dim}")
-            config = MeasurementConfig(angles=config_angles, jumps=args.jumps)
+            config = MeasurementConfig(jumps=args.jumps)
             frame = harmonic_frame(dim, length)
             rng = np.random.default_rng(args.seed)
             successes = 0
@@ -390,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="frame bounds and spark certificate")
     an.add_argument("instance")
-    an.add_argument("--tol", type=float, default=1e-10)
-    an.add_argument("--budget", type=int, default=2_000_000)
+    an.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     an.add_argument("--no-spark", action="store_true", help="skip the spark certificate")
     _add_common_output(an)
 
@@ -400,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--x", help="JSON file with the signal (overrides the instance)")
     me.add_argument("--angles", help="polarization angles 'a1,a2'")
     me.add_argument("--jumps", type=int, default=None)
-    me.add_argument("--zero-tol", dest="zero_tol", type=float, default=None)
     me.add_argument(
         "--noise",
         type=float,
@@ -412,11 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     re = sub.add_parser("recover", help="reconstruct a signal from measurements")
     re.add_argument("measurements")
     re.add_argument("instance")
-    re.add_argument(
-        "--method",
-        choices=("auto", "generic", "full-spark", "real"),
-        default="auto",
-    )
+    re.add_argument("--method", choices=("auto", "generic"), default="auto")
     re.add_argument("--estimate", help="write the estimate JSON to this path")
     re.add_argument("--angles", help="polarization angles 'a1,a2'")
     re.add_argument("--jumps", type=int, default=None)
@@ -435,12 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="analyze + measure + recover + error")
     ve.add_argument("instance")
     ve.add_argument("--x", help="JSON file with the signal (overrides the instance)")
-    ve.add_argument(
-        "--method",
-        choices=("auto", "generic", "full-spark", "real"),
-        default="auto",
-    )
-    ve.add_argument("--budget", type=int, default=2_000_000)
+    ve.add_argument("--method", choices=("auto", "generic"), default="auto")
+    ve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ve.add_argument("--no-spark", action="store_true")
     _add_common_output(ve)
 

@@ -65,18 +65,14 @@ def worst_case_pattern(dim: int, length: int, zeros: int, jumps: int = 0) -> tup
 
 
 def signal_with_zero_pattern(
-    frame: DynamicalFrame,
-    zero_indices: Sequence[int],
-    rng: np.random.Generator,
-    margin: float = 1e-3,
-    tries: int = 64,
+    frame: DynamicalFrame, zero_indices: Sequence[int], rng: np.random.Generator
 ) -> np.ndarray | None:
     """A unit signal whose frame coefficients vanish exactly on the pattern.
 
     Samples from the orthogonal complement of the selected frame vectors and
-    rejects draws whose remaining coefficients come within ``margin`` (times
-    the largest one) of zero. Returns None when rejection keeps failing,
-    which signals an unrealizable pattern.
+    rejects draws whose remaining coefficients come within 1e-3 (times the
+    largest one) of zero. Returns None when 64 draws are all rejected, which
+    signals an unrealizable pattern.
     """
     d = frame.dim
     zero_list = sorted(set(int(i) for i in zero_indices))
@@ -92,7 +88,7 @@ def signal_with_zero_pattern(
     else:
         null_basis = np.eye(d, dtype=complex)
     others = [l for l in range(frame.length) if l not in set(zero_list)]
-    for _ in range(tries):
+    for _ in range(64):
         weights = rng.standard_normal(null_basis.shape[1]) + 1j * rng.standard_normal(
             null_basis.shape[1]
         )
@@ -102,6 +98,6 @@ def signal_with_zero_pattern(
             continue
         x = x / norm
         coeffs = np.abs(frame.coefficients(x)[others])
-        if coeffs.size and np.min(coeffs) > margin * np.max(coeffs):
+        if coeffs.size and np.min(coeffs) > 1e-3 * np.max(coeffs):
             return x
     return None

@@ -27,13 +27,7 @@ from .spectral import (
     eigenvalues_distinct,
 )
 from .validation import as_square, as_vector, frozen_copy
-from .vandermonde import (
-    DEFAULT_BUDGET,
-    DEFAULT_SPARK_TOL,
-    SparkCertificate,
-    classical,
-    full_spark,
-)
+from .vandermonde import DEFAULT_BUDGET, SparkCertificate, classical, full_spark
 
 #: Relative gap between extreme singular values below which the vectors are
 #: treated as rank deficient (not a frame).
@@ -141,34 +135,31 @@ def build(operator, generator, length: int) -> DynamicalFrame:
 
 
 def analyze(
-    frame: DynamicalFrame,
-    tol: float = FRAME_RTOL,
-    spark: bool = False,
-    spark_tol: float = DEFAULT_SPARK_TOL,
-    budget: int = DEFAULT_BUDGET,
+    frame: DynamicalFrame, *, spark: bool = False, budget: int = DEFAULT_BUDGET
 ) -> FrameAnalysis:
     """Frame bounds and verdict; optionally a full-spark certificate.
 
     The bounds are the squared extreme singular values of the synthesis
-    matrix. Fewer vectors than dimensions can never span, so the lower bound
-    is reported as zero in that case.
+    matrix, and the orbit is a frame when ``sigma_min > FRAME_RTOL *
+    sigma_max``. Fewer vectors than dimensions can never span, so the lower
+    bound is reported as zero in that case.
 
     With ``spark=True`` an exactly diagonal operator (``length >= dim``) is
-    first tried against the structural shortcuts of
-    :func:`full_spark_criterion`, with its diagonal as the eigenvalues and
-    the generator as the eigenbasis coordinates. When one applies, the
-    certificate is ``SparkCertificate(True, None, None)``: no minor is
-    enumerated and ``budget`` is not consulted. Every other orbit, including
-    every non-diagonal one, is certified by enumerating its minors with
-    :func:`~dynphase.vandermonde.full_spark`, which raises
-    ``BudgetExceededError`` past ``budget`` subsets.
+    first tried against :func:`frame_criterion_diagonalizable` and the
+    structural shortcuts of :func:`full_spark_criterion`, with its diagonal
+    as the eigenvalues and the generator as the eigenbasis coordinates.
+    When both pass, the certificate is ``SparkCertificate(True, None,
+    None)``: no minor is enumerated and ``budget`` is not consulted. Every
+    other orbit, including every non-diagonal one, is certified by
+    enumerating its minors with :func:`~dynphase.vandermonde.full_spark`,
+    which raises ``BudgetExceededError`` past ``budget`` subsets.
     """
     Phi = frame.synthesis()
     sv = np.linalg.svd(Phi, compute_uv=False)
     upper = float(sv[0] ** 2)
     smin = float(sv[-1]) if frame.length >= frame.dim else 0.0
     lower = smin**2
-    is_frame = smin > tol * float(sv[0])
+    is_frame = smin > FRAME_RTOL * float(sv[0])
     certificate = None
     if spark:
         A = frame.operator
@@ -176,20 +167,22 @@ def analyze(
         if (
             frame.length >= frame.dim
             and not np.any(A - np.diag(diagonal))
-            and _structurally_full_spark(diagonal, frame.generator, frame.length)
+            and frame_criterion_diagonalizable(diagonal, frame.generator)
+            and _structurally_full_spark(diagonal, frame.length)
         ):
             certificate = SparkCertificate(True, None, None)
         else:
-            certificate = full_spark(Phi, tol=spark_tol, budget=budget)
+            certificate = full_spark(Phi, budget=budget)
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
-def frame_criterion_diagonalizable(eigenvalues, coordinates, tol: float = DISTINCT_RTOL) -> bool:
+def frame_criterion_diagonalizable(eigenvalues, coordinates) -> bool:
     """Spanning test for a diagonalizable operator.
 
     ``coordinates`` are the generator's coordinates in the eigenbasis. The
-    orbit spans exactly when the eigenvalues are pairwise distinct and no
-    coordinate vanishes; both tests use ``tol`` relative to the data scale.
+    orbit spans exactly when the eigenvalues are pairwise distinct
+    (:func:`~dynphase.spectral.eigenvalues_distinct`) and no coordinate
+    vanishes (``_coordinates_nonzero``).
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -197,12 +190,10 @@ def frame_criterion_diagonalizable(eigenvalues, coordinates, tol: float = DISTIN
         raise DimensionMismatchError(
             f"{values.size} eigenvalues but {coords.size} coordinates"
         )
-    if not eigenvalues_distinct(values, rtol=tol):
-        return False
-    return bool(np.min(np.abs(coords)) > tol * np.max(np.abs(coords)))
+    return eigenvalues_distinct(values) and _coordinates_nonzero(coords)
 
 
-def frame_criterion_jordan(spec: JordanSpec, generator, tol: float | None = None) -> bool:
+def frame_criterion_jordan(spec: JordanSpec, generator) -> bool:
     """Spanning test for a Jordan-structured operator.
 
     True when the block eigenvalues are pairwise distinct and the generator
@@ -210,12 +201,12 @@ def frame_criterion_jordan(spec: JordanSpec, generator, tol: float | None = None
     """
     if not eigenvalues_distinct(spec.eigenvalues):
         return False
-    return depends_on_all_generators(spec, generator, tol=tol)
+    return depends_on_all_generators(spec, generator)
 
 
-def dual(frame: DynamicalFrame, tol: float = FRAME_RTOL) -> DualFrame:
+def dual(frame: DynamicalFrame) -> DualFrame:
     """Canonical dual frame of a spanning orbit."""
-    if not analyze(frame, tol=tol).is_frame:
+    if not analyze(frame).is_frame:
         raise SingularMatrixError("orbit does not span: frame operator is singular")
     Phi = frame.synthesis()
     T = Phi @ Phi.conj().T
@@ -241,19 +232,14 @@ def circulant(first_column) -> np.ndarray:
     return a[idx]
 
 
-def circulant_frame(
-    first_column,
-    generator,
-    length: int,
-    tol: float = DISTINCT_RTOL,
-) -> tuple[DynamicalFrame, bool]:
+def circulant_frame(first_column, generator, length: int) -> tuple[DynamicalFrame, bool]:
     """Orbit under repeated circular convolution, plus its spanning verdict.
 
     Circulant operators are diagonalized by the discrete Fourier basis, so
-    the orbit spans exactly when the DFT of the convolution kernel has
-    pairwise distinct coordinates and the DFT of the generator has no zero
-    coordinate. The DFT is evaluated directly (O(d^2)), which is plenty at
-    the dimensions this package targets.
+    the verdict is :func:`frame_criterion_diagonalizable` with the DFT of
+    the convolution kernel as the eigenvalues and the DFT of the generator
+    as the coordinates. The DFT is evaluated directly (O(d^2)), which is
+    plenty at the dimensions this package targets.
     """
     a = as_vector(first_column, "first_column")
     phi = as_vector(generator, "generator")
@@ -261,12 +247,7 @@ def circulant_frame(
         raise DimensionMismatchError(f"kernel has dim {a.size}, generator {phi.size}")
     frame = build(circulant(a), phi, length)
     F = dft_matrix(a.size)
-    a_hat = F @ a
-    phi_hat = F @ phi
-    criterion = eigenvalues_distinct(a_hat, rtol=tol) and bool(
-        np.min(np.abs(phi_hat)) > DEPENDENCE_RTOL * max(np.max(np.abs(phi_hat)), 1e-300)
-    )
-    return frame, criterion
+    return frame, frame_criterion_diagonalizable(F @ a, F @ phi)
 
 
 def harmonic_frame(dim: int, length: int) -> DynamicalFrame:
@@ -295,17 +276,22 @@ def _geometric_ratio(values: np.ndarray) -> complex | None:
 
 
 def _coordinates_nonzero(coords: np.ndarray) -> bool:
-    """No eigenbasis coordinate vanishes relative to the largest one."""
+    """No eigenbasis coordinate is ``DEPENDENCE_RTOL`` of the largest one or less.
+
+    Every diagonalizable spanning and spark verdict in this module takes its
+    "nonzero coordinate" test from here.
+    """
     return bool(np.min(np.abs(coords)) > DEPENDENCE_RTOL * np.max(np.abs(coords)))
 
 
-def _structurally_full_spark(values: np.ndarray, coords: np.ndarray, length: int) -> bool:
+def _structurally_full_spark(values: np.ndarray, length: int) -> bool:
     """True when a structural shortcut proves the orbit has full spark.
 
-    ``values`` are a diagonalizable operator's eigenvalues and ``coords``
-    the generator's eigenbasis coordinates, with ``length >= values.size``.
-    The eigenvalues must be pairwise distinct and no coordinate may vanish;
-    then either spectrum below certifies every d-column minor:
+    ``values`` are a diagonalizable operator's eigenvalues, with ``length >=
+    values.size``, and the orbit must already pass
+    :func:`frame_criterion_diagonalizable` (distinct eigenvalues, no
+    vanishing eigenbasis coordinate of the generator). Then either spectrum
+    below certifies every d-column minor:
 
     * geometric eigenvalues ``v[k] = v[0] * r^k`` where no power
       ``r^1..r^(length-1)`` equals one (every minor is then an invertible
@@ -318,8 +304,6 @@ def _structurally_full_spark(values: np.ndarray, coords: np.ndarray, length: int
 
     False means only that no shortcut applies, not that the orbit fails.
     """
-    if not eigenvalues_distinct(values) or not _coordinates_nonzero(coords):
-        return False
     ratio = _geometric_ratio(values)
     if ratio is not None and abs(ratio) > 0.0:
         powers = ratio ** np.arange(1, length)
@@ -332,13 +316,7 @@ def _structurally_full_spark(values: np.ndarray, coords: np.ndarray, length: int
     )
 
 
-def full_spark_criterion(
-    eigenvalues,
-    coordinates,
-    length: int,
-    tol: float = DEFAULT_SPARK_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> SparkCertificate:
+def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertificate:
     """Full-spark certificate for the orbit of a diagonalizable operator.
 
     The orbit has full spark exactly when the generator's eigenbasis
@@ -347,7 +325,8 @@ def full_spark_criterion(
     without a root of unity among ``r^1..r^(length-1)``, and distinct
     strictly positive real spectra, skip enumeration entirely (see
     ``_structurally_full_spark``, which :func:`analyze` shares) and return
-    a certificate with ``min_abs_det=None``.
+    a certificate with ``min_abs_det=None``; any other spectrum is
+    enumerated within ``DEFAULT_BUDGET`` subsets.
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -362,6 +341,6 @@ def full_spark_criterion(
         # a dead eigendirection confines the orbit to a hyperplane, so every
         # d-subset is singular; the lexicographically first one is returned
         return SparkCertificate(False, tuple(range(d)), 0.0)
-    if _structurally_full_spark(values, coords, length):
+    if _structurally_full_spark(values, length):
         return SparkCertificate(True, None, None)
-    return full_spark(classical(values, length), tol=tol, budget=budget)
+    return full_spark(classical(values, length))

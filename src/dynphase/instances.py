@@ -49,21 +49,21 @@ def _dense_coordinates(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def random_signal_for(
-    frame: DynamicalFrame,
-    rng: np.random.Generator,
-    min_rel: float = 1e-3,
-    tries: int = 256,
-    real: bool = False,
+    frame: DynamicalFrame, rng: np.random.Generator, *, real: bool = False
 ) -> np.ndarray:
-    """A unit signal whose frame coefficients all stay away from zero."""
-    for _ in range(tries):
+    """A unit signal whose frame coefficients all stay away from zero.
+
+    Returns the first of up to 256 draws whose smallest coefficient magnitude
+    exceeds 1e-3 of the largest, and raises ``RuntimeError`` when none does.
+    """
+    for _ in range(256):
         x = rng.standard_normal(frame.dim)
         if not real:
             x = x + 1j * rng.standard_normal(frame.dim)
         x = np.asarray(x, dtype=complex)
         x /= np.linalg.norm(x)
         mags = np.abs(frame.coefficients(x))
-        if mags.min() > min_rel * mags.max():
+        if mags.min() > 1e-3 * mags.max():
             return x
     raise RuntimeError("could not sample a signal with dense frame coefficients")
 

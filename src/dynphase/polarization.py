@@ -87,19 +87,14 @@ def _cosine_outside(r: float) -> InconsistentDataError:
 _VANISHING = "extracted phase direction has vanishing length"
 
 
-def _extract_cosine(mplus: float, m1: float, m2: float, clamp_tol: float) -> float:
+def _extract_cosine(mplus: float, m1: float, m2: float) -> float:
     r = (mplus**2 - m1**2 - m2**2) / (2.0 * m1 * m2)
-    if abs(r) > 1.0 + clamp_tol:
+    if abs(r) > 1.0 + CLAMP_TOL:
         raise _cosine_outside(r)
     return min(1.0, max(-1.0, r))
 
 
-def recover_product(
-    data: PolarizationData,
-    angles: PolarizationAngles,
-    clamp_tol: float = CLAMP_TOL,
-    zero_tol: float = MAGNITUDE_RTOL,
-) -> complex:
+def recover_product(data: PolarizationData, angles: PolarizationAngles) -> complex:
     """The product ``conj(z1) * z2`` from the four magnitudes.
 
     Raises ``ZeroMagnitudeError`` when either base magnitude is numerically
@@ -108,11 +103,11 @@ def recover_product(
     magnitudes cannot come from any phase.
     """
     m1, m2 = data.m1, data.m2
-    floor = zero_tol * max(m1, m2)
+    floor = MAGNITUDE_RTOL * max(m1, m2)
     if m1 <= floor or m2 <= floor:
         raise _zero_magnitudes(m1, m2)
-    r1 = _extract_cosine(data.mplus1, m1, m2, clamp_tol)
-    r2 = _extract_cosine(data.mplus2, m1, m2, clamp_tol)
+    r1 = _extract_cosine(data.mplus1, m1, m2)
+    r2 = _extract_cosine(data.mplus2, m1, m2)
     det = math.sin(angles.alpha1 - angles.alpha2)
     cos_d = (-r1 * math.sin(angles.alpha2) + r2 * math.sin(angles.alpha1)) / det
     sin_d = (r2 * math.cos(angles.alpha1) - r1 * math.cos(angles.alpha2)) / det
@@ -123,9 +118,9 @@ def recover_product(
     return m1 * m2 * complex(cos_d / norm, sin_d / norm)
 
 
-def _nonzero_prefix(m1: np.ndarray, m2: np.ndarray, zero_tol: float) -> int:
+def _nonzero_prefix(m1: np.ndarray, m2: np.ndarray) -> int:
     """The number of leading pairs whose base magnitudes are both nonzero."""
-    zero = np.minimum(m1, m2) <= zero_tol * np.maximum(m1, m2)
+    zero = np.minimum(m1, m2) <= MAGNITUDE_RTOL * np.maximum(m1, m2)
     first = zero.argmax()
     return int(first) if zero[first] else zero.size
 
@@ -135,8 +130,6 @@ def recover_phases(
     m2: np.ndarray,
     shifted: np.ndarray,
     angles: PolarizationAngles,
-    clamp_tol: float = CLAMP_TOL,
-    zero_tol: float = MAGNITUDE_RTOL,
 ) -> np.ndarray:
     """The unit phases ``conj(z1) z2 / |z1 z2|`` of n pairs at once.
 
@@ -148,14 +141,14 @@ def recover_phases(
     """
     if m1.size == 0:
         return np.ones(0, dtype=complex)
-    stop = _nonzero_prefix(m1, m2, zero_tol)
+    stop = _nonzero_prefix(m1, m2)
     if stop < m1.size:
         # an inconsistent pair before the zero one is reported first
-        recover_phases(m1[:stop], m2[:stop], shifted[:, :stop], angles, clamp_tol, zero_tol)
+        recover_phases(m1[:stop], m2[:stop], shifted[:, :stop], angles)
         raise _zero_magnitudes(m1[stop], m2[stop])
     # twice the cosine terms (r1, r2); scaling by 2 is exact in binary
     twice = (shifted * shifted - m1 * m1 - m2 * m2) / (m1 * m2)
-    over = abs(twice) > 2.0 * (1.0 + clamp_tol)
+    over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
     # the inverse of recover_product's 2x2 system, taking twice (r1, r2) to (cos D, sin D)
     a1, a2 = angles.alpha1, angles.alpha2
     det = 2.0 * math.sin(a1 - a2)
@@ -176,32 +169,20 @@ def recover_phases(
     return phases
 
 
-def recover_product_real(
-    m1: float,
-    m2: float,
-    mplus: float,
-    sign: int,
-    zero_tol: float = MAGNITUDE_RTOL,
-) -> float:
+def recover_product_real(m1: float, m2: float, mplus: float, sign: int) -> float:
     """The product ``z1 * z2`` of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-    floor = zero_tol * max(m1, m2)
+    floor = MAGNITUDE_RTOL * max(m1, m2)
     if m1 <= floor or m2 <= floor:
         raise _zero_magnitudes(m1, m2)
     return (mplus**2 - m1**2 - m2**2) / (2.0 * sign)
 
 
-def recover_signs(
-    m1: np.ndarray,
-    m2: np.ndarray,
-    shifted: np.ndarray,
-    sign: int,
-    zero_tol: float = MAGNITUDE_RTOL,
-) -> np.ndarray:
+def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
     """The signs of the products ``z1 * z2`` of n pairs of nonzero reals at once.
 
     ``shifted`` holds ``|z1 + sign*z2|`` per pair; all magnitudes must be
@@ -213,7 +194,7 @@ def recover_signs(
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     if m1.size == 0:
         return np.ones(0)
-    stop = _nonzero_prefix(m1, m2, zero_tol)
+    stop = _nonzero_prefix(m1, m2)
     if stop < m1.size:
         raise _zero_magnitudes(m1[stop], m2[stop])
     excess = shifted * shifted - m1 * m1 - m2 * m2

@@ -172,18 +172,17 @@ def generator_coordinates(spec: JordanSpec, generator) -> GeneratorCoordinates:
     return GeneratorCoordinates(tuple(coords[sl] for sl in spec.block_slices()))
 
 
-def depends_on_all_generators(spec: JordanSpec, generator, tol: float | None = None) -> bool:
+def depends_on_all_generators(spec: JordanSpec, generator) -> bool:
     """True when the generator loads every Jordan chain's leading vector.
 
     The exact condition is that the last coordinate of each block of
-    ``S^{-1} phi`` is nonzero; ``tol`` (default ``1e-10 * max |coordinate|``)
-    is the floating-point surrogate for "nonzero".
+    ``S^{-1} phi`` is nonzero; ``DEPENDENCE_RTOL * max |coordinate|`` is the
+    floating-point surrogate for "nonzero".
     """
     coords = generator_coordinates(spec, generator)
     full = coords.concatenated
     scale = float(np.max(np.abs(full))) if full.size else 0.0
-    threshold = DEPENDENCE_RTOL * scale if tol is None else float(tol)
-    return bool(np.all(np.abs(coords.leading_coefficients()) > threshold))
+    return bool(np.all(np.abs(coords.leading_coefficients()) > DEPENDENCE_RTOL * scale))
 
 
 def hankel_of(block) -> np.ndarray:
@@ -212,18 +211,14 @@ def min_eigenvalue_gap(values) -> float:
     return float(off.min())
 
 
-def eigenvalues_distinct(values, rtol: float = DISTINCT_RTOL) -> bool:
-    """Pairwise-distinctness test with a scale-relative gap threshold."""
+def eigenvalues_distinct(values) -> bool:
+    """Pairwise-distinctness test: every gap exceeds ``DISTINCT_RTOL * max(1, max |v|)``."""
     v = as_vector(values, "values")
     scale = max(1.0, float(np.max(np.abs(v))))
-    return min_eigenvalue_gap(v) > rtol * scale
+    return min_eigenvalue_gap(v) > DISTINCT_RTOL * scale
 
 
-def eigendecompose(
-    m,
-    cond_threshold: float = DEFECTIVE_COND,
-    residual_rtol: float = EIG_RESIDUAL_RTOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenvector columns of a diagonalizable matrix.
 
     Returns ``(values, vectors)`` with ``m @ vectors ~= vectors @ diag(values)``.
@@ -240,15 +235,15 @@ def eigendecompose(
 
     scale = np.linalg.norm(a)
     residual = np.linalg.norm(a @ vectors - vectors * values)
-    if residual > residual_rtol * max(scale, 1e-300):
+    if residual > EIG_RESIDUAL_RTOL * max(scale, 1e-300):
         raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {residual_rtol:.1e} * |m|"
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_RTOL:.1e} * |m|"
         )
     spread = np.linalg.svd(vectors, compute_uv=False)
-    if spread[-1] == 0.0 or spread[0] / spread[-1] > cond_threshold:
+    if spread[-1] == 0.0 or spread[0] / spread[-1] > DEFECTIVE_COND:
         raise DefectiveMatrixError(
             "eigenvector basis condition "
             f"{np.inf if spread[-1] == 0 else spread[0] / spread[-1]:.3e} exceeds "
-            f"{cond_threshold:.1e}; matrix is numerically defective"
+            f"{DEFECTIVE_COND:.1e}; matrix is numerically defective"
         )
     return values, vectors

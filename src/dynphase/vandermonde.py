@@ -37,7 +37,9 @@ from .exceptions import BudgetExceededError, DimensionMismatchError
 from .spectral import min_eigenvalue_gap
 from .validation import as_matrix, as_vector
 
+#: A minor passes when ``|det|`` exceeds this times its column-norm product.
 DEFAULT_SPARK_TOL = 1e-10
+#: Column subsets ``full_spark`` enumerates before it gives up.
 DEFAULT_BUDGET = 2_000_000
 
 #: Relative margin below which entries count as coincident for Schur values.
@@ -169,14 +171,10 @@ def det_product_second_kind(values, multiplicities) -> complex:
     return out
 
 
-def full_spark(
-    matrix,
-    tol: float = DEFAULT_SPARK_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> SparkCertificate:
+def full_spark(matrix, *, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     """Certify that every d-column minor of a d x L matrix is invertible.
 
-    A minor passes when ``|det| > tol * prod(column norms)``; the Hadamard
+    A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
     bound makes that ratio scale-free, and a zero-norm column gives ratio 0.
     Subsets are visited in lexicographic order, in chunks of at most
     ``_CHUNK_BYTES`` of stacked minors whose determinants are computed in one
@@ -211,7 +209,7 @@ def full_spark(
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
         min_scaled = min(min_scaled, scaled.min())
         if witness is None:
-            failing = np.flatnonzero(scaled <= tol)
+            failing = np.flatnonzero(scaled <= DEFAULT_SPARK_TOL)
             if failing.size:
                 witness = tuple(int(i) for i in idx[failing[0]])
     return SparkCertificate(witness is None, witness, min_scaled)

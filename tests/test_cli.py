@@ -42,6 +42,9 @@ class TestGen:
     def test_rotation_requires_dim_two(self, tmp_path):
         assert main(["gen", "rotation", "3", "5", "--output", str(tmp_path / "r.json")]) == 2
 
+    def test_malformed_angles_exit_code(self):
+        assert main(["gen", "harmonic", "4", "6", "--angles", "0.1"]) == 2
+
 
 class TestAnalyze:
     def test_harmonic_full_spark(self, tmp_path, capsys):
@@ -168,7 +171,47 @@ class TestMeasureRecover:
         dump_json(obj, instance)
         ms_path = tmp_path / "ms.json"
         assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
-        assert main(["recover", str(ms_path), str(instance), "--method", "full-spark"]) == 1
+        assert main(["recover", str(ms_path), str(instance)]) == 1
+
+    def test_config_overrides(self, tmp_path):
+        overrides = ["--angles", "0.1,1.2", "--jumps", "1", "--zero-tol", "1e-8"]
+        instance = gen_instance(tmp_path, "harmonic", 4, 6, extra=overrides)
+        config = load_json(instance)["config"]
+        assert (config["J"], config["zero_tol"]) == (1, 1e-8)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        # same seed, default config: the set's angles and jumps disagree with it
+        plain = tmp_path / "plain.json"
+        assert main(["gen", "harmonic", "4", "6", "--output", str(plain)]) == 0
+        assert main(["recover", str(ms_path), str(plain)]) == 2
+        report_path = tmp_path / "rec.json"
+        args = ["recover", str(ms_path), str(plain), *overrides, "--output", str(report_path)]
+        assert main(args) == 0
+        assert load_json(report_path)["outcome"]["global_phase_error"] <= 1e-7
+
+    def test_signal_sampled_from_seed(self, tmp_path):
+        instance = gen_instance(tmp_path, "harmonic", 4, 6, seed=3)
+        stored = tmp_path / "stored.json"
+        assert main(["verify", str(instance), "--output", str(stored)]) == 0
+        obj = load_json(instance)
+        del obj["x"]
+        dump_json(obj, instance)
+        sampled = tmp_path / "sampled.json"
+        assert main(["verify", str(instance), "--output", str(sampled)]) == 0
+        assert load_json(sampled)["outcome"] == load_json(stored)["outcome"]
+        del obj["seed"]
+        dump_json(obj, instance)
+        assert main(["verify", str(instance)]) == 2
+
+    def test_gen_and_measure_write_to_stdout(self, tmp_path, capsys):
+        instance = gen_instance(tmp_path, "harmonic", 3, 5)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        capsys.readouterr()
+        assert main(["gen", "harmonic", "3", "5"]) == 0
+        assert capsys.readouterr().out == instance.read_text(encoding="utf-8")
+        assert main(["measure", str(instance)]) == 0
+        assert capsys.readouterr().out == ms_path.read_text(encoding="utf-8")
 
     def test_json_format_stdout(self, tmp_path, capsys):
         instance = gen_instance(tmp_path, "harmonic", 3, 5)
@@ -280,6 +323,15 @@ class TestBench:
         json_row = load_json(report_path)["outcome"]["rows"][0]
         assert json_row["skipped"] == 1
         assert int(row.split()[6].rstrip("*")) == json_row["skipped"]
+
+    def test_length_list_matches_range(self, tmp_path):
+        reports = []
+        for lengths in ("5:6", "5,6"):
+            path = tmp_path / f"bench-{len(reports)}.json"
+            assert main(["bench", "--dims", "4", "--lengths", lengths, "--output", str(path)]) == 0
+            reports.append(load_json(path))
+        assert [row["L"] for row in reports[1]["outcome"]["rows"]] == [5, 6]
+        assert reports[0] == reports[1]
 
     def test_budget_guard(self):
         assert main(["bench", "--dims", "4", "--lengths", "6:9", "--budget", "10"]) == 3

@@ -129,6 +129,18 @@ class TestAnalyze:
         analysis = analyze(frame, spark=True)
         assert analysis.spark is not None and analysis.spark.full_spark
 
+    def test_options_are_keyword_only(self):
+        from dynphase.instances import random_signal_for
+
+        frame = harmonic_frame(3, 5)
+        # a positional tolerance must not land in spark, budget or real
+        with pytest.raises(TypeError):
+            analyze(frame, 1e-10)
+        with pytest.raises(TypeError):
+            full_spark(frame.synthesis(), 1e-10)
+        with pytest.raises(TypeError):
+            random_signal_for(frame, np.random.default_rng(0), 1e-3)
+
 
 class TestAnalyzeStructuralSpark:
     @pytest.fixture
@@ -193,6 +205,19 @@ class TestFrameCriterionDiagonalizable:
     def test_zero_coordinate(self):
         values = np.array([1.0, 2.0, 3.0])
         assert not frame_criterion_diagonalizable(values, np.array([1.0, 0.0, 1.0]))
+
+    def test_every_diagonalizable_verdict_shares_one_threshold(self):
+        # a coordinate ratio of 5e-10 sits between the relative cuts 1e-10 and 1e-9
+        values = np.exp(2j * np.pi / 8) ** np.arange(4)
+        coords = np.array([1.0, 1.0, 1.0, 5e-10])
+        analysis = analyze(build(np.diag(values), coords, 8), spark=True)
+        assert analysis.is_frame
+        assert frame_criterion_diagonalizable(values, coords)
+        assert full_spark_criterion(values, coords, 8).full_spark
+        assert analysis.spark.full_spark
+        F = dft_matrix(4)
+        _, criterion = circulant_frame(np.linalg.solve(F, values), np.linalg.solve(F, coords), 8)
+        assert criterion
 
     def test_random_positive_case_agrees_with_rank(self):
         rng = np.random.default_rng(51)
@@ -402,6 +427,20 @@ class TestFullSparkCriterion:
     def test_coincident_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
             full_spark_criterion(np.array([1.0, 1.0]), np.ones(2), 4)
+
+    def test_each_check_runs_once(self, monkeypatch):
+        calls = []
+        for name in ("eigenvalues_distinct", "_coordinates_nonzero"):
+            check = getattr(dynphase.frames, name)
+
+            def counted(v, check=check, name=name):
+                calls.append(name)
+                return check(v)
+
+            monkeypatch.setattr(dynphase.frames, name, counted)
+        certificate = full_spark_criterion(np.exp(2j * np.pi / 7) ** np.arange(3), np.ones(3), 6)
+        assert certificate == SparkCertificate(True, None, None)
+        assert sorted(calls) == ["_coordinates_nonzero", "eigenvalues_distinct"]
 
 
 class TestFrameInequality:
