@@ -46,7 +46,6 @@ from .retrieval import (
     measure,
     min_length,
     recover_full_spark,
-    recover_generic,
     recover_real,
 )
 from .serialization import (
@@ -202,11 +201,9 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _run_recovery(ms, frame, config, method: str):
-    if method == "generic":
-        return recover_generic(ms, frame, config)
-    # auto: real data routes to sign recovery, everything else to the
-    # zero-tolerant chain, which on dense data gives recover_generic's result
+def _run_recovery(ms, frame, config):
+    # real data routes to sign recovery, everything else to the zero-tolerant
+    # chain, which on dense data gives recover_generic's result
     if config.real_mode:
         return recover_real(ms, frame, config)
     return recover_full_spark(ms, frame, config)
@@ -218,7 +215,7 @@ def _cmd_recover(args) -> int:
     ms = json_to_measurement_set(load_json(args.measurements))
     config = _config_from_args(args, instance.config)
     started = time.perf_counter()
-    result = _run_recovery(ms, frame, config, args.method)
+    result = _run_recovery(ms, frame, config)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     error = None
     if instance.signal is not None:
@@ -252,7 +249,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     analysis = analyze(frame, spark=not args.no_spark, budget=args.budget)
     ms = measure(x, frame, config)
-    result = _run_recovery(ms, frame, config, args.method)
+    result = _run_recovery(ms, frame, config)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     error = global_phase_distance(result.estimate, x)
     report = {
@@ -402,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     re = sub.add_parser("recover", help="reconstruct a signal from measurements")
     re.add_argument("measurements")
     re.add_argument("instance")
-    re.add_argument("--method", choices=("auto", "generic"), default="auto")
     re.add_argument("--estimate", help="write the estimate JSON to this path")
     re.add_argument("--angles", help="polarization angles 'a1,a2'")
     re.add_argument("--jumps", type=int, default=None)
@@ -421,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="analyze + measure + recover + error")
     ve.add_argument("instance")
     ve.add_argument("--x", help="JSON file with the signal (overrides the instance)")
-    ve.add_argument("--method", choices=("auto", "generic"), default="auto")
     ve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ve.add_argument("--no-spark", action="store_true")
     _add_common_output(ve)

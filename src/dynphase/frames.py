@@ -9,7 +9,8 @@ full-spark certificates, with structural shortcuts for geometric and for
 distinct positive real spectra. ``analyze`` takes those shortcuts for every
 exactly diagonal operator (harmonic frames among them), whose eigenvalues are
 its diagonal and whose eigenbasis coordinates are the generator itself; any
-other operator has its minors enumerated.
+other operator has its minors enumerated, those through column 0 factored
+and the rest scaled from them by powers of ``det(A)``.
 """
 
 from __future__ import annotations
@@ -152,7 +153,9 @@ def analyze(
     None)``: no minor is enumerated and ``budget`` is not consulted. Every
     other orbit, including every non-diagonal one, is certified by
     enumerating its minors with :func:`~dynphase.vandermonde.full_spark`,
-    which raises ``BudgetExceededError`` past ``budget`` subsets.
+    which raises ``BudgetExceededError`` past ``budget`` subsets. It is
+    passed ``shift_det=det(A)``, so it factors only the minors through
+    column 0 and scales every other minor from them by ``|det(A)|^s``.
     """
     Phi = frame.synthesis()
     sv = np.linalg.svd(Phi, compute_uv=False)
@@ -172,7 +175,7 @@ def analyze(
         ):
             certificate = SparkCertificate(True, None, None)
         else:
-            certificate = full_spark(Phi, budget=budget)
+            certificate = full_spark(Phi, budget=budget, shift_det=np.linalg.det(A))
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
@@ -326,7 +329,8 @@ def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertific
     strictly positive real spectra, skip enumeration entirely (see
     ``_structurally_full_spark``, which :func:`analyze` shares) and return
     a certificate with ``min_abs_det=None``; any other spectrum is
-    enumerated within ``DEFAULT_BUDGET`` subsets.
+    enumerated within ``DEFAULT_BUDGET`` subsets, with ``shift_det`` set to
+    the product of the eigenvalues.
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -343,4 +347,5 @@ def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertific
         return SparkCertificate(False, tuple(range(d)), 0.0)
     if _structurally_full_spark(values, length):
         return SparkCertificate(True, None, None)
-    return full_spark(classical(values, length))
+    # classical(values, length) is the orbit of ones under diag(values)
+    return full_spark(classical(values, length), shift_det=np.prod(values))

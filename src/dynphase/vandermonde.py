@@ -19,6 +19,13 @@ thresholds. Column subsets are taken in lexicographic chunks of bounded size
 stacked ``np.linalg.det`` call; the witness is still the lexicographically
 first failing subset and ``min_abs_det`` the global minimum.
 
+An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
+for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
+every operator, singular and non-diagonalizable ones included. Given
+``shift_det=det(A)``, ``full_spark`` factors only the C(L-1, d-1) anchored
+subsets (those containing column 0) and takes every subset with smallest
+index s from its anchored shape times ``|det(A)|^s``.
+
 Sign convention: the classical determinant is computed with the factor order
 ``prod_{k > j} (values[k] - values[j])``, which matches the pivoted-LU
 determinant of ``classical`` exactly (not only in magnitude) and makes the
@@ -171,7 +178,9 @@ def det_product_second_kind(values, multiplicities) -> complex:
     return out
 
 
-def full_spark(matrix, *, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
+def full_spark(
+    matrix, *, budget: int = DEFAULT_BUDGET, shift_det: complex | None = None
+) -> SparkCertificate:
     """Certify that every d-column minor of a d x L matrix is invertible.
 
     A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
@@ -181,6 +190,14 @@ def full_spark(matrix, *, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
     batched call, and enumeration continues past the first failure so that
     ``min_abs_det`` reflects the global minimum. The witness is the
     lexicographically first failing subset.
+
+    ``shift_det`` declares the matrix M an orbit: it is ``det(A)`` for an
+    operator A with ``M[:, l + 1] = A @ M[:, l]``. Then
+    ``|det M[:, T + s]| = |shift_det|^s * |det M[:, T]|``, so only the
+    C(L-1, d-1) subsets that contain column 0 are factored, and the minors
+    of every subset with smallest index s > 0 are scaled from them. Their
+    scaled magnitudes then differ from directly factored ones by rounding
+    only. The budget still counts all C(L, d) subsets.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -192,19 +209,10 @@ def full_spark(matrix, *, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
             f"C({L},{d}) = {count} column subsets exceed the budget of {budget}"
         )
     col_norms = np.linalg.norm(m, axis=0)
-    chunk = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
-    subsets = itertools.combinations(range(L), d)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, chunk))
-        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, d)
-        if idx.shape[0] == 0:
-            break
-        det = np.linalg.det(m[:, idx].transpose(1, 0, 2))
-        # hypot matches the scalar complex abs bit for bit; the vectorized
-        # np.abs loop can differ from it in the last place
-        absdet = np.hypot(det.real, det.imag)
+    batches = _minors(m, first=0) if shift_det is None else _shifted_minors(m, shift_det)
+    for idx, absdet in batches:
         scale = np.prod(col_norms[idx], axis=1)
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
         min_scaled = min(min_scaled, scaled.min())
@@ -213,3 +221,48 @@ def full_spark(matrix, *, budget: int = DEFAULT_BUDGET) -> SparkCertificate:
             if failing.size:
                 witness = tuple(int(i) for i in idx[failing[0]])
     return SparkCertificate(witness is None, witness, min_scaled)
+
+
+def _minors(m: np.ndarray, first: int):
+    """``(subsets, |det|)`` chunks over the d-subsets of columns ``first..L-1``.
+
+    Subsets come as rows of an index array in lexicographic order. With
+    ``first=1`` column 0 is prepended to each, which gives the subsets that
+    contain column 0, in their own lexicographic order.
+    """
+    d, L = m.shape
+    width = d - first
+    total = math.comb(L - first, width)
+    chunk = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
+    subsets = itertools.combinations(range(first, L), width)
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, rows))
+        idx = np.zeros((rows, d), dtype=np.intp)
+        idx[:, first:] = np.fromiter(flat, dtype=np.intp, count=rows * width).reshape(rows, width)
+        det = np.linalg.det(m[:, idx].transpose(1, 0, 2))
+        # hypot matches the scalar complex abs bit for bit; the vectorized
+        # np.abs loop can differ from it in the last place
+        yield idx, np.hypot(det.real, det.imag)
+
+
+def _shifted_minors(m: np.ndarray, shift_det: complex):
+    """``(subsets, |det|)`` for every d-subset of an orbit, by smallest index.
+
+    The subsets with smallest index s are the anchored subsets (those with
+    column 0) shifted by s whose last index stays below L. Shifting keeps
+    their lexicographic order, and every subset starting at s precedes
+    those starting at s + 1, so the batches come in lexicographic order.
+    """
+    d, L = m.shape
+    idx = np.empty((math.comb(L - 1, d - 1), d), dtype=np.intp)
+    absdet = np.empty(idx.shape[0])
+    start = 0
+    for part, part_absdet in _minors(m, first=1):
+        stop = start + part.shape[0]
+        idx[start:stop], absdet[start:stop] = part, part_absdet
+        start = stop
+    step = abs(complex(shift_det))
+    for s in range(L - d + 1):
+        fits = idx[:, -1] < L - s
+        yield idx[fits] + s, absdet[fits] * step**s

@@ -241,19 +241,6 @@ class TestVerify:
         assert main(["verify", str(instance), "--output", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
-    def test_auto_and_generic_agree_on_dense_data(self, tmp_path):
-        # an ill-conditioned orbit, where the normal equations lose the signal
-        instance = gen_instance(tmp_path, "jordan", 16, 24, seed=7)
-        outcomes = []
-        for method in ("auto", "generic"):
-            path = tmp_path / f"{method}.json"
-            args = ["verify", str(instance), "--no-spark", "--method", method]
-            assert main(args + ["--output", str(path)]) == 0
-            outcomes.append(load_json(path)["outcome"])
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0]["recovery_status"] == "Recovered"
-        assert outcomes[0]["global_phase_error"] <= 1e-7
-
     def test_real_rotation_verify(self, tmp_path):
         instance = gen_instance(tmp_path, "rotation", 2, 4, extra=("--real",))
         report_path = tmp_path / "report.json"

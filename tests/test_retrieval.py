@@ -348,6 +348,19 @@ class TestRecoverGeneric:
             assert result.status == RecoveryStatus.RECOVERED, seed
             assert global_phase_distance(result.estimate, instance.signal) <= 1e-7, seed
 
+    def test_agrees_with_full_spark_on_dense_data(self):
+        # an ill-conditioned orbit, where the normal equations lose the signal
+        instance = make_instance("jordan", 16, 24, seed=7)
+        frame = instance.build_frame()
+        config = instance.config
+        ms = measure(instance.signal, frame, config)
+        result = recover_generic(ms, frame, config)
+        chained = recover_full_spark(ms, frame, config)
+        assert result.status == chained.status == RecoveryStatus.RECOVERED
+        assert result.used_indices == chained.used_indices
+        assert np.array_equal(result.estimate, chained.estimate)
+        assert global_phase_distance(result.estimate, instance.signal) <= 1e-7
+
     def test_short_orbit_fails_with_minimum_norm_guess(self):
         rng = np.random.default_rng(97)
         frame = random_frame(rng, 4, 3)

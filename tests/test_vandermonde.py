@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dynphase import (
     BudgetExceededError,
     DimensionMismatchError,
+    DynamicalFrame,
     classical,
     det_product_classical,
     det_product_second_kind,
@@ -236,6 +238,10 @@ class TestFullSpark:
         monkeypatch.setattr(itertools, "combinations", unreachable)
         with pytest.raises(BudgetExceededError):
             full_spark(np.ones((3, 40)), budget=100)
+        # the shifted enumeration factors only C(39, 2) = 741 minors, but
+        # the budget still counts all C(40, 3) = 9880 subsets
+        with pytest.raises(BudgetExceededError):
+            full_spark(np.ones((3, 40)), budget=1000, shift_det=1.0)
 
     def test_tall_matrix_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -305,3 +311,55 @@ class TestFullSparkChunks:
         certificate = full_spark(m)
         assert certificate.witness == (0, 1, 2, 6)
         assert _fields(certificate) == _fields(full_spark_serial(m))
+
+
+def _shift_cases():
+    """(name, orbit, det(A)) for orbits whose shifted minors the tests check."""
+    cases = []
+    for kind, d, L, seed in (
+        ("random-diag", 5, 10, 0),
+        ("jordan", 6, 12, 0),  # fails first at shift 3: (3, 7, 8, 9, 10, 11)
+        ("circulant", 5, 10, 0),
+        ("random-diag", 4, 4, 0),  # d = L: one subset, no shift
+    ):
+        frame = make_instance(kind, d, L, seed=seed).build_frame()
+        cases.append((f"{kind} {d}/{L}", frame.synthesis(), np.linalg.det(frame.operator)))
+    phi = np.array([1 + 1j, 0.5 - 1j, 1.0, 0.7j])
+    for name, A, L in (
+        # columns 4.. vanish and det(A) = 0: every shifted minor is zero
+        ("nilpotent 4/7", np.diag(np.ones(3), 1), 7),
+        # A^l phi has no first coordinate for l >= 1, so the first failing
+        # subset is the shift of (0, 1, 2, 3) by one
+        ("singular diagonal 4/8", np.diag([0.0, 0.5 + 0.5j, -0.8, 1.1j]), 8),
+        ("d=1 1/6", np.array([[0.9 * np.exp(0.7j)]]), 6),
+    ):
+        frame = DynamicalFrame(A, phi[: A.shape[0]], L)
+        cases.append((name, frame.synthesis(), np.linalg.det(A)))
+    return cases
+
+
+class TestFullSparkShift:
+    """Minors scaled by powers of det(A) against the one-subset-at-a-time loop."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 5, 64])
+    def test_orbits_match_serial_oracle(self, monkeypatch, per_chunk):
+        cases = _shift_cases()
+        factored = []
+
+        def counting_det(a):
+            factored.append(a.shape[0])
+            return det(a)
+
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        for name, m, shift_det in cases:
+            d, L = m.shape
+            _subsets_per_chunk(monkeypatch, d, per_chunk)
+            factored.clear()
+            certificate = full_spark(m, shift_det=shift_det)
+            assert sum(factored) == math.comb(L - 1, d - 1), name
+            expected = full_spark_serial(m)
+            assert certificate.full_spark == expected.full_spark, name
+            assert certificate.witness == expected.witness, name
+            # scaled minors are at most 1 (Hadamard), so this is relative too
+            assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15, name
