@@ -15,18 +15,22 @@ tree's directory on PYTHONPATH:
   ``recover_real``;
 * generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
   every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
-  ``dump_json(instance_to_json(...))``.
+  ``dump_json(instance_to_json(...))``, together with the text of their
+  measurement set, ``dump_json(measurement_set_to_json(measure(...)))``, and
+  the stdout of ``dynphase measure <instance file> --noise 1e-3``.
 
 Signals come from a fixed seed, so both trees see identical inputs (the
 script checks this). Status (or exception type), ``used_indices`` and
 ``component_size`` must match exactly, and the estimates must agree within
-phase-free distance 1e-10. Generated instances must serialize to the same
-text byte for byte, or fail with the same exception type. Exit status 0
-means every outcome matched.
+phase-free distance 1e-10. Generated instances, their measurement sets and
+their noisy ``measure`` output must give the same text byte for byte, or fail
+with the same exception type. Exit status 0 means every outcome matched.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -36,6 +40,9 @@ import tempfile
 import numpy as np
 
 TOL = 1e-10
+
+#: The texts recorded per generated instance, in order.
+TEXTS = ("generated instances", "measurement sets", "noisy measure outputs")
 
 
 def _real_signal(frame, pattern, rng, margin=1e-3, tries=64):
@@ -58,10 +65,10 @@ def _real_signal(frame, pattern, rng, margin=1e-3, tries=64):
 
 def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
-    from dynphase import build, harmonic_frame, measure, min_length, retrieval
+    from dynphase import build, cli, harmonic_frame, measure, min_length, retrieval
     from dynphase.experiments import signal_with_zero_pattern, zero_patterns
     from dynphase.instances import KINDS, make_instance
-    from dynphase.serialization import dump_json, instance_to_json
+    from dynphase.serialization import dump_json, instance_to_json, measurement_set_to_json
 
     records = []
 
@@ -103,16 +110,30 @@ def emit(path: str) -> None:
             run(key, x, retrieval.recover_full_spark, frame, config)
             if not pattern:
                 run(key + " generic", x, retrieval.recover_generic, frame, config)
-    for kind in KINDS:
-        for d in range(1, 9):
-            for seed in range(10):
-                entry = {"key": f"instance {kind} d={d} seed={seed}", "instance": None}
-                try:
-                    instance = make_instance(kind, d, min_length(d), seed=seed)
-                    entry.update(instance=dump_json(instance_to_json(instance)), status="ok")
-                except Exception as exc:  # an exception is an outcome to compare
-                    entry["status"] = type(exc).__name__
-                records.append(entry)
+
+    def texts(instance, tmp):
+        """The instance, its measurement set and its noisy ``measure`` stdout as text."""
+        text = dump_json(instance_to_json(instance))
+        ms = measure(instance.signal, instance.build_frame(), instance.config)
+        file = os.path.join(tmp, "instance.json")
+        with open(file, "w") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["measure", file, "--noise", "1e-3"])
+        return [text, dump_json(measurement_set_to_json(ms)), f"exit {code}\n{out.getvalue()}"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in KINDS:
+            for d in range(1, 9):
+                for seed in range(10):
+                    entry = {"key": f"instance {kind} d={d} seed={seed}", "instance": None}
+                    try:
+                        instance = make_instance(kind, d, min_length(d), seed=seed)
+                        entry.update(instance=texts(instance, tmp), status="ok")
+                    except Exception as exc:  # an exception is an outcome to compare
+                        entry["status"] = type(exc).__name__
+                    records.append(entry)
     with open(path, "w") as fh:
         json.dump(records, fh)
 
@@ -141,8 +162,11 @@ def compare(old: list[dict], new: list[dict]) -> int:
         if "instance" in a:
             label = f"instance {a['status']}"
             tally[label] = tally.get(label, 0) + 1
-            if (a["instance"], a["status"]) != (b["instance"], b["status"]):
-                mismatches.append((a["key"], f"generated instances differ ({b['status']})"))
+            if a["status"] != b["status"]:
+                mismatches.append((a["key"], f"status: {a['status']} vs {b['status']}"))
+            for what, x, y in zip(TEXTS, a["instance"] or [], b["instance"] or []):
+                if x != y:
+                    mismatches.append((a["key"], f"{what} differ"))
             continue
         if a["x"] != b["x"]:
             mismatches.append((a["key"], "input signals differ"))

@@ -18,6 +18,12 @@ from .frames import DynamicalFrame
 from .retrieval import chain_components
 
 
+def _dense_coefficients(frame: DynamicalFrame, x: np.ndarray, indices=slice(None)) -> bool:
+    """Whether every frame coefficient of x at ``indices`` exceeds 1e-3 of the largest of them."""
+    mags = np.abs(frame.coefficients(x)[indices])
+    return mags.size > 0 and bool(mags.min() > 1e-3 * mags.max())
+
+
 def effective_chain_size(nonzero: Sequence[bool], jumps: int) -> int:
     """Largest chain component plus the number of zero positions.
 
@@ -97,7 +103,6 @@ def signal_with_zero_pattern(
         if norm == 0.0:
             continue
         x = x / norm
-        coeffs = np.abs(frame.coefficients(x)[others])
-        if coeffs.size and np.min(coeffs) > 1e-3 * np.max(coeffs):
+        if _dense_coefficients(frame, x, others):
             return x
     return None

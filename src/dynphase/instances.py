@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .experiments import _dense_coefficients
 from .frames import DynamicalFrame, circulant, dft_matrix
 from .retrieval import MeasurementConfig
 from .serialization import (
@@ -62,8 +63,7 @@ def random_signal_for(
             x = x + 1j * rng.standard_normal(frame.dim)
         x = np.asarray(x, dtype=complex)
         x /= np.linalg.norm(x)
-        mags = np.abs(frame.coefficients(x))
-        if mags.min() > 1e-3 * mags.max():
+        if _dense_coefficients(frame, x):
             return x
     raise RuntimeError("could not sample a signal with dense frame coefficients")
 

@@ -11,9 +11,10 @@ The real-line variant needs a single shift ``|z1 + s z2|`` with ``s = +-1``,
 and the roots-of-unity variant averages K >= 3 shifted magnitudes against the
 K-th roots of unity with no linear solve at all.
 
-:func:`recover_phases` and :func:`recover_signs` apply the formulas of
-:func:`recover_product` and :func:`recover_product_real` to many pairs at
-once, with the same checks and error messages.
+:func:`recover_phases` and :func:`recover_signs` solve many pairs at once;
+every formula, floor and check is written there once. The scalar forms
+:func:`recover_product` and :func:`recover_product_real` are those array
+forms applied to one pair.
 """
 
 from __future__ import annotations
@@ -80,42 +81,18 @@ def _zero_magnitudes(m1: float, m2: float) -> ZeroMagnitudeError:
     return ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
 
 
-def _cosine_outside(r: float) -> InconsistentDataError:
-    return InconsistentDataError(f"shifted magnitude implies cos term {r:.6g} outside [-1, 1]")
-
-
-_VANISHING = "extracted phase direction has vanishing length"
-
-
-def _extract_cosine(mplus: float, m1: float, m2: float) -> float:
-    r = (mplus**2 - m1**2 - m2**2) / (2.0 * m1 * m2)
-    if abs(r) > 1.0 + CLAMP_TOL:
-        raise _cosine_outside(r)
-    return min(1.0, max(-1.0, r))
-
-
 def recover_product(data: PolarizationData, angles: PolarizationAngles) -> complex:
     """The product ``conj(z1) * z2`` from the four magnitudes.
 
-    Raises ``ZeroMagnitudeError`` when either base magnitude is numerically
-    zero (the relative phase is then undefined and the caller must route
-    around this pair), and ``InconsistentDataError`` when the shifted
-    magnitudes cannot come from any phase.
+    :func:`recover_phases` on one pair, scaled by ``|z1| |z2|``. Raises
+    ``ZeroMagnitudeError`` when either base magnitude is numerically zero
+    (the relative phase is then undefined and the caller must route around
+    this pair), and ``InconsistentDataError`` when the shifted magnitudes
+    cannot come from any phase.
     """
-    m1, m2 = data.m1, data.m2
-    floor = MAGNITUDE_RTOL * max(m1, m2)
-    if m1 <= floor or m2 <= floor:
-        raise _zero_magnitudes(m1, m2)
-    r1 = _extract_cosine(data.mplus1, m1, m2)
-    r2 = _extract_cosine(data.mplus2, m1, m2)
-    det = math.sin(angles.alpha1 - angles.alpha2)
-    cos_d = (-r1 * math.sin(angles.alpha2) + r2 * math.sin(angles.alpha1)) / det
-    sin_d = (r2 * math.cos(angles.alpha1) - r1 * math.cos(angles.alpha2)) / det
-    norm = math.hypot(cos_d, sin_d)
-    if norm < 1e-12:
-        raise InconsistentDataError(_VANISHING)
-    # project back onto the unit circle; roundoff pushes (cos, sin) slightly off it
-    return m1 * m2 * complex(cos_d / norm, sin_d / norm)
+    shifted = np.array([[data.mplus1], [data.mplus2]])
+    phase = recover_phases(np.array([data.m1]), np.array([data.m2]), shifted, angles)
+    return data.m1 * data.m2 * complex(phase[0])
 
 
 def _nonzero_prefix(m1: np.ndarray, m2: np.ndarray) -> int:
@@ -135,9 +112,10 @@ def recover_phases(
 
     ``m1`` and ``m2`` hold the n base magnitude pairs and ``shifted`` the
     ``(2, n)`` shifted magnitudes, row k taken with angle ``alpha_k``; all
-    must be finite and nonnegative. The formula, checks and messages are
-    those of :func:`recover_product`. When several pairs fail, the error is
-    that of the first failing pair.
+    must be finite and nonnegative. A pair whose base magnitude is
+    numerically zero raises ``ZeroMagnitudeError``; shifted magnitudes that
+    no phase can produce raise ``InconsistentDataError``. When several pairs
+    fail, the error is that of the first failing pair.
     """
     if m1.size == 0:
         return np.ones(0, dtype=complex)
@@ -149,7 +127,7 @@ def recover_phases(
     # twice the cosine terms (r1, r2); scaling by 2 is exact in binary
     twice = (shifted * shifted - m1 * m1 - m2 * m2) / (m1 * m2)
     over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
-    # the inverse of recover_product's 2x2 system, taking twice (r1, r2) to (cos D, sin D)
+    # the inverse of the 2x2 system, taking twice (r1, r2) to (cos D, sin D)
     a1, a2 = angles.alpha1, angles.alpha2
     det = 2.0 * math.sin(a1 - a2)
     unmix = np.array(
@@ -161,25 +139,31 @@ def recover_phases(
     first = bad.argmax()
     if bad[first]:
         if not (over[0, first] or over[1, first]):
-            raise InconsistentDataError(_VANISHING)
-        raise _cosine_outside(0.5 * twice[0 if over[0, first] else 1, first])
+            raise InconsistentDataError("extracted phase direction has vanishing length")
+        r = 0.5 * twice[0 if over[0, first] else 1, first]
+        raise InconsistentDataError(f"shifted magnitude implies cos term {r:.6g} outside [-1, 1]")
     phases = np.empty(m1.size, dtype=complex)
     # project back onto the unit circle; roundoff pushes (cos, sin) slightly off it
     np.divide(direction, norm, out=phases.view(float).reshape(-1, 2).T)
     return phases
 
 
-def recover_product_real(m1: float, m2: float, mplus: float, sign: int) -> float:
-    """The product ``z1 * z2`` of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
+def _real_products(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
+    """The products ``z1 * z2`` of n pairs of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
+    stop = _nonzero_prefix(m1, m2) if m1.size else 0
+    if stop < m1.size:
+        raise _zero_magnitudes(m1[stop], m2[stop])
+    return (shifted * shifted - m1 * m1 - m2 * m2) / (2.0 * sign)
+
+
+def recover_product_real(m1: float, m2: float, mplus: float, sign: int) -> float:
+    """The product ``z1 * z2`` of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
     for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-    floor = MAGNITUDE_RTOL * max(m1, m2)
-    if m1 <= floor or m2 <= floor:
-        raise _zero_magnitudes(m1, m2)
-    return (mplus**2 - m1**2 - m2**2) / (2.0 * sign)
+    return float(_real_products(*(np.array([float(v)]) for v in (m1, m2, mplus)), sign)[0])
 
 
 def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
@@ -190,15 +174,7 @@ def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int
     returns a product >= 0 and -1 elsewhere; a zero base magnitude raises its
     error, for the first such pair.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign}")
-    if m1.size == 0:
-        return np.ones(0)
-    stop = _nonzero_prefix(m1, m2)
-    if stop < m1.size:
-        raise _zero_magnitudes(m1[stop], m2[stop])
-    excess = shifted * shifted - m1 * m1 - m2 * m2
-    return np.where(excess / (2.0 * sign) >= 0.0, 1.0, -1.0)
+    return np.where(_real_products(m1, m2, shifted, sign) >= 0.0, 1.0, -1.0)
 
 
 def recover_product_roots_of_unity(magnitudes) -> complex:

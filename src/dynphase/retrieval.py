@@ -7,12 +7,12 @@ Under the conjugate-linear-second-argument inner product the aligned value
 expands to ``|c_l + exp(-1j a_k) c_{l+j}|`` with ``c_l = <x, A^l phi>``, so
 relative phases are recovered by polarization with the NEGATED angle pair.
 
-A :class:`MeasurementSet` keeps the aligned magnitudes in one dense float
-grid, ``grid[j - 1, k - 1, l]`` for offset j, angle family k and index l,
-of shape ``(jumps + 1, K, L - 1)`` with K = 2 (K = 1 in real mode) and NaN
-in the cells past ``L - j``. ``measure`` fills it with one array expression
-per offset, and the polarization steps of a chain are solved for all of its
-edges at once.
+A :class:`MeasurementSet` stores the aligned magnitudes in one float grid,
+``grid[j - 1, k - 1, l]`` for offset j, angle family k and index l, of shape
+``(jumps + 1, K, L - 1)`` with K = 2 (K = 1 in real mode) and NaN past
+``L - j``; ``aligned`` is a lazy read-only ``(l, j, k)`` mapping of its cells.
+``measure`` fills the grid with one array expression per offset, and the
+polarization steps of a chain are solved for all of its edges at once.
 
 Recovery chains phases over the indices whose base magnitude is nonzero. A
 component is a maximal run of nonzero indices whose gaps stay within
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,43 +90,13 @@ class MeasurementConfig:
         return 1 if c > 0 else -1
 
 
-class _AlignedView(Mapping):
-    """Read-only ``(l, j, k) -> magnitude`` view over an aligned grid."""
-
-    __slots__ = ("_grid",)
-
-    def __init__(self, grid: np.ndarray):
-        self._grid = grid
-
-    def __getitem__(self, key) -> float:
-        offsets, families, width = self._grid.shape
-        try:
-            l, j, k = (operator.index(i) for i in key)
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if 1 <= j <= offsets and 1 <= k <= families and 0 <= l <= width - j:
-            return float(self._grid[j - 1, k - 1, l])
-        raise KeyError(key)
-
-    def __iter__(self):
-        offsets, families, width = self._grid.shape
-        for l in range(width):
-            for j in range(1, min(offsets, width - l) + 1):
-                for k in range(1, families + 1):
-                    yield (l, j, k)
-
-    def __len__(self) -> int:
-        offsets, families, width = self._grid.shape
-        return families * sum(max(0, width + 1 - j) for j in range(1, offsets + 1))
-
-
 def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
     # NaN fails both comparisons, +inf the second
     return (values >= 0.0) & (values < math.inf)
 
 
 def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
-    """The grid of a complete ``{(l, j, k): value}`` dict."""
+    """The grid of a complete ``{(l, j, k): value}`` mapping."""
     families = 2 if any(k == 2 for (_, _, k) in aligned) else 1
     grid = np.full((jumps + 1, families, max(length - 1, 0)), np.nan)
     outside = 0
@@ -137,7 +108,9 @@ def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
             grid[j - 1, k - 1, l] = v
         else:
             outside += 1
-    missing = [key for key, v in _AlignedView(grid).items() if math.isnan(v)]
+    # NaN cells in (l, j, k) order, without the padding past l = length - j - 1
+    empty = np.argwhere(np.isnan(grid.transpose(2, 0, 1))).tolist()
+    missing = [(l, j + 1, k + 1) for l, j, k in empty if l < length - j - 1]
     if missing:
         raise ValueError(f"aligned grid incomplete: missing {missing[0]}")
     if outside:
@@ -154,17 +127,16 @@ class MeasurementSet:
     with K = 2 for the two-angle families and K = 1 for real mode's single
     shift; cells with ``l >= length - j`` do not exist and hold NaN.
 
-    ``aligned`` is given either as that array (its padding is ignored) or as
-    a complete ``{(l, j, k): value}`` dict, and is stored as a read-only
-    mapping view over the grid, which iterates in sorted key order.
+    ``grid`` is given as that array (its padding is ignored) or as a complete
+    ``{(l, j, k): value}`` mapping, converted once; the array is the only
+    stored form, and :attr:`aligned` is a lazy read-only view of it.
     """
 
     length: int
     jumps: int
     angles: PolarizationAngles
     base: np.ndarray
-    aligned: Mapping[tuple[int, int, int], float] = field(repr=False)
-    grid: np.ndarray = field(init=False)
+    grid: np.ndarray | Mapping[tuple[int, int, int], float]
 
     def __post_init__(self):
         length, jumps = int(self.length), int(self.jumps)
@@ -175,8 +147,8 @@ class MeasurementSet:
             )
         if jumps < 0:
             raise ValueError("jumps must be >= 0")
-        if isinstance(self.aligned, np.ndarray):
-            grid = np.array(self.aligned, dtype=float)
+        if isinstance(self.grid, np.ndarray):
+            grid = np.array(self.grid, dtype=float)
             shape = (jumps + 1, grid.shape[1] if grid.ndim == 3 else 0, max(length - 1, 0))
             if grid.shape != shape or shape[1] not in (1, 2):
                 raise DimensionMismatchError(
@@ -184,7 +156,7 @@ class MeasurementSet:
                     f"got {grid.shape}"
                 )
         else:
-            grid = _grid_from_dict(self.aligned, length, jumps)
+            grid = _grid_from_dict(self.grid, length, jumps)
         cells = 0
         for j in range(1, jumps + 2):
             grid[j - 1, :, max(length - j, 0) :] = np.nan
@@ -202,7 +174,14 @@ class MeasurementSet:
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "aligned", _AlignedView(grid))
+
+    @cached_property
+    def aligned(self) -> Mapping[tuple[int, int, int], float]:
+        """The grid's non-NaN cells as a read-only ``(l, j, k)`` mapping, keys sorted."""
+        cells = self.grid.transpose(2, 0, 1)
+        exists = ~np.isnan(cells)  # C order on (l, j - 1, k - 1) is sorted key order
+        keys, values = np.argwhere(exists).tolist(), cells[exists].tolist()
+        return MappingProxyType({(l, j + 1, k + 1): v for (l, j, k), v in zip(keys, values)})
 
     @property
     def has_two_angles(self) -> bool:
@@ -355,8 +334,6 @@ def recover_generic(
             "a base magnitude is numerically zero; the dense chain is broken "
             "(use recover_full_spark)"
         )
-    if ms.length > 1 and not ms.has_two_angles:
-        raise InconsistentDataError("measurement set lacks the second aligned angle family")
     return _recover_by_chain(ms, frame, config, real_sign=None)
 
 
@@ -366,6 +343,8 @@ def _recover_by_chain(
     config: MeasurementConfig,
     real_sign: int | None,
 ) -> RecoveryResult:
+    if real_sign is None and ms.length > 1 and not ms.has_two_angles:
+        raise InconsistentDataError("measurement set lacks the second aligned angle family")
     base = ms.base
     d = frame.dim
     scale = float(base.max())
@@ -429,8 +408,6 @@ def recover_full_spark(
     reported as ``SingularMatrixError`` when the assumption fails.
     """
     _check_consistency(ms, frame, config)
-    if ms.length > 1 and not ms.has_two_angles:
-        raise InconsistentDataError("measurement set lacks the second aligned angle family")
     return _recover_by_chain(ms, frame, config, real_sign=None)
 
 

@@ -233,16 +233,12 @@ def json_to_instance(obj: Any) -> Instance:
 
 
 def measurement_set_to_json(ms: MeasurementSet) -> dict:
-    aligned = [
-        {"l": l, "j": j, "k": k, "value": ms.aligned[(l, j, k)]}
-        for (l, j, k) in sorted(ms.aligned)
-    ]
     return {
         "L": ms.length,
         "J": ms.jumps,
         "angles": angles_to_json(ms.angles),
         "base": [float(v) for v in ms.base],
-        "aligned": aligned,
+        "aligned": [{"l": l, "j": j, "k": k, "value": v} for (l, j, k), v in ms.aligned.items()],
     }
 
 

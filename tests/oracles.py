@@ -6,7 +6,11 @@ powers by repeated multiplication, spark by subset SVD ranks, the
 phase-free distance by brute-force grid search, chain components by
 breadth-first search over an explicit edge list, full-spark certificates
 by one determinant call per column subset, measurements by one scalar ``abs``
-per aligned cell, and chain phases by one ``recover_product`` call per edge.
+per aligned cell, polarization products by the scalar 2x2 solve, and chain
+phases by one scalar polarization per edge. The library computes
+``recover_product`` and ``recover_product_real`` through its array forms;
+``recover_product_scalar`` and ``recover_product_real_scalar`` write the
+same formulas, floors and messages out for a single pair.
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ from collections import deque
 
 import numpy as np
 
-from dynphase.exceptions import BudgetExceededError, DimensionMismatchError
-from dynphase.polarization import PolarizationData, recover_product, recover_product_real
+from dynphase.exceptions import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InconsistentDataError,
+    ZeroMagnitudeError,
+)
+from dynphase.polarization import CLAMP_TOL, MAGNITUDE_RTOL, PolarizationAngles, PolarizationData
 from dynphase.retrieval import MeasurementSet
 from dynphase.validation import as_matrix, as_vector
 from dynphase.vandermonde import DEFAULT_BUDGET, DEFAULT_SPARK_TOL, SparkCertificate
@@ -120,6 +129,55 @@ def polarization_forward(z1: complex, z2: complex, alpha1: float, alpha2: float)
     )
 
 
+def _zero_magnitudes(m1: float, m2: float) -> ZeroMagnitudeError:
+    return ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
+
+
+def _cosine_outside(r: float) -> InconsistentDataError:
+    return InconsistentDataError(f"shifted magnitude implies cos term {r:.6g} outside [-1, 1]")
+
+
+_VANISHING = "extracted phase direction has vanishing length"
+
+
+def _extract_cosine(mplus: float, m1: float, m2: float) -> float:
+    r = (mplus**2 - m1**2 - m2**2) / (2.0 * m1 * m2)
+    if abs(r) > 1.0 + CLAMP_TOL:
+        raise _cosine_outside(r)
+    return min(1.0, max(-1.0, r))
+
+
+def recover_product_scalar(data: PolarizationData, angles: PolarizationAngles) -> complex:
+    """``polarization.recover_product`` as its own scalar 2x2 solve."""
+    m1, m2 = data.m1, data.m2
+    floor = MAGNITUDE_RTOL * max(m1, m2)
+    if m1 <= floor or m2 <= floor:
+        raise _zero_magnitudes(m1, m2)
+    r1 = _extract_cosine(data.mplus1, m1, m2)
+    r2 = _extract_cosine(data.mplus2, m1, m2)
+    det = math.sin(angles.alpha1 - angles.alpha2)
+    cos_d = (-r1 * math.sin(angles.alpha2) + r2 * math.sin(angles.alpha1)) / det
+    sin_d = (r2 * math.cos(angles.alpha1) - r1 * math.cos(angles.alpha2)) / det
+    norm = math.hypot(cos_d, sin_d)
+    if norm < 1e-12:
+        raise InconsistentDataError(_VANISHING)
+    # project back onto the unit circle; roundoff pushes (cos, sin) slightly off it
+    return m1 * m2 * complex(cos_d / norm, sin_d / norm)
+
+
+def recover_product_real_scalar(m1: float, m2: float, mplus: float, sign: int) -> float:
+    """``polarization.recover_product_real`` as a scalar expression."""
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign}")
+    for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
+    floor = MAGNITUDE_RTOL * max(m1, m2)
+    if m1 <= floor or m2 <= floor:
+        raise _zero_magnitudes(m1, m2)
+    return (mplus**2 - m1**2 - m2**2) / (2.0 * sign)
+
+
 def grid_phase_distance(x, y, samples: int = 1_000_000) -> float:
     """min_theta ||x - e^{i theta} y|| by brute-force grid search."""
     x = np.asarray(x, dtype=complex)
@@ -210,8 +268,10 @@ def chain_phases_loop(ms, chain, real_sign) -> np.ndarray:
             data = PolarizationData(
                 float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)]
             )
-            steps[i] = cmath.exp(1j * cmath.phase(recover_product(data, angles)))
+            steps[i] = cmath.exp(1j * cmath.phase(recover_product_scalar(data, angles)))
         else:
-            product = recover_product_real(float(ms.base[l]), float(ms.base[m]), shifted, real_sign)
+            product = recover_product_real_scalar(
+                float(ms.base[l]), float(ms.base[m]), shifted, real_sign
+            )
             steps[i] = 1.0 if product >= 0.0 else -1.0
     return np.cumprod(steps)

@@ -323,6 +323,12 @@ class TestBench:
     def test_budget_guard(self):
         assert main(["bench", "--dims", "4", "--lengths", "6:9", "--budget", "10"]) == 3
 
+    def test_jumps_out_of_range(self, capsys):
+        assert main(["bench", "--dims", "4", "--jumps", "3"]) == 2
+        assert "jumps must lie in 0..2 for dim=4, got 3" in capsys.readouterr().err
+        # invalid input is reported before the budget is checked
+        assert main(["bench", "--dims", "4", "--jumps", "3", "--budget", "1"]) == 2
+
 
 class TestMain:
     def test_repeated_calls_give_identical_output(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from dynphase import (
     recover_product_roots_of_unity,
 )
 from dynphase.polarization import recover_phases, recover_signs
-from oracles import polarization_forward
+from oracles import polarization_forward, recover_product_real_scalar, recover_product_scalar
 
 RIGHT = PolarizationAngles(0.0, math.pi / 2)
 
@@ -178,7 +178,7 @@ class TestRootsOfUnity:
 
 
 class TestArrayForms:
-    """recover_phases / recover_signs against the scalar functions, pair by pair."""
+    """recover_phases / recover_signs against the scalar oracles, pair by pair."""
 
     @staticmethod
     def pairs(n, seed):
@@ -192,7 +192,7 @@ class TestArrayForms:
         data = [forward(a, b, angles) for a, b in zip(z1, z2)]
         m1, m2, p1, p2 = (np.array(col) for col in zip(*(astuple(d) for d in data)))
         got = recover_phases(m1, m2, np.array([p1, p2]), angles)
-        want = np.array([recover_product(d, angles) for d in data])
+        want = np.array([recover_product_scalar(d, angles) for d in data])
         assert np.max(np.abs(got - want / np.abs(want))) <= 1e-14
 
     def test_signs_match_recover_product_real(self):
@@ -202,7 +202,8 @@ class TestArrayForms:
             shifted = np.abs(z1 + sign * z2)
             got = recover_signs(np.abs(z1), np.abs(z2), shifted, sign)
             want = [
-                recover_product_real(abs(a), abs(b), s, sign) for a, b, s in zip(z1, z2, shifted)
+                recover_product_real_scalar(abs(a), abs(b), s, sign)
+                for a, b, s in zip(z1, z2, shifted)
             ]
             assert np.array_equal(got, np.where(np.array(want) >= 0, 1.0, -1.0))
 
@@ -227,3 +228,52 @@ class TestArrayForms:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_signs(np.ones(1), np.ones(1), np.ones(1), 0)
+
+
+class TestScalarFormsMatchOracle:
+    """recover_product / recover_product_real against the scalar oracles."""
+
+    @staticmethod
+    def raised(call, *args):
+        try:
+            call(*args)
+        except Exception as exc:  # the type and message are compared
+            return type(exc), str(exc)
+        return None
+
+    def test_values(self):
+        rng = np.random.default_rng(76)
+        for _ in range(500):
+            angles = PolarizationAngles(*rng.uniform(-math.pi, math.pi, 2))
+            z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            data = forward(z1, z2, angles)
+            want = recover_product_scalar(data, angles)
+            assert abs(recover_product(data, angles) - want) <= 1e-13 * abs(want)
+            for sign in (-1, 1):
+                args = (abs(z1.real), abs(z2.real), abs(z1.real + sign * z2.real), sign)
+                want = recover_product_real_scalar(*args)
+                assert abs(recover_product_real(*args) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "mags",
+        [
+            (0.0, 1.0, 1.0, 1.0),  # zero base magnitude
+            (2.0, 1e-13, 2.0, 2.0),  # below the relative floor
+            (1.0, 1.0, 3.0, 1.0),  # first cosine outside [-1, 1]
+            (1.0, 2.0, 3.0, 0.0),  # second cosine outside [-1, 1]
+            (1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)),  # vanishing direction
+        ],
+    )
+    def test_errors(self, mags):
+        data = PolarizationData(*mags)
+        want = self.raised(recover_product_scalar, data, RIGHT)
+        assert want is not None
+        assert self.raised(recover_product, data, RIGHT) == want
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 0.0, 1.0, 1), (1e-13, 2.0, 2.0, -1), (1.0, 1.0, 2.0, 2)]
+    )
+    def test_real_errors(self, args):
+        want = self.raised(recover_product_real_scalar, *args)
+        assert want is not None
+        assert self.raised(recover_product_real, *args) == want

@@ -135,6 +135,8 @@ class TestMeasurementSetGrid:
         assert list(ms.aligned) == sorted(ms.aligned)
         assert len(ms.aligned) == 2 * (5 + 4)
         assert not ms.grid.flags.writeable and not ms.base.flags.writeable
+        with pytest.raises(TypeError):
+            ms.aligned[(0, 1, 1)] = 0.0
 
     @pytest.mark.parametrize("shape", [(2, 2, 4), (1, 2, 5), (2, 3, 5), (2, 5), (2, 0, 5)])
     def test_wrong_shape_rejected(self, shape):
