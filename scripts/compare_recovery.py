@@ -17,14 +17,17 @@ tree's directory on PYTHONPATH:
   every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
   ``dump_json(instance_to_json(...))``, together with the text of their
   measurement set, ``dump_json(measurement_set_to_json(measure(...)))``, and
-  the stdout of ``dynphase measure <instance file> --noise 1e-3``.
+  the stdout of ``dynphase measure <instance file> --noise 1e-3``; each
+  instance's own signal is also recovered by ``recover_full_spark``, and its
+  frame is passed to ``analyze``.
 
 Signals come from a fixed seed, so both trees see identical inputs (the
 script checks this). Status (or exception type), ``used_indices`` and
 ``component_size`` must match exactly, and the estimates must agree within
 phase-free distance 1e-10. Generated instances, their measurement sets and
 their noisy ``measure`` output must give the same text byte for byte, or fail
-with the same exception type. Exit status 0 means every outcome matched.
+with the same exception type. ``analyze`` must give the same ``is_frame`` and
+frame bounds within relative 1e-9. Exit status 0 means every outcome matched.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ import tempfile
 import numpy as np
 
 TOL = 1e-10
+
+#: Relative tolerance on the frame bounds of ``analyze``.
+BOUND_RTOL = 1e-9
 
 #: The texts recorded per generated instance, in order.
 TEXTS = ("generated instances", "measurement sets", "noisy measure outputs")
@@ -65,7 +71,7 @@ def _real_signal(frame, pattern, rng, margin=1e-3, tries=64):
 
 def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
-    from dynphase import build, cli, harmonic_frame, measure, min_length, retrieval
+    from dynphase import analyze, build, cli, harmonic_frame, measure, min_length, retrieval
     from dynphase.experiments import signal_with_zero_pattern, zero_patterns
     from dynphase.instances import KINDS, make_instance
     from dynphase.serialization import dump_json, instance_to_json, measurement_set_to_json
@@ -127,13 +133,22 @@ def emit(path: str) -> None:
         for kind in KINDS:
             for d in range(1, 9):
                 for seed in range(10):
-                    entry = {"key": f"instance {kind} d={d} seed={seed}", "instance": None}
+                    key = f"{kind} d={d} seed={seed}"
+                    entry, instance = {"key": f"instance {key}", "instance": None}, None
                     try:
                         instance = make_instance(kind, d, min_length(d), seed=seed)
                         entry.update(instance=texts(instance, tmp), status="ok")
                     except Exception as exc:  # an exception is an outcome to compare
                         entry["status"] = type(exc).__name__
                     records.append(entry)
+                    if instance is None:
+                        continue
+                    frame = instance.build_frame()
+                    run(f"recovery {key}", instance.signal, retrieval.recover_full_spark,
+                        frame, instance.config)
+                    found = analyze(frame)
+                    bounds = [found.is_frame, found.lower_bound, found.upper_bound]
+                    records.append({"key": f"analysis {key}", "analysis": bounds})
     with open(path, "w") as fh:
         json.dump(records, fh)
 
@@ -157,8 +172,20 @@ def compare(old: list[dict], new: list[dict]) -> int:
     if [r["key"] for r in old] != [r["key"] for r in new]:
         print("instance grids differ")
         return 1
-    mismatches, worst, tally = [], 0.0, {}
+    mismatches, worst, worst_bound, tally = [], 0.0, 0.0, {}
     for a, b in zip(old, new):
+        if "analysis" in a:
+            (frame_a, *bounds_a), (frame_b, *bounds_b) = a["analysis"], b["analysis"]
+            label = f"analysis is_frame={frame_a}"
+            tally[label] = tally.get(label, 0) + 1
+            if frame_a != frame_b:
+                mismatches.append((a["key"], f"is_frame: {frame_a} vs {frame_b}"))
+            for x, y in zip(bounds_a, bounds_b):
+                rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+                worst_bound = max(worst_bound, rel)
+                if rel > BOUND_RTOL:
+                    mismatches.append((a["key"], f"bounds differ by {rel:.3e} relative"))
+            continue
         if "instance" in a:
             label = f"instance {a['status']}"
             tally[label] = tally.get(label, 0) + 1
@@ -186,7 +213,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
                 mismatches.append((a["key"], f"estimates differ by {dist:.3e}"))
     for label in sorted(tally):
         print(f"{label}: {tally[label]}")
-    print(f"compared {len(old)} instances, max phase-free distance {worst:.3e}")
+    print(f"compared {len(old)} instances, max phase-free distance {worst:.3e}, "
+          f"max relative bound change {worst_bound:.3e}")
     for key, what in mismatches[:20]:
         print(f"MISMATCH {key}: {what}")
     print(f"{len(mismatches)} mismatches")

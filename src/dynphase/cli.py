@@ -275,16 +275,16 @@ def _parse_lengths(text: str) -> list[int]:
 
 def _cmd_bench(args) -> int:
     dims = [int(v) for v in args.dims.split(",")]
+    # every input check runs before the first recovery; min_length rejects jumps > dim - 2
+    thresholds = [min_length(dim, args.jumps) for dim in dims]
+    given = _parse_lengths(args.lengths) if args.lengths else None
+    if given and min(given) < max(dims):
+        raise ValueError(f"every length must be >= dim, got L={min(given)} for dim={max(dims)}")
     rows = []
     total_runs = 0
-    for dim in dims:
-        threshold = min_length(dim, args.jumps)  # ValueError for jumps beyond dim - 2
-        lengths = _parse_lengths(args.lengths) if args.lengths else list(
-            range(dim, min_length(dim, 0) + 1)
-        )
+    for dim, threshold in zip(dims, thresholds):
+        lengths = given if given is not None else list(range(dim, min_length(dim, 0) + 1))
         for length in lengths:
-            if length < dim:
-                continue
             patterns = [p for p in zero_patterns(length, dim - 1)]
             total_runs += len(patterns) * args.trials
             if total_runs > args.budget:

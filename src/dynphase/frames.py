@@ -2,7 +2,8 @@
 
 A dynamical frame materializes the orbit of a generator vector under repeated
 application of an operator. This module builds orbits, computes frame bounds
-(squared extreme singular values of the synthesis matrix), derives the
+(squared extreme singular values of the synthesis matrix, read from the thin
+SVD of its rows that each frame computes once and keeps), derives the
 canonical dual frame from the frame operator, evaluates the spectral spanning
 criteria (distinct block eigenvalues plus generator dependence), and issues
 full-spark certificates, with structural shortcuts for geometric and for
@@ -16,6 +17,7 @@ and the rest scaled from them by powers of ``det(A)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,12 @@ FRAME_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DynamicalFrame:
-    """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data."""
+    """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data.
+
+    The thin SVD of the L x d row system ``synthesis().conj().T`` is computed
+    on first use and kept (``_row_svd``): :func:`analyze` reads its bounds
+    from it, and every recovery that solves all L rows applies it.
+    """
 
     operator: np.ndarray
     generator: np.ndarray
@@ -74,6 +81,14 @@ class DynamicalFrame:
     def synthesis(self) -> np.ndarray:
         """Read-only d x L matrix whose columns are the orbit vectors."""
         return self._synthesis
+
+    @cached_property
+    def _row_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only thin SVD ``(W, s, Zh)`` of the rows ``synthesis().conj().T``."""
+        factors = np.linalg.svd(self._synthesis.conj().T, full_matrices=False)
+        for a in factors:
+            a.setflags(write=False)
+        return tuple(factors)
 
     def coefficients(self, x) -> np.ndarray:
         """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1.
@@ -157,8 +172,7 @@ def analyze(
     passed ``shift_det=det(A)``, so it factors only the minors through
     column 0 and scales every other minor from them by ``|det(A)|^s``.
     """
-    Phi = frame.synthesis()
-    sv = np.linalg.svd(Phi, compute_uv=False)
+    sv = frame._row_svd[1]
     upper = float(sv[0] ** 2)
     smin = float(sv[-1]) if frame.length >= frame.dim else 0.0
     lower = smin**2
@@ -175,7 +189,7 @@ def analyze(
         ):
             certificate = SparkCertificate(True, None, None)
         else:
-            certificate = full_spark(Phi, budget=budget, shift_det=np.linalg.det(A))
+            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=np.linalg.det(A))
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 

@@ -221,10 +221,7 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     x = as_vector(x, "x")
     if x.size != frame.dim:
         raise DimensionMismatchError(f"x has dim {x.size}, frame dim is {frame.dim}")
-    if config.jumps > max(0, frame.dim - 2):
-        raise ValueError(
-            f"jumps={config.jumps} exceeds the admissible maximum {max(0, frame.dim - 2)}"
-        )
+    min_length(frame.dim, config.jumps)  # ValueError for jumps beyond dim - 2
     coeffs = frame.coefficients(x)
     length = frame.length
     if config.real_mode:
@@ -300,11 +297,21 @@ def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | Non
 def _solve_rows(
     frame: DynamicalFrame, indices: list[int], rhs: np.ndarray, require_full_rank: bool
 ) -> np.ndarray:
-    rows = frame.synthesis()[:, indices].conj().T
-    solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if require_full_rank and rank < frame.dim:
+    L, d = frame.length, frame.dim
+    if len(indices) == L:
+        # all rows in some order: lstsq's minimum-norm solve, cutoff included,
+        # through the frame's cached SVD
+        W, s, Zh = frame._row_svd
+        b = np.empty(L, dtype=complex)
+        b[indices] = rhs
+        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(L, d) * s[0]))
+        solution = Zh[:rank].conj().T @ ((W[:, :rank].conj().T @ b) / s[:rank])
+    else:
+        rows = frame.synthesis()[:, indices].conj().T
+        solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    if require_full_rank and rank < d:
         raise SingularMatrixError(
-            f"selected frame rows have rank {rank} < {frame.dim}; the orbit lacks full spark"
+            f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
         )
     return solution
 

@@ -329,6 +329,26 @@ class TestBench:
         # invalid input is reported before the budget is checked
         assert main(["bench", "--dims", "4", "--jumps", "3", "--budget", "1"]) == 2
 
+    def test_jumps_message_matches_measure(self, tmp_path, capsys):
+        instance = gen_instance(tmp_path, "harmonic", 4, 8)
+        assert main(["measure", str(instance), "--jumps", "3"]) == 2
+        measured = capsys.readouterr().err
+        assert main(["bench", "--dims", "4", "--jumps", "3"]) == 2
+        assert capsys.readouterr().err == measured
+        assert measured == "error: jumps must lie in 0..2 for dim=4, got 3\n"
+
+    def test_lengths_below_dim_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "recover_full_spark", None)  # no recovery may start
+        assert main(["bench", "--dims", "4", "--lengths", "2:3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: every length must be >= dim, got L=2 for dim=4\n"
+        # a later dimension is checked before the first one runs
+        assert main(["bench", "--dims", "4,6", "--lengths", "5:6"]) == 2
+        assert "got L=5 for dim=6" in capsys.readouterr().err
+        assert main(["bench", "--dims", "6,2", "--jumps", "1", "--lengths", "6:6"]) == 2
+        assert "for dim=2, got 1" in capsys.readouterr().err
+
 
 class TestMain:
     def test_repeated_calls_give_identical_output(self, tmp_path, capsys):

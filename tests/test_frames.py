@@ -142,6 +142,59 @@ class TestAnalyze:
             random_signal_for(frame, np.random.default_rng(0), 1e-3)
 
 
+class TestRowSvdCache:
+    @pytest.mark.parametrize(
+        "kind, dim, length",
+        [("harmonic", 8, 20), ("random-diag", 8, 20), ("jordan", 16, 24), ("circulant", 5, 9)],
+    )
+    def test_bounds_match_the_synthesis_singular_values(self, kind, dim, length):
+        from dynphase.instances import make_instance
+
+        frame = make_instance(kind, dim, length, seed=0).build_frame()
+        sv = np.linalg.svd(frame.synthesis(), compute_uv=False)
+        analysis = analyze(frame)
+        assert analysis.upper_bound == pytest.approx(sv[0] ** 2, rel=1e-9)
+        assert analysis.lower_bound == pytest.approx(sv[-1] ** 2, rel=1e-9)
+        assert analysis.is_frame is bool(sv[-1] > dynphase.frames.FRAME_RTOL * sv[0])
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            build(np.eye(3), np.array([1.0, 0.0, 0.0]), 2),  # shorter than the dimension
+            build(np.diag([1.0, 0.5j, -0.8]), np.array([1.0, 1.0, 0.0]), 5),  # a dead direction
+        ],
+    )
+    def test_non_frames_stay_non_frames(self, frame):
+        analysis = analyze(frame)
+        sv = np.linalg.svd(frame.synthesis(), compute_uv=False)
+        assert not analysis.is_frame
+        assert analysis.upper_bound == pytest.approx(sv[0] ** 2, rel=1e-9)
+
+    def test_one_read_only_factorization_per_frame(self, monkeypatch):
+        from dynphase import MeasurementConfig, measure, recover_full_spark
+        from dynphase.instances import random_signal_for
+
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        monkeypatch.setattr(np.linalg, "lstsq", None)  # full row sets never reach it
+        frame = harmonic_frame(4, 6)
+        config = MeasurementConfig()
+        ms = measure(random_signal_for(frame, np.random.default_rng(3)), frame, config)
+        analyze(frame)
+        factors = frame._row_svd
+        for _ in range(2):
+            recover_full_spark(ms, frame, config)
+        assert frame._row_svd is factors
+        assert len(calls) == 1
+        W, s, Zh = factors
+        assert (W.shape, s.shape, Zh.shape) == ((6, 4), (4,), (4, 4))
+        for a in factors:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 def assert_same_certificate(shifted, direct):
     """``analyze`` scales minors by powers of det(A): equal verdicts, rounding-close minima."""
     assert (shifted.full_spark, shifted.witness) == (direct.full_spark, direct.witness)

@@ -33,7 +33,7 @@ from dynphase.experiments import (
     zero_patterns,
 )
 from dynphase.instances import make_instance, random_signal_for
-from dynphase.retrieval import RELAXED_ZERO_FLOOR, _chain_phases
+from dynphase.retrieval import RELAXED_ZERO_FLOOR, _chain_phases, _solve_rows
 from dynphase.serialization import dump_json, measurement_set_to_json
 from oracles import (
     chain_components_bfs,
@@ -103,8 +103,11 @@ class TestMeasure:
         assert set(ms.aligned.keys()) == expected
 
     def test_jumps_cap(self):
+        # the rule and its message are min_length's
+        with pytest.raises(ValueError) as want:
+            min_length(3, 2)
         frame = harmonic_frame(3, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
             measure(np.ones(3, dtype=complex), frame, MeasurementConfig(jumps=2))
 
     def test_global_phase_invariance(self):
@@ -503,6 +506,60 @@ class TestRecoverFullSpark:
         assert result.status == RecoveryStatus.RECOVERED
         assert np.all(result.estimate == 0.0)
         assert result.component_size == 3
+
+
+def lstsq_rows(frame, indices, rhs):
+    """The reference solve: ``lstsq`` on a fresh copy of the selected rows."""
+    rows = frame.synthesis()[:, list(indices)].conj().T
+    solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    return solution, rank
+
+
+class TestCachedRowSolve:
+    """Full row sets are solved through the frame's cached SVD, exactly as ``lstsq`` would."""
+
+    @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
+    def test_dense_chain_matches_lstsq(self, kind):
+        for seed in range(3):
+            instance = make_instance(kind, 8, 20, seed=seed)
+            frame = instance.build_frame()
+            ms = measure(instance.signal, frame, CFG)
+            result = recover_full_spark(ms, frame, CFG)
+            assert result.used_indices == tuple(range(20))
+            rhs = ms.base * _chain_phases(ms, range(20), None)
+            want, _ = lstsq_rows(frame, range(20), rhs)
+            assert np.linalg.norm(result.estimate - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_permuted_full_row_set(self):
+        # the chain 2..5 plus the zeros 0, 1 cover every row, out of order
+        frame = harmonic_frame(4, 6)
+        x = signal_with_zero_pattern(frame, (0, 1), np.random.default_rng(7))
+        ms = measure(x, frame, CFG)
+        result = recover_full_spark(ms, frame, CFG)
+        assert result.status == RecoveryStatus.RECOVERED
+        assert result.used_indices == (2, 3, 4, 5)
+        rhs = np.zeros(6, dtype=complex)
+        rhs[:4] = ms.base[2:] * _chain_phases(ms, [2, 3, 4, 5], None)
+        want, _ = lstsq_rows(frame, [2, 3, 4, 5, 0, 1], rhs)
+        assert np.linalg.norm(result.estimate - want) <= 1e-12 * np.linalg.norm(want)
+        assert global_phase_distance(result.estimate, x) <= 1e-10
+
+    def test_rank_deficient_orbit(self):
+        # the generator misses the third eigendirection: every row set has rank 2
+        frame = build(np.diag([1.0, 0.5j, -0.8]), np.array([1.0, 1.0, 0.0]), 5)
+        order = [3, 0, 4, 1, 2]
+        rhs = np.random.default_rng(11).standard_normal(5) * (1 + 1j)
+        want, rank = lstsq_rows(frame, order, rhs)
+        assert rank == 2
+        with pytest.raises(SingularMatrixError, match=re.escape(f"rank {rank} < 3")):
+            _solve_rows(frame, order, rhs, require_full_rank=True)
+        guess = _solve_rows(frame, order, rhs, require_full_rank=False)
+        assert np.linalg.norm(guess - want) <= 1e-12 * np.linalg.norm(want)
+        # minimum norm: nothing along the dead direction
+        assert abs(guess[2]) <= 1e-14 * np.linalg.norm(guess)
+        x = np.array([1.0, 0.5, 0.25], dtype=complex)
+        with pytest.raises(SingularMatrixError, match="rank 2 < 3"):
+            recover_full_spark(measure(x, frame, CFG), frame, CFG)
 
 
 class TestRecoverReal:
