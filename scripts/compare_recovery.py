@@ -11,8 +11,9 @@ tree's directory on PYTHONPATH:
   zeros, recovered by ``recover_full_spark`` (and by ``recover_generic``
   for the pattern without zeros);
 * real mode: the same grid over the real orbit of ``diag(linspace(0.6, 1.5,
-  d))`` from the all-ones generator, with real signals recovered by
-  ``recover_real``;
+  d))`` from the all-ones generator, with real signals recovered by the
+  tree's real-mode entry point: ``recover_real`` where the tree has it, and
+  ``recover_full_spark`` otherwise, which picks sign recovery from the set;
 * generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
   every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
   ``dump_json(instance_to_json(...))``, together with the text of their
@@ -77,6 +78,7 @@ def emit(path: str) -> None:
     from dynphase.serialization import dump_json, instance_to_json, measurement_set_to_json
 
     records = []
+    recover_real = getattr(retrieval, "recover_real", retrieval.recover_full_spark)
 
     def run(key, x, recover, frame, config):
         entry = {"key": key, "x": None if x is None else [[v.real, v.imag] for v in x]}
@@ -110,7 +112,7 @@ def emit(path: str) -> None:
         for pattern in zero_patterns(L, d - 1):
             key = f"{'real' if real else 'complex'} d={d} L={L} J={jumps} zeros={pattern}"
             if real:
-                run(key, _real_signal(frame, pattern, rng), retrieval.recover_real, frame, config)
+                run(key, _real_signal(frame, pattern, rng), recover_real, frame, config)
                 continue
             x = signal_with_zero_pattern(frame, pattern, rng)
             run(key, x, retrieval.recover_full_spark, frame, config)

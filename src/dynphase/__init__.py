@@ -53,7 +53,6 @@ from .retrieval import (
     min_length,
     recover_full_spark,
     recover_generic,
-    recover_real,
 )
 from .spectral import (
     GeneratorCoordinates,
@@ -137,5 +136,4 @@ __all__ = [
     "min_length",
     "recover_full_spark",
     "recover_generic",
-    "recover_real",
 ]

@@ -46,7 +46,6 @@ from .retrieval import (
     measure,
     min_length,
     recover_full_spark,
-    recover_real,
 )
 from .serialization import (
     dump_json,
@@ -183,6 +182,8 @@ def _signal_for(instance, args) -> np.ndarray:
 
 
 def _cmd_measure(args) -> int:
+    if not 0.0 <= args.noise < math.inf:
+        raise ValueError(f"--noise must be finite and >= 0, got {args.noise}")
     instance = json_to_instance(load_json(args.instance))
     frame = instance.build_frame()
     config = _config_from_args(args, instance.config)
@@ -201,21 +202,13 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _run_recovery(ms, frame, config):
-    # real data routes to sign recovery, everything else to the zero-tolerant
-    # chain, which on dense data gives recover_generic's result
-    if config.real_mode:
-        return recover_real(ms, frame, config)
-    return recover_full_spark(ms, frame, config)
-
-
 def _cmd_recover(args) -> int:
     instance = json_to_instance(load_json(args.instance))
     frame = instance.build_frame()
     ms = json_to_measurement_set(load_json(args.measurements))
     config = _config_from_args(args, instance.config)
     started = time.perf_counter()
-    result = _run_recovery(ms, frame, config)
+    result = recover_full_spark(ms, frame, config)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     error = None
     if instance.signal is not None:
@@ -249,7 +242,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     analysis = analyze(frame, spark=not args.no_spark, budget=args.budget)
     ms = measure(x, frame, config)
-    result = _run_recovery(ms, frame, config)
+    result = recover_full_spark(ms, frame, config)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     error = global_phase_distance(result.estimate, x)
     report = {
@@ -278,56 +271,61 @@ def _cmd_bench(args) -> int:
     # every input check runs before the first recovery; min_length rejects jumps > dim - 2
     thresholds = [min_length(dim, args.jumps) for dim in dims]
     given = _parse_lengths(args.lengths) if args.lengths else None
+    if given == []:
+        raise ValueError(f"--lengths {args.lengths} names no length")
     if given and min(given) < max(dims):
         raise ValueError(f"every length must be >= dim, got L={min(given)} for dim={max(dims)}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    grid = [
+        (dim, threshold, length)
+        for dim, threshold in zip(dims, thresholds)
+        for length in (given if given is not None else range(dim, min_length(dim, 0) + 1))
+    ]
+    # one recovery per trial and zero pattern of at most dim - 1 zeros
+    total = args.trials * sum(math.comb(length, m) for dim, _, length in grid for m in range(dim))
+    if total > args.budget:
+        raise BudgetExceededError(f"bench grid needs {total} recoveries, budget is {args.budget}")
+    config = MeasurementConfig(jumps=args.jumps)
     rows = []
-    total_runs = 0
-    for dim, threshold in zip(dims, thresholds):
-        lengths = given if given is not None else list(range(dim, min_length(dim, 0) + 1))
-        for length in lengths:
-            patterns = [p for p in zero_patterns(length, dim - 1)]
-            total_runs += len(patterns) * args.trials
-            if total_runs > args.budget:
-                raise BudgetExceededError(
-                    f"bench grid needs {total_runs}+ recoveries, budget is {args.budget}"
+    for dim, threshold, length in grid:
+        patterns = list(zero_patterns(length, dim - 1))
+        frame = harmonic_frame(dim, length)
+        rng = np.random.default_rng(args.seed)
+        successes = 0
+        attempts = 0
+        skipped = 0
+        started = time.perf_counter()
+        for pattern in patterns:
+            for _ in range(args.trials):
+                x = signal_with_zero_pattern(frame, pattern, rng)
+                if x is None:
+                    skipped += 1
+                    continue
+                ms = measure(x, frame, config)
+                result = recover_full_spark(ms, frame, config)
+                attempts += 1
+                ok = (
+                    result.status == RecoveryStatus.RECOVERED
+                    and global_phase_distance(result.estimate, x) <= RECOVERY_TOL
                 )
-            config = MeasurementConfig(jumps=args.jumps)
-            frame = harmonic_frame(dim, length)
-            rng = np.random.default_rng(args.seed)
-            successes = 0
-            attempts = 0
-            skipped = 0
-            started = time.perf_counter()
-            for pattern in patterns:
-                for _ in range(args.trials):
-                    x = signal_with_zero_pattern(frame, pattern, rng)
-                    if x is None:
-                        skipped += 1
-                        continue
-                    ms = measure(x, frame, config)
-                    result = recover_full_spark(ms, frame, config)
-                    attempts += 1
-                    ok = (
-                        result.status == RecoveryStatus.RECOVERED
-                        and global_phase_distance(result.estimate, x) <= RECOVERY_TOL
-                    )
-                    successes += int(ok)
-            elapsed_ms = 1000.0 * (time.perf_counter() - started)
-            rows.append(
-                {
-                    "d": dim,
-                    "L": length,
-                    "J": args.jumps,
-                    "min_length": threshold,
-                    "at_or_above_min_length": length >= threshold,
-                    "patterns": len(patterns),
-                    "attempts": attempts,
-                    "skipped": skipped,
-                    "successes": successes,
-                    "success_rate": (successes / attempts) if attempts else None,
-                    "mean_ms_per_recovery": (elapsed_ms / attempts) if attempts and args.timings else None,
-                }
-            )
+                successes += int(ok)
+        elapsed_ms = 1000.0 * (time.perf_counter() - started)
+        rows.append(
+            {
+                "d": dim,
+                "L": length,
+                "J": args.jumps,
+                "min_length": threshold,
+                "at_or_above_min_length": length >= threshold,
+                "patterns": len(patterns),
+                "attempts": attempts,
+                "skipped": skipped,
+                "successes": successes,
+                "success_rate": (successes / attempts) if attempts else None,
+                "mean_ms_per_recovery": (elapsed_ms / attempts) if attempts and args.timings else None,
+            }
+        )
     report = {
         "command": "bench",
         "inputs": {"dims": dims, "jumps": args.jumps, "trials": args.trials, "seed": args.seed},
@@ -399,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     re.add_argument("measurements")
     re.add_argument("instance")
     re.add_argument("--estimate", help="write the estimate JSON to this path")
-    re.add_argument("--angles", help="polarization angles 'a1,a2'")
-    re.add_argument("--jumps", type=int, default=None)
     re.add_argument("--zero-tol", dest="zero_tol", type=float, default=None)
     _add_common_output(re)
 

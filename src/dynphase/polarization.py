@@ -59,6 +59,14 @@ class PolarizationAngles:
         """The pair (-alpha1, -alpha2); admissibility is preserved."""
         return PolarizationAngles(-self.alpha1, -self.alpha2)
 
+    @property
+    def real_sign(self) -> int:
+        """The real shift sign exp(1j * alpha1) of real mode, which must be +-1."""
+        c, s = math.cos(self.alpha1), math.sin(self.alpha1)
+        if abs(s) > 1e-9:
+            raise ValueError("real mode needs alpha1 to be a multiple of pi")
+        return 1 if c > 0 else -1
+
 
 @dataclass(frozen=True)
 class PolarizationData:

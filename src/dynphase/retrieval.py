@@ -18,11 +18,13 @@ Recovery chains phases over the indices whose base magnitude is nonzero. A
 component is a maximal run of nonzero indices whose gaps stay within
 ``jumps + 1``; phases chain along its consecutive indices (l, m), each step
 taken from the polarization product ``conj(c_l) c_m`` of the aligned family
-``j = m - l``. Indices classified as zero still contribute: each pins the
-linear constraint ``<x, A^l phi> = 0``. A connected chain of size s together
-with m zero indices gives s + m independent rows over a full-spark frame, so
-recovery needs a chain of size ``dim - m`` rather than ``dim``. With at least
-``dim`` zeros the signal is identically zero.
+``j = m - l``; a set with one family (real mode) gives signs instead. The
+set alone decides the offsets and the formula; of the config, recovery reads
+only ``zero_tol``. Indices classified as zero still contribute: each pins
+the linear constraint ``<x, A^l phi> = 0``. A connected chain of size s
+together with m zero indices gives s + m independent rows over a full-spark
+frame, so recovery needs a chain of size ``dim - m`` rather than ``dim``.
+With at least ``dim`` zeros the signal is identically zero.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ class MeasurementConfig:
     """How measurements are taken and interpreted.
 
     ``jumps`` is the number of consecutive zeros a chain edge may skip;
-    aligned offsets run ``j = 1..jumps+1``. ``zero_tol`` classifies a base
-    magnitude as zero relative to the largest one. In ``real_mode`` a single
-    aligned family with a real shift sign replaces the two-angle family.
+    aligned offsets run ``j = 1..jumps+1``. In ``real_mode`` a single aligned
+    family with the real shift sign ``angles.real_sign`` replaces the
+    two-angle family. :func:`measure` records these three in the set, and
+    recovery reads them from there; of the config it uses only ``zero_tol``,
+    which classifies a base magnitude as zero relative to the largest one.
     """
 
     angles: PolarizationAngles = field(default_factory=default_angles)
@@ -80,14 +84,6 @@ class MeasurementConfig:
             raise ValueError("jumps must be >= 0")
         if not (0.0 < self.zero_tol < 1.0):
             raise ValueError("zero_tol must lie strictly between 0 and 1")
-
-    @property
-    def real_sign(self) -> int:
-        """The real shift sign exp(1j * alpha1), which must be +-1."""
-        c, s = math.cos(self.angles.alpha1), math.sin(self.angles.alpha1)
-        if abs(s) > 1e-9:
-            raise ValueError("real mode needs alpha1 to be a multiple of pi")
-        return 1 if c > 0 else -1
 
 
 def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
@@ -225,7 +221,7 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     coeffs = frame.coefficients(x)
     length = frame.length
     if config.real_mode:
-        shifts = np.array([complex(config.real_sign)])
+        shifts = np.array([complex(config.angles.real_sign)])
     else:
         # cmath.exp as in the scalar formula, so the shifts are bit-identical to it
         angles = config.angles
@@ -240,18 +236,11 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     return MeasurementSet(length, config.jumps, config.angles, np.abs(coeffs), grid)
 
 
-def _check_consistency(ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig) -> None:
+def _check_consistency(ms: MeasurementSet, frame: DynamicalFrame) -> None:
     if ms.length != frame.length:
         raise InconsistentDataError(
             f"measurement set has L={ms.length}, frame has L={frame.length}"
         )
-    if ms.jumps != config.jumps:
-        raise InconsistentDataError(f"jumps mismatch: set has {ms.jumps}, config has {config.jumps}")
-    if (
-        abs(ms.angles.alpha1 - config.angles.alpha1) > 1e-12
-        or abs(ms.angles.alpha2 - config.angles.alpha2) > 1e-12
-    ):
-        raise InconsistentDataError("angle mismatch between measurement set and config")
 
 
 def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
@@ -333,7 +322,7 @@ def recover_generic(
     magnitude breaks the chain and raises ``ZeroMagnitudeError``; route such
     data to :func:`recover_full_spark`.
     """
-    _check_consistency(ms, frame, config)
+    _check_consistency(ms, frame)
     base = ms.base
     scale = float(base.max()) if base.size else 0.0
     if scale <= 0.0 or np.any(base <= config.zero_tol * scale):
@@ -341,17 +330,12 @@ def recover_generic(
             "a base magnitude is numerically zero; the dense chain is broken "
             "(use recover_full_spark)"
         )
-    return _recover_by_chain(ms, frame, config, real_sign=None)
+    return _recover_by_chain(ms, frame, config)
 
 
 def _recover_by_chain(
-    ms: MeasurementSet,
-    frame: DynamicalFrame,
-    config: MeasurementConfig,
-    real_sign: int | None,
+    ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig
 ) -> RecoveryResult:
-    if real_sign is None and ms.length > 1 and not ms.has_two_angles:
-        raise InconsistentDataError("measurement set lacks the second aligned angle family")
     base = ms.base
     d = frame.dim
     scale = float(base.max())
@@ -359,10 +343,13 @@ def _recover_by_chain(
     def attempt(zero_tol: float) -> tuple[np.ndarray, list[int], list[int]]:
         nonzero = base > zero_tol * scale
         # max keeps the first longest run, so ties go to the lowest indices
-        best = max(chain_components(nonzero, config.jumps), key=len, default=[])
+        best = max(chain_components(nonzero, ms.jumps), key=len, default=[])
         return nonzero, np.flatnonzero(~nonzero).tolist(), best
 
     def result(status: RecoveryStatus, chain: list[int], zeros: list[int]) -> RecoveryResult:
+        # the set's family count picks the formula: phases from two families,
+        # signs from one; the sign is read only when the chain has an edge
+        real_sign = ms.angles.real_sign if len(chain) > 1 and not ms.has_two_angles else None
         rhs = np.zeros(len(chain) + len(zeros), dtype=complex)
         rhs[: len(chain)] = base[chain] * _chain_phases(ms, chain, real_sign)
         estimate = _solve_rows(
@@ -409,27 +396,15 @@ def recover_full_spark(
 ) -> RecoveryResult:
     """Zero-tolerant recovery over a full-spark frame.
 
-    The caller is responsible for the full-spark property (certify it with
-    :func:`dynphase.frames.full_spark_criterion` or
-    :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
+    The result matches the true signal up to one global phase; a real-mode
+    set, with its single sign family, gives a real signal over a real frame
+    up to one global sign. The caller is responsible for the full-spark
+    property (certify it with :func:`dynphase.frames.full_spark_criterion`
+    or :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
     reported as ``SingularMatrixError`` when the assumption fails.
     """
-    _check_consistency(ms, frame, config)
-    return _recover_by_chain(ms, frame, config, real_sign=None)
-
-
-def recover_real(
-    ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig
-) -> RecoveryResult:
-    """Sign recovery for real frames and signals from single-shift data.
-
-    Runs the same chain machinery with real polarization products; the
-    result matches the true signal up to one global sign.
-    """
-    if not config.real_mode:
-        raise ValueError("recover_real requires config.real_mode")
-    _check_consistency(ms, frame, config)
-    return _recover_by_chain(ms, frame, config, real_sign=config.real_sign)
+    _check_consistency(ms, frame)
+    return _recover_by_chain(ms, frame, config)
 
 
 def min_length(dim: int, jumps: int = 0) -> int:

@@ -245,7 +245,7 @@ def measure_loop(x, frame, config) -> MeasurementSet:
     base = np.abs(coeffs)
     aligned: dict[tuple[int, int, int], float] = {}
     if config.real_mode:
-        sign = config.real_sign
+        sign = config.angles.real_sign
         for j in range(1, config.jumps + 2):
             for l in range(0, frame.length - j):
                 aligned[(l, j, 1)] = float(abs(coeffs[l] + sign * coeffs[l + j]))

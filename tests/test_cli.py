@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dynphase
 from dynphase import cli
@@ -180,14 +181,53 @@ class TestMeasureRecover:
         assert (config["J"], config["zero_tol"]) == (1, 1e-8)
         ms_path = tmp_path / "ms.json"
         assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
-        # same seed, default config: the set's angles and jumps disagree with it
+        # same seed, default config: recovery takes the angles and jumps from the set
         plain = tmp_path / "plain.json"
         assert main(["gen", "harmonic", "4", "6", "--output", str(plain)]) == 0
-        assert main(["recover", str(ms_path), str(plain)]) == 2
+        assert main(["recover", str(ms_path), str(plain)]) == 0
         report_path = tmp_path / "rec.json"
-        args = ["recover", str(ms_path), str(plain), *overrides, "--output", str(report_path)]
-        assert main(args) == 0
+        args = ["recover", str(ms_path), str(plain), "--zero-tol", "1e-8"]
+        assert main([*args, "--output", str(report_path)]) == 0
         assert load_json(report_path)["outcome"]["global_phase_error"] <= 1e-7
+
+    def test_real_set_recovers_against_a_complex_config(self, tmp_path):
+        real = gen_instance(tmp_path, "rotation", 2, 4, extra=("--real",))
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(real), "--output", str(ms_path)]) == 0
+        # the real instance's frame and signal under the complex default config
+        plain = gen_instance(tmp_path, "rotation", 2, 4, seed=1)
+        obj = load_json(real)
+        obj["config"] = load_json(plain)["config"]
+        assert obj["config"]["real_mode"] is False
+        dump_json(obj, plain)
+        report_path = tmp_path / "rec.json"
+        assert main(["recover", str(ms_path), str(plain), "--output", str(report_path)]) == 0
+        outcome = load_json(report_path)["outcome"]
+        assert outcome["recovery_status"] == "Recovered"
+        assert outcome["global_phase_error"] <= 1e-7
+
+    def test_recover_takes_no_angles_or_jumps(self, tmp_path, capsys):
+        instance = gen_instance(tmp_path, "harmonic", 4, 6)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        for option in (["--jumps", "1"], ["--angles", "0.1,1.2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["recover", str(ms_path), str(instance), *option])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    def test_invalid_noise_rejected(self, tmp_path, capsys):
+        instance = gen_instance(tmp_path, "harmonic", 3, 5)
+        capsys.readouterr()
+        assert main(["measure", str(instance)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["measure", str(instance), "--noise", "0"]) == 0
+        assert capsys.readouterr().out == plain
+        for noise in ("-1", "nan", "inf"):
+            assert main(["measure", str(instance), "--noise", noise]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: --noise must be finite and >= 0")
 
     def test_signal_sampled_from_seed(self, tmp_path):
         instance = gen_instance(tmp_path, "harmonic", 4, 6, seed=3)
@@ -322,6 +362,28 @@ class TestBench:
 
     def test_budget_guard(self):
         assert main(["bench", "--dims", "4", "--lengths", "6:9", "--budget", "10"]) == 3
+
+    def test_budget_checked_before_any_recovery(self, capsys, monkeypatch):
+        def no_recovery(*args):
+            raise AssertionError("bench started a recovery")
+
+        monkeypatch.setattr(cli, "recover_full_spark", no_recovery)
+        # 4/6: 42, 4/7: 64, 6/6: 63 and 6/7: 120 zero patterns of at most d-1 zeros
+        assert main(["bench", "--dims", "4,6", "--lengths", "6:7", "--budget", "200"]) == 3
+        assert capsys.readouterr().err == "error: bench grid needs 289 recoveries, budget is 200\n"
+        args = ["bench", "--dims", "4", "--lengths", "6:6", "--trials", "3", "--budget", "125"]
+        assert main(args) == 3
+        assert "needs 126 recoveries" in capsys.readouterr().err
+
+    def test_grid_that_runs_nothing_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "recover_full_spark", None)  # no recovery may start
+        assert main(["bench", "--dims", "4", "--lengths", "7:5"]) == 2
+        assert capsys.readouterr().err == "error: --lengths 7:5 names no length\n"
+        for trials in ("0", "-2"):
+            assert main(["bench", "--dims", "4", "--lengths", "6:6", "--trials", trials]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: --trials must be >= 1, got {trials}\n"
 
     def test_jumps_out_of_range(self, capsys):
         assert main(["bench", "--dims", "4", "--jumps", "3"]) == 2

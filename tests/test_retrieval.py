@@ -22,7 +22,6 @@ from dynphase import (
     min_length,
     recover_full_spark,
     recover_generic,
-    recover_real,
 )
 from dynphase.experiments import (
     chain_components,
@@ -236,10 +235,9 @@ class TestVectorizedAgainstLoops:
         frame = build(np.diag(np.linspace(0.5, 1.3, 8)), np.ones(8), 3)
         cfg = MeasurementConfig(real_mode=real)
         ms = measure(np.zeros(8), frame, cfg)
-        recover = recover_real if real else recover_full_spark
-        result = recover(ms, frame, cfg)
+        result = recover_full_spark(ms, frame, cfg)
         assert result.status is RecoveryStatus.FAILED
-        assert _chain_phases(ms, [], cfg.real_sign if real else None).shape == (0,)
+        assert _chain_phases(ms, [], cfg.angles.real_sign if real else None).shape == (0,)
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("jumps", [0, 1])
@@ -247,7 +245,7 @@ class TestVectorizedAgainstLoops:
     def test_steps_match_scalar_polarization(self, kind, jumps, real):
         frame, xs = _orbit_signals(kind, real)
         cfg = MeasurementConfig(jumps=jumps, real_mode=real)
-        sign = cfg.real_sign if real else None
+        sign = cfg.angles.real_sign if real else None
         chains = [list(range(14)), [3, 4, 5]]
         if jumps:
             chains.append([l for l in range(14) if l % 3 != 1])  # offsets 1 and 2
@@ -283,7 +281,7 @@ class TestVectorizedAgainstLoops:
     @pytest.mark.parametrize("real", [False, True])
     def test_first_failing_edge_decides(self, edits, error, real):
         ms, cfg = self.broken(real, edits)
-        sign = cfg.real_sign if real else None
+        sign = cfg.angles.real_sign if real else None
         if real and all(what == "cell" for what, _ in edits):
             # real polarization has no clamp check: inflated cells only flip signs
             got = _chain_phases(ms, range(8), sign)
@@ -320,12 +318,29 @@ class TestRecoverGeneric:
         with pytest.raises(ZeroMagnitudeError):
             recover_generic(measure(x, frame, CFG), frame, CFG)
 
-    def test_config_mismatch_detected(self):
-        frame = harmonic_frame(3, 5)
-        ms = measure(np.ones(3, dtype=complex), frame, CFG)
-        other = MeasurementConfig(angles=PolarizationAngles(0.0, math.pi / 3))
-        with pytest.raises(InconsistentDataError):
-            recover_generic(ms, frame, other)
+    @pytest.mark.parametrize("recover", [recover_generic, recover_full_spark])
+    def test_config_angles_and_jumps_unused(self, recover):
+        # the set carries its offsets and angles; only zero_tol is read from the config
+        frame = harmonic_frame(4, 7)
+        x = random_signal_for(frame, np.random.default_rng(86))
+        cfg = MeasurementConfig(angles=PolarizationAngles(0.3, 1.5), jumps=1)
+        ms = measure(x, frame, cfg)
+        want = recover(ms, frame, cfg)
+        for other in (
+            CFG,
+            MeasurementConfig(angles=PolarizationAngles(0.3, 1.5)),
+            MeasurementConfig(jumps=1),
+            MeasurementConfig(jumps=2, real_mode=True),
+        ):
+            got = recover(ms, frame, other)
+            assert np.array_equal(got.estimate, want.estimate)
+            assert (got.status, got.used_indices, got.component_size, got.residual) == (
+                want.status,
+                want.used_indices,
+                want.component_size,
+                want.residual,
+            )
+        assert global_phase_distance(want.estimate, x) <= 1e-8
 
     def test_end_to_end_batch(self):
         rng = np.random.default_rng(85)
@@ -567,7 +582,7 @@ class TestRecoverReal:
         cfg = MeasurementConfig(real_mode=True)
         frame = build(rotation(math.pi / 3), np.array([1.0, 0.0], dtype=complex), 4)
         x = np.array([0.8, -0.6], dtype=complex)
-        result = recover_real(measure(x, frame, cfg), frame, cfg)
+        result = recover_full_spark(measure(x, frame, cfg), frame, cfg)
         assert result.status == RecoveryStatus.RECOVERED
         err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
         assert err <= 1e-9
@@ -577,7 +592,7 @@ class TestRecoverReal:
         shift = circulant(np.array([0.0, 1.0, 0.0]))
         frame = build(shift, np.array([1.0, 0.0, 0.0], dtype=complex), 3)
         x = np.array([0.0, 1.0, 0.0], dtype=complex)
-        result = recover_real(measure(x, frame, cfg), frame, cfg)
+        result = recover_full_spark(measure(x, frame, cfg), frame, cfg)
         err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
         assert err <= 1e-10
 
@@ -589,7 +604,7 @@ class TestRecoverReal:
         minus = measure(-x, frame, cfg)
         assert np.array_equal(plus.base, minus.base)
         assert plus.aligned == minus.aligned
-        result = recover_real(minus, frame, cfg)
+        result = recover_full_spark(minus, frame, cfg)
         err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
         assert err <= 1e-9
 
@@ -603,18 +618,37 @@ class TestRecoverReal:
         coeffs = np.abs(rows.T @ x)
         assert coeffs[3] <= 1e-12 * coeffs.max()
         assert np.delete(coeffs, 3).min() > 1e-3 * coeffs.max()
-        result = recover_real(measure(x, frame, cfg), frame, cfg)
+        result = recover_full_spark(measure(x, frame, cfg), frame, cfg)
         assert result.status == RecoveryStatus.RECOVERED
         assert result.used_indices == (0, 1, 2, 4, 5, 6, 7)
         err = min(np.linalg.norm(result.estimate - x), np.linalg.norm(result.estimate + x))
         assert err <= 1e-9 * np.linalg.norm(x)
 
-    def test_requires_real_mode_config(self):
+    def test_single_family_set_recovers_under_a_complex_config(self):
+        # the set's one aligned family selects sign recovery, whatever the config says
         cfg = MeasurementConfig(real_mode=True)
         frame = build(rotation(math.pi / 3), np.array([1.0, 0.0], dtype=complex), 4)
-        ms = measure(np.array([0.8, -0.6], dtype=complex), frame, cfg)
-        with pytest.raises(ValueError):
-            recover_real(ms, frame, MeasurementConfig())
+        x = np.array([0.8, -0.6], dtype=complex)
+        ms = measure(x, frame, cfg)
+        assert not ms.has_two_angles
+        want = recover_full_spark(ms, frame, cfg)
+        for recover in (recover_full_spark, recover_generic):
+            got = recover(ms, frame, MeasurementConfig())
+            assert got.status == RecoveryStatus.RECOVERED
+            assert np.array_equal(got.estimate, want.estimate)
+        err = min(np.linalg.norm(want.estimate - x), np.linalg.norm(want.estimate + x))
+        assert err <= 1e-9
+
+    def test_sign_needs_alpha1_on_the_real_line(self):
+        frame = build(rotation(math.pi / 3), np.array([1.0, 0.0], dtype=complex), 4)
+        ms = measure(np.array([0.8, -0.6]), frame, MeasurementConfig(real_mode=True))
+        tilt = PolarizationAngles(0.3, 1.5)
+        tilted = MeasurementSet(ms.length, ms.jumps, tilt, ms.base, ms.grid)
+        # recovery and measure share one check and its message
+        with pytest.raises(ValueError, match="real mode needs alpha1 to be a multiple of pi"):
+            recover_full_spark(tilted, frame, CFG)
+        with pytest.raises(ValueError, match="real mode needs alpha1 to be a multiple of pi"):
+            measure(np.ones(2), frame, MeasurementConfig(tilt, real_mode=True))
 
 
 class TestDegenerateDimension:
@@ -625,6 +659,17 @@ class TestDegenerateDimension:
         assert dict(ms.aligned) == {}
         for recover in (recover_generic, recover_full_spark):
             result = recover(ms, frame, CFG)
+            assert result.status == RecoveryStatus.RECOVERED
+            assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
+
+    def test_single_index_set_needs_no_real_sign(self):
+        # no cells, so one family; the chain has no edge, and alpha1 = 0.3 is never read as a sign
+        frame = build(np.array([[0.8 + 0.1j]]), np.array([1.0 + 0j]), 1)
+        x = np.array([2.0 - 1.0j])
+        ms = MeasurementSet(1, 0, PolarizationAngles(0.3, 1.5), np.abs(frame.coefficients(x)), {})
+        assert not ms.has_two_angles
+        for recover in (recover_generic, recover_full_spark):
+            result = recover(ms, frame, MeasurementConfig(angles=ms.angles))
             assert result.status == RecoveryStatus.RECOVERED
             assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
 
