@@ -12,6 +12,12 @@ trees reverses from one seed to the next. It writes, per
 tree and workload, the median of every end-to-end metric over the seeds
 together with the values of the single runs, and per tree the ``env`` line
 of its first run. Only labels are recorded, not the trees' paths.
+
+With exactly two trees, given as parent then change, every metric also
+gets its ``quartiles`` (lower, median, upper, over the seeds), and every
+metric of the second tree whose direction ``BENCHMARK.json`` gives gets
+``wins``: the number of seeds on which it beat the first tree's run of the
+same seed. Ties count for neither tree.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("recover-dense", "zero-sweep", "certify", "orbit-verify")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -36,6 +43,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return env, json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile (inclusive method)."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -89,6 +103,17 @@ def main(argv=None) -> int:
                 },
             }
         record["trees"][label] = {"env": envs[label], "workloads": workloads}
+    if len(trees) == 2:
+        better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+        first, second = (record["trees"][label]["workloads"] for label in trees)
+        for workload, entry in second.items():
+            for name, metric in entry["metrics"].items():
+                base = first[workload]["metrics"][name]
+                base["quartiles"], metric["quartiles"] = quartiles(base["runs"]), quartiles(metric["runs"])
+                if name in better:
+                    higher = better[name] == "higher"
+                    pairs = zip(metric["runs"], base["runs"])
+                    metric["wins"] = sum(new > old if higher else new < old for new, old in pairs)
     args.output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 

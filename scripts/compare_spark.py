@@ -3,7 +3,8 @@
     python scripts/compare_spark.py OLD_SRC NEW_SRC
 
 Each tree runs the same matrix grid in its own child process, with the
-tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}:
+tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}, and for
+d = 9 and 10 at L = d + 2 (anchored minors with a 5-column prefix):
 
 * orbit synthesis matrices of harmonic, random-diagonalizable, Jordan
   (non-diagonalizable) and circulant operators, of singular diagonal and
@@ -104,8 +105,8 @@ def emit(path: str) -> None:
         values, vectors = np.linalg.eig(frame.operator)
         return values, np.linalg.solve(vectors, frame.generator)
 
-    for d in range(3, 9):
-        for L in (d + 2, 2 * d):
+    for d in range(3, 11):
+        for L in (d + 2, 2 * d) if d <= 8 else (d + 2,):
             frame = harmonic_frame(d, L)
             run(f"harmonic d={d} L={L}", frame.synthesis(), orbit_spectrum(frame), frame)
             for seed in range(2):

@@ -69,9 +69,10 @@ class MeasurementConfig:
     ``jumps`` is the number of consecutive zeros a chain edge may skip;
     aligned offsets run ``j = 1..jumps+1``. In ``real_mode`` a single aligned
     family with the real shift sign ``angles.real_sign`` replaces the
-    two-angle family. :func:`measure` records these three in the set, and
-    recovery reads them from there; of the config it uses only ``zero_tol``,
-    which classifies a base magnitude as zero relative to the largest one.
+    two-angle family, so alpha1 must then be a multiple of pi.
+    :func:`measure` records these three in the set, and recovery reads them
+    from there; of the config it uses only ``zero_tol``, which classifies a
+    base magnitude as zero relative to the largest one.
     """
 
     angles: PolarizationAngles = field(default_factory=default_angles)
@@ -84,6 +85,8 @@ class MeasurementConfig:
             raise ValueError("jumps must be >= 0")
         if not (0.0 < self.zero_tol < 1.0):
             raise ValueError("zero_tol must lie strictly between 0 and 1")
+        if self.real_mode:
+            self.angles.real_sign  # ValueError unless alpha1 is a multiple of pi
 
 
 def _finite_nonnegative(values: np.ndarray) -> np.ndarray:

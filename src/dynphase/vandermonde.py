@@ -15,16 +15,21 @@ Three constructions are provided:
 ``full_spark`` certifies that every d-column minor of a wide matrix is
 invertible, by exhaustive enumeration with scale-aware determinant
 thresholds. Column subsets are taken in lexicographic chunks of bounded size
-(about 1 MiB of stacked minors), and each chunk's determinants come from one
-stacked ``np.linalg.det`` call; the witness is still the lexicographically
-first failing subset and ``min_abs_det`` the global minimum.
+(about 1 MiB of stacked minors); the witness is still the lexicographically
+first failing subset and ``min_abs_det`` the global minimum. Without
+``shift_det`` each chunk's d x d minors come from one stacked
+``np.linalg.det`` call.
 
 An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
 for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
 every operator, singular and non-diagonalizable ones included. Given
 ``shift_det=det(A)``, ``full_spark`` factors only the C(L-1, d-1) anchored
 subsets (those containing column 0) and takes every subset with smallest
-index s from its anchored shape times ``|det(A)|^s``.
+index s from its anchored shape times ``|det(A)|^s``. An anchored subset's
+first ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous
+block of subsets: each prefix gets one Householder QR, and each subset one
+(d - k) x (d - k) LU of its remaining columns projected onto the prefix's
+orthogonal complement.
 
 Sign convention: the classical determinant is computed with the factor order
 ``prod_{k > j} (values[k] - values[j])``, which matches the pivoted-LU
@@ -195,9 +200,12 @@ def full_spark(
     operator A with ``M[:, l + 1] = A @ M[:, l]``. Then
     ``|det M[:, T + s]| = |shift_det|^s * |det M[:, T]|``, so only the
     C(L-1, d-1) subsets that contain column 0 are factored, and the minors
-    of every subset with smallest index s > 0 are scaled from them. Their
-    scaled magnitudes then differ from directly factored ones by rounding
-    only. The budget still counts all C(L, d) subsets.
+    of every subset with smallest index s > 0 are scaled from them. Each
+    anchored minor is the product of a QR of its first ``ceil(d/2)`` columns,
+    shared by every subset with that prefix, and a trailing LU; only the
+    plain path factors every d x d minor by LU. The scaled magnitudes of
+    the shifted path differ from directly factored ones by rounding only.
+    The budget still counts all C(L, d) subsets.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -211,7 +219,7 @@ def full_spark(
     col_norms = np.linalg.norm(m, axis=0)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
-    batches = _minors(m, first=0) if shift_det is None else _shifted_minors(m, shift_det)
+    batches = _minors(m) if shift_det is None else _shifted_minors(m, shift_det)
     for idx, absdet in batches:
         scale = np.prod(col_norms[idx], axis=1)
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
@@ -223,27 +231,74 @@ def full_spark(
     return SparkCertificate(witness is None, witness, min_scaled)
 
 
-def _minors(m: np.ndarray, first: int):
-    """``(subsets, |det|)`` chunks over the d-subsets of columns ``first..L-1``.
+def _combinations(columns: range, width: int) -> np.ndarray:
+    """The ``width``-subsets of ``columns`` as index rows, in lexicographic order."""
+    count = math.comb(len(columns), width)
+    flat = itertools.chain.from_iterable(itertools.combinations(columns, width))
+    return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
 
-    Subsets come as rows of an index array in lexicographic order. With
-    ``first=1`` column 0 is prepended to each, which gives the subsets that
-    contain column 0, in their own lexicographic order.
+
+def _subsets(m: np.ndarray, first: int):
+    """Index rows of the d-subsets of columns ``first..L-1``, in lexicographic chunks.
+
+    A chunk holds ``_CHUNK_BYTES`` of stacked d x d minors. With ``first=1``
+    column 0 is prepended to each subset, which gives the subsets that
+    contain column 0, in their own lexicographic order. A subset is a head,
+    its first ``k = ceil(d/2)`` columns, followed by a tail. The tails that
+    fit after a head are the (d - k)-subsets of ``k..L-1`` whose first column
+    lies past the head's last, a final block of their lexicographic list, so
+    every row is gathered from two small tables.
     """
     d, L = m.shape
-    width = d - first
-    total = math.comb(L - first, width)
+    k = (d + 1) // 2
+    heads = _combinations(range(first, L - d + k), k - first)
+    tails = _combinations(range(k, L), d - k)
+    last = heads[:, -1] if k > first else np.zeros(1, dtype=np.intp)
+    lead = tails[:, 0] if d > k else np.array([L])
+    # rows ends[h] - (tails fitting after head h) .. ends[h] - 1 belong to head h
+    ends = np.cumsum(len(tails) - np.searchsorted(lead, last, side="right"))
     chunk = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
-    subsets = itertools.combinations(range(first, L), width)
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, rows))
-        idx = np.zeros((rows, d), dtype=np.intp)
-        idx[:, first:] = np.fromiter(flat, dtype=np.intp, count=rows * width).reshape(rows, width)
+    for start in range(0, int(ends[-1]), chunk):
+        row = np.arange(start, min(start + chunk, ends[-1]))
+        head = np.searchsorted(ends, row, side="right")
+        idx = np.zeros((row.size, d), dtype=np.intp)
+        idx[:, first:k] = heads[head]
+        idx[:, k:] = tails[row - ends[head] + len(tails)]
+        yield idx
+
+
+def _minors(m: np.ndarray):
+    """``(subsets, |det|)`` chunks over every d-subset, each minor one LU."""
+    for idx in _subsets(m, 0):
         det = np.linalg.det(m[:, idx].transpose(1, 0, 2))
         # hypot matches the scalar complex abs bit for bit; the vectorized
         # np.abs loop can differ from it in the last place
         yield idx, np.hypot(det.real, det.imag)
+
+
+def _anchored_minors(m: np.ndarray):
+    """``(subsets, |det|)`` chunks over the d-subsets that contain column 0.
+
+    The first ``k = ceil(d/2)`` columns of a subset are its prefix P, and the
+    subsets sharing P are contiguous. With the complete QR ``M[:, P] = Q R``,
+    ``Q^H M[:, T]`` is block upper triangular for every subset T = P + S, so
+    ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|`` with Q2 the last
+    d - k columns of Q. Each prefix in a chunk is factored once, and each
+    subset costs one (d - k) x (d - k) determinant.
+    """
+    d, L = m.shape
+    k = (d + 1) // 2
+    for idx in _subsets(m, 1):
+        starts = np.ones(idx.shape[0], dtype=bool)
+        starts[1:] = np.any(idx[1:, 1:k] != idx[:-1, 1:k], axis=1)
+        group = np.cumsum(starts) - 1
+        q, r = np.linalg.qr(m[:, idx[starts, :k]].transpose(1, 0, 2), mode="complete")
+        head = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
+        # row p * L + l holds column l of M projected by prefix p's Q2^H
+        tail = (q[:, :, k:].conj().transpose(0, 2, 1) @ m).transpose(0, 2, 1)
+        tail = tail.reshape(len(q) * L, d - k)
+        det = np.linalg.det(tail[group[:, None] * L + idx[:, k:]])
+        yield idx, head[group] * np.hypot(det.real, det.imag)
 
 
 def _shifted_minors(m: np.ndarray, shift_det: complex):
@@ -258,7 +313,7 @@ def _shifted_minors(m: np.ndarray, shift_det: complex):
     idx = np.empty((math.comb(L - 1, d - 1), d), dtype=np.intp)
     absdet = np.empty(idx.shape[0])
     start = 0
-    for part, part_absdet in _minors(m, first=1):
+    for part, part_absdet in _anchored_minors(m):
         stop = start + part.shape[0]
         idx[start:stop], absdet[start:stop] = part, part_absdet
         start = stop

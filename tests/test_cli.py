@@ -46,6 +46,16 @@ class TestGen:
     def test_malformed_angles_exit_code(self):
         assert main(["gen", "harmonic", "4", "6", "--angles", "0.1"]) == 2
 
+    def test_real_mode_angles_checked_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "tilted.json"
+        args = ["gen", "rotation", "2", "4", "--real", "--output", str(path)]
+        assert main([*args, "--angles", "0.3,1.5"]) == 2
+        assert "real mode needs alpha1 to be a multiple of pi" in capsys.readouterr().err
+        assert not path.exists()
+        # alpha1 = pi is on the real line: sign -1
+        assert main([*args, "--angles", "3.141592653589793,1.5"]) == 0
+        assert main(["verify", str(path)]) == 0
+
 
 class TestAnalyze:
     def test_harmonic_full_spark(self, tmp_path, capsys):

@@ -639,6 +639,13 @@ class TestRecoverReal:
         err = min(np.linalg.norm(want.estimate - x), np.linalg.norm(want.estimate + x))
         assert err <= 1e-9
 
+    def test_config_checks_real_sign(self):
+        with pytest.raises(ValueError, match="real mode needs alpha1 to be a multiple of pi"):
+            MeasurementConfig(PolarizationAngles(0.3, 1.5), real_mode=True)
+        # the same angles are fine for the complex two-family measurements
+        assert not MeasurementConfig(PolarizationAngles(0.3, 1.5)).real_mode
+        assert MeasurementConfig(PolarizationAngles(math.pi, 1.5), real_mode=True).real_mode
+
     def test_sign_needs_alpha1_on_the_real_line(self):
         frame = build(rotation(math.pi / 3), np.array([1.0, 0.0], dtype=complex), 4)
         ms = measure(np.array([0.8, -0.6]), frame, MeasurementConfig(real_mode=True))

@@ -17,6 +17,7 @@ from dynphase.serialization import (
     dump_json,
     frame_from_spec,
     instance_to_json,
+    json_to_config,
     json_to_instance,
     json_to_jordan_spec,
     json_to_matrix,
@@ -143,6 +144,12 @@ class TestInstanceSchema:
         }
         with pytest.raises(SchemaError):
             json_to_instance(obj)
+
+    def test_real_mode_needs_alpha1_on_the_real_line(self):
+        with pytest.raises(SchemaError, match="real mode needs alpha1 to be a multiple of pi"):
+            json_to_config({"angles": [0.3, 1.5], "real_mode": True})
+        config = json_to_config({"angles": [math.pi, 1.5], "real_mode": True})
+        assert config.angles.real_sign == -1
 
     def test_inadmissible_angles_rejected(self):
         obj = {

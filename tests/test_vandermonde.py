@@ -363,3 +363,71 @@ class TestFullSparkShift:
             assert certificate.witness == expected.witness, name
             # scaled minors are at most 1 (Hadamard), so this is relative too
             assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15, name
+
+
+def _anchored(m):
+    """Every anchored subset and its |det| from the prefix-QR kernel."""
+    parts = list(vandermonde._anchored_minors(m))
+    return np.concatenate([idx for idx, _ in parts]), np.concatenate([a for _, a in parts])
+
+
+class TestAnchoredMinors:
+    """The prefix QR and trailing LU of the anchored minors against one LU per minor."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_each_minor_matches_lu(self, d):
+        # k = ceil(d/2): k == d at d = 1, 1 x 1 trailing blocks at d = 2 and 3,
+        # an odd split at 5 and an even one at 8
+        rng = np.random.default_rng(45 + d)
+        L = d + 4
+        m = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
+        m *= 10.0 ** rng.uniform(-3.0, 3.0, L)
+        cases = [m]
+        if d > 1:
+            cases.append(_orbit("jordan", d, 0))
+        for m in cases:
+            L = m.shape[1]
+            idx, absdet = _anchored(m)
+            anchored = [(0, *rest) for rest in itertools.combinations(range(1, L), d - 1)]
+            assert [tuple(row) for row in idx] == anchored
+            norms = np.linalg.norm(m, axis=0)
+            for row, got in zip(idx, absdet):
+                want = abs(np.linalg.det(m[:, row]))
+                assert abs(got - want) <= 1e-13 * np.prod(norms[row]), tuple(row)
+
+    @pytest.mark.parametrize("per_chunk", [5, 7])
+    def test_prefix_group_split_across_chunks(self, monkeypatch, per_chunk):
+        frame = make_instance("jordan", 6, 12, seed=0).build_frame()
+        m, shift_det = frame.synthesis(), np.linalg.det(frame.operator)
+        whole = full_spark(m, shift_det=shift_det)
+        assert len(list(vandermonde._anchored_minors(m))) == 1
+        _subsets_per_chunk(monkeypatch, 6, per_chunk)
+        chunks = [idx for idx, _ in vandermonde._anchored_minors(m)]
+        # k = 3: some chunk ends inside the block of a prefix (0, a, b)
+        assert any(np.array_equal(a[-1, :3], b[0, :3]) for a, b in zip(chunks, chunks[1:]))
+        assert _fields(full_spark(m, shift_det=shift_det)) == _fields(whole)
+
+    @pytest.mark.parametrize(
+        "name, A",
+        [
+            # A^2 phi = 0: columns 2.. vanish, so prefixes (0, 1, b) hold a zero column
+            ("zero", np.diag([1.0, 0.0, 0.0, 0.0], 1)),
+            # A^2 = I: column 2 repeats column 0 inside the prefix (0, 1, 2)
+            ("repeated", np.eye(5)[[1, 0, 3, 2, 4]]),
+        ],
+    )
+    def test_rank_deficient_prefix(self, name, A):
+        phi = np.array([1 + 1j, 0.5 - 1j, 1.0, 0.7j, -0.4 + 0.2j])
+        m = DynamicalFrame(A, phi, 9).synthesis()
+        idx, absdet = _anchored(m)
+        norms = np.linalg.norm(m, axis=0)
+        block = np.all(idx[:, :3] == (0, 1, 2), axis=1)
+        assert block.sum() == math.comb(6, 2)
+        if name == "zero":
+            assert np.all(absdet[block] == 0.0)
+        else:
+            assert np.all(absdet[block] <= 1e-15 * np.prod(norms[idx[block]], axis=1))
+        certificate = full_spark(m, shift_det=np.linalg.det(A))
+        expected = full_spark_serial(m)
+        assert certificate.witness == expected.witness == (0, 1, 2, 3, 4)
+        assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15
