@@ -1,6 +1,6 @@
 """Record the benchmark's end-to-end medians for one or more source trees.
 
-    python scripts/bench_record.py OUT.json LABEL=TREE [LABEL=TREE ...] [--seeds 101-105]
+    python scripts/bench_record.py OUT.json LABEL=TREE [LABEL=TREE ...] [--seeds 101-105] [--traced]
 
 Each TREE is a checkout holding ``perfbench/`` and ``src/``. For every seed
 and workload the script runs, in each tree in turn,
@@ -12,6 +12,15 @@ trees reverses from one seed to the next. It writes, per
 tree and workload, the median of every end-to-end metric over the seeds
 together with the values of the single runs, and per tree the ``env`` line
 of its first run. Only labels are recorded, not the trees' paths.
+
+With ``--traced``, each seed and workload also gets one
+
+    python3 perfbench/run.py --workload W --seed S --seconds N --trace 1
+
+per tree, run after the untraced runs of that seed and workload (which stay
+exactly as above) and in the same tree order. Its per-layer metrics go,
+with the same median and single-run values, under a ``layers`` key beside
+the workload's ``metrics``.
 
 With exactly two trees, given as parent then change, every metric also
 gets its ``quartiles`` (lower, median, upper, over the seeds), and every
@@ -33,11 +42,13 @@ WORKLOADS = ("recover-dense", "zero-sweep", "certify", "orbit-verify")
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(env line, result line) of one untraced run."""
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, dict]:
+    """(env line, result line) of one run, untraced unless ``trace`` is 1."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -52,6 +63,18 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def medians(results: list[dict]) -> dict:
+    """Per metric: its unit, its median over the runs and the single-run values."""
+    return {
+        name: {
+            "unit": unit["unit"],
+            "median": statistics.median(r["metrics"][name]["value"] for r in results),
+            "runs": [r["metrics"][name]["value"] for r in results],
+        }
+        for name, unit in results[0]["metrics"].items()
+    }
+
+
 def parse_seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -63,12 +86,14 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="+", help="LABEL=TREE")
     parser.add_argument("--seeds", default="101-105", help="'lo-hi' range of seeds")
     parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
+    parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per tree")
     args = parser.parse_args(argv)
     trees = dict(spec.split("=", 1) for spec in args.trees)
     seeds = parse_seeds(args.seeds)
 
     envs: dict[str, dict] = {}
     runs = {label: {w: [] for w in WORKLOADS} for label in trees}
+    traced = {label: {w: [] for w in WORKLOADS} for label in trees}
     for i, seed in enumerate(seeds):
         order = list(trees.items())[:: -1 if i % 2 else 1]
         for workload in WORKLOADS:
@@ -79,29 +104,28 @@ def main(argv=None) -> int:
                 runs[label][workload].append(result)
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{label} {workload} seed {seed}: ops_per_s {ops:.4g}", file=sys.stderr)
+            if args.traced:
+                for label, tree in order:
+                    _, result = run_once(Path(tree), workload, seed, args.seconds, trace=1)
+                    traced[label][workload].append(result)
 
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
     record = {
         "command": command,
+        **({"traced_command": command.replace("--trace 0", "--trace 1")} if args.traced else {}),
         "seeds": seeds,
         "trees": {},
     }
     for label, per_workload in runs.items():
         workloads = {}
         for workload, results in per_workload.items():
-            names = results[0]["metrics"]
             workloads[workload] = {
                 "correct": all(r["correct"] for r in results),
                 "failed": sum(r["failed"] for r in results),
-                "metrics": {
-                    name: {
-                        "unit": names[name]["unit"],
-                        "median": statistics.median(r["metrics"][name]["value"] for r in results),
-                        "runs": [r["metrics"][name]["value"] for r in results],
-                    }
-                    for name in names
-                },
+                "metrics": medians(results),
             }
+            if args.traced:
+                workloads[workload]["layers"] = medians(traced[label][workload])
         record["trees"][label] = {"env": envs[label], "workloads": workloads}
     if len(trees) == 2:
         better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}

@@ -63,8 +63,10 @@ from .vandermonde import DEFAULT_BUDGET
 RECOVERY_TOL = 1e-7
 
 
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _load(path: str | Path, decode) -> tuple:
+    """``decode`` of a JSON file's value, and the SHA-256 of the very bytes parsed."""
+    data = Path(path).read_bytes()
+    return decode(load_json(path, data)), hashlib.sha256(data).hexdigest()
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> None:
@@ -142,14 +144,14 @@ def _recovery_outcome(result, error: float | None) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    instance = json_to_instance(load_json(args.instance))
+    instance, digest = _load(args.instance, json_to_instance)
     frame = instance.build_frame()
     started = time.perf_counter()
     analysis = analyze(frame, spark=not args.no_spark, budget=args.budget)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     report = {
         "command": "analyze",
-        "inputs": {"instance_sha256": _sha256(args.instance)},
+        "inputs": {"instance_sha256": digest},
         "outcome": _analysis_outcome(frame, analysis),
         "wall_time_ms": elapsed_ms if args.timings else None,
     }
@@ -203,9 +205,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    instance = json_to_instance(load_json(args.instance))
+    instance, digest = _load(args.instance, json_to_instance)
     frame = instance.build_frame()
-    ms = json_to_measurement_set(load_json(args.measurements))
+    ms, ms_digest = _load(args.measurements, json_to_measurement_set)
     config = _config_from_args(args, instance.config)
     started = time.perf_counter()
     result = recover_full_spark(ms, frame, config)
@@ -216,8 +218,8 @@ def _cmd_recover(args) -> int:
     report = {
         "command": "recover",
         "inputs": {
-            "instance_sha256": _sha256(args.instance),
-            "measurements_sha256": _sha256(args.measurements),
+            "instance_sha256": digest,
+            "measurements_sha256": ms_digest,
         },
         "outcome": _recovery_outcome(result, error),
         "wall_time_ms": elapsed_ms if args.timings else None,
@@ -235,7 +237,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = json_to_instance(load_json(args.instance))
+    instance, digest = _load(args.instance, json_to_instance)
     frame = instance.build_frame()
     config = instance.config
     x = _signal_for(instance, args)
@@ -247,7 +249,7 @@ def _cmd_verify(args) -> int:
     error = global_phase_distance(result.estimate, x)
     report = {
         "command": "verify",
-        "inputs": {"instance_sha256": _sha256(args.instance)},
+        "inputs": {"instance_sha256": digest},
         "outcome": {**_analysis_outcome(frame, analysis), **_recovery_outcome(result, error)},
         "wall_time_ms": elapsed_ms if args.timings else None,
     }

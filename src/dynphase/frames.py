@@ -41,9 +41,11 @@ FRAME_RTOL = 1e-10
 class DynamicalFrame:
     """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data.
 
-    The thin SVD of the L x d row system ``synthesis().conj().T`` is computed
-    on first use and kept (``_row_svd``): :func:`analyze` reads its bounds
-    from it, and every recovery that solves all L rows applies it.
+    Each ``A @ v`` is written in place into a row of one L x d array, and
+    the synthesis matrix is its C-contiguous transpose: that layout fixes
+    the bits of :meth:`coefficients`. The thin SVD of ``synthesis().conj().T``
+    is computed on first use and kept (``_row_svd``); :func:`analyze` reads
+    its bounds from it, and every recovery that solves all L rows applies it.
     """
 
     operator: np.ndarray
@@ -59,10 +61,11 @@ class DynamicalFrame:
             )
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        vectors = [phi]
-        for _ in range(self.length - 1):
-            vectors.append(A @ vectors[-1])
-        V = np.column_stack(vectors)
+        rows = np.empty((self.length, phi.size), dtype=complex)
+        rows[0] = phi
+        for l in range(1, self.length):
+            np.matmul(A, rows[l - 1], out=rows[l])
+        V = np.ascontiguousarray(rows.T)
         V.setflags(write=False)
         object.__setattr__(self, "operator", frozen_copy(A))
         object.__setattr__(self, "generator", frozen_copy(phi))

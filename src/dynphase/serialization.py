@@ -3,13 +3,17 @@
 Complex numbers travel as ``[re, im]`` pairs, vectors as lists of pairs,
 matrices as row-major lists of rows. Serialization relies on Python's
 shortest round-trip float formatting, so dump -> load is bit-exact for
-doubles and byte-identical across runs given identical values.
+doubles and byte-identical across runs given identical values. Complex data
+crosses as whole arrays; :func:`json_to_complex` defines a valid cell, and
+decoders run it per cell unless every cell is a list of two exact ints or
+floats (as ``json.loads`` gives them).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -32,34 +36,34 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _is_pair(obj: Any) -> bool:
+    """A list or tuple of two JSON numbers: a complex cell or an angle pair."""
+    return isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_real, obj))
 
 
 def json_to_complex(obj: Any, where: str = "value") -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(_is_real(p) for p in obj)
-    ):
+    if not _is_pair(obj):
         raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 
 
-def vector_to_json(v) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+def vector_to_json(v) -> list:
+    """A complex array as ``[re, im]`` pairs nested like its axes (rows for a matrix)."""
+    arr = np.ascontiguousarray(v, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
+
+
+matrix_to_json = vector_to_json
 
 
 def json_to_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nonempty list of [re, im] pairs")
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+        flat = list(chain.from_iterable(obj))
+        if set(map(type, flat)) <= {int, float}:
+            return np.array(flat, dtype=float).view(complex)
     return np.array([json_to_complex(p, where) for p in obj], dtype=complex)
-
-
-def matrix_to_json(m) -> list[list[list[float]]]:
-    arr = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in arr]
 
 
 def json_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
@@ -68,9 +72,7 @@ def json_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     width = len(obj[0])
     if width == 0 or any(len(r) != width for r in obj):
         raise SchemaError(f"{where}: rows must be nonempty and equally long")
-    return np.array(
-        [[json_to_complex(z, where) for z in row] for row in obj], dtype=complex
-    )
+    return json_to_vector(list(chain.from_iterable(obj)), where).reshape(len(obj), width)
 
 
 def jordan_spec_to_json(spec: JordanSpec) -> dict:
@@ -105,11 +107,7 @@ def angles_to_json(angles: PolarizationAngles) -> list[float]:
 
 
 def json_to_angles(obj: Any, where: str = "angles") -> PolarizationAngles:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(_is_real(a) for a in obj)
-    ):
+    if not _is_pair(obj):
         raise SchemaError(f"{where}: expected [alpha1, alpha2]")
     try:
         return PolarizationAngles(float(obj[0]), float(obj[1]))
@@ -129,10 +127,9 @@ def config_to_json(config: MeasurementConfig) -> dict:
 def json_to_config(obj: Any, where: str = "config") -> MeasurementConfig:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    angles = json_to_angles(obj["angles"], f"{where}.angles") if "angles" in obj else None
     kwargs: dict[str, Any] = {}
-    if angles is not None:
-        kwargs["angles"] = angles
+    if "angles" in obj:
+        kwargs["angles"] = json_to_angles(obj["angles"], f"{where}.angles")
     if "J" in obj:
         if not _is_int(obj["J"]) or obj["J"] < 0:
             raise SchemaError(f"{where}.J: expected a nonnegative integer")
@@ -237,7 +234,7 @@ def measurement_set_to_json(ms: MeasurementSet) -> dict:
         "L": ms.length,
         "J": ms.jumps,
         "angles": angles_to_json(ms.angles),
-        "base": [float(v) for v in ms.base],
+        "base": ms.base.tolist(),
         "aligned": [{"l": l, "j": j, "k": k, "value": v} for (l, j, k), v in ms.aligned.items()],
     }
 
@@ -251,7 +248,9 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
     if not _is_int(obj["L"]) or not _is_int(obj["J"]):
         raise SchemaError("measurements: 'L' and 'J' must be integers")
     base = obj["base"]
-    if not isinstance(base, list) or not all(_is_real(v) for v in base):
+    if not isinstance(base, list) or not (
+        set(map(type, base)) <= {int, float} or all(map(_is_real, base))
+    ):
         raise SchemaError("measurements.base: expected a list of reals")
     entries = obj["aligned"]
     if not isinstance(entries, list):
@@ -273,7 +272,7 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
             obj["L"],
             obj["J"],
             json_to_angles(obj["angles"], "measurements.angles"),
-            np.array([float(v) for v in base]),
+            base,
             aligned,
         )
     except ValueError as exc:
@@ -298,9 +297,9 @@ def dump_json(obj: Any, path: str | Path | None = None) -> str:
     return text
 
 
-def load_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed input reports line and column."""
-    text = Path(path).read_text(encoding="utf-8")
+def load_json(path: str | Path, data: bytes | None = None) -> Any:
+    """Parse a JSON file, or the bytes ``data`` read from it; errors give line and column."""
+    text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

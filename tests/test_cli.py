@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -439,6 +440,42 @@ class TestMain:
         monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.instance) or 7)
         assert main(["verify", str(instance), "--no-spark"]) == 7
         assert seen == [str(instance)]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["analyze", "verify", "recover"])
+    def test_reported_hash_is_of_the_parsed_bytes(self, tmp_path, monkeypatch, command):
+        instance = gen_instance(tmp_path)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        inputs = {"instance": instance}
+        if command == "recover":
+            inputs = {"measurements": ms_path, **inputs}
+        expected = {
+            f"{name}_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in inputs.items()
+        }
+        parse = cli.load_json
+
+        def parse_then_replace(path, *args):
+            obj = parse(path, *args)
+            # the same JSON with other bytes, written as soon as the file was parsed
+            Path(path).write_text(" " + Path(path).read_text(encoding="utf-8"), encoding="utf-8")
+            return obj
+
+        monkeypatch.setattr(cli, "load_json", parse_then_replace)
+        report_path = tmp_path / "report.json"
+        assert main([command, *map(str, inputs.values()), "--output", str(report_path)]) == 0
+        assert load_json(report_path)["inputs"] == expected
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_missing_and_malformed_files(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path / "absent.json")]) == 2
+        assert "No such file" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"frame":\n  oops}', encoding="utf-8")
+        assert main([command, str(bad)]) == 2
+        assert "invalid JSON at line 2, column 3" in capsys.readouterr().err
 
 
 class TestPackage:

@@ -85,6 +85,28 @@ class TestBuild:
             with pytest.raises(ValueError):
                 v[0] = 0.0
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim, length", [(1, 1), (1, 2), (1, 273), (3, 1), (3, 2), (5, 273)])
+    def test_synthesis_is_the_sequential_loop_byte_for_byte(self, dim, length, real):
+        rng = np.random.default_rng(1000 * dim + length)
+        a, phi = rng.standard_normal((dim, dim)), rng.standard_normal(dim)
+        if not real:
+            a = a + 1j * rng.standard_normal((dim, dim))
+            phi = phi + 1j * rng.standard_normal(dim)
+        a = a / np.max(np.abs(np.linalg.eigvals(a)))  # 273 powers stay finite and nonzero
+        frame = build(a, phi, length)
+        # the reference: one A @ v product per step, stacked as columns
+        op = np.asarray(a, dtype=complex)
+        vectors = [np.asarray(phi, dtype=complex)]
+        for _ in range(length - 1):
+            vectors.append(op @ vectors[-1])
+        expected = np.column_stack(vectors)
+        synthesis = frame.synthesis()
+        assert synthesis.shape == expected.shape and synthesis.tobytes() == expected.tobytes()
+        assert synthesis.flags.c_contiguous and not synthesis.flags.writeable
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert frame.coefficients(x).tobytes() == (expected.conj().T @ x).tobytes()
+
     def test_orbit_vectors_cannot_be_supplied(self):
         phi = np.array([1.0, 0.0])
         with pytest.raises(TypeError):

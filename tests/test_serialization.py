@@ -17,6 +17,7 @@ from dynphase.serialization import (
     dump_json,
     frame_from_spec,
     instance_to_json,
+    json_to_complex,
     json_to_config,
     json_to_instance,
     json_to_jordan_spec,
@@ -58,6 +59,104 @@ class TestScalarRoundTrips:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(SchemaError):
             json_to_matrix([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
+
+
+#: JSON numbers at the edges of the double range: ints (also past 2^53 and
+#: 2^64), both zeros, subnormals and the largest finite magnitudes.
+EDGE_NUMBERS = [
+    0, 1, -7, 2**53 + 1, 2**64 + 5, -(2**70) + 3, 0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.1
+]
+
+#: One malformed cell of each kind, with the text that names it.
+MALFORMED = {
+    "bool": [1.0, True],
+    "string": ["1.0", 0.0],
+    "null": [None, 0.0],
+    "one-element": [1.0],
+    "three-element": [1.0, 0.0, 2.0],
+    "bare-number": 1.5,
+    "dict": {"re": 1.0, "im": 0.0},
+}
+
+
+def per_cell(cells, where="vector"):
+    """The per-cell rule, one :func:`json_to_complex` call per cell."""
+    return np.array([json_to_complex(c, where) for c in cells], dtype=complex)
+
+
+def per_value_pairs(arr):
+    """Nested ``[re, im]`` pairs built one ``complex`` value at a time."""
+    if np.ndim(arr) > 1:
+        return [per_value_pairs(row) for row in arr]
+    return [[complex(z).real, complex(z).imag] for z in arr]
+
+
+def edge_cells():
+    return [[a, b] for a in EDGE_NUMBERS for b in EDGE_NUMBERS[::-1]]
+
+
+class TestWholeArrayDecode:
+    @pytest.mark.parametrize("form", ["lists", "tuples", "numpy-floats", "mixed"])
+    def test_vector_equals_the_per_cell_rule_bit_for_bit(self, form):
+        cells = edge_cells()
+        if form == "tuples":
+            cells = [tuple(c) for c in cells]
+        elif form == "numpy-floats":
+            cells = [[np.float64(a), np.float64(b)] for a, b in cells]
+        elif form == "mixed":
+            cells[5] = tuple(cells[5])
+            cells[-1] = [np.float64(cells[-1][0]), cells[-1][1]]
+        decoded = json_to_vector(cells)
+        assert decoded.dtype == complex and decoded.shape == (len(cells),)
+        assert decoded.tobytes() == per_cell(cells).tobytes()
+
+    def test_matrix_equals_the_per_cell_rule_bit_for_bit(self):
+        rows = [[[a, b] for b in EDGE_NUMBERS] for a in EDGE_NUMBERS]
+        decoded = json_to_matrix(rows)
+        expected = np.array([per_cell(row) for row in rows])
+        assert decoded.shape == (len(EDGE_NUMBERS), len(EDGE_NUMBERS))
+        assert decoded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("kind", list(MALFORMED))
+    def test_malformed_cell_named_in_the_error(self, kind, position):
+        bad = MALFORMED[kind]
+        cells = [[float(i), -1.0] for i in range(5)]
+        cells[position] = bad
+        with pytest.raises(SchemaError) as exc:
+            json_to_vector(cells, "x")
+        assert str(exc.value) == f"x: expected a [re, im] pair, got {bad!r}"
+        with pytest.raises(SchemaError) as exc:
+            json_to_matrix([[[0.0, 0.0]] * 5, cells, [[1.0, 1.0]] * 5], "A")
+        assert str(exc.value) == f"A: expected a [re, im] pair, got {bad!r}"
+
+    def test_first_of_several_malformed_cells_is_named(self):
+        cells = [[0.0, 0.0], [1.0, None], [2.0, 0.0], [True, 1.0]]
+        with pytest.raises(SchemaError, match=r"got \[1\.0, None\]"):
+            json_to_vector(cells)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_ragged_or_non_list_row_rejected(self, position):
+        rows = [[[1.0, 0.0], [2.0, 0.0]] for _ in range(3)]
+        rows[position] = rows[position][:1]
+        with pytest.raises(SchemaError, match="A: rows must be nonempty and equally long"):
+            json_to_matrix(rows, "A")
+        rows[position] = (1.0, 0.0)
+        with pytest.raises(SchemaError, match="A: expected a nonempty list of rows"):
+            json_to_matrix(rows, "A")
+
+    @pytest.mark.parametrize("obj", [[], (), {"0": [1.0, 0.0]}, 1.0, None])
+    def test_non_list_or_empty_vector_rejected(self, obj):
+        with pytest.raises(SchemaError, match="v: expected a nonempty list of"):
+            json_to_vector(obj, "v")
+
+    def test_encoders_give_the_text_of_one_pair_per_value(self):
+        floats = [float(v) for v in EDGE_NUMBERS]
+        m = np.array([[complex(a, b) for b in floats] for a in floats])
+        for arr in (m, m[:, 3], m.T, m.real):
+            text = dump_json(vector_to_json(arr) if arr.ndim == 1 else matrix_to_json(arr))
+            assert text == dump_json(per_value_pairs(arr))
+        assert "-0.0" in dump_json(vector_to_json(m[:, 7]))
 
 
 class TestJordanSpecSchema:
@@ -206,6 +305,25 @@ class TestMeasurementSetSchema:
         assert parsed.length == ms.length and parsed.jumps == ms.jumps
         assert np.array_equal(parsed.base, ms.base)
         assert dict(parsed.aligned) == dict(ms.aligned)
+
+    def test_base_text_and_values_unchanged(self):
+        frame = harmonic_frame(3, 5)
+        x = np.array([1.0, 0.0, -1.0])
+        ms = measure(x, frame, MeasurementConfig())
+        obj = measurement_set_to_json(ms)
+        assert json.dumps(obj["base"]) == json.dumps([float(v) for v in ms.base])
+        # ints, numpy floats and an int past 2^53 decode as float(v) does
+        obj["base"] = [2**53 + 1, np.float64(0.25), 0, 1e-300, 3.5]
+        parsed = json_to_measurement_set(obj)
+        assert parsed.base.tobytes() == np.array([float(v) for v in obj["base"]]).tobytes()
+
+    @pytest.mark.parametrize("bad", [True, "1.0", None, [1.0]])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_non_numeric_base_rejected(self, bad, position):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        obj["base"][position] = bad
+        with pytest.raises(SchemaError, match=r"measurements\.base: expected a list of reals"):
+            json_to_measurement_set(obj)
 
     def test_incomplete_grid_rejected(self):
         obj = {
