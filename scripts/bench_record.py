@@ -9,18 +9,21 @@ and workload the script runs, in each tree in turn,
 
 so that a drift of machine speed falls on all trees alike; the order of the
 trees reverses from one seed to the next. It writes, per
-tree and workload, the median of every end-to-end metric over the seeds
-together with the values of the single runs, and per tree the ``env`` line
-of its first run. Only labels are recorded, not the trees' paths.
+tree and workload, whether every run was correct, the sum of their failed
+operations, the median of every end-to-end metric over the seeds together
+with the values of the single runs, and per tree the ``env`` line of its
+first run. Only labels are recorded, not the trees' paths.
 
 With ``--traced``, each seed and workload also gets one
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 1
 
-per tree, run after the untraced runs of that seed and workload (which stay
-exactly as above) and in the same tree order. Its per-layer metrics go,
-with the same median and single-run values, under a ``layers`` key beside
-the workload's ``metrics``.
+per tree, run after the untraced runs of that seed and workload and in
+the same tree order. Their ``correct``, ``failed`` and per-layer metrics go,
+summed and summarised the same way, under a ``layers`` key beside the
+workload's ``metrics``. The untraced runs keep their commands, but the
+traced runs now sit between them, so a recording meant to compare
+end-to-end figures with earlier ones is made without ``--traced``.
 
 With exactly two trees, given as parent then change, every metric also
 gets its ``quartiles`` (lower, median, upper, over the seeds), and every
@@ -63,15 +66,20 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def medians(results: list[dict]) -> dict:
-    """Per metric: its unit, its median over the runs and the single-run values."""
+def summary(results: list[dict]) -> dict:
+    """Whether every run was correct, their failed operations, and per metric
+    its unit, its median over the runs and the single-run values."""
     return {
-        name: {
-            "unit": unit["unit"],
-            "median": statistics.median(r["metrics"][name]["value"] for r in results),
-            "runs": [r["metrics"][name]["value"] for r in results],
-        }
-        for name, unit in results[0]["metrics"].items()
+        "correct": all(r["correct"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": {
+            name: {
+                "unit": unit["unit"],
+                "median": statistics.median(r["metrics"][name]["value"] for r in results),
+                "runs": [r["metrics"][name]["value"] for r in results],
+            }
+            for name, unit in results[0]["metrics"].items()
+        },
     }
 
 
@@ -119,13 +127,9 @@ def main(argv=None) -> int:
     for label, per_workload in runs.items():
         workloads = {}
         for workload, results in per_workload.items():
-            workloads[workload] = {
-                "correct": all(r["correct"] for r in results),
-                "failed": sum(r["failed"] for r in results),
-                "metrics": medians(results),
-            }
+            workloads[workload] = summary(results)
             if args.traced:
-                workloads[workload]["layers"] = medians(traced[label][workload])
+                workloads[workload]["layers"] = summary(traced[label][workload])
         record["trees"][label] = {"env": envs[label], "workloads": workloads}
     if len(trees) == 2:
         better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}

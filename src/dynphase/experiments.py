@@ -31,8 +31,10 @@ def effective_chain_size(nonzero: Sequence[bool], jumps: int) -> int:
     pattern; over a full-spark frame the pattern is recoverable exactly when
     the value reaches the space dimension.
     """
-    largest = max(map(len, chain_components(nonzero, jumps)), default=0)
-    return largest + sum(not flag for flag in nonzero)
+    zeros = sum(1 for flag in nonzero if not flag)
+    components = chain_components(nonzero, jumps)
+    largest = max((len(c) for c in components), default=0)
+    return largest + zeros
 
 
 def zero_patterns(length: int, max_zeros: int) -> Iterator[tuple[int, ...]]:

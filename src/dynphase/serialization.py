@@ -127,9 +127,10 @@ def config_to_json(config: MeasurementConfig) -> dict:
 def json_to_config(obj: Any, where: str = "config") -> MeasurementConfig:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
+    angles = json_to_angles(obj["angles"], f"{where}.angles") if "angles" in obj else None
     kwargs: dict[str, Any] = {}
-    if "angles" in obj:
-        kwargs["angles"] = json_to_angles(obj["angles"], f"{where}.angles")
+    if angles is not None:
+        kwargs["angles"] = angles
     if "J" in obj:
         if not _is_int(obj["J"]) or obj["J"] < 0:
             raise SchemaError(f"{where}.J: expected a nonnegative integer")
@@ -248,9 +249,7 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
     if not _is_int(obj["L"]) or not _is_int(obj["J"]):
         raise SchemaError("measurements: 'L' and 'J' must be integers")
     base = obj["base"]
-    if not isinstance(base, list) or not (
-        set(map(type, base)) <= {int, float} or all(map(_is_real, base))
-    ):
+    if not isinstance(base, list) or not all(map(_is_real, base)):
         raise SchemaError("measurements.base: expected a list of reals")
     entries = obj["aligned"]
     if not isinstance(entries, list):

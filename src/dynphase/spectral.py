@@ -130,8 +130,10 @@ def assemble(spec: JordanSpec) -> np.ndarray:
 def _block_power(lam: complex, size: int, power: int) -> np.ndarray:
     out = np.zeros((size, size), dtype=complex)
     for k in range(size):
-        for n in range(k, min(size, k + power + 1)):
+        for n in range(k, size):
             step = n - k
+            if step > power:
+                continue
             coeff = math.comb(power, step)
             try:
                 c = float(coeff)
