@@ -8,8 +8,10 @@ tree's directory on PYTHONPATH:
 * complex mode: harmonic frames for d = 4..7, J = 0..min(2, d-2) and
   ``L = min_length(d, J)`` and one shorter (where Failed verdicts appear),
   one signal for every zero pattern of at most d-1
-  zeros, recovered by ``recover_full_spark`` (and by ``recover_generic``
-  for the pattern without zeros);
+  zeros, recovered by ``recover_full_spark``; the pattern without zeros is
+  recovered once more by the tree's dense-chain entry point:
+  ``recover_generic`` where the tree has it, and ``recover_full_spark``
+  otherwise;
 * real mode: the same grid over the real orbit of ``diag(linspace(0.6, 1.5,
   d))`` from the all-ones generator, with real signals recovered by the
   tree's real-mode entry point: ``recover_real`` where the tree has it, and
@@ -79,6 +81,7 @@ def emit(path: str) -> None:
 
     records = []
     recover_real = getattr(retrieval, "recover_real", retrieval.recover_full_spark)
+    recover_generic = getattr(retrieval, "recover_generic", retrieval.recover_full_spark)
 
     def run(key, x, recover, frame, config):
         entry = {"key": key, "x": None if x is None else [[v.real, v.imag] for v in x]}
@@ -117,7 +120,7 @@ def emit(path: str) -> None:
             x = signal_with_zero_pattern(frame, pattern, rng)
             run(key, x, retrieval.recover_full_spark, frame, config)
             if not pattern:
-                run(key + " generic", x, retrieval.recover_generic, frame, config)
+                run(key + " generic", x, recover_generic, frame, config)
 
     def texts(instance, tmp):
         """The instance, its measurement set and its noisy ``measure`` stdout as text."""

@@ -22,7 +22,6 @@ from .exceptions import (
     ZeroMagnitudeError,
 )
 from .frames import (
-    DualFrame,
     DynamicalFrame,
     FrameAnalysis,
     analyze,
@@ -30,7 +29,6 @@ from .frames import (
     circulant,
     circulant_frame,
     dft_matrix,
-    dual,
     frame_criterion_diagonalizable,
     frame_criterion_jordan,
     full_spark_criterion,
@@ -52,7 +50,6 @@ from .retrieval import (
     measure,
     min_length,
     recover_full_spark,
-    recover_generic,
 )
 from .spectral import (
     GeneratorCoordinates,
@@ -107,7 +104,6 @@ __all__ = [
     "schur_value",
     "second_kind",
     # frames
-    "DualFrame",
     "DynamicalFrame",
     "FrameAnalysis",
     "analyze",
@@ -115,7 +111,6 @@ __all__ = [
     "circulant",
     "circulant_frame",
     "dft_matrix",
-    "dual",
     "frame_criterion_diagonalizable",
     "frame_criterion_jordan",
     "full_spark_criterion",
@@ -135,5 +130,4 @@ __all__ = [
     "measure",
     "min_length",
     "recover_full_spark",
-    "recover_generic",
 ]

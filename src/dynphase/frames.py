@@ -3,15 +3,18 @@
 A dynamical frame materializes the orbit of a generator vector under repeated
 application of an operator. This module builds orbits, computes frame bounds
 (squared extreme singular values of the synthesis matrix, read from the thin
-SVD of its rows that each frame computes once and keeps), derives the
-canonical dual frame from the frame operator, evaluates the spectral spanning
-criteria (distinct block eigenvalues plus generator dependence), and issues
-full-spark certificates, with structural shortcuts for geometric and for
-distinct positive real spectra. ``analyze`` takes those shortcuts for every
-exactly diagonal operator (harmonic frames among them), whose eigenvalues are
-its diagonal and whose eigenbasis coordinates are the generator itself; any
-other operator has its minors enumerated, those through column 0 factored
-and the rest scaled from them by powers of ``det(A)``.
+SVD of its rows that each frame computes once and keeps), evaluates the
+spectral spanning criteria (distinct block eigenvalues plus generator
+dependence), and issues full-spark certificates, with structural shortcuts
+for geometric and for distinct positive real spectra. ``analyze`` takes
+those shortcuts for every exactly diagonal operator (harmonic frames among
+them), whose eigenvalues are its diagonal and whose eigenbasis coordinates
+are the generator itself; any other operator has its minors enumerated,
+those through column 0 factored and the rest scaled from them by powers of
+``det(A)``.
+
+No canonical dual frame is built: its frame operator ``Phi Phi^H`` squares
+the orbit's condition number (see the README).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SingularMatrixError
+from .exceptions import DimensionMismatchError
 from .spectral import (
     DEPENDENCE_RTOL,
     DISTINCT_RTOL,
@@ -114,40 +117,6 @@ class FrameAnalysis:
     spark: SparkCertificate | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class DualFrame:
-    """Frame operator ``T = sum v_l v_l*`` and the canonical dual data.
-
-    The dual orbit satisfies ``dual_vectors[l] = T^{-1} A^l phi`` and can be
-    written as the orbit of ``dual_generator = T^{-1} phi`` under
-    ``dual_operator = T^{-1} A T``. All derived objects come from linear
-    solves against T; no inverse is formed.
-    """
-
-    frame_operator: np.ndarray
-    dual_operator: np.ndarray
-    dual_generator: np.ndarray
-    dual_synthesis: np.ndarray
-
-    def __post_init__(self):
-        for name in ("frame_operator", "dual_operator", "dual_synthesis"):
-            object.__setattr__(self, name, frozen_copy(np.asarray(getattr(self, name))))
-        object.__setattr__(self, "dual_generator", frozen_copy(np.asarray(self.dual_generator)))
-
-    @property
-    def dual_vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.dual_synthesis[:, l] for l in range(self.dual_synthesis.shape[1]))
-
-    def reconstruct(self, coefficients) -> np.ndarray:
-        """``sum_l c_l * dual_vectors[l]``, the frame reconstruction formula."""
-        c = as_vector(coefficients, "coefficients")
-        if c.size != self.dual_synthesis.shape[1]:
-            raise DimensionMismatchError(
-                f"{c.size} coefficients for {self.dual_synthesis.shape[1]} dual vectors"
-            )
-        return self.dual_synthesis @ c
-
-
 def build(operator, generator, length: int) -> DynamicalFrame:
     """Materialize ``{A^l phi}`` by iterated matrix-vector products."""
     return DynamicalFrame(operator, generator, length)
@@ -222,18 +191,6 @@ def frame_criterion_jordan(spec: JordanSpec, generator) -> bool:
     if not eigenvalues_distinct(spec.eigenvalues):
         return False
     return depends_on_all_generators(spec, generator)
-
-
-def dual(frame: DynamicalFrame) -> DualFrame:
-    """Canonical dual frame of a spanning orbit."""
-    if not analyze(frame).is_frame:
-        raise SingularMatrixError("orbit does not span: frame operator is singular")
-    Phi = frame.synthesis()
-    T = Phi @ Phi.conj().T
-    dual_synthesis = np.linalg.solve(T, Phi)
-    dual_operator = np.linalg.solve(T, frame.operator @ T)
-    dual_generator = np.linalg.solve(T, frame.generator)
-    return DualFrame(T, dual_operator, dual_generator, dual_synthesis)
 
 
 def dft_matrix(dim: int) -> np.ndarray:

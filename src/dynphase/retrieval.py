@@ -14,17 +14,18 @@ A :class:`MeasurementSet` stores the aligned magnitudes in one float grid,
 ``measure`` fills the grid with one array expression per offset, and the
 polarization steps of a chain are solved for all of its edges at once.
 
-Recovery chains phases over the indices whose base magnitude is nonzero. A
-component is a maximal run of nonzero indices whose gaps stay within
-``jumps + 1``; phases chain along its consecutive indices (l, m), each step
-taken from the polarization product ``conj(c_l) c_m`` of the aligned family
-``j = m - l``; a set with one family (real mode) gives signs instead. The
-set alone decides the offsets and the formula; of the config, recovery reads
-only ``zero_tol``. Indices classified as zero still contribute: each pins
-the linear constraint ``<x, A^l phi> = 0``. A connected chain of size s
-together with m zero indices gives s + m independent rows over a full-spark
-frame, so recovery needs a chain of size ``dim - m`` rather than ``dim``.
-With at least ``dim`` zeros the signal is identically zero.
+Recovery, :func:`recover_full_spark`, chains phases over the indices whose
+base magnitude is nonzero. A component is a maximal run of nonzero indices
+whose gaps stay within ``jumps + 1``; phases chain along its consecutive
+indices (l, m), each step taken from the polarization product
+``conj(c_l) c_m`` of the aligned family ``j = m - l``; a set with one family
+(real mode) gives signs instead. The set alone decides the offsets and the
+formula; of the config, recovery reads only ``zero_tol``. Indices classified
+as zero still contribute: each pins the linear constraint
+``<x, A^l phi> = 0``. A connected chain of size s together with m zero
+indices gives s + m independent rows over a full-spark frame, so recovery
+needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
+zeros the signal is identically zero.
 """
 
 from __future__ import annotations
@@ -239,13 +240,6 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     return MeasurementSet(length, config.jumps, config.angles, np.abs(coeffs), grid)
 
 
-def _check_consistency(ms: MeasurementSet, frame: DynamicalFrame) -> None:
-    if ms.length != frame.length:
-        raise InconsistentDataError(
-            f"measurement set has L={ms.length}, frame has L={frame.length}"
-        )
-
-
 def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
     """Chain components over the True positions of a boolean mask.
 
@@ -312,33 +306,24 @@ def _remeasure_residual(frame: DynamicalFrame, estimate: np.ndarray, base: np.nd
     return float(np.linalg.norm(np.abs(frame.coefficients(estimate)) - base))
 
 
-def recover_generic(
+def recover_full_spark(
     ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig
 ) -> RecoveryResult:
-    """Recovery along the dense chain; every base magnitude must be nonzero.
+    """Zero-tolerant recovery over a full-spark frame.
 
-    Phases are chained index by index through offset-1 polarization, the
-    first coefficient's phase is fixed to zero, and the signal is the
-    least-squares solution of all L phased frame rows, the same solve as
-    :func:`recover_full_spark`, whose result it equals on dense data. The
-    result matches the true signal up to one global phase. A zero base
-    magnitude breaks the chain and raises ``ZeroMagnitudeError``; route such
-    data to :func:`recover_full_spark`.
+    The signal is the least-squares solution of the phased chain rows and
+    the zero-pinned rows (on dense data, all L rows). It matches the true
+    signal up to one global phase; a real-mode set, with its single sign
+    family, gives a real signal over a real frame up to one global sign.
+    The caller is responsible for the full-spark property (certify it with
+    :func:`dynphase.frames.full_spark_criterion` or
+    :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
+    reported as ``SingularMatrixError`` when the assumption fails.
     """
-    _check_consistency(ms, frame)
-    base = ms.base
-    scale = float(base.max()) if base.size else 0.0
-    if scale <= 0.0 or np.any(base <= config.zero_tol * scale):
-        raise ZeroMagnitudeError(
-            "a base magnitude is numerically zero; the dense chain is broken "
-            "(use recover_full_spark)"
+    if ms.length != frame.length:
+        raise InconsistentDataError(
+            f"measurement set has L={ms.length}, frame has L={frame.length}"
         )
-    return _recover_by_chain(ms, frame, config)
-
-
-def _recover_by_chain(
-    ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig
-) -> RecoveryResult:
     base = ms.base
     d = frame.dim
     scale = float(base.max())
@@ -358,25 +343,15 @@ def _recover_by_chain(
         estimate = _solve_rows(
             frame, chain + zeros, rhs, require_full_rank=status is not RecoveryStatus.FAILED
         )
-        return RecoveryResult(
-            estimate,
-            status,
-            tuple(chain),
-            len(chain) + len(zeros),
-            _remeasure_residual(frame, estimate, base),
-        )
+        residual = _remeasure_residual(frame, estimate, base)
+        return RecoveryResult(estimate, status, tuple(chain), len(chain) + len(zeros), residual)
 
     nonzero, zeros, best = attempt(config.zero_tol)
     # at least d zero coefficients over a full-spark frame pin the signal to 0
     if len(zeros) >= d:
         estimate = np.zeros(d, dtype=complex)
-        return RecoveryResult(
-            estimate,
-            RecoveryStatus.RECOVERED,
-            (),
-            len(zeros),
-            _remeasure_residual(frame, estimate, base),
-        )
+        residual = _remeasure_residual(frame, estimate, base)
+        return RecoveryResult(estimate, RecoveryStatus.RECOVERED, (), len(zeros), residual)
     if len(best) + len(zeros) >= d:
         return result(RecoveryStatus.RECOVERED, best, zeros)
 
@@ -392,22 +367,6 @@ def _recover_by_chain(
 
     # no chain reaches far enough: report failure with a minimum-norm guess
     return result(RecoveryStatus.FAILED, best, zeros)
-
-
-def recover_full_spark(
-    ms: MeasurementSet, frame: DynamicalFrame, config: MeasurementConfig
-) -> RecoveryResult:
-    """Zero-tolerant recovery over a full-spark frame.
-
-    The result matches the true signal up to one global phase; a real-mode
-    set, with its single sign family, gives a real signal over a real frame
-    up to one global sign. The caller is responsible for the full-spark
-    property (certify it with :func:`dynphase.frames.full_spark_criterion`
-    or :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
-    reported as ``SingularMatrixError`` when the assumption fails.
-    """
-    _check_consistency(ms, frame)
-    return _recover_by_chain(ms, frame, config)
 
 
 def min_length(dim: int, jumps: int = 0) -> int:

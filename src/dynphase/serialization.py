@@ -6,7 +6,8 @@ shortest round-trip float formatting, so dump -> load is bit-exact for
 doubles and byte-identical across runs given identical values. Complex data
 crosses as whole arrays; :func:`json_to_complex` defines a valid cell, and
 decoders run it per cell unless every cell is a list of two exact ints or
-floats (as ``json.loads`` gives them).
+floats (as ``json.loads`` gives them). A JSON integer too large for a double
+is not a number to any decoder.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from .spectral import JordanSpec, assemble
 from .validation import frozen_copy
 
 
+#: The smallest integer magnitude that ``float`` rounds past the largest double.
+_INT_OVERFLOW = 2**1024 - 2**970
+
+
 def _is_real(value: Any) -> bool:
-    """A JSON number; ``bool`` is a subclass of ``int`` but not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a double can hold; ``bool`` is an ``int`` but not a number here."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) < _INT_OVERFLOW)
 
 
 def _is_int(value: Any) -> bool:
@@ -62,7 +67,10 @@ def json_to_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
         flat = list(chain.from_iterable(obj))
         if set(map(type, flat)) <= {int, float}:
-            return np.array(flat, dtype=float).view(complex)
+            try:
+                return np.array(flat, dtype=float).view(complex)
+            except OverflowError:
+                pass  # an int past the double range; the per-cell rule names its cell
     return np.array([json_to_complex(p, where) for p in obj], dtype=complex)
 
 
@@ -266,14 +274,9 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
         if key in aligned:
             raise SchemaError(f"measurements.aligned[{i}]: duplicate entry {key}")
         aligned[key] = float(entry["value"])
+    angles = json_to_angles(obj["angles"], "measurements.angles")
     try:
-        return MeasurementSet(
-            obj["L"],
-            obj["J"],
-            json_to_angles(obj["angles"], "measurements.angles"),
-            base,
-            aligned,
-        )
+        return MeasurementSet(obj["L"], obj["J"], angles, base, aligned)
     except ValueError as exc:
         raise SchemaError(f"measurements: {exc}") from exc
 

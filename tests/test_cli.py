@@ -478,6 +478,27 @@ class TestInputFiles:
         assert "invalid JSON at line 2, column 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "recover"])
+    def test_integer_past_the_double_range_exit_code(self, tmp_path, capsys, command):
+        instance = gen_instance(tmp_path, "random-diag", 3, 5, seed=1)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        # a 401-digit JSON integer where a double belongs
+        if command == "recover":
+            obj = load_json(ms_path)
+            obj["base"][0] = 10**400
+            dump_json(obj, ms_path)
+            args, message = [ms_path, instance], "measurements.base: expected a list of reals"
+        else:
+            obj = load_json(instance)
+            obj["frame"]["phi"][0] = [10**400, 0.0]
+            dump_json(obj, instance)
+            args, message = [instance], "frame.phi: expected a [re, im] pair, got [1000"
+        capsys.readouterr()
+        assert main([command, *map(str, args)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+
+
 class TestPackage:
     def test_every_public_name_resolves(self):
         missing = [name for name in dynphase.__all__ if not hasattr(dynphase, name)]

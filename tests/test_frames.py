@@ -6,7 +6,6 @@ from dynphase import (
     DimensionMismatchError,
     DynamicalFrame,
     JordanSpec,
-    SingularMatrixError,
     SparkCertificate,
     analyze,
     assemble,
@@ -14,7 +13,6 @@ from dynphase import (
     circulant,
     circulant_frame,
     dft_matrix,
-    dual,
     frame_criterion_diagonalizable,
     frame_criterion_jordan,
     full_spark,
@@ -338,50 +336,6 @@ class TestFrameCriterionJordan:
                 phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 verdict = frame_criterion_jordan(spec, phi)
                 assert verdict == (orbit_rank(assemble(spec), phi, d) == d)
-
-
-class TestDual:
-    def test_orthonormal_orbit_is_self_dual(self):
-        shift = circulant(np.array([0.0, 1.0, 0.0]))
-        frame = build(shift, np.array([1.0, 0.0, 0.0]), 3)
-        df = dual(frame)
-        assert np.allclose(df.frame_operator, np.eye(3), atol=1e-12)
-        assert np.allclose(df.dual_synthesis, frame.synthesis(), atol=1e-12)
-
-    def test_reconstruction_formula(self):
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            d = int(rng.integers(2, 6))
-            L = int(rng.integers(d, 2 * d + 2))
-            frame, _, _ = diagonalizable_frame(rng, d, L)
-            df = dual(frame)
-            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            rebuilt = df.reconstruct(frame.coefficients(x))
-            assert np.linalg.norm(rebuilt - x) <= 1e-8 * np.linalg.norm(x)
-
-    def test_dual_vectors_match_operator_form(self):
-        rng = np.random.default_rng(56)
-        frame, _, _ = diagonalizable_frame(rng, 3, 5)
-        df = dual(frame)
-        power = np.eye(3, dtype=complex)
-        for l in range(frame.length):
-            expected = power @ df.dual_generator
-            assert np.linalg.norm(df.dual_vectors[l] - expected) < 1e-9
-            power = df.dual_operator @ power
-
-    def test_scaled_generator_keeps_reconstruction_exact(self):
-        rng = np.random.default_rng(57)
-        frame, _, _ = diagonalizable_frame(rng, 3, 5)
-        scaled = build(frame.operator, 3.7j * frame.generator, frame.length)
-        df = dual(scaled)
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        rebuilt = df.reconstruct(scaled.coefficients(x))
-        assert np.linalg.norm(rebuilt - x) <= 1e-8 * np.linalg.norm(x)
-
-    def test_non_frame_rejected(self):
-        frame = build(np.eye(2), np.array([1.0, 0.0]), 3)
-        with pytest.raises(SingularMatrixError):
-            dual(frame)
 
 
 class TestCirculantFrame:

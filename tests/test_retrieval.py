@@ -21,7 +21,6 @@ from dynphase import (
     measure,
     min_length,
     recover_full_spark,
-    recover_generic,
 )
 from dynphase.experiments import (
     chain_components,
@@ -295,11 +294,13 @@ class TestVectorizedAgainstLoops:
 
 
 class TestRecoverGeneric:
+    """Generic signals: no frame coefficient vanishes, so the chain covers every index."""
+
     def test_dense_orbit_exact(self):
         shift = circulant(np.array([0.0, 1.0, 0.0]))
         frame = build(shift, np.array([1.0, 0.0, 0.0], dtype=complex), 3)
         x = np.array([1.0, 1.0, 1.0], dtype=complex)
-        result = recover_generic(measure(x, frame, CFG), frame, CFG)
+        result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
         assert result.status == RecoveryStatus.RECOVERED
         assert result.used_indices == (0, 1, 2)
         assert global_phase_distance(result.estimate, x) < 1e-10
@@ -308,31 +309,24 @@ class TestRecoverGeneric:
         rng = np.random.default_rng(83)
         frame = harmonic_frame(4, 6)
         x = random_signal_for(frame, rng)
-        result = recover_generic(measure(x, frame, CFG), frame, CFG)
+        result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
         assert global_phase_distance(result.estimate, x) <= 1e-8 * np.linalg.norm(x)
         assert result.residual < 1e-9
 
-    def test_zero_coefficient_raises(self):
-        frame = harmonic_frame(3, 5)
-        x = signal_with_zero_pattern(frame, (2,), np.random.default_rng(84))
-        with pytest.raises(ZeroMagnitudeError):
-            recover_generic(measure(x, frame, CFG), frame, CFG)
-
-    @pytest.mark.parametrize("recover", [recover_generic, recover_full_spark])
-    def test_config_angles_and_jumps_unused(self, recover):
+    def test_config_angles_and_jumps_unused(self):
         # the set carries its offsets and angles; only zero_tol is read from the config
         frame = harmonic_frame(4, 7)
         x = random_signal_for(frame, np.random.default_rng(86))
         cfg = MeasurementConfig(angles=PolarizationAngles(0.3, 1.5), jumps=1)
         ms = measure(x, frame, cfg)
-        want = recover(ms, frame, cfg)
+        want = recover_full_spark(ms, frame, cfg)
         for other in (
             CFG,
             MeasurementConfig(angles=PolarizationAngles(0.3, 1.5)),
             MeasurementConfig(jumps=1),
             MeasurementConfig(jumps=2, real_mode=True),
         ):
-            got = recover(ms, frame, other)
+            got = recover_full_spark(ms, frame, other)
             assert np.array_equal(got.estimate, want.estimate)
             assert (got.status, got.used_indices, got.component_size, got.residual) == (
                 want.status,
@@ -349,43 +343,24 @@ class TestRecoverGeneric:
             L = int(rng.integers(d, 2 * d + 1))
             frame = random_frame(rng, d, L)
             x = random_signal_for(frame, rng)
-            ms = measure(x, frame, CFG)
-            result = recover_generic(ms, frame, CFG)
+            result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
+            assert result.used_indices == tuple(range(L))
             assert global_phase_distance(result.estimate, x) <= 1e-7
-            # one solve: the dense chain is the zero-tolerant chain with no zeros
-            chained = recover_full_spark(ms, frame, CFG)
-            assert result.status == chained.status
-            assert result.used_indices == chained.used_indices
-            assert result.component_size == chained.component_size
-            assert np.array_equal(result.estimate, chained.estimate)
 
     def test_ill_conditioned_jordan_orbits(self):
         # ill-conditioned orbits: normal equations would square their condition number
         for seed in range(10):
             instance = make_instance("jordan", 16, 24, seed=seed)
             frame = instance.build_frame()
-            result = recover_generic(measure(instance.signal, frame, CFG), frame, CFG)
+            result = recover_full_spark(measure(instance.signal, frame, CFG), frame, CFG)
             assert result.status == RecoveryStatus.RECOVERED, seed
             assert global_phase_distance(result.estimate, instance.signal) <= 1e-7, seed
-
-    def test_agrees_with_full_spark_on_dense_data(self):
-        # an ill-conditioned orbit, where the normal equations lose the signal
-        instance = make_instance("jordan", 16, 24, seed=7)
-        frame = instance.build_frame()
-        config = instance.config
-        ms = measure(instance.signal, frame, config)
-        result = recover_generic(ms, frame, config)
-        chained = recover_full_spark(ms, frame, config)
-        assert result.status == chained.status == RecoveryStatus.RECOVERED
-        assert result.used_indices == chained.used_indices
-        assert np.array_equal(result.estimate, chained.estimate)
-        assert global_phase_distance(result.estimate, instance.signal) <= 1e-7
 
     def test_short_orbit_fails_with_minimum_norm_guess(self):
         rng = np.random.default_rng(97)
         frame = random_frame(rng, 4, 3)
         x = random_signal_for(frame, rng)
-        result = recover_generic(measure(x, frame, CFG), frame, CFG)
+        result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
         assert result.status == RecoveryStatus.FAILED
         assert result.used_indices == (0, 1, 2)
         assert result.residual < 1e-9
@@ -395,11 +370,9 @@ class TestRecoverGeneric:
         # the polarization zero floor is relative, so scale does not matter
         frame = harmonic_frame(4, 6)
         x = norm * random_signal_for(frame, np.random.default_rng(98))
-        ms = measure(x, frame, CFG)
-        for recover in (recover_generic, recover_full_spark):
-            result = recover(ms, frame, CFG)
-            assert result.status == RecoveryStatus.RECOVERED
-            assert global_phase_distance(result.estimate, x) <= 1e-7 * norm
+        result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
+        assert result.status == RecoveryStatus.RECOVERED
+        assert global_phase_distance(result.estimate, x) <= 1e-7 * norm
 
 
 class TestRecoverFullSpark:
@@ -632,10 +605,9 @@ class TestRecoverReal:
         ms = measure(x, frame, cfg)
         assert not ms.has_two_angles
         want = recover_full_spark(ms, frame, cfg)
-        for recover in (recover_full_spark, recover_generic):
-            got = recover(ms, frame, MeasurementConfig())
-            assert got.status == RecoveryStatus.RECOVERED
-            assert np.array_equal(got.estimate, want.estimate)
+        got = recover_full_spark(ms, frame, MeasurementConfig())
+        assert got.status == RecoveryStatus.RECOVERED
+        assert np.array_equal(got.estimate, want.estimate)
         err = min(np.linalg.norm(want.estimate - x), np.linalg.norm(want.estimate + x))
         assert err <= 1e-9
 
@@ -664,10 +636,9 @@ class TestDegenerateDimension:
         x = np.array([2.0 - 1.0j])
         ms = measure(x, frame, CFG)
         assert dict(ms.aligned) == {}
-        for recover in (recover_generic, recover_full_spark):
-            result = recover(ms, frame, CFG)
-            assert result.status == RecoveryStatus.RECOVERED
-            assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
+        result = recover_full_spark(ms, frame, CFG)
+        assert result.status == RecoveryStatus.RECOVERED
+        assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
 
     def test_single_index_set_needs_no_real_sign(self):
         # no cells, so one family; the chain has no edge, and alpha1 = 0.3 is never read as a sign
@@ -675,10 +646,9 @@ class TestDegenerateDimension:
         x = np.array([2.0 - 1.0j])
         ms = MeasurementSet(1, 0, PolarizationAngles(0.3, 1.5), np.abs(frame.coefficients(x)), {})
         assert not ms.has_two_angles
-        for recover in (recover_generic, recover_full_spark):
-            result = recover(ms, frame, MeasurementConfig(angles=ms.angles))
-            assert result.status == RecoveryStatus.RECOVERED
-            assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
+        result = recover_full_spark(ms, frame, MeasurementConfig(angles=ms.angles))
+        assert result.status == RecoveryStatus.RECOVERED
+        assert global_phase_distance(result.estimate, x) <= 1e-7 * np.linalg.norm(x)
 
 
 class TestMinLength:

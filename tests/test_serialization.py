@@ -159,6 +159,59 @@ class TestWholeArrayDecode:
         assert "-0.0" in dump_json(vector_to_json(m[:, 7]))
 
 
+#: The smallest integer magnitude ``float`` cannot convert.
+PAST_DOUBLE = 2**1024 - 2**970
+
+
+class TestIntegersPastTheDoubleRange:
+    """A JSON integer no double can hold is not a number to any decoder."""
+
+    BIG = pytest.mark.parametrize(
+        "big", [PAST_DOUBLE, -PAST_DOUBLE, 10**400], ids=["past-max", "past-min", "401-digits"]
+    )
+
+    def test_largest_convertible_integer_decodes(self):
+        cells = [[PAST_DOUBLE - 1, 1 - PAST_DOUBLE], [0, 1.5]]
+        decoded = json_to_vector(cells)
+        assert decoded.tobytes() == per_cell(cells).tobytes()
+        assert decoded[0] == complex(1.7976931348623157e308, -1.7976931348623157e308)
+
+    @BIG
+    def test_vector_and_matrix_cells(self, big):
+        cells = [[1.0, 0.0], [2, big], [0.0, 2.0]]
+        # lists of ints and floats take the whole-array path, tuples the per-cell one
+        for form in (cells, [tuple(c) for c in cells]):
+            with pytest.raises(SchemaError, match=r"^x: expected a \[re, im\] pair, got "):
+                json_to_vector(form, "x")
+            with pytest.raises(SchemaError, match=r"^A: expected a \[re, im\] pair, got "):
+                json_to_matrix([[[0.0, 0.0]] * 3, form], "A")
+        with pytest.raises(SchemaError, match=r"^z: expected a \[re, im\] pair, got "):
+            json_to_complex([big, 0.0], "z")
+
+    @BIG
+    def test_config_fields(self, big):
+        with pytest.raises(SchemaError, match=r"^config\.zero_tol: expected a real number$"):
+            json_to_config({"zero_tol": big})
+        with pytest.raises(SchemaError, match=r"^config\.angles: expected \[alpha1, alpha2\]$"):
+            json_to_config({"angles": [0.0, big]})
+
+    @BIG
+    def test_measurement_set_fields(self, big):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        bad = json.loads(json.dumps(obj))
+        bad["base"][2] = big
+        with pytest.raises(SchemaError, match=r"^measurements\.base: expected a list of reals$"):
+            json_to_measurement_set(bad)
+        bad = json.loads(json.dumps(obj))
+        bad["aligned"][1]["value"] = big
+        with pytest.raises(SchemaError, match=r"^measurements\.aligned\[1\]\.value: expected"):
+            json_to_measurement_set(bad)
+        bad = json.loads(json.dumps(obj))
+        bad["angles"][0] = big
+        with pytest.raises(SchemaError, match=r"^measurements\.angles: expected \[alpha1"):
+            json_to_measurement_set(bad)
+
+
 class TestJordanSpecSchema:
     def test_round_trip(self):
         rng = np.random.default_rng(103)
