@@ -356,6 +356,24 @@ class TestRecoverGeneric:
             assert result.status == RecoveryStatus.RECOVERED, seed
             assert global_phase_distance(result.estimate, instance.signal) <= 1e-7, seed
 
+    def test_agrees_with_full_spark_on_dense_data(self):
+        # an ill-conditioned orbit, where the normal equations lose the signal: with no
+        # zero coefficient the recovery is one solve over the whole dense chain
+        instance = make_instance("jordan", 16, 24, seed=7)
+        frame = instance.build_frame()
+        config = instance.config
+        ms = measure(instance.signal, frame, config)
+        result = recover_full_spark(ms, frame, config)
+        assert result.status == RecoveryStatus.RECOVERED
+        assert result.used_indices == tuple(range(24))
+        assert result.component_size == 24
+        phases = chain_phases_loop(ms, range(24), None)
+        assert np.max(np.abs(_chain_phases(ms, range(24), None) - phases)) <= 1e-12
+        want, rank = lstsq_rows(frame, range(24), ms.base * phases)
+        assert rank == 16
+        assert np.linalg.norm(result.estimate - want) <= 1e-8 * np.linalg.norm(want)
+        assert global_phase_distance(result.estimate, instance.signal) <= 1e-7
+
     def test_short_orbit_fails_with_minimum_norm_guess(self):
         rng = np.random.default_rng(97)
         frame = random_frame(rng, 4, 3)
