@@ -142,7 +142,8 @@ def analyze(
     enumerating its minors with :func:`~dynphase.vandermonde.full_spark`,
     which raises ``BudgetExceededError`` past ``budget`` subsets. It is
     passed ``shift_det=det(A)``, so it factors only the minors through
-    column 0 and scales every other minor from them by ``|det(A)|^s``.
+    column 0 and scales every other minor from them by ``|det(A)|^s``; when
+    ``det(A)`` overflows, every minor is factored instead.
     """
     sv = frame._row_svd[1]
     upper = float(sv[0] ** 2)
@@ -161,7 +162,8 @@ def analyze(
         ):
             certificate = SparkCertificate(True, None, None)
         else:
-            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=np.linalg.det(A))
+            shift_det = _finite(np.linalg.det(A))
+            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=shift_det)
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
@@ -304,7 +306,7 @@ def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertific
     ``_structurally_full_spark``, which :func:`analyze` shares) and return
     a certificate with ``min_abs_det=None``; any other spectrum is
     enumerated within ``DEFAULT_BUDGET`` subsets, with ``shift_det`` set to
-    the product of the eigenvalues.
+    the product of the eigenvalues unless that product overflows.
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -322,4 +324,9 @@ def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertific
     if _structurally_full_spark(values, length):
         return SparkCertificate(True, None, None)
     # classical(values, length) is the orbit of ones under diag(values)
-    return full_spark(classical(values, length), shift_det=np.prod(values))
+    return full_spark(classical(values, length), shift_det=_finite(np.prod(values)))
+
+
+def _finite(value):
+    """``value`` if it is finite, else None."""
+    return value if np.isfinite(value) else None

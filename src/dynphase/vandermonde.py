@@ -28,8 +28,8 @@ subsets (those containing column 0) and takes every subset with smallest
 index s from its anchored shape times ``|det(A)|^s``. An anchored subset's
 first ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous
 block of subsets: each prefix gets one Householder QR, and each subset one
-(d - k) x (d - k) LU of its remaining columns projected onto the prefix's
-orthogonal complement.
+(d - k) x (d - k) determinant of its remaining columns projected onto the
+prefix's orthogonal complement, in closed form up to 4 x 4 (``_tail_det``).
 
 Sign convention: the classical determinant is computed with the factor order
 ``prod_{k > j} (values[k] - values[j])``, which matches the pivoted-LU
@@ -67,8 +67,9 @@ class SparkCertificate:
 
     ``witness`` is the lexicographically first failing column subset and is
     present exactly when ``full_spark`` is False. ``min_abs_det`` is the
-    smallest column-norm-scaled minor magnitude seen during enumeration, or
-    None when a structural shortcut made enumeration unnecessary.
+    smallest column-norm-scaled minor magnitude seen during enumeration (NaN
+    when one of them overflowed to NaN), or None when a structural shortcut
+    made enumeration unnecessary.
     """
 
     full_spark: bool
@@ -202,10 +203,16 @@ def full_spark(
     C(L-1, d-1) subsets that contain column 0 are factored, and the minors
     of every subset with smallest index s > 0 are scaled from them. Each
     anchored minor is the product of a QR of its first ``ceil(d/2)`` columns,
-    shared by every subset with that prefix, and a trailing LU; only the
-    plain path factors every d x d minor by LU. The scaled magnitudes of
-    the shifted path differ from directly factored ones by rounding only.
-    The budget still counts all C(L, d) subsets.
+    shared by every subset with that prefix, and the determinant of its
+    trailing ``n = d - ceil(d/2)`` projected columns, in closed form for
+    n <= 4 (d <= 8) and by LU beyond. The closed form is off by at most
+    about ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14
+    at n = 4, far below ``DEFAULT_SPARK_TOL``. Only the plain path factors
+    every d x d minor by LU. The scaled magnitudes of the shifted path
+    differ from directly factored ones by rounding only. The budget still
+    counts all C(L, d) subsets. A non-finite ``shift_det`` raises
+    ``ValueError``. A minor whose scaled magnitude is NaN, which overflow can
+    give (inf / inf), is not certified: it fails.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -216,6 +223,8 @@ def full_spark(
         raise BudgetExceededError(
             f"C({L},{d}) = {count} column subsets exceed the budget of {budget}"
         )
+    if shift_det is not None and not np.isfinite(shift_det):
+        raise ValueError(f"shift_det must be finite, got {shift_det}")
     col_norms = np.linalg.norm(m, axis=0)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
@@ -223,9 +232,9 @@ def full_spark(
     for idx, absdet in batches:
         scale = np.prod(col_norms[idx], axis=1)
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
-        min_scaled = min(min_scaled, scaled.min())
+        min_scaled = np.minimum(min_scaled, scaled.min())
         if witness is None:
-            failing = np.flatnonzero(scaled <= DEFAULT_SPARK_TOL)
+            failing = np.flatnonzero(~(scaled > DEFAULT_SPARK_TOL))
             if failing.size:
                 witness = tuple(int(i) for i in idx[failing[0]])
     return SparkCertificate(witness is None, witness, min_scaled)
@@ -284,7 +293,8 @@ def _anchored_minors(m: np.ndarray):
     ``Q^H M[:, T]`` is block upper triangular for every subset T = P + S, so
     ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|`` with Q2 the last
     d - k columns of Q. Each prefix in a chunk is factored once, and each
-    subset costs one (d - k) x (d - k) determinant.
+    subset costs one (d - k) x (d - k) determinant from ``_tail_det``, whose
+    rows are the subset's projected columns.
     """
     d, L = m.shape
     k = (d + 1) // 2
@@ -297,8 +307,45 @@ def _anchored_minors(m: np.ndarray):
         # row p * L + l holds column l of M projected by prefix p's Q2^H
         tail = (q[:, :, k:].conj().transpose(0, 2, 1) @ m).transpose(0, 2, 1)
         tail = tail.reshape(len(q) * L, d - k)
-        det = np.linalg.det(tail[group[:, None] * L + idx[:, k:]])
+        det = _tail_det(tail[group[:, None] * L + idx[:, k:]])
         yield idx, head[group] * np.hypot(det.real, det.imag)
+
+
+def _tail_det(t: np.ndarray) -> np.ndarray:
+    """Determinants of a ``(N, n, n)`` stack, in closed form for n <= 4.
+
+    n = 2 and 3 expand along the first column; n = 4 is the Laplace
+    expansion over the six complementary pairs of 2 x 2 minors of columns
+    (0, 1) and (2, 3); n >= 5 falls back to LU. The closed forms are off by
+    at most about ``(n + 1) * eps`` times the permanent of ``|t|``, which is
+    at most ``n^(n/2)`` times the Hadamard bound. Their terms cancel
+    pairwise when two rows are equal, so a repeated row gives exactly 0.
+    """
+    n = t.shape[-1]
+    if n == 0:
+        return np.ones(len(t), dtype=t.dtype)
+    if n == 1:
+        return t[:, 0, 0]
+    if n > 4:
+        return np.linalg.det(t)
+
+    def minor(a, b, i, j):  # rows i, j of columns a, b
+        return t[:, i, a] * t[:, j, b] - t[:, j, a] * t[:, i, b]
+
+    if n == 2:
+        return minor(0, 1, 0, 1)
+    if n == 3:
+        first = t[:, :, 0]
+        return (
+            first[:, 0] * minor(1, 2, 1, 2) - first[:, 1] * minor(1, 2, 0, 2)
+        ) + first[:, 2] * minor(1, 2, 0, 1)
+    lo = {p: minor(0, 1, *p) for p in itertools.combinations(range(4), 2)}
+    hi = {p: minor(2, 3, *p) for p in itertools.combinations(range(4), 2)}
+    # grouped so that the terms of each group cancel exactly on equal rows
+    return (
+        (lo[0, 1] * hi[2, 3] + lo[2, 3] * hi[0, 1])
+        + (lo[0, 3] * hi[1, 2] + lo[1, 2] * hi[0, 3])
+    ) - (lo[0, 2] * hi[1, 3] + lo[1, 3] * hi[0, 2])
 
 
 def _shifted_minors(m: np.ndarray, shift_det: complex):

@@ -113,8 +113,8 @@ def full_spark_serial(
         scale = float(np.prod(col_norms[idx]))
         absdet = abs(np.linalg.det(m[:, idx]))
         scaled = absdet / scale if scale > 0.0 else 0.0
-        min_scaled = min(min_scaled, scaled)
-        if scaled <= tol and witness is None:
+        min_scaled = np.minimum(min_scaled, scaled)
+        if not scaled > tol and witness is None:
             witness = subset
     return SparkCertificate(witness is None, witness, min_scaled)
 

@@ -12,6 +12,7 @@ from dynphase import (
     build,
     circulant,
     circulant_frame,
+    classical,
     dft_matrix,
     frame_criterion_diagonalizable,
     frame_criterion_jordan,
@@ -267,6 +268,21 @@ class TestAnalyzeStructuralSpark:
         assert len(enumerations) == 1
         assert certificate == SparkCertificate(False, (0, 1, 2), 0.0)
 
+    def test_overflowing_determinant_factors_every_minor(self, monkeypatch):
+        # det(A) = 2e400 overflows while the orbit stays finite
+        frame = build(np.array([[1e200, 1.0], [0.0, 2e200]]), np.full(2, 1e-300), 3)
+        shifts = []
+
+        def spy(matrix, **kwargs):
+            shifts.append(kwargs["shift_det"])
+            return full_spark(matrix, **kwargs)
+
+        monkeypatch.setattr(dynphase.frames, "full_spark", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            certificate = analyze(frame, spark=True).spark
+        assert shifts == [None]
+        assert_same_certificate(certificate, full_spark(frame.synthesis()))
+
     def test_dense_operator_enumerates(self, enumerations):
         frame, _, _ = diagonalizable_frame(np.random.default_rng(61), 4, 8)
         certificate = analyze(frame, spark=True).spark
@@ -462,6 +478,15 @@ class TestFullSparkCriterion:
     def test_coincident_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
             full_spark_criterion(np.array([1.0, 1.0]), np.ones(2), 4)
+
+    def test_overflowing_eigenvalue_product_factors_every_minor(self):
+        # the product -6e330j overflows; the spectrum is not geometric, so
+        # it is enumerated (so do the column norms: the minimum is NaN)
+        values = np.array([1e110, 2e110j, -3e110])
+        with np.errstate(over="ignore", invalid="ignore"):
+            certificate = full_spark_criterion(values, np.ones(3), 3)
+            direct = full_spark(classical(values, 3))
+        np.testing.assert_equal(vars(certificate), vars(direct))
 
     def test_each_check_runs_once(self, monkeypatch):
         calls = []

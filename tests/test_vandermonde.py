@@ -255,6 +255,18 @@ class TestFullSpark:
         ok, _ = spark_by_enumeration(classical(values, 6))
         assert ok
 
+    @pytest.mark.parametrize("shift_det", [None, -1.0], ids=["plain", "shifted"])
+    def test_overflowing_minor_is_not_certified(self, shift_det):
+        # |det| and the column-norm product both overflow, so the scaled
+        # minor is inf / inf = NaN: no evidence of full spark
+        m = np.diag([1e200, 1e200]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            certificate = full_spark(m, shift_det=shift_det)
+            expected = full_spark_serial(m)
+        assert not certificate.full_spark
+        assert certificate.witness == expected.witness == (0, 1)
+        assert math.isnan(certificate.min_abs_det) and math.isnan(expected.min_abs_det)
+
 
 class TestFullSparkChunks:
     """The chunked enumeration against the one-subset-at-a-time loop, exactly."""
@@ -344,25 +356,38 @@ class TestFullSparkShift:
     @pytest.mark.parametrize("per_chunk", [1, 5, 64])
     def test_orbits_match_serial_oracle(self, monkeypatch, per_chunk):
         cases = _shift_cases()
-        factored = []
+        factored, lu = [], []
 
-        def counting_det(a):
-            factored.append(a.shape[0])
-            return det(a)
+        def counting(calls, det):
+            def counted(a):
+                calls.append(a.shape[0])
+                return det(a)
 
-        det = np.linalg.det
-        monkeypatch.setattr(np.linalg, "det", counting_det)
+            return counted
+
+        monkeypatch.setattr(vandermonde, "_tail_det", counting(factored, vandermonde._tail_det))
+        monkeypatch.setattr(np.linalg, "det", counting(lu, np.linalg.det))
         for name, m, shift_det in cases:
             d, L = m.shape
             _subsets_per_chunk(monkeypatch, d, per_chunk)
             factored.clear()
             certificate = full_spark(m, shift_det=shift_det)
             assert sum(factored) == math.comb(L - 1, d - 1), name
+            lu.clear()
+            full_spark(m)
+            assert sum(lu) == math.comb(L, d), name
             expected = full_spark_serial(m)
             assert certificate.full_spark == expected.full_spark, name
             assert certificate.witness == expected.witness, name
             # scaled minors are at most 1 (Hadamard), so this is relative too
             assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15, name
+
+    @pytest.mark.parametrize("shift_det", [np.nan, np.inf, complex("nan")], ids=repr)
+    def test_non_finite_shift_det_rejected(self, shift_det):
+        m, det_a = {name: case for name, *case in _shift_cases()}["singular diagonal 4/8"]
+        assert full_spark(m, shift_det=det_a).witness == (1, 2, 3, 4)
+        with pytest.raises(ValueError, match="shift_det must be finite"):
+            full_spark(m, shift_det=shift_det)
 
 
 def _anchored(m):
@@ -372,12 +397,13 @@ def _anchored(m):
 
 
 class TestAnchoredMinors:
-    """The prefix QR and trailing LU of the anchored minors against one LU per minor."""
+    """The prefix QR and closed-form trailing determinant of the anchored
+    minors against one LU per minor."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 8, 10])
     def test_each_minor_matches_lu(self, d):
         # k = ceil(d/2): k == d at d = 1, 1 x 1 trailing blocks at d = 2 and 3,
-        # an odd split at 5 and an even one at 8
+        # 2 x 2 at 5, 3 x 3 at 6, 4 x 4 at 8 and 5 x 5 (LU) at 10
         rng = np.random.default_rng(45 + d)
         L = d + 4
         m = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
@@ -391,9 +417,9 @@ class TestAnchoredMinors:
             anchored = [(0, *rest) for rest in itertools.combinations(range(1, L), d - 1)]
             assert [tuple(row) for row in idx] == anchored
             norms = np.linalg.norm(m, axis=0)
-            for row, got in zip(idx, absdet):
-                want = abs(np.linalg.det(m[:, row]))
-                assert abs(got - want) <= 1e-13 * np.prod(norms[row]), tuple(row)
+            want = np.abs(np.linalg.det(m[:, idx].transpose(1, 0, 2)))
+            bad = np.abs(absdet - want) > 1e-13 * np.prod(norms[idx], axis=1)
+            assert not bad.any(), [tuple(row) for row in idx[bad]]
 
     @pytest.mark.parametrize("per_chunk", [5, 7])
     def test_prefix_group_split_across_chunks(self, monkeypatch, per_chunk):
@@ -431,3 +457,40 @@ class TestAnchoredMinors:
         expected = full_spark_serial(m)
         assert certificate.witness == expected.witness == (0, 1, 2, 3, 4)
         assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15
+
+
+class TestTailDet:
+    """The closed-form determinants of the trailing blocks against LU."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_matches_lu(self, n):
+        rng = np.random.default_rng(70 + n)
+        t = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
+        t *= 10.0 ** rng.uniform(-3.0, 3.0, (300, 1, n))
+        got = vandermonde._tail_det(t)
+        assert got.shape == (300,)
+        norms = np.prod(np.linalg.norm(t, axis=1), axis=1)
+        assert np.all(np.abs(got - np.linalg.det(t)) <= 1e-13 * norms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_repeated_row_gives_exact_zero(self, n):
+        # rows of a trailing block are a subset's projected columns
+        rng = np.random.default_rng(80 + n)
+        t = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        for i, j in itertools.combinations(range(n), 2):
+            u = t.copy()
+            u[:, j] = u[:, i]
+            assert np.all(vandermonde._tail_det(u) == 0.0), (i, j)
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_repeated_trailing_column_gives_exact_zero(self, d):
+        # a subset holding columns 5 and 7 of M in its tail repeats a row
+        # of its trailing block
+        rng = np.random.default_rng(90 + d)
+        m = rng.standard_normal((d, d + 4)) + 1j * rng.standard_normal((d, d + 4))
+        m[:, 7] = m[:, 5]
+        idx, absdet = _anchored(m)
+        k = (d + 1) // 2
+        tail = np.any(idx[:, k:] == 5, axis=1) & np.any(idx[:, k:] == 7, axis=1)
+        assert tail.any()
+        assert np.all(absdet[tail] == 0.0)
