@@ -16,20 +16,18 @@ Three constructions are provided:
 invertible, by exhaustive enumeration with scale-aware determinant
 thresholds. Column subsets are taken in lexicographic chunks of bounded size
 (about 1 MiB of stacked minors); the witness is still the lexicographically
-first failing subset and ``min_abs_det`` the global minimum. Without
-``shift_det`` each chunk's d x d minors come from one stacked
-``np.linalg.det`` call.
+first failing subset and ``min_abs_det`` the global minimum. A subset's
+first ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous
+block of subsets: each prefix gets one Householder QR, and each subset one
+(d - k) x (d - k) determinant of its remaining columns projected onto the
+prefix's orthogonal complement, in closed form up to 4 x 4 (``_tail_det``).
 
 An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
 for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
 every operator, singular and non-diagonalizable ones included. Given
 ``shift_det=det(A)``, ``full_spark`` factors only the C(L-1, d-1) anchored
 subsets (those containing column 0) and takes every subset with smallest
-index s from its anchored shape times ``|det(A)|^s``. An anchored subset's
-first ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous
-block of subsets: each prefix gets one Householder QR, and each subset one
-(d - k) x (d - k) determinant of its remaining columns projected onto the
-prefix's orthogonal complement, in closed form up to 4 x 4 (``_tail_det``).
+index s from its anchored shape times ``|det(A)|^s``.
 
 Sign convention: the classical determinant is computed with the factor order
 ``prod_{k > j} (values[k] - values[j])``, which matches the pivoted-LU
@@ -192,27 +190,25 @@ def full_spark(
     A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
     bound makes that ratio scale-free, and a zero-norm column gives ratio 0.
     Subsets are visited in lexicographic order, in chunks of at most
-    ``_CHUNK_BYTES`` of stacked minors whose determinants are computed in one
-    batched call, and enumeration continues past the first failure so that
-    ``min_abs_det`` reflects the global minimum. The witness is the
-    lexicographically first failing subset.
+    ``_CHUNK_BYTES`` of stacked minors, and enumeration continues past the
+    first failure so that ``min_abs_det`` reflects the global minimum. The
+    witness is the lexicographically first failing subset. Each factored
+    minor is the product of a QR of its first ``ceil(d/2)`` columns, shared
+    by every subset with that prefix, and the determinant of its trailing
+    ``n = d - ceil(d/2)`` projected columns, in closed form for n <= 4
+    (d <= 9) and by LU beyond. The closed form is off by at most about
+    ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at
+    n = 4, far below ``DEFAULT_SPARK_TOL``.
 
     ``shift_det`` declares the matrix M an orbit: it is ``det(A)`` for an
     operator A with ``M[:, l + 1] = A @ M[:, l]``. Then
     ``|det M[:, T + s]| = |shift_det|^s * |det M[:, T]|``, so only the
     C(L-1, d-1) subsets that contain column 0 are factored, and the minors
-    of every subset with smallest index s > 0 are scaled from them. Each
-    anchored minor is the product of a QR of its first ``ceil(d/2)`` columns,
-    shared by every subset with that prefix, and the determinant of its
-    trailing ``n = d - ceil(d/2)`` projected columns, in closed form for
-    n <= 4 (d <= 8) and by LU beyond. The closed form is off by at most
-    about ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14
-    at n = 4, far below ``DEFAULT_SPARK_TOL``. Only the plain path factors
-    every d x d minor by LU. The scaled magnitudes of the shifted path
-    differ from directly factored ones by rounding only. The budget still
-    counts all C(L, d) subsets. A non-finite ``shift_det`` raises
-    ``ValueError``. A minor whose scaled magnitude is NaN, which overflow can
-    give (inf / inf), is not certified: it fails.
+    of every subset with smallest index s > 0 are scaled from them. The
+    scaled magnitudes differ from directly factored ones by rounding only.
+    The budget still counts all C(L, d) subsets. A non-finite ``shift_det``
+    raises ``ValueError``. A minor whose scaled magnitude is NaN, which
+    overflow can give (inf / inf), is not certified: it fails.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -228,7 +224,7 @@ def full_spark(
     col_norms = np.linalg.norm(m, axis=0)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
-    batches = _minors(m) if shift_det is None else _shifted_minors(m, shift_det)
+    batches = _prefix_minors(m, 0) if shift_det is None else _shifted_minors(m, shift_det)
     for idx, absdet in batches:
         scale = np.prod(col_norms[idx], axis=1)
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
@@ -276,31 +272,23 @@ def _subsets(m: np.ndarray, first: int):
         yield idx
 
 
-def _minors(m: np.ndarray):
-    """``(subsets, |det|)`` chunks over every d-subset, each minor one LU."""
-    for idx in _subsets(m, 0):
-        det = np.linalg.det(m[:, idx].transpose(1, 0, 2))
-        # hypot matches the scalar complex abs bit for bit; the vectorized
-        # np.abs loop can differ from it in the last place
-        yield idx, np.hypot(det.real, det.imag)
+def _prefix_minors(m: np.ndarray, first: int):
+    """``(subsets, |det|)`` chunks over the subsets of ``_subsets(m, first)``.
 
-
-def _anchored_minors(m: np.ndarray):
-    """``(subsets, |det|)`` chunks over the d-subsets that contain column 0.
-
-    The first ``k = ceil(d/2)`` columns of a subset are its prefix P, and the
-    subsets sharing P are contiguous. With the complete QR ``M[:, P] = Q R``,
-    ``Q^H M[:, T]`` is block upper triangular for every subset T = P + S, so
-    ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|`` with Q2 the last
-    d - k columns of Q. Each prefix in a chunk is factored once, and each
-    subset costs one (d - k) x (d - k) determinant from ``_tail_det``, whose
-    rows are the subset's projected columns.
+    ``first=0`` gives every d-subset and ``first=1`` those that contain
+    column 0. The first ``k = ceil(d/2)`` columns of a subset are its prefix
+    P, and the subsets sharing P are contiguous. With the complete QR
+    ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper triangular for every
+    subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
+    with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
+    once, and each subset costs one (d - k) x (d - k) determinant from
+    ``_tail_det``, whose rows are the subset's projected columns.
     """
     d, L = m.shape
     k = (d + 1) // 2
-    for idx in _subsets(m, 1):
+    for idx in _subsets(m, first):
         starts = np.ones(idx.shape[0], dtype=bool)
-        starts[1:] = np.any(idx[1:, 1:k] != idx[:-1, 1:k], axis=1)
+        starts[1:] = np.any(idx[1:, :k] != idx[:-1, :k], axis=1)
         group = np.cumsum(starts) - 1
         q, r = np.linalg.qr(m[:, idx[starts, :k]].transpose(1, 0, 2), mode="complete")
         head = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
@@ -360,7 +348,7 @@ def _shifted_minors(m: np.ndarray, shift_det: complex):
     idx = np.empty((math.comb(L - 1, d - 1), d), dtype=np.intp)
     absdet = np.empty(idx.shape[0])
     start = 0
-    for part, part_absdet in _anchored_minors(m):
+    for part, part_absdet in _prefix_minors(m, 1):
         stop = start + part.shape[0]
         idx[start:stop], absdet[start:stop] = part, part_absdet
         start = stop

@@ -25,6 +25,17 @@ def _fields(certificate):
     return certificate.full_spark, certificate.witness, certificate.min_abs_det
 
 
+def _assert_matches(certificate, expected, label=None):
+    """Same verdict and witness, and ``min_abs_det`` within 1e-15 (NaN equals NaN).
+
+    Scaled minors are at most 1 (Hadamard), so the bound is relative too.
+    """
+    assert certificate.full_spark == expected.full_spark, label
+    assert certificate.witness == expected.witness, label
+    got, want = certificate.min_abs_det, expected.min_abs_det
+    assert (math.isnan(got) and math.isnan(want)) or abs(got - want) <= 1e-15, label
+
+
 def _orbit(kind, d, seed):
     return make_instance(kind, d, 2 * d, seed=seed).build_frame().synthesis()
 
@@ -234,6 +245,7 @@ class TestFullSpark:
             raise AssertionError("enumeration started before the budget check")
 
         monkeypatch.setattr(np.linalg, "det", unreachable)
+        monkeypatch.setattr(np.linalg, "qr", unreachable)
         monkeypatch.setattr(np.linalg, "norm", unreachable)
         monkeypatch.setattr(itertools, "combinations", unreachable)
         with pytest.raises(BudgetExceededError):
@@ -263,13 +275,13 @@ class TestFullSpark:
         with np.errstate(over="ignore", invalid="ignore"):
             certificate = full_spark(m, shift_det=shift_det)
             expected = full_spark_serial(m)
-        assert not certificate.full_spark
-        assert certificate.witness == expected.witness == (0, 1)
-        assert math.isnan(certificate.min_abs_det) and math.isnan(expected.min_abs_det)
+        assert certificate.witness == (0, 1)
+        assert math.isnan(certificate.min_abs_det)
+        _assert_matches(certificate, expected)
 
 
 class TestFullSparkChunks:
-    """The chunked enumeration against the one-subset-at-a-time loop, exactly."""
+    """The chunked enumeration against the one-subset-at-a-time LU loop."""
 
     @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "jordan"])
     def test_orbits_match_serial_oracle(self, kind):
@@ -278,7 +290,7 @@ class TestFullSparkChunks:
             for seed in (0, 2):
                 m = _orbit(kind, d, seed)
                 certificate = full_spark(m)
-                assert _fields(certificate) == _fields(full_spark_serial(m)), (d, seed)
+                _assert_matches(certificate, full_spark_serial(m), (d, seed))
                 verdicts.append(certificate.full_spark)
         if kind == "jordan":
             assert not all(verdicts)  # jordan 6/12 seeds 0 and 2 fail
@@ -291,17 +303,17 @@ class TestFullSparkChunks:
         order = list(itertools.combinations(range(12), 6))
         assert order.index(expected.witness) >= per_chunk
         _subsets_per_chunk(monkeypatch, 6, per_chunk)
-        assert _fields(full_spark(m)) == _fields(expected)
+        _assert_matches(full_spark(m), expected)
 
     def test_square_matrix_is_one_subset(self, monkeypatch):
         rng = np.random.default_rng(42)
         m = classical(random_distinct(rng, 5), 5)
-        assert _fields(full_spark(m)) == _fields(full_spark_serial(m))
+        _assert_matches(full_spark(m), full_spark_serial(m))
         m[:, 3] = m[:, 1]
         _subsets_per_chunk(monkeypatch, 5, 1)
         certificate = full_spark(m)
         assert certificate.witness == (0, 1, 2, 3, 4)
-        assert _fields(certificate) == _fields(full_spark_serial(m))
+        _assert_matches(certificate, full_spark_serial(m))
 
     def test_zero_column_in_later_chunk(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -312,17 +324,17 @@ class TestFullSparkChunks:
         # (0, 1, 7) is the sixth subset, in the second chunk of four
         assert certificate.witness == (0, 1, 7)
         assert certificate.min_abs_det == 0.0
-        assert _fields(certificate) == _fields(full_spark_serial(m))
+        _assert_matches(certificate, full_spark_serial(m))
 
     def test_real_input(self, monkeypatch):
         rng = np.random.default_rng(44)
         m = rng.standard_normal((4, 9))
-        assert _fields(full_spark(m)) == _fields(full_spark_serial(m))
+        _assert_matches(full_spark(m), full_spark_serial(m))
         m[:, 6] = -2.0 * m[:, 2]
         _subsets_per_chunk(monkeypatch, 4, 3)
         certificate = full_spark(m)
         assert certificate.witness == (0, 1, 2, 6)
-        assert _fields(certificate) == _fields(full_spark_serial(m))
+        _assert_matches(certificate, full_spark_serial(m))
 
 
 def _shift_cases():
@@ -355,32 +367,26 @@ class TestFullSparkShift:
 
     @pytest.mark.parametrize("per_chunk", [1, 5, 64])
     def test_orbits_match_serial_oracle(self, monkeypatch, per_chunk):
-        cases = _shift_cases()
-        factored, lu = [], []
+        factored = []
+        tail_det = vandermonde._tail_det
 
-        def counting(calls, det):
-            def counted(a):
-                calls.append(a.shape[0])
-                return det(a)
+        def counted(t):
+            factored.append(t.shape[0])
+            return tail_det(t)
 
-            return counted
-
-        monkeypatch.setattr(vandermonde, "_tail_det", counting(factored, vandermonde._tail_det))
-        monkeypatch.setattr(np.linalg, "det", counting(lu, np.linalg.det))
-        for name, m, shift_det in cases:
+        monkeypatch.setattr(vandermonde, "_tail_det", counted)
+        for name, m, shift_det in _shift_cases():
             d, L = m.shape
             _subsets_per_chunk(monkeypatch, d, per_chunk)
             factored.clear()
             certificate = full_spark(m, shift_det=shift_det)
             assert sum(factored) == math.comb(L - 1, d - 1), name
-            lu.clear()
-            full_spark(m)
-            assert sum(lu) == math.comb(L, d), name
+            factored.clear()
+            plain = full_spark(m)
+            assert sum(factored) == math.comb(L, d), name
             expected = full_spark_serial(m)
-            assert certificate.full_spark == expected.full_spark, name
-            assert certificate.witness == expected.witness, name
-            # scaled minors are at most 1 (Hadamard), so this is relative too
-            assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15, name
+            _assert_matches(certificate, expected, name)
+            _assert_matches(plain, expected, name)
 
     @pytest.mark.parametrize("shift_det", [np.nan, np.inf, complex("nan")], ids=repr)
     def test_non_finite_shift_det_rejected(self, shift_det):
@@ -390,20 +396,27 @@ class TestFullSparkShift:
             full_spark(m, shift_det=shift_det)
 
 
-def _anchored(m):
-    """Every anchored subset and its |det| from the prefix-QR kernel."""
-    parts = list(vandermonde._anchored_minors(m))
+def _family(L, d, first):
+    """The subsets that ``_prefix_minors(m, first)`` visits, in lexicographic
+    order: every d-subset for ``first=0``, those with column 0 for ``first=1``."""
+    rest = itertools.combinations(range(first, L), d - first)
+    return np.array([(0,) * first + r for r in rest], dtype=np.intp).reshape(-1, d)
+
+
+def _prefix(m, first):
+    """Every subset of one family and its |det| from the prefix-QR kernel."""
+    parts = list(vandermonde._prefix_minors(m, first))
     return np.concatenate([idx for idx, _ in parts]), np.concatenate([a for _, a in parts])
 
 
 class TestAnchoredMinors:
-    """The prefix QR and closed-form trailing determinant of the anchored
-    minors against one LU per minor."""
+    """The prefix QR and closed-form trailing determinant of the plain
+    (``first=0``) and anchored (``first=1``) minors against LU."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 8, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_each_minor_matches_lu(self, d):
-        # k = ceil(d/2): k == d at d = 1, 1 x 1 trailing blocks at d = 2 and 3,
-        # 2 x 2 at 5, 3 x 3 at 6, 4 x 4 at 8 and 5 x 5 (LU) at 10
+        # k = ceil(d/2): k == d at d = 1; (d - k) x (d - k) trailing blocks,
+        # 1 x 1 at d = 2, 3 up to 4 x 4 at 8, 9 and 5 x 5 (LU) at 10
         rng = np.random.default_rng(45 + d)
         L = d + 4
         m = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
@@ -412,26 +425,30 @@ class TestAnchoredMinors:
         if d > 1:
             cases.append(_orbit("jordan", d, 0))
         for m in cases:
-            L = m.shape[1]
-            idx, absdet = _anchored(m)
-            anchored = [(0, *rest) for rest in itertools.combinations(range(1, L), d - 1)]
-            assert [tuple(row) for row in idx] == anchored
             norms = np.linalg.norm(m, axis=0)
-            want = np.abs(np.linalg.det(m[:, idx].transpose(1, 0, 2)))
-            bad = np.abs(absdet - want) > 1e-13 * np.prod(norms[idx], axis=1)
-            assert not bad.any(), [tuple(row) for row in idx[bad]]
+            for first in (0, 1):
+                visited = []
+                # LU chunk by chunk: the plain family of jordan 10/20 has C(20, 10) minors
+                for idx, absdet in vandermonde._prefix_minors(m, first):
+                    want = np.abs(np.linalg.det(m[:, idx].transpose(1, 0, 2)))
+                    bad = np.abs(absdet - want) > 1e-13 * np.prod(norms[idx], axis=1)
+                    assert not bad.any(), [tuple(row) for row in idx[bad]]
+                    visited.append(idx)
+                assert np.array_equal(np.concatenate(visited), _family(m.shape[1], d, first))
 
     @pytest.mark.parametrize("per_chunk", [5, 7])
     def test_prefix_group_split_across_chunks(self, monkeypatch, per_chunk):
         frame = make_instance("jordan", 6, 12, seed=0).build_frame()
-        m, shift_det = frame.synthesis(), np.linalg.det(frame.operator)
-        whole = full_spark(m, shift_det=shift_det)
-        assert len(list(vandermonde._anchored_minors(m))) == 1
+        m = frame.synthesis()
+        families = ((0, None), (1, np.linalg.det(frame.operator)))
+        wholes = [full_spark(m, shift_det=shift_det) for _, shift_det in families]
+        assert all(len(list(vandermonde._prefix_minors(m, first))) == 1 for first, _ in families)
         _subsets_per_chunk(monkeypatch, 6, per_chunk)
-        chunks = [idx for idx, _ in vandermonde._anchored_minors(m)]
-        # k = 3: some chunk ends inside the block of a prefix (0, a, b)
-        assert any(np.array_equal(a[-1, :3], b[0, :3]) for a, b in zip(chunks, chunks[1:]))
-        assert _fields(full_spark(m, shift_det=shift_det)) == _fields(whole)
+        for (first, shift_det), whole in zip(families, wholes):
+            chunks = [idx for idx, _ in vandermonde._prefix_minors(m, first)]
+            # k = 3: some chunk ends inside the block of a prefix (a, b, c)
+            assert any(np.array_equal(a[-1, :3], b[0, :3]) for a, b in zip(chunks, chunks[1:]))
+            assert _fields(full_spark(m, shift_det=shift_det)) == _fields(whole)
 
     @pytest.mark.parametrize(
         "name, A",
@@ -445,18 +462,18 @@ class TestAnchoredMinors:
     def test_rank_deficient_prefix(self, name, A):
         phi = np.array([1 + 1j, 0.5 - 1j, 1.0, 0.7j, -0.4 + 0.2j])
         m = DynamicalFrame(A, phi, 9).synthesis()
-        idx, absdet = _anchored(m)
         norms = np.linalg.norm(m, axis=0)
-        block = np.all(idx[:, :3] == (0, 1, 2), axis=1)
-        assert block.sum() == math.comb(6, 2)
-        if name == "zero":
-            assert np.all(absdet[block] == 0.0)
-        else:
-            assert np.all(absdet[block] <= 1e-15 * np.prod(norms[idx[block]], axis=1))
-        certificate = full_spark(m, shift_det=np.linalg.det(A))
         expected = full_spark_serial(m)
-        assert certificate.witness == expected.witness == (0, 1, 2, 3, 4)
-        assert abs(certificate.min_abs_det - expected.min_abs_det) <= 1e-15
+        assert expected.witness == (0, 1, 2, 3, 4)
+        for first, shift_det in ((0, None), (1, np.linalg.det(A))):
+            idx, absdet = _prefix(m, first)
+            block = np.all(idx[:, :3] == (0, 1, 2), axis=1)
+            assert block.sum() == math.comb(6, 2)
+            if name == "zero":
+                assert np.all(absdet[block] == 0.0)
+            else:
+                assert np.all(absdet[block] <= 1e-15 * np.prod(norms[idx[block]], axis=1))
+            _assert_matches(full_spark(m, shift_det=shift_det), expected, first)
 
 
 class TestTailDet:
@@ -489,8 +506,9 @@ class TestTailDet:
         rng = np.random.default_rng(90 + d)
         m = rng.standard_normal((d, d + 4)) + 1j * rng.standard_normal((d, d + 4))
         m[:, 7] = m[:, 5]
-        idx, absdet = _anchored(m)
         k = (d + 1) // 2
-        tail = np.any(idx[:, k:] == 5, axis=1) & np.any(idx[:, k:] == 7, axis=1)
-        assert tail.any()
-        assert np.all(absdet[tail] == 0.0)
+        for first in (0, 1):
+            idx, absdet = _prefix(m, first)
+            tail = np.any(idx[:, k:] == 5, axis=1) & np.any(idx[:, k:] == 7, axis=1)
+            assert tail.any(), first
+            assert np.all(absdet[tail] == 0.0), first
