@@ -8,14 +8,10 @@ tree's directory on PYTHONPATH:
 * complex mode: harmonic frames for d = 4..7, J = 0..min(2, d-2) and
   ``L = min_length(d, J)`` and one shorter (where Failed verdicts appear),
   one signal for every zero pattern of at most d-1
-  zeros, recovered by ``recover_full_spark``; the pattern without zeros is
-  recovered once more by the tree's dense-chain entry point:
-  ``recover_generic`` where the tree has it, and ``recover_full_spark``
-  otherwise;
+  zeros, recovered by ``recover_full_spark``;
 * real mode: the same grid over the real orbit of ``diag(linspace(0.6, 1.5,
-  d))`` from the all-ones generator, with real signals recovered by the
-  tree's real-mode entry point: ``recover_real`` where the tree has it, and
-  ``recover_full_spark`` otherwise, which picks sign recovery from the set;
+  d))`` from the all-ones generator, with real signals recovered by
+  ``recover_full_spark``, which picks sign recovery from the set;
 * generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
   every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
   ``dump_json(instance_to_json(...))``, together with the text of their
@@ -80,14 +76,12 @@ def emit(path: str) -> None:
     from dynphase.serialization import dump_json, instance_to_json, measurement_set_to_json
 
     records = []
-    recover_real = getattr(retrieval, "recover_real", retrieval.recover_full_spark)
-    recover_generic = getattr(retrieval, "recover_generic", retrieval.recover_full_spark)
 
-    def run(key, x, recover, frame, config):
+    def run(key, x, frame, config):
         entry = {"key": key, "x": None if x is None else [[v.real, v.imag] for v in x]}
         if x is not None:
             try:
-                result = recover(measure(x, frame, config), frame, config)
+                result = retrieval.recover_full_spark(measure(x, frame, config), frame, config)
                 entry.update(
                     status=result.status.value,
                     used=list(result.used_indices),
@@ -115,12 +109,10 @@ def emit(path: str) -> None:
         for pattern in zero_patterns(L, d - 1):
             key = f"{'real' if real else 'complex'} d={d} L={L} J={jumps} zeros={pattern}"
             if real:
-                run(key, _real_signal(frame, pattern, rng), recover_real, frame, config)
-                continue
-            x = signal_with_zero_pattern(frame, pattern, rng)
-            run(key, x, retrieval.recover_full_spark, frame, config)
-            if not pattern:
-                run(key + " generic", x, recover_generic, frame, config)
+                x = _real_signal(frame, pattern, rng)
+            else:
+                x = signal_with_zero_pattern(frame, pattern, rng)
+            run(key, x, frame, config)
 
     def texts(instance, tmp):
         """The instance, its measurement set and its noisy ``measure`` stdout as text."""
@@ -149,8 +141,7 @@ def emit(path: str) -> None:
                     if instance is None:
                         continue
                     frame = instance.build_frame()
-                    run(f"recovery {key}", instance.signal, retrieval.recover_full_spark,
-                        frame, instance.config)
+                    run(f"recovery {key}", instance.signal, frame, instance.config)
                     found = analyze(frame)
                     bounds = [found.is_frame, found.lower_bound, found.upper_bound]
                     records.append({"key": f"analysis {key}", "analysis": bounds})

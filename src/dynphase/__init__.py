@@ -52,7 +52,6 @@ from .retrieval import (
     recover_full_spark,
 )
 from .spectral import (
-    GeneratorCoordinates,
     JordanSpec,
     assemble,
     depends_on_all_generators,
@@ -85,7 +84,6 @@ __all__ = [
     "SingularMatrixError",
     "ZeroMagnitudeError",
     # spectral
-    "GeneratorCoordinates",
     "JordanSpec",
     "assemble",
     "depends_on_all_generators",

@@ -81,7 +81,8 @@ def signal_with_zero_pattern(
     signals an unrealizable pattern.
     """
     d = frame.dim
-    zero_list = sorted(set(int(i) for i in zero_indices))
+    zero_set = {int(i) for i in zero_indices}
+    zero_list = sorted(zero_set)
     if any(i < 0 or i >= frame.length for i in zero_list):
         raise ValueError(f"zero indices out of range 0..{frame.length - 1}: {zero_list}")
     if len(zero_list) >= d:
@@ -93,7 +94,7 @@ def signal_with_zero_pattern(
         null_basis = vh[len(zero_list):].conj().T
     else:
         null_basis = np.eye(d, dtype=complex)
-    others = [l for l in range(frame.length) if l not in set(zero_list)]
+    others = [l for l in range(frame.length) if l not in zero_set]
     for _ in range(64):
         weights = rng.standard_normal(null_basis.shape[1]) + 1j * rng.standard_normal(
             null_basis.shape[1]

@@ -26,11 +26,11 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .spectral import (
-    DEPENDENCE_RTOL,
     DISTINCT_RTOL,
     JordanSpec,
     depends_on_all_generators,
     eigenvalues_distinct,
+    loads_every_chain,
 )
 from .validation import as_square, as_vector, frozen_copy
 from .vandermonde import DEFAULT_BUDGET, SparkCertificate, classical, full_spark
@@ -173,7 +173,8 @@ def frame_criterion_diagonalizable(eigenvalues, coordinates) -> bool:
     ``coordinates`` are the generator's coordinates in the eigenbasis. The
     orbit spans exactly when the eigenvalues are pairwise distinct
     (:func:`~dynphase.spectral.eigenvalues_distinct`) and no coordinate
-    vanishes (``_coordinates_nonzero``).
+    vanishes (:func:`~dynphase.spectral.loads_every_chain` with blocks of
+    size one).
     """
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
@@ -181,7 +182,7 @@ def frame_criterion_diagonalizable(eigenvalues, coordinates) -> bool:
         raise DimensionMismatchError(
             f"{values.size} eigenvalues but {coords.size} coordinates"
         )
-    return eigenvalues_distinct(values) and _coordinates_nonzero(coords)
+    return eigenvalues_distinct(values) and loads_every_chain(coords, (1,) * coords.size)
 
 
 def frame_criterion_jordan(spec: JordanSpec, generator) -> bool:
@@ -254,15 +255,6 @@ def _geometric_ratio(values: np.ndarray) -> complex | None:
     return r
 
 
-def _coordinates_nonzero(coords: np.ndarray) -> bool:
-    """No eigenbasis coordinate is ``DEPENDENCE_RTOL`` of the largest one or less.
-
-    Every diagonalizable spanning and spark verdict in this module takes its
-    "nonzero coordinate" test from here.
-    """
-    return bool(np.min(np.abs(coords)) > DEPENDENCE_RTOL * np.max(np.abs(coords)))
-
-
 def _structurally_full_spark(values: np.ndarray, length: int) -> bool:
     """True when a structural shortcut proves the orbit has full spark.
 
@@ -317,7 +309,7 @@ def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertific
         raise ValueError(f"need length >= {d}, got {length}")
     if not eigenvalues_distinct(values):
         raise ValueError("eigenvalues coincide: the orbit is not even a frame")
-    if not _coordinates_nonzero(coords):
+    if not loads_every_chain(coords, (1,) * d):
         # a dead eigendirection confines the orbit to a hyperplane, so every
         # d-subset is singular; the lexicographically first one is returned
         return SparkCertificate(False, tuple(range(d)), 0.0)

@@ -5,9 +5,10 @@ is ill-posed); instead it is supplied as an explicit :class:`JordanSpec`,
 which fixes the block eigenvalues, block sizes, and the similarity basis.
 This module assembles such operators, raises them to integer powers through
 the closed-form binomial formula for Jordan blocks, and tests whether a
-generator vector reaches every Jordan chain. Diagonalizable operators are
-decomposed by :func:`eigendecompose`, which refuses numerically defective
-ones.
+generator vector reaches every Jordan chain (:func:`loads_every_chain`, which
+also serves diagonalizable operators as blocks of size one). Diagonalizable
+operators are decomposed by :func:`eigendecompose`, which refuses
+numerically defective ones.
 """
 
 from __future__ import annotations
@@ -91,24 +92,6 @@ class JordanSpec:
         return slices
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorCoordinates:
-    """Coordinates of a generator in the Jordan basis, split block by block."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(frozen_copy(b) for b in self.blocks))
-
-    @property
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-    def leading_coefficients(self) -> np.ndarray:
-        """Last coordinate of each block: the weight on each Jordan generator."""
-        return np.array([b[-1] for b in self.blocks])
-
-
 def jordan_matrix(spec: JordanSpec) -> np.ndarray:
     """The block-diagonal Jordan matrix J described by ``spec``."""
     d = spec.dim
@@ -163,26 +146,37 @@ def jordan_power(spec: JordanSpec, power: int) -> np.ndarray:
     return out
 
 
-def generator_coordinates(spec: JordanSpec, generator) -> GeneratorCoordinates:
-    """Coordinates ``S^{-1} phi`` of a generator, partitioned by block sizes."""
+def generator_coordinates(spec: JordanSpec, generator) -> np.ndarray:
+    """Coordinates ``S^{-1} phi`` of a generator, block ``j`` at ``spec.block_slices()[j]``."""
     phi = as_vector(generator, "generator")
     if phi.size != spec.dim:
         raise DimensionMismatchError(f"generator has dim {phi.size}, expected {spec.dim}")
-    coords = np.linalg.solve(spec.basis, phi)
-    return GeneratorCoordinates(tuple(coords[sl] for sl in spec.block_slices()))
+    return np.linalg.solve(spec.basis, phi)
+
+
+def loads_every_chain(coords: np.ndarray, multiplicities) -> bool:
+    """True when the last coordinate of every block exceeds ``DEPENDENCE_RTOL`` of the largest.
+
+    ``coords`` are a generator's coordinates in a Jordan basis whose blocks
+    have sizes ``multiplicities``, in order; the last coordinate of a block
+    is the weight on that Jordan chain's leading vector. A diagonalizable
+    operator is the case of blocks of size one, where every coordinate must
+    pass. ``DEPENDENCE_RTOL * max |coordinate|`` is the floating-point
+    surrogate for "nonzero". The spanning criteria and the spark criterion
+    of :mod:`dynphase.frames` take their generator-dependence test from here.
+    """
+    mags = np.abs(coords)
+    leading = mags[np.cumsum(multiplicities) - 1]
+    return bool(np.all(leading > DEPENDENCE_RTOL * np.max(mags)))
 
 
 def depends_on_all_generators(spec: JordanSpec, generator) -> bool:
     """True when the generator loads every Jordan chain's leading vector.
 
     The exact condition is that the last coordinate of each block of
-    ``S^{-1} phi`` is nonzero; ``DEPENDENCE_RTOL * max |coordinate|`` is the
-    floating-point surrogate for "nonzero".
+    ``S^{-1} phi`` is nonzero; :func:`loads_every_chain` applies it.
     """
-    coords = generator_coordinates(spec, generator)
-    full = coords.concatenated
-    scale = float(np.max(np.abs(full))) if full.size else 0.0
-    return bool(np.all(np.abs(coords.leading_coefficients()) > DEPENDENCE_RTOL * scale))
+    return loads_every_chain(generator_coordinates(spec, generator), spec.multiplicities)
 
 
 def hankel_of(block) -> np.ndarray:
@@ -190,7 +184,7 @@ def hankel_of(block) -> np.ndarray:
 
     ``H[k, n] = block[k + n]`` when ``k + n <= len(block) - 1``, else 0. It is
     invertible exactly when the block's last coordinate is nonzero, which is
-    why the dependence test above looks only at leading coefficients.
+    why the dependence test above looks only at each block's last coordinate.
     """
     b = as_vector(block, "block")
     m = b.size

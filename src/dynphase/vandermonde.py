@@ -108,11 +108,7 @@ def classical(values, length: int) -> np.ndarray:
 def det_product_classical(values) -> complex:
     """Closed-form classical Vandermonde determinant ``prod_{k>j} (v[k]-v[j])``."""
     v = as_vector(values, "values")
-    out = complex(1.0)
-    for j in range(v.size):
-        for k in range(j + 1, v.size):
-            out *= complex(v[k] - v[j])
-    return out
+    return det_product_second_kind(v, (1,) * v.size)
 
 
 def first_kind(values, exponents) -> np.ndarray:

@@ -102,6 +102,22 @@ class TestAnalyze:
         bad.write_text("{nope")
         assert main(["analyze", str(bad)]) == 2
 
+    def test_failing_witness_in_text_output(self, tmp_path, capsys):
+        # diag(1, -1) from the ones vector: columns 0 and 2 coincide
+        instance = {
+            "frame": {
+                "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                "phi": [[1.0, 0.0], [1.0, 0.0]],
+                "L": 3,
+            },
+        }
+        path = tmp_path / "flip.json"
+        dump_json(instance, path)
+        assert main(["analyze", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "dim=2 length=3"
+        assert lines[-1] == "full_spark=False witness=[0, 2]"
+
 
 class TestMeasureRecover:
     def test_round_trip(self, tmp_path):

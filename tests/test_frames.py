@@ -490,17 +490,17 @@ class TestFullSparkCriterion:
 
     def test_each_check_runs_once(self, monkeypatch):
         calls = []
-        for name in ("eigenvalues_distinct", "_coordinates_nonzero"):
+        for name in ("eigenvalues_distinct", "loads_every_chain"):
             check = getattr(dynphase.frames, name)
 
-            def counted(v, check=check, name=name):
+            def counted(*args, check=check, name=name):
                 calls.append(name)
-                return check(v)
+                return check(*args)
 
             monkeypatch.setattr(dynphase.frames, name, counted)
         certificate = full_spark_criterion(np.exp(2j * np.pi / 7) ** np.arange(3), np.ones(3), 6)
         assert certificate == SparkCertificate(True, None, None)
-        assert sorted(calls) == ["_coordinates_nonzero", "eigenvalues_distinct"]
+        assert sorted(calls) == ["eigenvalues_distinct", "loads_every_chain"]
 
 
 class TestFrameInequality:

@@ -150,6 +150,29 @@ class TestMeasurementSetGrid:
         with pytest.raises(ValueError, match="jumps"):
             MeasurementSet(ms.length, -1, ms.angles, ms.base, {})
 
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_wrong_base_shape_rejected(self, size):
+        ms = self.measured()
+        with pytest.raises(
+            DimensionMismatchError, match=rf"^base must hold 6 values, got shape \({size},\)$"
+        ):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, np.ones(size), ms.grid)
+
+    def test_matrix_base_rejected(self):
+        ms = self.measured()
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 3\)$"):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base.reshape(2, 3), ms.grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_mapping_value_names_its_key(self, bad):
+        ms = self.measured()
+        aligned = dict(ms.aligned)
+        aligned[(3, 2, 1)] = bad
+        with pytest.raises(
+            ValueError, match=rf"^aligned\[\(3, 2, 1\)\] must be finite nonnegative, got {bad}$"
+        ):
+            MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, aligned)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_cell_rejected(self, bad):
         ms = self.measured()
@@ -629,6 +652,15 @@ class TestRecoverReal:
         err = min(np.linalg.norm(want.estimate - x), np.linalg.norm(want.estimate + x))
         assert err <= 1e-9
 
+    def test_config_rejects_negative_jumps(self):
+        with pytest.raises(ValueError, match=r"^jumps must be >= 0$"):
+            MeasurementConfig(jumps=-1)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-9, 1.5, math.nan])
+    def test_config_rejects_zero_tol_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"^zero_tol must lie strictly between 0 and 1$"):
+            MeasurementConfig(zero_tol=bad)
+
     def test_config_checks_real_sign(self):
         with pytest.raises(ValueError, match="real mode needs alpha1 to be a multiple of pi"):
             MeasurementConfig(PolarizationAngles(0.3, 1.5), real_mode=True)
@@ -646,6 +678,24 @@ class TestRecoverReal:
             recover_full_spark(tilted, frame, CFG)
         with pytest.raises(ValueError, match="real mode needs alpha1 to be a multiple of pi"):
             measure(np.ones(2), frame, MeasurementConfig(tilt, real_mode=True))
+
+
+class TestMakeInstanceRejects:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown kind 'spiral', expected one of \("):
+            make_instance("spiral", 3, 5)
+
+    @pytest.mark.parametrize("kind", ["harmonic", "random-diag", "circulant", "jordan"])
+    def test_real_mode_outside_rotation(self, kind):
+        with pytest.raises(
+            ValueError, match=r"^real_mode generation is only supported for rotation instances$"
+        ):
+            make_instance(kind, 3, 5, config=MeasurementConfig(real_mode=True))
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 2 * math.pi, 5 * math.pi])
+    def test_rotation_by_a_multiple_of_pi(self, theta):
+        with pytest.raises(ValueError, match=r"^rotation angle must not be a multiple of pi$"):
+            make_instance("rotation", 2, 4, theta=theta)
 
 
 class TestDegenerateDimension:

@@ -229,6 +229,17 @@ class TestJordanSpecSchema:
         with pytest.raises(SchemaError):
             json_to_jordan_spec(obj)
 
+    def test_non_object_rejected(self):
+        with pytest.raises(SchemaError, match=r"^jordan: expected an object$"):
+            json_to_jordan_spec([1.0, 2.0])
+
+    @pytest.mark.parametrize("key", ["eigenvalues", "multiplicities", "basis"])
+    def test_missing_key_rejected(self, key):
+        obj = jordan_spec_to_json(JordanSpec(np.array([1.0]), (2,), np.eye(2)))
+        del obj[key]
+        with pytest.raises(SchemaError, match=rf"^frame\.jordan: missing key '{key}'$"):
+            json_to_jordan_spec(obj, "frame.jordan")
+
 
 class TestFrameSpecs:
     def test_harmonic_variant(self):
@@ -266,6 +277,16 @@ class TestFrameSpecs:
         with pytest.raises(SchemaError):
             frame_from_spec({"mystery": 1, "phi": [[1.0, 0.0]], "L": 2})
 
+    def test_missing_generator_rejected(self):
+        with pytest.raises(SchemaError, match=r"^frame: missing generator field 'phi'$"):
+            frame_from_spec({"A": matrix_to_json(np.eye(2)), "L": 3})
+
+    def test_short_harmonic_rejected(self):
+        with pytest.raises(
+            SchemaError, match=r"^frame\.harmonic: need length >= dim, got dim=4, length=3$"
+        ):
+            frame_from_spec({"harmonic": {"d": 4, "L": 3}})
+
 
 class TestInstanceSchema:
     def test_round_trip(self):
@@ -302,6 +323,11 @@ class TestInstanceSchema:
             json_to_config({"angles": [0.3, 1.5], "real_mode": True})
         config = json_to_config({"angles": [math.pi, 1.5], "real_mode": True})
         assert config.angles.real_sign == -1
+
+    @pytest.mark.parametrize("bad", [1, 0, "true", None])
+    def test_non_boolean_real_mode_rejected(self, bad):
+        with pytest.raises(SchemaError, match=r"^config\.real_mode: expected a boolean$"):
+            json_to_config({"real_mode": bad})
 
     def test_inadmissible_angles_rejected(self):
         obj = {
@@ -376,6 +402,43 @@ class TestMeasurementSetSchema:
         obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
         obj["base"][position] = bad
         with pytest.raises(SchemaError, match=r"measurements\.base: expected a list of reals"):
+            json_to_measurement_set(obj)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(SchemaError, match=r"^measurements: expected an object$"):
+            json_to_measurement_set([1.0, 2.0])
+
+    @pytest.mark.parametrize("key", ["L", "J", "angles", "base", "aligned"])
+    def test_missing_key_rejected(self, key):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        del obj[key]
+        with pytest.raises(SchemaError, match=rf"^measurements: missing key '{key}'$"):
+            json_to_measurement_set(obj)
+
+    @pytest.mark.parametrize("field, bad", [("L", 5.0), ("L", True), ("J", "0"), ("J", None)])
+    def test_non_integer_length_or_jumps_rejected(self, field, bad):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        obj[field] = bad
+        with pytest.raises(SchemaError, match=r"^measurements: 'L' and 'J' must be integers$"):
+            json_to_measurement_set(obj)
+
+    @pytest.mark.parametrize("bad", [{}, "[]", None])
+    def test_non_list_aligned_rejected(self, bad):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        obj["aligned"] = bad
+        with pytest.raises(SchemaError, match=r"^measurements\.aligned: expected a list$"):
+            json_to_measurement_set(obj)
+
+    @pytest.mark.parametrize("missing", ["l", "j", "k", "value", None])
+    def test_entry_without_its_keys_rejected(self, missing):
+        obj = measurement_set_to_json(measure(np.ones(3), harmonic_frame(3, 5), MeasurementConfig()))
+        if missing is None:
+            obj["aligned"][2] = [0, 1, 1, 1.0]  # not an object
+        else:
+            del obj["aligned"][2][missing]
+        with pytest.raises(
+            SchemaError, match=r"^measurements\.aligned\[2\]: expected keys l, j, k, value$"
+        ):
             json_to_measurement_set(obj)
 
     def test_incomplete_grid_rejected(self):

@@ -14,7 +14,7 @@ from dynphase import (
     jordan_matrix,
     jordan_power,
 )
-from dynphase.spectral import min_eigenvalue_gap
+from dynphase.spectral import DEPENDENCE_RTOL, loads_every_chain, min_eigenvalue_gap
 from oracles import matrix_power_naive, orbit_rank, random_unitary
 
 
@@ -151,23 +151,45 @@ class TestGeneratorCoordinates:
         spec = JordanSpec(np.array([1.0, 2.0]), (2, 1), np.eye(3))
         phi = np.array([1.0, 2.0, 3.0], dtype=complex)
         coords = generator_coordinates(spec, phi)
-        assert np.allclose(coords.blocks[0], [1.0, 2.0])
-        assert np.allclose(coords.blocks[1], [3.0])
+        first, second = spec.block_slices()
+        assert coords.shape == (3,)
+        assert np.allclose(coords[first], [1.0, 2.0])
+        assert np.allclose(coords[second], [3.0])
 
     def test_first_basis_column(self):
         rng = np.random.default_rng(15)
         spec = random_spec(rng, (2, 2))
         coords = generator_coordinates(spec, spec.basis[:, 0])
-        stacked = coords.concatenated
-        assert abs(stacked[0] - 1.0) < 1e-10
-        assert np.max(np.abs(stacked[1:])) < 1e-10
+        assert abs(coords[0] - 1.0) < 1e-10
+        assert np.max(np.abs(coords[1:])) < 1e-10
 
     def test_reassembly(self):
         rng = np.random.default_rng(16)
         spec = random_spec(rng, (3, 1))
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         coords = generator_coordinates(spec, phi)
-        assert np.max(np.abs(spec.basis @ coords.concatenated - phi)) < 1e-10
+        assert np.max(np.abs(spec.basis @ coords - phi)) < 1e-10
+
+
+class TestLoadsEveryChain:
+    def test_only_last_coordinate_of_each_block_counts(self):
+        # blocks (2, 1): the last coordinates are indices 1 and 2
+        assert loads_every_chain(np.array([0.0, 1.0, 1.0]), (2, 1))
+        assert not loads_every_chain(np.array([1.0, 0.0, 1.0]), (2, 1))
+        assert not loads_every_chain(np.array([1.0, 1.0, 0.0]), (2, 1))
+
+    def test_unit_blocks_test_every_coordinate(self):
+        assert loads_every_chain(np.array([1.0, -2j, 3.0]), (1, 1, 1))
+        assert not loads_every_chain(np.array([1.0, 0.0, 3.0]), (1, 1, 1))
+
+    def test_cut_is_relative_to_largest_coordinate(self):
+        # the cut is strict: exactly DEPENDENCE_RTOL of the largest fails
+        big = 1e6
+        assert loads_every_chain(np.array([big, 2 * DEPENDENCE_RTOL * big]), (1, 1))
+        assert not loads_every_chain(np.array([big, DEPENDENCE_RTOL * big]), (1, 1))
+        # the largest coordinate need not be a block's last one
+        assert not loads_every_chain(np.array([big, 1e-5]), (2,))
+        assert loads_every_chain(np.array([big, 1e-3]), (2,))
 
 
 class TestDependsOnAllGenerators:

@@ -78,6 +78,11 @@ class TestDetProductClassical:
             lu = np.linalg.det(classical(values, d))
             assert abs(product - lu) <= 1e-9 * abs(lu)
 
+    def test_overflowing_difference_raises(self):
+        # 1e308 - (-1e308) is inf: the unit-multiplicity confluent product refuses it
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            det_product_classical(np.array([1e308, -1e308]))
+
 
 class TestFirstKind:
     def test_contiguous_exponents_reduce_to_classical(self):
