@@ -11,26 +11,27 @@ d = 9 and 10 at L = d + 2 (anchored minors with a 5-column prefix):
   singular dense operators (one zero eigenvalue) and of the nilpotent
   Jordan block, two seeds each, checked with
   ``full_spark`` and, for the diagonalizable ones, with
-  ``full_spark_criterion`` and the spanning test
-  ``frame_criterion_diagonalizable`` on the operator's eigenvalues and the
-  generator's eigenbasis coordinates, every orbit with
+  ``full_spark_criterion`` and the spanning test ``frame_criterion`` (unit
+  blocks) on the operator's eigenvalues and the generator's eigenbasis
+  coordinates, every orbit with
   ``analyze(spark=True)``, and every circulant orbit with the spanning
   verdict of ``circulant_frame``;
 * classical Vandermonde matrices in random distinct complex points, in
   positive real points, in geometric points and in roots of unity of order
   d - 1 (which repeat, so some minors vanish), checked with ``full_spark``,
-  ``full_spark_criterion`` and ``frame_criterion_diagonalizable`` (all-ones
-  coordinates);
+  ``full_spark_criterion`` and ``frame_criterion`` (all-ones coordinates);
 * one diagonal orbit whose smallest generator coordinate is 5e-10 of the
   largest, just above the 1e-10 dependence cut, checked like the
   diagonalizable orbits.
 
-Matrices come from fixed seeds, so both trees see identical inputs (the
-script checks their bytes). The verdict and the witness must match exactly;
-an exception is an outcome and must match by type. ``min_abs_det`` may move
-by rounding, in every check: a change of kernel, or of scaling minors by
-powers of the operator's determinant instead of factoring them, moves its
-last bits. It may move by at most 1e-15 absolute (scaled minors are at most
+A tree without ``frame_criterion`` runs ``frame_criterion_diagonalizable``,
+the same test under its earlier name; no record passes a Jordan spectrum,
+which such a tree cannot judge. Matrices come from fixed seeds, so both
+trees see identical inputs (the script checks their bytes). The verdict and
+the witness must match exactly; an exception is an outcome and must match
+by type. ``min_abs_det`` may move by rounding, in every check: a change of
+kernel, or of scaling minors by powers of the operator's determinant
+instead of factoring them, moves its last bits. It may move by at most 1e-15 absolute (scaled minors are at most
 1, by Hadamard's bound). The number of moved records and the largest move
 are printed per check. One further difference is allowed and listed: an
 ``analyze`` record of an exactly diagonal operator that passes in both trees
@@ -63,7 +64,7 @@ def _points(rng, d):
 def emit(path: str) -> None:
     """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
     from dynphase import analyze, build, circulant_frame, classical, full_spark, harmonic_frame
-    from dynphase.frames import frame_criterion_diagonalizable, full_spark_criterion
+    from dynphase import frames
     from dynphase.spectral import JordanSpec, assemble
 
     records = []
@@ -76,9 +77,11 @@ def emit(path: str) -> None:
         mad = None if c.min_abs_det is None else repr(float(c.min_abs_det))
         return [c.full_spark, None if c.witness is None else list(c.witness), mad]
 
+    criterion = getattr(frames, "frame_criterion", None) or frames.frame_criterion_diagonalizable
+
     def span(*spectrum):
         try:
-            return [bool(frame_criterion_diagonalizable(*spectrum))]
+            return [bool(criterion(*spectrum))]
         except Exception as exc:
             return type(exc).__name__
 
@@ -86,7 +89,7 @@ def emit(path: str) -> None:
         entry = {"key": key, "input": hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()}
         entry["full_spark"] = certify(full_spark, m)
         if spectrum is not None:
-            entry["criterion"] = certify(full_spark_criterion, *spectrum, m.shape[1])
+            entry["criterion"] = certify(frames.full_spark_criterion, *spectrum, m.shape[1])
             entry["spanning"] = span(*spectrum)
         if circulant is not None:
             entry["circulant"] = [bool(circulant)]

@@ -2,11 +2,11 @@
 
 The package constructs orbits ``{A^l phi}`` of an operator acting on a
 generator vector, decides when they span (via eigenvalue distinctness and
-generator dependence, also for Jordan-structured operators), certifies the
-full-spark property through classical and generalized Vandermonde
-determinants, and recovers complex signals up to a global phase from the
-magnitudes of their frame coefficients by chaining relative phases obtained
-through polarization.
+generator dependence, one criterion for diagonalizable and Jordan-structured
+operators alike), certifies the full-spark property through classical and
+confluent Vandermonde matrices and determinants, and recovers complex
+signals up to a global phase from the magnitudes of their frame
+coefficients by chaining relative phases obtained through polarization.
 """
 
 __version__ = "0.1.0"
@@ -29,8 +29,7 @@ from .frames import (
     circulant,
     circulant_frame,
     dft_matrix,
-    frame_criterion_diagonalizable,
-    frame_criterion_jordan,
+    frame_criterion,
     full_spark_criterion,
     harmonic_frame,
 )
@@ -54,7 +53,6 @@ from .retrieval import (
 from .spectral import (
     JordanSpec,
     assemble,
-    depends_on_all_generators,
     eigendecompose,
     generator_coordinates,
     hankel_of,
@@ -86,7 +84,6 @@ __all__ = [
     # spectral
     "JordanSpec",
     "assemble",
-    "depends_on_all_generators",
     "eigendecompose",
     "generator_coordinates",
     "hankel_of",
@@ -109,8 +106,7 @@ __all__ = [
     "circulant",
     "circulant_frame",
     "dft_matrix",
-    "frame_criterion_diagonalizable",
-    "frame_criterion_jordan",
+    "frame_criterion",
     "full_spark_criterion",
     "harmonic_frame",
     # polarization

@@ -3,10 +3,11 @@
 A dynamical frame materializes the orbit of a generator vector under repeated
 application of an operator. This module builds orbits, computes frame bounds
 (squared extreme singular values of the synthesis matrix, read from the thin
-SVD of its rows that each frame computes once and keeps), evaluates the
-spectral spanning criteria (distinct block eigenvalues plus generator
-dependence), and issues full-spark certificates, with structural shortcuts
-for geometric and for distinct positive real spectra. ``analyze`` takes
+SVD of its rows that each frame computes once and keeps), and evaluates one
+spanning criterion and one spark criterion for every operator ``S J S^{-1}``,
+a diagonalizable one being the case of Jordan blocks of size one. For unit
+blocks the spark criterion has structural shortcuts for geometric and for
+distinct positive real spectra. ``analyze`` takes
 those shortcuts for every exactly diagonal operator (harmonic frames among
 them), whose eigenvalues are its diagonal and whose eigenbasis coordinates
 are the generator itself; any other operator has its minors enumerated,
@@ -25,15 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .spectral import (
-    DISTINCT_RTOL,
-    JordanSpec,
-    depends_on_all_generators,
-    eigenvalues_distinct,
-    loads_every_chain,
-)
-from .validation import as_square, as_vector, frozen_copy
-from .vandermonde import DEFAULT_BUDGET, SparkCertificate, classical, full_spark
+from .spectral import DISTINCT_RTOL, eigenvalues_distinct, loads_every_chain
+from .validation import as_multiplicities, as_square, as_vector, frozen_copy
+from .vandermonde import DEFAULT_BUDGET, SparkCertificate, full_spark, second_kind
 
 #: Relative gap between extreme singular values below which the vectors are
 #: treated as rank deficient (not a frame).
@@ -133,8 +128,8 @@ def analyze(
     bound is reported as zero in that case.
 
     With ``spark=True`` an exactly diagonal operator (``length >= dim``) is
-    first tried against :func:`frame_criterion_diagonalizable` and the
-    structural shortcuts of :func:`full_spark_criterion`, with its diagonal
+    first tried against :func:`frame_criterion` and the structural
+    shortcuts of :func:`full_spark_criterion`, with its diagonal
     as the eigenvalues and the generator as the eigenbasis coordinates.
     When both pass, the certificate is ``SparkCertificate(True, None,
     None)``: no minor is enumerated and ``budget`` is not consulted. Every
@@ -157,7 +152,7 @@ def analyze(
         if (
             frame.length >= frame.dim
             and not np.any(A - np.diag(diagonal))
-            and frame_criterion_diagonalizable(diagonal, frame.generator)
+            and frame_criterion(diagonal, frame.generator)
             and _structurally_full_spark(diagonal, frame.length)
         ):
             certificate = SparkCertificate(True, None, None)
@@ -167,33 +162,31 @@ def analyze(
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
-def frame_criterion_diagonalizable(eigenvalues, coordinates) -> bool:
-    """Spanning test for a diagonalizable operator.
+def frame_criterion(eigenvalues, coordinates, multiplicities=None) -> bool:
+    """Spanning test for the orbit of an operator ``S J S^{-1}``.
 
-    ``coordinates`` are the generator's coordinates in the eigenbasis. The
-    orbit spans exactly when the eigenvalues are pairwise distinct
-    (:func:`~dynphase.spectral.eigenvalues_distinct`) and no coordinate
-    vanishes (:func:`~dynphase.spectral.loads_every_chain` with blocks of
-    size one).
+    Block j of J has eigenvalue ``eigenvalues[j]`` and size
+    ``multiplicities[j]`` (None: all of size one, a diagonalizable
+    operator); ``coordinates`` are ``S^{-1} phi``, for a ``JordanSpec``
+    ``generator_coordinates(spec, phi)``. The orbit spans exactly when the
+    eigenvalues are pairwise distinct and the generator loads every Jordan
+    chain (:func:`~dynphase.spectral.loads_every_chain`).
     """
+    values, coords, mults = _spectrum(eigenvalues, coordinates, multiplicities)
+    return eigenvalues_distinct(values) and loads_every_chain(coords, mults)
+
+
+def _spectrum(eigenvalues, coordinates, multiplicities):
+    """``(values, coords, mults)``, checked for one coordinate per block entry."""
     values = as_vector(eigenvalues, "eigenvalues")
     coords = as_vector(coordinates, "coordinates")
-    if values.size != coords.size:
+    sizes = (1,) * values.size if multiplicities is None else multiplicities
+    mults = as_multiplicities(sizes, values.size)
+    if sum(mults) != coords.size:
         raise DimensionMismatchError(
-            f"{values.size} eigenvalues but {coords.size} coordinates"
+            f"blocks {mults} need {sum(mults)} coordinates, got {coords.size}"
         )
-    return eigenvalues_distinct(values) and loads_every_chain(coords, (1,) * coords.size)
-
-
-def frame_criterion_jordan(spec: JordanSpec, generator) -> bool:
-    """Spanning test for a Jordan-structured operator.
-
-    True when the block eigenvalues are pairwise distinct and the generator
-    depends on every Jordan chain's leading vector.
-    """
-    if not eigenvalues_distinct(spec.eigenvalues):
-        return False
-    return depends_on_all_generators(spec, generator)
+    return values, coords, mults
 
 
 def dft_matrix(dim: int) -> np.ndarray:
@@ -216,7 +209,7 @@ def circulant_frame(first_column, generator, length: int) -> tuple[DynamicalFram
     """Orbit under repeated circular convolution, plus its spanning verdict.
 
     Circulant operators are diagonalized by the discrete Fourier basis, so
-    the verdict is :func:`frame_criterion_diagonalizable` with the DFT of
+    the verdict is :func:`frame_criterion` with the DFT of
     the convolution kernel as the eigenvalues and the DFT of the generator
     as the coordinates. The DFT is evaluated directly (O(d^2)), which is
     plenty at the dimensions this package targets.
@@ -227,7 +220,7 @@ def circulant_frame(first_column, generator, length: int) -> tuple[DynamicalFram
         raise DimensionMismatchError(f"kernel has dim {a.size}, generator {phi.size}")
     frame = build(circulant(a), phi, length)
     F = dft_matrix(a.size)
-    return frame, frame_criterion_diagonalizable(F @ a, F @ phi)
+    return frame, frame_criterion(F @ a, F @ phi)
 
 
 def harmonic_frame(dim: int, length: int) -> DynamicalFrame:
@@ -259,9 +252,9 @@ def _structurally_full_spark(values: np.ndarray, length: int) -> bool:
     """True when a structural shortcut proves the orbit has full spark.
 
     ``values`` are a diagonalizable operator's eigenvalues, with ``length >=
-    values.size``, and the orbit must already pass
-    :func:`frame_criterion_diagonalizable` (distinct eigenvalues, no
-    vanishing eigenbasis coordinate of the generator). Then either spectrum
+    values.size``, and the orbit must already pass :func:`frame_criterion`
+    with unit blocks (distinct eigenvalues, no vanishing eigenbasis
+    coordinate of the generator). Then either spectrum
     below certifies every d-column minor:
 
     * geometric eigenvalues ``v[k] = v[0] * r^k`` where no power
@@ -287,36 +280,37 @@ def _structurally_full_spark(values: np.ndarray, length: int) -> bool:
     )
 
 
-def full_spark_criterion(eigenvalues, coordinates, length: int) -> SparkCertificate:
-    """Full-spark certificate for the orbit of a diagonalizable operator.
+def full_spark_criterion(
+    eigenvalues, coordinates, length: int, multiplicities=None
+) -> SparkCertificate:
+    """Full-spark certificate for the orbit of an operator ``S J S^{-1}``.
 
-    The orbit has full spark exactly when the generator's eigenbasis
-    coordinates all stay nonzero and the eigenvalue power matrix
-    ``classical(eigenvalues, length)`` has full spark. Geometric spectra
-    without a root of unity among ``r^1..r^(length-1)``, and distinct
-    strictly positive real spectra, skip enumeration entirely (see
-    ``_structurally_full_spark``, which :func:`analyze` shares) and return
-    a certificate with ``min_abs_det=None``; any other spectrum is
-    enumerated within ``DEFAULT_BUDGET`` subsets, with ``shift_det`` set to
-    the product of the eigenvalues unless that product overflows.
+    The arguments are those of :func:`frame_criterion`. The orbit is ``S *
+    blockdiag(hankel_of(c_j)) * second_kind(eigenvalues, multiplicities,
+    length)``, and Hankel block j has determinant ``+-(last entry of
+    c_j)^(m_j)``, so it has full spark exactly when the generator loads
+    every Jordan chain and the confluent matrix has full spark. For unit
+    blocks (the confluent matrix is then ``classical``) the shortcuts of
+    ``_structurally_full_spark``, which :func:`analyze` shares, skip
+    enumeration and give ``min_abs_det=None``. Otherwise the confluent
+    matrix is enumerated within ``DEFAULT_BUDGET`` subsets as the orbit it
+    is, with ``shift_det = prod(eigenvalues ** multiplicities)`` unless that
+    product overflows.
     """
-    values = as_vector(eigenvalues, "eigenvalues")
-    coords = as_vector(coordinates, "coordinates")
-    d = values.size
-    if coords.size != d:
-        raise DimensionMismatchError(f"{d} eigenvalues but {coords.size} coordinates")
+    values, coords, mults = _spectrum(eigenvalues, coordinates, multiplicities)
+    d = coords.size
     if length < d:
         raise ValueError(f"need length >= {d}, got {length}")
     if not eigenvalues_distinct(values):
         raise ValueError("eigenvalues coincide: the orbit is not even a frame")
-    if not loads_every_chain(coords, (1,) * d):
-        # a dead eigendirection confines the orbit to a hyperplane, so every
+    if not loads_every_chain(coords, mults):
+        # a dead Jordan chain confines the orbit to a hyperplane, so every
         # d-subset is singular; the lexicographically first one is returned
         return SparkCertificate(False, tuple(range(d)), 0.0)
-    if _structurally_full_spark(values, length):
+    if max(mults) == 1 and _structurally_full_spark(values, length):
         return SparkCertificate(True, None, None)
-    # classical(values, length) is the orbit of ones under diag(values)
-    return full_spark(classical(values, length), shift_det=_finite(np.prod(values)))
+    shift_det = _finite(np.prod(values ** np.array(mults)))
+    return full_spark(second_kind(values, mults, length), shift_det=shift_det)
 
 
 def _finite(value):

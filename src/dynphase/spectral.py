@@ -3,12 +3,13 @@
 A non-diagonalizable operator is never decomposed numerically (that problem
 is ill-posed); instead it is supplied as an explicit :class:`JordanSpec`,
 which fixes the block eigenvalues, block sizes, and the similarity basis.
-This module assembles such operators, raises them to integer powers through
-the closed-form binomial formula for Jordan blocks, and tests whether a
-generator vector reaches every Jordan chain (:func:`loads_every_chain`, which
-also serves diagonalizable operators as blocks of size one). Diagonalizable
-operators are decomposed by :func:`eigendecompose`, which refuses
-numerically defective ones.
+This module assembles such operators, writes the binomial powers of a
+Jordan block once (:func:`binomial_powers`, which gives :func:`jordan_power`
+and the confluent Vandermonde columns that the spark criterion enumerates),
+and tests whether a generator vector reaches every Jordan chain
+(:func:`loads_every_chain`, which also serves diagonalizable operators as
+blocks of size one). Diagonalizable operators are decomposed by
+:func:`eigendecompose`, which refuses numerically defective ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exceptions import (
     DimensionMismatchError,
     SingularMatrixError,
 )
-from .validation import as_square, as_vector, frozen_copy
+from .validation import as_multiplicities, as_square, as_vector, frozen_copy
 
 #: Condition-number ceiling for a user-supplied similarity basis.
 BASIS_COND_LIMIT = 1e12
@@ -61,13 +62,7 @@ class JordanSpec:
 
     def __post_init__(self):
         values = as_vector(self.eigenvalues, "eigenvalues")
-        mults = tuple(int(m) for m in self.multiplicities)
-        if len(mults) != values.size:
-            raise DimensionMismatchError(
-                f"{values.size} eigenvalues but {len(mults)} multiplicities"
-            )
-        if any(m < 1 for m in mults):
-            raise ValueError("multiplicities must be positive integers")
+        mults = as_multiplicities(self.multiplicities, values.size)
         basis = as_square(self.basis, "basis")
         if sum(mults) != basis.shape[0]:
             raise DimensionMismatchError(
@@ -110,37 +105,46 @@ def assemble(spec: JordanSpec) -> np.ndarray:
     return np.linalg.solve(S.T, SJ.T).T
 
 
-def _block_power(lam: complex, size: int, power: int) -> np.ndarray:
-    out = np.zeros((size, size), dtype=complex)
-    for k in range(size):
-        for n in range(k, size):
-            step = n - k
-            if step > power:
-                continue
-            coeff = math.comb(power, step)
-            try:
-                c = float(coeff)
-            except OverflowError as exc:
-                raise OverflowError(
-                    f"binomial({power},{step}) does not fit in a float; power too large"
-                ) from exc
-            exponent = power - step
-            out[k, n] = c * (lam**exponent if exponent > 0 else 1.0)
+def binomial_powers(lam, size: int, power: int) -> np.ndarray:
+    """``binom(power, k) * lam ** (power - k)`` for ``k = 0..size-1``, zero for ``k > power``.
+
+    This is column ``power`` of the confluent Vandermonde block of ``lam``,
+    and the first row of ``J ** power`` for its Jordan block J of that size.
+    Binomials are exact integers rounded once (OverflowError past the double
+    range), and they scale the real and imaginary parts separately, so entry
+    0 is ``lam ** power`` bit for bit. The power is ``lam``'s own: numpy's
+    for a numpy scalar (as in ``classical``; inf on overflow), Python's for
+    a Python complex (OverflowError on overflow).
+    """
+    out = np.zeros(size, dtype=complex)
+    for k in range(min(size, power + 1)):
+        try:
+            coeff = float(math.comb(power, k))
+        except OverflowError as exc:
+            raise OverflowError(
+                f"binomial({power},{k}) does not fit in a float; power too large"
+            ) from exc
+        term = lam ** (power - k)
+        out[k] = complex(coeff * term.real, coeff * term.imag)
     return out
 
 
 def jordan_power(spec: JordanSpec, power: int) -> np.ndarray:
     """``J**power`` by the closed-form entries binom(l, n-k) * lam^(l-n+k).
 
-    Exact integer binomials are used; powers whose coefficients overflow a
-    double are rejected rather than approximated.
+    Each block is the upper triangular Toeplitz matrix of
+    :func:`binomial_powers` in Python's complex arithmetic; powers whose
+    binomials or entries overflow a double are rejected.
     """
     if power < 0:
         raise ValueError("power must be a nonnegative integer")
     d = spec.dim
     out = np.zeros((d, d), dtype=complex)
     for lam, sl in zip(spec.eigenvalues, spec.block_slices()):
-        out[sl, sl] = _block_power(complex(lam), sl.stop - sl.start, power)
+        steps = np.arange(sl.stop - sl.start)
+        row = binomial_powers(complex(lam), steps.size, power)
+        # entry (k, n) is row[n - k]; triu drops the wrapped indices n < k
+        out[sl, sl] = np.triu(row[steps[None, :] - steps[:, None]])
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"entries of J**{power} overflow double precision")
     return out
@@ -162,21 +166,14 @@ def loads_every_chain(coords: np.ndarray, multiplicities) -> bool:
     is the weight on that Jordan chain's leading vector. A diagonalizable
     operator is the case of blocks of size one, where every coordinate must
     pass. ``DEPENDENCE_RTOL * max |coordinate|`` is the floating-point
-    surrogate for "nonzero". The spanning criteria and the spark criterion
-    of :mod:`dynphase.frames` take their generator-dependence test from here.
+    surrogate for "nonzero". The spanning criterion and the spark criterion
+    of :mod:`dynphase.frames` take their generator-dependence test from here;
+    for a :class:`JordanSpec` pass ``generator_coordinates(spec, phi)`` and
+    ``spec.multiplicities``.
     """
     mags = np.abs(coords)
     leading = mags[np.cumsum(multiplicities) - 1]
     return bool(np.all(leading > DEPENDENCE_RTOL * np.max(mags)))
-
-
-def depends_on_all_generators(spec: JordanSpec, generator) -> bool:
-    """True when the generator loads every Jordan chain's leading vector.
-
-    The exact condition is that the last coordinate of each block of
-    ``S^{-1} phi`` is nonzero; :func:`loads_every_chain` applies it.
-    """
-    return loads_every_chain(generator_coordinates(spec, generator), spec.multiplicities)
 
 
 def hankel_of(block) -> np.ndarray:

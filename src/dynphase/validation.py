@@ -44,6 +44,16 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_multiplicities(multiplicities, count: int) -> tuple[int, ...]:
+    """Coerce to a tuple of ``count`` positive Jordan block sizes."""
+    mults = tuple(int(m) for m in multiplicities)
+    if len(mults) != count:
+        raise DimensionMismatchError(f"{count} eigenvalues but {len(mults)} multiplicities")
+    if any(m < 1 for m in mults):
+        raise ValueError("multiplicities must be positive integers")
+    return mults
+
+
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
     """Read-only copy, used when storing arrays inside immutable dataclasses."""
     out = np.array(arr, dtype=arr.dtype, copy=True)

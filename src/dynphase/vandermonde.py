@@ -10,7 +10,10 @@ Three constructions are provided:
   evaluates numerically from that factorization.
 * ``second_kind``: the confluent block form whose j-th block has entries
   ``binom(l, k) * values[j] ** (l - k)``; its square determinant is
-  ``prod_{k<j} (values[j] - values[k]) ** (m[k] * m[j])``.
+  ``prod_{k<j} (values[j] - values[k]) ** (m[k] * m[j])``. It feeds a
+  verdict: ``frames.full_spark_criterion`` enumerates it for every operator
+  ``S J S^{-1}``, whose orbit is ``S * blockdiag(hankel_of(c_j)) *
+  second_kind(values, m, L)`` with ``c = S^{-1} phi``.
 
 ``full_spark`` certifies that every d-column minor of a wide matrix is
 invertible, by exhaustive enumeration with scale-aware determinant
@@ -37,6 +40,7 @@ first-kind factorization hold without sign fixups.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BudgetExceededError, DimensionMismatchError
-from .spectral import min_eigenvalue_gap
-from .validation import as_matrix, as_vector
+from .spectral import binomial_powers, min_eigenvalue_gap
+from .validation import as_matrix, as_multiplicities, as_vector
 
 #: A minor passes when ``|det|`` exceeds this times its column-norm product.
 DEFAULT_SPARK_TOL = 1e-10
@@ -88,13 +92,6 @@ def _as_exponents(exponents) -> tuple[int, ...]:
     if exps[0] < 0 or any(b <= a for a, b in zip(exps, exps[1:])):
         raise ValueError(f"exponents must be strictly increasing and nonnegative: {exps}")
     return exps
-
-
-def _as_multiplicities(multiplicities) -> tuple[int, ...]:
-    mults = tuple(int(m) for m in multiplicities)
-    if len(mults) == 0 or any(m < 1 for m in mults):
-        raise ValueError(f"multiplicities must be positive integers: {mults}")
-    return mults
 
 
 def classical(values, length: int) -> np.ndarray:
@@ -141,41 +138,41 @@ def schur_value(values, exponents) -> complex:
 def second_kind(values, multiplicities, length: int) -> np.ndarray:
     """Confluent Vandermonde: stacked blocks ``binom(l, k) * values[j] ** (l-k)``.
 
-    ``binom(l, k) = 0`` for ``k > l``, which zeroes every entry that would
-    otherwise need a negative power. With all multiplicities equal to one the
-    result is exactly ``classical(values, length)``.
+    Column l of block j is ``spectral.binomial_powers(values[j], m[j], l)``,
+    so with all multiplicities one the result is ``classical(values,
+    length)`` bit for bit, inf included. The columns are an orbit under
+    ``blockdiag(J_j^T)``, of determinant ``prod(values ** multiplicities)``.
     """
     v = as_vector(values, "values")
-    mults = _as_multiplicities(multiplicities)
-    if len(mults) != v.size:
-        raise DimensionMismatchError(
-            f"{v.size} values but {len(mults)} multiplicities"
-        )
+    mults = as_multiplicities(multiplicities, v.size)
     if length < 1:
         raise ValueError("length must be >= 1")
-    rows = []
-    for lam, m in zip(v, mults):
-        block = np.zeros((m, length), dtype=complex)
-        for k in range(m):
-            for l in range(k, length):
-                block[k, l] = math.comb(l, k) * (lam ** (l - k) if l > k else 1.0)
-        rows.append(block)
-    return np.vstack(rows)
+    return np.vstack([
+        np.column_stack([binomial_powers(lam, m, l) for l in range(length)])
+        for lam, m in zip(v, mults)
+    ])
 
 
 def det_product_second_kind(values, multiplicities) -> complex:
-    """Closed-form confluent determinant ``prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j])``."""
+    """Closed-form confluent determinant ``prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j])``.
+
+    A product that is not finite in double precision raises OverflowError.
+    """
     v = as_vector(values, "values")
-    mults = _as_multiplicities(multiplicities)
-    if len(mults) != v.size:
-        raise DimensionMismatchError(
-            f"{v.size} values but {len(mults)} multiplicities"
+    mults = as_multiplicities(multiplicities, v.size)
+    pairs = itertools.combinations(range(v.size), 2)
+    try:
+        out = math.prod(
+            (complex(v[j] - v[k]) ** (mults[k] * mults[j]) for k, j in pairs), start=1 + 0j
         )
-    out = complex(1.0)
-    for k in range(v.size):
-        for j in range(k + 1, v.size):
-            out *= complex(v[j] - v[k]) ** (mults[k] * mults[j])
-    return out
+        if cmath.isfinite(out):
+            return out
+    except OverflowError:  # Python's complex power refuses an infinite result
+        pass
+    raise OverflowError(
+        "the determinant product prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j]) "
+        "is not finite in double precision"
+    )
 
 
 def full_spark(

@@ -24,10 +24,10 @@ from dynphase import (
     det_product_classical,
     det_product_second_kind,
     first_kind,
-    frame_criterion_diagonalizable,
-    frame_criterion_jordan,
+    frame_criterion,
     full_spark,
     full_spark_criterion,
+    generator_coordinates,
     global_phase_distance,
     harmonic_frame,
     measure,
@@ -99,7 +99,7 @@ def test_criterion_3_frame_criteria_equivalence():
                 coords[int(rng.integers(d))] = 0.0
             basis = random_unitary(rng, d)
             operator = (basis * values) @ basis.conj().T
-            verdict = frame_criterion_diagonalizable(values, coords)
+            verdict = frame_criterion(values, coords)
             assert verdict == _rank_verdict(operator, basis @ coords)
         elif mode == 2:  # diagonalizable, forced repeated eigenvalue
             d = int(rng.integers(2, 7))
@@ -108,7 +108,7 @@ def test_criterion_3_frame_criteria_equivalence():
             coords = rng.uniform(0.35, 1.2, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
             basis = random_unitary(rng, d)
             operator = (basis * values) @ basis.conj().T
-            verdict = frame_criterion_diagonalizable(values, coords)
+            verdict = frame_criterion(values, coords)
             assert verdict == _rank_verdict(operator, basis @ coords) == False  # noqa: E712
         else:  # Jordan-structured, defective blocks included
             mults = partitions[int(rng.integers(len(partitions)))]
@@ -123,7 +123,9 @@ def test_criterion_3_frame_criteria_equivalence():
                 ends = np.cumsum(mults) - 1
                 coords[ends[int(rng.integers(len(ends)))]] = 0.0
             generator = basis @ coords
-            verdict = frame_criterion_jordan(spec, generator)
+            verdict = frame_criterion(
+                spec.eigenvalues, generator_coordinates(spec, generator), spec.multiplicities
+            )
             assert verdict == _rank_verdict(assemble(spec), generator)
         checked += 1
     print(f"PASS criterion 3: criterion vs rank verdict agreed on {checked} instances")

@@ -14,12 +14,16 @@ from dynphase import (
     circulant_frame,
     classical,
     dft_matrix,
-    frame_criterion_diagonalizable,
-    frame_criterion_jordan,
+    frame_criterion,
     full_spark,
     full_spark_criterion,
+    generator_coordinates,
     harmonic_frame,
+    hankel_of,
+    second_kind,
 )
+from dynphase.instances import make_instance
+from dynphase.serialization import json_to_jordan_spec
 from oracles import orbit_naive, orbit_rank, random_distinct, random_unitary, spark_by_enumeration
 
 
@@ -295,11 +299,11 @@ class TestFrameCriterionDiagonalizable:
     def test_repeated_eigenvalue(self):
         values = np.array([1.0, 1.0, 2.0])
         coords = np.ones(3)
-        assert not frame_criterion_diagonalizable(values, coords)
+        assert not frame_criterion(values, coords)
 
     def test_zero_coordinate(self):
         values = np.array([1.0, 2.0, 3.0])
-        assert not frame_criterion_diagonalizable(values, np.array([1.0, 0.0, 1.0]))
+        assert not frame_criterion(values, np.array([1.0, 0.0, 1.0]))
 
     def test_every_diagonalizable_verdict_shares_one_threshold(self):
         # a coordinate ratio of 5e-10 sits between the relative cuts 1e-10 and 1e-9
@@ -307,7 +311,7 @@ class TestFrameCriterionDiagonalizable:
         coords = np.array([1.0, 1.0, 1.0, 5e-10])
         analysis = analyze(build(np.diag(values), coords, 8), spark=True)
         assert analysis.is_frame
-        assert frame_criterion_diagonalizable(values, coords)
+        assert frame_criterion(values, coords)
         assert full_spark_criterion(values, coords, 8).full_spark
         assert analysis.spark.full_spark
         F = dft_matrix(4)
@@ -318,8 +322,12 @@ class TestFrameCriterionDiagonalizable:
         rng = np.random.default_rng(51)
         for _ in range(10):
             frame, values, coords = diagonalizable_frame(rng, 4, 4)
-            assert frame_criterion_diagonalizable(values, coords)
+            assert frame_criterion(values, coords)
             assert analyze(frame).is_frame
+
+
+def jordan_criterion(spec, phi):
+    return frame_criterion(spec.eigenvalues, generator_coordinates(spec, phi), spec.multiplicities)
 
 
 class TestFrameCriterionJordan:
@@ -327,19 +335,19 @@ class TestFrameCriterionJordan:
         rng = np.random.default_rng(52)
         spec = JordanSpec(np.array([0.9, 0.9]), (2, 2), random_unitary(rng, 4))
         phi = spec.basis @ np.ones(4)
-        assert not frame_criterion_jordan(spec, phi)
+        assert not jordan_criterion(spec, phi)
         assert orbit_rank(assemble(spec), phi, 4) < 4
 
     def test_generator_missing_a_chain(self):
         rng = np.random.default_rng(53)
         spec = JordanSpec(np.array([0.9, -0.8]), (2, 1), random_unitary(rng, 3))
         coords = np.array([1.0, 0.0, 1.0])  # kills the first block's leading vector
-        assert not frame_criterion_jordan(spec, spec.basis @ coords)
+        assert not jordan_criterion(spec, spec.basis @ coords)
 
     def test_single_jordan_block_spans(self):
         spec = JordanSpec(np.array([0.7]), (3,), np.eye(3))
         phi = np.array([0.2, -0.4, 1.0], dtype=complex)
-        assert frame_criterion_jordan(spec, phi)
+        assert jordan_criterion(spec, phi)
         assert orbit_rank(assemble(spec), phi, 3) == 3
 
     def test_agrees_with_rank_oracle_over_random_specs(self):
@@ -350,7 +358,7 @@ class TestFrameCriterionJordan:
             spec = JordanSpec(values, mults, random_unitary(rng, d))
             for _ in range(5):
                 phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                verdict = frame_criterion_jordan(spec, phi)
+                verdict = jordan_criterion(spec, phi)
                 assert verdict == (orbit_rank(assemble(spec), phi, d) == d)
 
 
@@ -487,6 +495,47 @@ class TestFullSparkCriterion:
             certificate = full_spark_criterion(values, np.ones(3), 3)
             direct = full_spark(classical(values, 3))
         np.testing.assert_equal(vars(certificate), vars(direct))
+
+    def test_jordan_orbit_factors_through_confluent_vandermonde(self):
+        # V = S blockdiag(hankel_of(c_j)) second_kind(values, m, L), c = S^{-1} phi
+        rng = np.random.default_rng(62)
+        for d in range(4, 10):
+            cuts = np.sort(rng.choice(np.arange(1, d), size=2, replace=False))
+            mults = tuple(int(m) for m in np.diff([0, *cuts, d]))
+            spec = JordanSpec(random_distinct(rng, 3, gap=0.3), mults, random_unitary(rng, d))
+            phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            orbit = build(assemble(spec), phi, 2 * d).synthesis()
+            coords = generator_coordinates(spec, phi)
+            hankel = np.zeros((d, d), dtype=complex)
+            for sl in spec.block_slices():
+                hankel[sl, sl] = hankel_of(coords[sl])
+            rebuilt = spec.basis @ hankel @ second_kind(spec.eigenvalues, mults, 2 * d)
+            error = np.linalg.norm(orbit - rebuilt, axis=0) / np.linalg.norm(orbit, axis=0)
+            assert np.max(error) < 1e-13
+
+    def test_jordan_criterion_matches_analyze_on_a_permuted_orbit(self):
+        # S = I and c_j = e_last make V a row permutation of second_kind, so
+        # both routes enumerate the same minors up to rounding
+        for seed in range(5):
+            instance = make_instance("jordan", 8, 16, seed=seed)
+            drawn = json_to_jordan_spec(instance.frame_spec["jordan"])
+            values, mults = drawn.eigenvalues, drawn.multiplicities
+            coords = np.zeros(8, dtype=complex)
+            coords[np.cumsum(mults) - 1] = 1.0
+            operator = assemble(JordanSpec(values, mults, np.eye(8)))
+            criterion = full_spark_criterion(values, coords, 16, mults)
+            enumerated = analyze(build(operator, coords, 16), spark=True).spark
+            assert criterion.full_spark == enumerated.full_spark
+            assert criterion.witness == enumerated.witness
+            assert abs(criterion.min_abs_det - enumerated.min_abs_det) <= 1e-15
+
+    def test_dead_jordan_chain_fails_without_enumeration(self):
+        # the last coordinate of the first block (size 2) is zero
+        values = np.array([0.9, -0.5j, 1.1])
+        coords = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+        certificate = full_spark_criterion(values, coords, 8, (2, 2, 1))
+        assert certificate == SparkCertificate(False, (0, 1, 2, 3, 4), 0.0)
+        assert not frame_criterion(values, coords, (2, 2, 1))
 
     def test_each_check_runs_once(self, monkeypatch):
         calls = []

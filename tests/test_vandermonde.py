@@ -13,6 +13,7 @@ from dynphase import (
     det_product_second_kind,
     first_kind,
     full_spark,
+    full_spark_criterion,
     schur_value,
     second_kind,
     vandermonde,
@@ -82,6 +83,20 @@ class TestDetProductClassical:
         # 1e308 - (-1e308) is inf: the unit-multiplicity confluent product refuses it
         with np.errstate(over="ignore"), pytest.raises(OverflowError):
             det_product_classical(np.array([1e308, -1e308]))
+
+    def test_non_finite_product_raises_one_error(self):
+        # an infinite difference, and finite differences whose product overflows
+        for values in (np.array([1e308, -1e308]), 1e200 * np.arange(1, 4)):
+            with np.errstate(over="ignore"):
+                with pytest.raises(OverflowError, match="determinant product"):
+                    det_product_classical(values)
+        with pytest.raises(OverflowError, match="determinant product"):
+            det_product_second_kind(np.array([1e160, -1e160]), (2, 1))
+
+    def test_schur_value_refuses_an_overflowing_product(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="determinant product"):
+                schur_value(1e200 * np.arange(1, 4), (0, 1, 2))
 
 
 class TestFirstKind:
@@ -171,6 +186,30 @@ class TestSecondKind:
         rng = np.random.default_rng(38)
         values = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert np.allclose(second_kind(values, (1, 1, 1), 5), classical(values, 5))
+
+    def test_unit_blocks_are_classical_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for d in range(1, 10):
+            values = rng.uniform(0.5, 1.5, d) * np.exp(2j * np.pi * rng.uniform(0, 1, d))
+            values[d // 2] = 0.0
+            for length in (1, 2, 7, 99, 100, 101, 300):
+                confluent = second_kind(values, (1,) * d, length)
+                assert confluent.tobytes() == classical(values, length).tobytes()
+
+    def test_overflowing_unit_blocks_are_classical_bit_for_bit(self):
+        # the powers overflow to inf (and inf - inf to NaN) as classical's do
+        values = np.array([1e200, 2.0, 1e200j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            confluent = second_kind(values, (1, 1, 1), 4)
+            expected = classical(values, 4)
+        assert not np.all(np.isfinite(expected))
+        assert confluent.tobytes() == expected.tobytes()
+
+    def test_overflowing_spectrum_criterion_refuses_the_matrix(self):
+        values = np.array([1e110, 2e110j, -3e110])  # (-3e110) ** 3 overflows at L = 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                full_spark_criterion(values, np.ones(3), 4)
 
     def test_confluent_row_structure(self):
         lam = 0.8 - 0.2j
