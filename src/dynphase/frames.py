@@ -41,9 +41,11 @@ class DynamicalFrame:
 
     Each ``A @ v`` is written in place into a row of one L x d array, and
     the synthesis matrix is its C-contiguous transpose: that layout fixes
-    the bits of :meth:`coefficients`. The thin SVD of ``synthesis().conj().T``
-    is computed on first use and kept (``_row_svd``); :func:`analyze` reads
-    its bounds from it, and every recovery that solves all L rows applies it.
+    the bits of :meth:`coefficients`. An orbit that overflows raises
+    ``ValueError`` naming its first non-finite column. Kept with the frame:
+    its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
+    coefficient evaluation and row-subset solve, and from first use their thin
+    SVD (``_row_svd``, for :func:`analyze` and all-L-row solves) and rank.
     """
 
     operator: np.ndarray
@@ -63,12 +65,18 @@ class DynamicalFrame:
         rows[0] = phi
         for l in range(1, self.length):
             np.matmul(A, rows[l - 1], out=rows[l])
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"orbit column A^{finite.argmin()} phi is not finite (overflow)")
         V = np.ascontiguousarray(rows.T)
-        V.setflags(write=False)
+        conj_rows = V.conj().T  # in the layout of synthesis().conj().T, whose bits it keeps
+        for a in (V, conj_rows):
+            a.setflags(write=False)
         object.__setattr__(self, "operator", frozen_copy(A))
         object.__setattr__(self, "generator", frozen_copy(phi))
         object.__setattr__(self, "length", int(self.length))
         object.__setattr__(self, "_synthesis", V)
+        object.__setattr__(self, "_rows", conj_rows)
 
     @property
     def vectors(self) -> tuple[np.ndarray, ...]:
@@ -86,10 +94,16 @@ class DynamicalFrame:
     @cached_property
     def _row_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only thin SVD ``(W, s, Zh)`` of the rows ``synthesis().conj().T``."""
-        factors = np.linalg.svd(self._synthesis.conj().T, full_matrices=False)
+        factors = np.linalg.svd(self._rows, full_matrices=False)
         for a in factors:
             a.setflags(write=False)
         return tuple(factors)
+
+    @cached_property
+    def _row_rank(self) -> int:
+        """The numerical rank of all L rows, with ``lstsq``'s default cutoff."""
+        s = self._row_svd[1]
+        return int(np.count_nonzero(s > np.finfo(float).eps * max(self.length, self.dim) * s[0]))
 
     def coefficients(self, x) -> np.ndarray:
         """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1.
@@ -101,7 +115,7 @@ class DynamicalFrame:
         x = as_vector(x, "x")
         if x.size != self.dim:
             raise DimensionMismatchError(f"x has dim {x.size}, expected {self.dim}")
-        return self.synthesis().conj().T @ x
+        return self._rows @ x
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,10 @@ MAGNITUDE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PolarizationAngles:
-    """An admissible shift-angle pair: ``alpha1 - alpha2`` not in ``pi * Z``."""
+    """An admissible shift-angle pair: ``alpha1 - alpha2`` not in ``pi * Z``.
+
+    Keeps its negation and :func:`recover_phases`' unmixing matrix; eq and hash ignore both.
+    """
 
     alpha1: float
     alpha2: float
@@ -57,7 +61,20 @@ class PolarizationAngles:
 
     def negated(self) -> "PolarizationAngles":
         """The pair (-alpha1, -alpha2); admissibility is preserved."""
+        return self._negated
+
+    @cached_property
+    def _negated(self) -> "PolarizationAngles":
         return PolarizationAngles(-self.alpha1, -self.alpha2)
+
+    @cached_property
+    def _unmix(self) -> np.ndarray:
+        """The inverse of the 2x2 system, taking twice (r1, r2) to (cos D, sin D)."""
+        a1, a2 = self.alpha1, self.alpha2
+        det = 2.0 * math.sin(a1 - a2)
+        unmix = np.array([[-math.sin(a2), math.sin(a1)], [-math.cos(a2), math.cos(a1)]]) / det
+        unmix.setflags(write=False)
+        return unmix
 
     @property
     def real_sign(self) -> int:
@@ -135,13 +152,7 @@ def recover_phases(
     # twice the cosine terms (r1, r2); scaling by 2 is exact in binary
     twice = (shifted * shifted - m1 * m1 - m2 * m2) / (m1 * m2)
     over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
-    # the inverse of the 2x2 system, taking twice (r1, r2) to (cos D, sin D)
-    a1, a2 = angles.alpha1, angles.alpha2
-    det = 2.0 * math.sin(a1 - a2)
-    unmix = np.array(
-        [[-math.sin(a2) / det, math.sin(a1) / det], [-math.cos(a2) / det, math.cos(a1) / det]]
-    )
-    direction = unmix @ np.minimum(np.maximum(twice, -2.0), 2.0)
+    direction = angles._unmix @ np.minimum(np.maximum(twice, -2.0), 2.0)
     norm = np.hypot(direction[0], direction[1])
     bad = over[0] | over[1] | (norm < 1e-12)
     first = bad.argmax()

@@ -25,7 +25,8 @@ as zero still contribute: each pins the linear constraint
 ``<x, A^l phi> = 0``. A connected chain of size s together with m zero
 indices gives s + m independent rows over a full-spark frame, so recovery
 needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
-zeros the signal is identically zero.
+zeros the signal is identically zero. Each frame keeps its conjugate rows, their
+SVD and rank, and each angle pair its negation and unmixing matrix, for all calls.
 """
 
 from __future__ import annotations
@@ -213,7 +214,9 @@ class RecoveryResult:
 
     def __post_init__(self):
         object.__setattr__(self, "estimate", frozen_copy(np.asarray(self.estimate)))
-        object.__setattr__(self, "used_indices", tuple(int(i) for i in self.used_indices))
+        ids = self.used_indices  # an array turns into plain ints in one tolist pass
+        ids = ids.astype(np.intp).tolist() if isinstance(ids, np.ndarray) else map(int, ids)
+        object.__setattr__(self, "used_indices", tuple(ids))
 
 
 def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementSet:
@@ -222,7 +225,7 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     if x.size != frame.dim:
         raise DimensionMismatchError(f"x has dim {x.size}, frame dim is {frame.dim}")
     min_length(frame.dim, config.jumps)  # ValueError for jumps beyond dim - 2
-    coeffs = frame.coefficients(x)
+    coeffs = frame._rows @ x  # frame.coefficients(x) minus its second check of x
     length = frame.length
     if config.real_mode:
         shifts = np.array([complex(config.angles.real_sign)])
@@ -249,12 +252,15 @@ def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
     consecutive True positions, so the components are exactly the maximal
     runs whose gaps stay within that bound, in increasing order.
     """
-    alive = np.flatnonzero(np.asarray(nonzero, dtype=bool))
-    if alive.size == 0:
-        return []
-    cuts = (np.flatnonzero(np.diff(alive) > jumps + 1) + 1).tolist()
-    positions = alive.tolist()
-    return [positions[a:b] for a, b in zip([0, *cuts], [*cuts, len(positions)])]
+    alive, bounds = _runs(np.asarray(nonzero, dtype=bool), jumps)
+    return [alive[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+
+
+def _runs(nonzero: np.ndarray, jumps: int) -> tuple[np.ndarray, np.ndarray]:
+    """True positions ``alive`` and ``bounds``: component i is ``alive[bounds[i]:bounds[i+1]]``."""
+    alive = nonzero.nonzero()[0]
+    cuts = (alive[1:] - alive[:-1] > jumps + 1).nonzero()[0] + 1
+    return alive, np.concatenate(([0], cuts, [alive.size]))
 
 
 def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:
@@ -281,20 +287,19 @@ def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | Non
 
 
 def _solve_rows(
-    frame: DynamicalFrame, indices: list[int], rhs: np.ndarray, require_full_rank: bool
+    frame: DynamicalFrame, indices: Sequence[int], rhs: np.ndarray, require_full_rank: bool
 ) -> np.ndarray:
     L, d = frame.length, frame.dim
     if len(indices) == L:
         # all rows in some order: lstsq's minimum-norm solve, cutoff included,
         # through the frame's cached SVD
         W, s, Zh = frame._row_svd
+        rank = frame._row_rank
         b = np.empty(L, dtype=complex)
         b[indices] = rhs
-        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(L, d) * s[0]))
         solution = Zh[:rank].conj().T @ ((W[:, :rank].conj().T @ b) / s[:rank])
     else:
-        rows = frame.synthesis()[:, indices].conj().T
-        solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        solution, _, rank, _ = np.linalg.lstsq(frame._rows[indices], rhs, rcond=None)
     if require_full_rank and rank < d:
         raise SingularMatrixError(
             f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
@@ -328,38 +333,38 @@ def recover_full_spark(
     d = frame.dim
     scale = float(base.max())
 
-    def attempt(zero_tol: float) -> tuple[np.ndarray, list[int], list[int]]:
+    def attempt(zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonzero = base > zero_tol * scale
-        # max keeps the first longest run, so ties go to the lowest indices
-        best = max(chain_components(nonzero, ms.jumps), key=len, default=[])
-        return nonzero, np.flatnonzero(~nonzero).tolist(), best
+        alive, bounds = _runs(nonzero, ms.jumps)
+        # argmax keeps the first longest run, so ties go to the lowest indices
+        longest = (bounds[1:] - bounds[:-1]).argmax()
+        return nonzero, (~nonzero).nonzero()[0], alive[bounds[longest] : bounds[longest + 1]]
 
-    def result(status: RecoveryStatus, chain: list[int], zeros: list[int]) -> RecoveryResult:
+    def result(status: RecoveryStatus, chain: np.ndarray, zeros: np.ndarray) -> RecoveryResult:
         # the set's family count picks the formula: phases from two families,
         # signs from one; the sign is read only when the chain has an edge
-        real_sign = ms.angles.real_sign if len(chain) > 1 and not ms.has_two_angles else None
-        rhs = np.zeros(len(chain) + len(zeros), dtype=complex)
-        rhs[: len(chain)] = base[chain] * _chain_phases(ms, chain, real_sign)
-        estimate = _solve_rows(
-            frame, chain + zeros, rhs, require_full_rank=status is not RecoveryStatus.FAILED
-        )
+        real_sign = ms.angles.real_sign if chain.size > 1 and not ms.has_two_angles else None
+        rhs = np.zeros(chain.size + zeros.size, dtype=complex)
+        rhs[: chain.size] = base[chain] * _chain_phases(ms, chain, real_sign)
+        rows = np.concatenate((chain, zeros))
+        estimate = _solve_rows(frame, rows, rhs, status is not RecoveryStatus.FAILED)
         residual = _remeasure_residual(frame, estimate, base)
-        return RecoveryResult(estimate, status, tuple(chain), len(chain) + len(zeros), residual)
+        return RecoveryResult(estimate, status, chain, chain.size + zeros.size, residual)
 
     nonzero, zeros, best = attempt(config.zero_tol)
     # at least d zero coefficients over a full-spark frame pin the signal to 0
-    if len(zeros) >= d:
+    if zeros.size >= d:
         estimate = np.zeros(d, dtype=complex)
         residual = _remeasure_residual(frame, estimate, base)
-        return RecoveryResult(estimate, RecoveryStatus.RECOVERED, (), len(zeros), residual)
-    if len(best) + len(zeros) >= d:
+        return RecoveryResult(estimate, RecoveryStatus.RECOVERED, (), zeros.size, residual)
+    if best.size + zeros.size >= d:
         return result(RecoveryStatus.RECOVERED, best, zeros)
 
     # Rescue pass: magnitudes between the machine floor and zero_tol may be
     # honest small coefficients; reclassifying them can bridge chain gaps.
     # Polarizing such a magnitude may still fail, which ends in Failed below.
     relaxed, rzeros, rbest = attempt(RELAXED_ZERO_FLOOR)
-    if not np.array_equal(relaxed, nonzero) and len(rbest) + len(rzeros) >= d:
+    if not np.array_equal(relaxed, nonzero) and rbest.size + rzeros.size >= d:
         try:
             return result(RecoveryStatus.PARTIAL, rbest, rzeros)
         except (ZeroMagnitudeError, InconsistentDataError):

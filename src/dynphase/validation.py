@@ -20,7 +20,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be a nonempty 1-d array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -32,7 +32,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be a nonempty 2-d array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 

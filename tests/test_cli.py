@@ -102,6 +102,22 @@ class TestAnalyze:
         bad.write_text("{nope")
         assert main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_overflowing_orbit_exit_code(self, tmp_path, capsys, command):
+        # diag(1e200, 1): column 2 overflows; analyze must not report bounds=(nan, nan)
+        instance = {
+            "frame": {
+                "A": [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "phi": [[1.0, 0.0], [1.0, 0.0]],
+                "L": 3,
+            },
+        }
+        path = tmp_path / "overflow.json"
+        dump_json(instance, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, str(path)]) == 2
+        assert "frame: orbit column A^2 phi is not finite" in capsys.readouterr().err
+
     def test_failing_witness_in_text_output(self, tmp_path, capsys):
         # diag(1, -1) from the ones vector: columns 0 and 2 coincide
         instance = {

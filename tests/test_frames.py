@@ -128,6 +128,31 @@ class TestBuild:
         with pytest.raises(error):
             DynamicalFrame(operator, np.array(generator), length)
 
+    def test_overflowing_orbit_names_its_first_non_finite_column(self):
+        # column 2, A^2 phi = (1e400, 1), overflows; columns 0 and 1 are finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^orbit column A\^2 phi is not finite"):
+                build(np.diag([1e200, 1.0]), np.ones(2), 3)
+            build(np.diag([1e200, 1.0]), np.ones(2), 2)  # still finite
+
+    @pytest.mark.parametrize(
+        "kind, dim, length",
+        [("harmonic", 6, 12), ("random-diag", 8, 20), ("jordan", 8, 20), ("circulant", 5, 9)],
+    )
+    def test_conjugate_rows_are_kept_once_and_keep_the_coefficient_bits(self, kind, dim, length):
+        frame = make_instance(kind, dim, length, seed=0).build_frame()
+        rows = frame._rows
+        assert frame._rows is rows and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+        fresh = frame.synthesis().conj().T
+        assert rows.strides == fresh.strides and np.array_equal(rows, fresh)
+        rng = np.random.default_rng(dim)
+        for _ in range(4):
+            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert np.array_equal(frame.coefficients(x), fresh @ x)
+        assert frame._rows is rows
+
 
 class TestAnalyze:
     def test_too_short_orbit_is_not_a_frame(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from dynphase import (
     recover_product_roots_of_unity,
 )
 from dynphase.polarization import recover_phases, recover_signs
+from dynphase.serialization import angles_to_json, dump_json
 from oracles import polarization_forward, recover_product_real_scalar, recover_product_scalar
 
 RIGHT = PolarizationAngles(0.0, math.pi / 2)
@@ -41,6 +43,20 @@ class TestAngles:
     def test_negation_preserves_admissibility(self):
         neg = RIGHT.negated()
         assert neg.alpha1 == 0.0 and neg.alpha2 == -math.pi / 2
+
+    @pytest.mark.parametrize("pair", [(0.0, math.pi / 2), (0.3, 1.9), (-2.5, 0.7)])
+    def test_kept_state_stays_out_of_identity(self, pair):
+        used, fresh = PolarizationAngles(*pair), PolarizationAngles(*pair)
+        m = np.array([0.8, 1.1])
+        recover_phases(m, m[::-1], np.array([[1.2, 1.0], [0.9, 1.3]]), used)
+        neg = used.negated()
+        assert used.negated() is neg and neg == PolarizationAngles(-pair[0], -pair[1])
+        assert not used._unmix.flags.writeable
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert dump_json(angles_to_json(used)) == dump_json(angles_to_json(fresh))
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
+        assert back.negated() == neg and np.array_equal(back._unmix, used._unmix)
 
 
 class TestRecoverProduct:

@@ -31,8 +31,14 @@ from dynphase.experiments import (
     zero_patterns,
 )
 from dynphase.instances import make_instance, random_signal_for
-from dynphase.retrieval import RELAXED_ZERO_FLOOR, _chain_phases, _solve_rows
-from dynphase.serialization import dump_json, measurement_set_to_json
+from dynphase.retrieval import (
+    RELAXED_ZERO_FLOOR,
+    RecoveryResult,
+    _chain_phases,
+    _remeasure_residual,
+    _solve_rows,
+)
+from dynphase.serialization import dump_json, measurement_set_to_json, recovery_result_to_json
 from oracles import (
     chain_components_bfs,
     chain_phases_loop,
@@ -589,6 +595,71 @@ class TestCachedRowSolve:
         x = np.array([1.0, 0.5, 0.25], dtype=complex)
         with pytest.raises(SingularMatrixError, match="rank 2 < 3"):
             recover_full_spark(measure(x, frame, CFG), frame, CFG)
+
+
+RESULT_TEXT = (
+    '{\n  "estimate": [\n    [\n      0.5,\n      0.25\n    ],\n    [\n      -1.0,\n      0.0\n'
+    '    ]\n  ],\n  "status": "RecoveredPartialChain",\n  "used_indices": [\n    2,\n    3,\n'
+    '    4\n  ],\n  "component_size": 5,\n  "residual": 0.125\n}\n'
+)
+
+
+class TestIndexContract:
+    """Index sets travel as intp arrays; what callers read stays plain Python ints."""
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [2, 3, 4],
+            range(2, 5),
+            (i for i in (2, 3, 4)),
+            (np.int64(2), np.int64(3), np.int64(4)),
+            np.arange(2, 5),
+            np.array([2, 3, 4], dtype=np.intp),
+        ],
+    )
+    def test_used_indices_are_plain_ints(self, indices):
+        estimate = np.array([0.5 + 0.25j, -1.0])
+        result = RecoveryResult(estimate, RecoveryStatus.PARTIAL, indices, 5, 0.125)
+        assert result.used_indices == (2, 3, 4)
+        assert all(type(i) is int for i in result.used_indices)
+        assert dump_json(recovery_result_to_json(result)) == RESULT_TEXT
+
+    def test_recovered_indices_are_plain_ints(self):
+        frame = harmonic_frame(4, 6)
+        x = signal_with_zero_pattern(frame, (0, 1), np.random.default_rng(7))
+        for result in (
+            recover_full_spark(measure(x, frame, CFG), frame, CFG),
+            recover_full_spark(measure(np.zeros(4), frame, CFG), frame, CFG),
+        ):
+            assert type(result.used_indices) is tuple and type(result.component_size) is int
+            assert all(type(i) is int for i in result.used_indices)
+
+    def test_chain_components_returns_lists_of_ints(self):
+        for mask in ([], [False, False], [True, False, False, True, True], [True] * 4):
+            components = chain_components(mask, 0)
+            assert type(components) is list
+            assert all(type(c) is list and all(type(i) is int for i in c) for c in components)
+        assert chain_components([True, False, False, True, True], 0) == [[0], [3, 4]]
+        assert chain_components([True, False, False, True, True], 1) == [[0], [3, 4]]
+        assert chain_components([True, False, True, False, False, True], 1) == [[0, 2], [5]]
+        assert chain_components([False] * 3, 2) == []
+
+    def test_hot_path_checks_still_fire(self):
+        frame = harmonic_frame(2, 3)
+        with pytest.raises(ValueError, match=re.escape("x contains NaN or Inf entries")):
+            measure(np.array([np.nan, 0.0]), frame, CFG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="base magnitudes must be finite and nonnegative"):
+                measure(np.array([1e308, 1e308]), frame, CFG)
+        with pytest.raises(DimensionMismatchError, match="x has dim 3, frame dim is 2"):
+            measure(np.ones(3), frame, CFG)
+        ms = measure(np.array([1.0, 0.5j]), harmonic_frame(2, 4), CFG)
+        with pytest.raises(InconsistentDataError, match="measurement set has L=4, frame has L=3"):
+            recover_full_spark(ms, frame, CFG)
+        # the estimate is checked as coefficients(x) checks its argument
+        with pytest.raises(ValueError, match=re.escape("x contains NaN or Inf entries")):
+            _remeasure_residual(frame, np.array([np.inf, 0.0]), ms.base[:3])
 
 
 class TestRecoverReal:

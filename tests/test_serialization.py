@@ -273,6 +273,12 @@ class TestFrameSpecs:
         frame = frame_from_spec(spec)
         assert np.allclose(frame.operator, [[0.5, 1.0], [0.0, 0.5]])
 
+    def test_overflowing_orbit_rejected(self):
+        spec = {"A": matrix_to_json(np.diag([1e200, 1.0])), "phi": [[1.0, 0.0]] * 2, "L": 3}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SchemaError, match=r"^frame: orbit column A\^2 phi is not finite"):
+                frame_from_spec(spec)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(SchemaError):
             frame_from_spec({"mystery": 1, "phi": [[1.0, 0.0]], "L": 2})
