@@ -96,8 +96,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
     parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per tree")
     args = parser.parse_args(argv)
-    trees = dict(spec.split("=", 1) for spec in args.trees)
+    pairs = [spec.split("=", 1) for spec in args.trees]
+    if any(len(pair) != 2 for pair in pairs):
+        parser.error("every tree is given as LABEL=TREE")
+    trees = dict(pairs)
+    if len(trees) != len(pairs):
+        parser.error("repeated LABEL: each tree needs its own label")
     seeds = parse_seeds(args.seeds)
+    if not seeds:
+        parser.error(f"--seeds {args.seeds} gives no seeds; write the range low-high")
 
     envs: dict[str, dict] = {}
     runs = {label: {w: [] for w in WORKLOADS} for label in trees}

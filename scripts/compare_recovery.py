@@ -2,44 +2,43 @@
 
     python scripts/compare_recovery.py OLD_SRC NEW_SRC
 
-Each tree runs the same instance grid in its own child process, with the
-tree's directory on PYTHONPATH:
+Both trees run one instance grid (see ``two_trees``):
 
 * complex mode: harmonic frames for d = 4..7, J = 0..min(2, d-2) and
   ``L = min_length(d, J)`` and one shorter (where Failed verdicts appear),
-  one signal for every zero pattern of at most d-1
-  zeros, recovered by ``recover_full_spark``;
-* real mode: the same grid over the real orbit of ``diag(linspace(0.6, 1.5,
-  d))`` from the all-ones generator, with real signals recovered by
-  ``recover_full_spark``, which picks sign recovery from the set;
+  one signal for every zero pattern of at most d-1 zeros, recovered by
+  ``recover_full_spark`` over the tree's own frame;
+* real mode: the same over the orbit of ``diag(linspace(0.6, 1.5, d))``
+  from the all-ones generator, with real signals (``recover_full_spark``
+  picks sign recovery from the set);
 * generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
-  every kind in ``KINDS``, d = 1..8 and seeds 0..9, serialized by
-  ``dump_json(instance_to_json(...))``, together with the text of their
-  measurement set, ``dump_json(measurement_set_to_json(measure(...)))``, and
-  the stdout of ``dynphase measure <instance file> --noise 1e-3``; each
-  instance's own signal is also recovered by ``recover_full_spark``, and its
-  frame is passed to ``analyze``.
+  every kind in ``KINDS``, d = 1..8 and seeds 0..9, as the texts of
+  ``dump_json(instance_to_json(...))``, of their measurement set and of
+  ``dynphase measure <instance file> --noise 1e-3``; each instance's own
+  signal is recovered by ``recover_full_spark``, and its frame analyzed.
 
-Signals come from a fixed seed, so both trees see identical inputs (the
-script checks this). Status (or exception type), ``used_indices`` and
-``component_size`` must match exactly, and the estimates must agree within
-phase-free distance 1e-10. Generated instances, their measurement sets and
-their noisy ``measure`` output must give the same text byte for byte, or fail
-with the same exception type. ``analyze`` must give the same ``is_frame`` and
-frame bounds within relative 1e-9. Exit status 0 means every outcome matched.
+The grid's orbits and signals are built in the script from fixed seeds, so
+both trees see identical inputs (the script checks this). Status (or
+exception type), ``used_indices`` and ``component_size`` must match
+exactly, and the estimates must agree within phase-free distance 1e-10.
+Generated instances test each tree's own generator: their three texts must
+match byte for byte, or fail with the same exception type. ``analyze`` must
+give the same ``is_frame`` and frame bounds within relative 1e-9. Exit
+status 0 means every outcome matched.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
+import itertools
 import os
-import subprocess
 import sys
 import tempfile
 
 import numpy as np
+
+import two_trees
 
 TOL = 1e-10
 
@@ -50,35 +49,16 @@ BOUND_RTOL = 1e-9
 TEXTS = ("generated instances", "measurement sets", "noisy measure outputs")
 
 
-def _real_signal(frame, pattern, rng, margin=1e-3, tries=64):
-    """A real unit signal whose real frame coefficients vanish on the pattern."""
-    rows = frame.synthesis().real
-    if pattern:
-        _, _, vh = np.linalg.svd(rows[:, list(pattern)].T)
-        basis = vh[len(pattern):].T
-    else:
-        basis = np.eye(frame.dim)
-    others = np.delete(np.arange(frame.length), list(pattern))
-    for _ in range(tries):
-        x = basis @ rng.standard_normal(basis.shape[1])
-        x /= np.linalg.norm(x)
-        coeffs = np.abs(rows[:, others].T @ x)
-        if coeffs.size == 0 or coeffs.min() > margin * coeffs.max():
-            return x
-    return None
-
-
-def emit(path: str) -> None:
-    """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
-    from dynphase import analyze, build, cli, harmonic_frame, measure, min_length, retrieval
-    from dynphase.experiments import signal_with_zero_pattern, zero_patterns
+def emit() -> list[dict]:
+    """Run the grid with the dynphase on sys.path and return the outcomes."""
+    from dynphase import analyze, build, cli, measure, min_length, retrieval
     from dynphase.instances import KINDS, make_instance
     from dynphase.serialization import dump_json, instance_to_json, measurement_set_to_json
 
     records = []
 
-    def run(key, x, frame, config):
-        entry = {"key": key, "x": None if x is None else [[v.real, v.imag] for v in x]}
+    def run(key, x, frame, config, **extra):
+        entry = {"key": key, "x": None if x is None else [[v.real, v.imag] for v in x], **extra}
         if x is not None:
             try:
                 result = retrieval.recover_full_spark(measure(x, frame, config), frame, config)
@@ -92,27 +72,21 @@ def emit(path: str) -> None:
                 entry["status"] = type(exc).__name__
         records.append(entry)
 
-    cases = [
-        (real, d, jumps, min_length(d, jumps) - short)
-        for real in (False, True)
-        for d in range(4, 8)
-        for jumps in range(min(2, d - 2) + 1)
-        for short in (1, 0)
-    ]
-    for real, d, jumps, L in cases:
-        config = retrieval.MeasurementConfig(jumps=jumps, real_mode=real)
-        if real:
-            frame = build(np.diag(np.linspace(0.6, 1.5, d)), np.ones(d), L)
-        else:
-            frame = harmonic_frame(d, L)
-        rng = np.random.default_rng([d, L, jumps, int(real)])
-        for pattern in zero_patterns(L, d - 1):
-            key = f"{'real' if real else 'complex'} d={d} L={L} J={jumps} zeros={pattern}"
+    for real, d in itertools.product((False, True), range(4, 8)):
+        for jumps, short in itertools.product(range(min(2, d - 2) + 1), (1, 0)):
+            L = min_length(d, jumps) - short
+            config = retrieval.MeasurementConfig(jumps=jumps, real_mode=real)
             if real:
-                x = _real_signal(frame, pattern, rng)
-            else:
-                x = signal_with_zero_pattern(frame, pattern, rng)
-            run(key, x, frame, config)
+                A, phi = np.diag(np.linspace(0.6, 1.5, d)), np.ones(d)
+            else:  # the harmonic frame
+                A, phi = np.diag(np.exp(2j * np.pi / L) ** np.arange(d)), np.ones(d, dtype=complex)
+            V, frame = two_trees.orbit(A, phi, L), build(A, phi, L)
+            diff = two_trees.orbit_diff(frame, V)
+            rng = np.random.default_rng([d, L, jumps, int(real)])
+            for m in range(d):
+                for zeros in itertools.combinations(range(L), m):
+                    key = f"{'real' if real else 'complex'} d={d} L={L} J={jumps} zeros={zeros}"
+                    run(key, two_trees.signal(V, zeros, rng, real), frame, config, orbit_diff=diff)
 
     def texts(instance, tmp):
         """The instance, its measurement set and its noisy ``measure`` stdout as text."""
@@ -127,30 +101,23 @@ def emit(path: str) -> None:
         return [text, dump_json(measurement_set_to_json(ms)), f"exit {code}\n{out.getvalue()}"]
 
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in KINDS:
-            for d in range(1, 9):
-                for seed in range(10):
-                    key = f"{kind} d={d} seed={seed}"
-                    entry, instance = {"key": f"instance {key}", "instance": None}, None
-                    try:
-                        instance = make_instance(kind, d, min_length(d), seed=seed)
-                        entry.update(instance=texts(instance, tmp), status="ok")
-                    except Exception as exc:  # an exception is an outcome to compare
-                        entry["status"] = type(exc).__name__
-                    records.append(entry)
-                    if instance is None:
-                        continue
-                    frame = instance.build_frame()
-                    run(f"recovery {key}", instance.signal, frame, instance.config)
-                    found = analyze(frame)
-                    bounds = [found.is_frame, found.lower_bound, found.upper_bound]
-                    records.append({"key": f"analysis {key}", "analysis": bounds})
-    with open(path, "w") as fh:
-        json.dump(records, fh)
-
-
-def _vector(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
+        for kind, d, seed in itertools.product(KINDS, range(1, 9), range(10)):
+            key = f"{kind} d={d} seed={seed}"
+            entry, instance = {"key": f"instance {key}", "instance": None}, None
+            try:
+                instance = make_instance(kind, d, min_length(d), seed=seed)
+                entry.update(instance=texts(instance, tmp), status="ok")
+            except Exception as exc:  # an exception is an outcome to compare
+                entry["status"] = type(exc).__name__
+            records.append(entry)
+            if instance is None:
+                continue
+            frame = instance.build_frame()
+            run(f"recovery {key}", instance.signal, frame, instance.config)
+            found = analyze(frame)
+            bounds = [found.is_frame, found.lower_bound, found.upper_bound]
+            records.append({"key": f"analysis {key}", "analysis": bounds})
+    return records
 
 
 def _phase_free_distance(x, y) -> float:
@@ -165,8 +132,7 @@ def _phase_free_distance(x, y) -> float:
 
 
 def compare(old: list[dict], new: list[dict]) -> int:
-    if [r["key"] for r in old] != [r["key"] for r in new]:
-        print("instance grids differ")
+    if not two_trees.same_grid(old, new, "instance"):
         return 1
     mismatches, worst, worst_bound, tally = [], 0.0, 0.0, {}
     for a, b in zip(old, new):
@@ -203,7 +169,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
             if a.get(field) != b.get(field):
                 mismatches.append((a["key"], f"{field}: {a.get(field)} vs {b.get(field)}"))
         if "estimate" in a and "estimate" in b:
-            dist = _phase_free_distance(_vector(a["estimate"]), _vector(b["estimate"]))
+            x, y = (np.array(r["estimate"], dtype=float).view(complex)[:, 0] for r in (a, b))
+            dist = _phase_free_distance(x, y)
             worst = max(worst, dist)
             if dist > TOL:
                 mismatches.append((a["key"], f"estimates differ by {dist:.3e}"))
@@ -211,29 +178,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
         print(f"{label}: {tally[label]}")
     print(f"compared {len(old)} instances, max phase-free distance {worst:.3e}, "
           f"max relative bound change {worst_bound:.3e}")
-    for key, what in mismatches[:20]:
-        print(f"MISMATCH {key}: {what}")
-    print(f"{len(mismatches)} mismatches")
-    return 1 if mismatches else 0
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit(argv[1])
-        return 0
-    if len(argv) != 2:
-        print(__doc__)
-        return 2
-    outcomes = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, src in enumerate(argv):
-            out = os.path.join(tmp, f"{i}.json")
-            env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-            subprocess.run([sys.executable, __file__, "--emit", out], env=env, check=True)
-            with open(out) as fh:
-                outcomes.append(json.load(fh))
-    return compare(*outcomes)
+    return two_trees.report(old, new, mismatches)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(two_trees.main(sys.argv[1:], __file__, emit, compare, __doc__))

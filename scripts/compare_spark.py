@@ -2,40 +2,36 @@
 
     python scripts/compare_spark.py OLD_SRC NEW_SRC
 
-Each tree runs the same matrix grid in its own child process, with the
-tree's directory on PYTHONPATH. For d = 3..8 and L in {d + 2, 2d}, and for
-d = 9 and 10 at L = d + 2 (anchored minors with a 5-column prefix):
+Both trees run one matrix grid (see ``two_trees``): for d = 3..8 and L in
+{d + 2, 2d}, and for d = 9 and 10 at L = d + 2 (anchored minors with a
+5-column prefix),
 
-* orbit synthesis matrices of harmonic, random-diagonalizable, Jordan
-  (non-diagonalizable) and circulant operators, of singular diagonal and
-  singular dense operators (one zero eigenvalue) and of the nilpotent
-  Jordan block, two seeds each, checked with
-  ``full_spark`` and, for the diagonalizable ones, with
-  ``full_spark_criterion`` and the spanning test ``frame_criterion`` (unit
-  blocks) on the operator's eigenvalues and the generator's eigenbasis
-  coordinates, every orbit with
-  ``analyze(spark=True)``, and every circulant orbit with the spanning
-  verdict of ``circulant_frame``;
-* classical Vandermonde matrices in random distinct complex points, in
-  positive real points, in geometric points and in roots of unity of order
-  d - 1 (which repeat, so some minors vanish), checked with ``full_spark``,
-  ``full_spark_criterion`` and ``frame_criterion`` (all-ones coordinates);
+* orbits of harmonic, random-diagonalizable, Jordan (non-diagonalizable)
+  and circulant operators, of singular diagonal and singular dense
+  operators (one zero eigenvalue) and of the nilpotent Jordan block, two
+  seeds each, checked with ``full_spark``, with ``analyze(spark=True)`` on
+  the tree's own frame (a circulant's from ``circulant_frame``, whose
+  spanning verdict is compared too), and, for the diagonalizable ones,
+  with ``full_spark_criterion`` and ``frame_criterion`` (unit blocks) on
+  the eigenvalues and the generator's eigenbasis coordinates;
+* classical Vandermonde matrices (orbits of ``diag(points)`` from the
+  all-ones generator) in random complex, positive real and geometric
+  points and in the roots of unity of order d - 1 (which repeat, so some
+  minors vanish), checked with ``full_spark``, ``full_spark_criterion``
+  and ``frame_criterion`` (all-ones coordinates);
 * one diagonal orbit whose smallest generator coordinate is 5e-10 of the
   largest, just above the 1e-10 dependence cut, checked like the
   diagonalizable orbits.
 
-A tree without ``frame_criterion`` runs ``frame_criterion_diagonalizable``,
-the same test under its earlier name; no record passes a Jordan spectrum,
-which such a tree cannot judge. Matrices come from fixed seeds, so both
-trees see identical inputs (the script checks their bytes). The verdict and
-the witness must match exactly; an exception is an outcome and must match
-by type. ``min_abs_det`` may move by rounding, in every check: a change of
-kernel, or of scaling minors by powers of the operator's determinant
-instead of factoring them, moves its last bits. It may move by at most 1e-15 absolute (scaled minors are at most
-1, by Hadamard's bound). The number of moved records and the largest move
-are printed per check. One further difference is allowed and listed: an
-``analyze`` record of an exactly diagonal operator that passes in both trees
-with a number in OLD and with ``min_abs_det`` None in NEW, which is a
+Every operator, orbit and spectrum is built in the script from fixed seeds,
+so both trees see identical inputs (the script checks their bytes). The
+verdict and the witness must match exactly; an exception is an outcome and
+must match by type. ``min_abs_det`` may move by rounding (a change of
+kernel or of shift scaling moves its last bits), in every check by at most
+1e-15 absolute (scaled minors are at most 1, by Hadamard's bound); the
+moved records are counted per check. One further difference is allowed and
+listed: an ``analyze`` record of an exactly diagonal operator that passes
+in both trees with a number in OLD and ``min_abs_det`` None in NEW, a
 structural certificate standing in for enumeration. Exit status 0 means
 every other outcome matched.
 """
@@ -43,13 +39,11 @@ every other outcome matched.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import subprocess
 import sys
-import tempfile
 
 import numpy as np
+
+import two_trees
 
 
 def _unitary(rng, d):
@@ -61,11 +55,16 @@ def _points(rng, d):
     return rng.uniform(0.7, 1.25, d) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
 
 
-def emit(path: str) -> None:
-    """Run the grid with the dynphase on sys.path and write the outcomes as JSON."""
-    from dynphase import analyze, build, circulant_frame, classical, full_spark, harmonic_frame
-    from dynphase import frames
-    from dynphase.spectral import JordanSpec, assemble
+def _eigen(A, phi):
+    """The operator's eigenvalues and the generator's eigenbasis coordinates."""
+    values, vectors = np.linalg.eig(A)
+    return values, np.linalg.solve(vectors, phi)
+
+
+def emit() -> list[dict]:
+    """Run the grid with the dynphase on sys.path and return the outcomes."""
+    from dynphase import analyze, build, circulant_frame, frame_criterion, full_spark
+    from dynphase import full_spark_criterion
 
     records = []
 
@@ -74,78 +73,67 @@ def emit(path: str) -> None:
             c = check(*args)
         except Exception as exc:  # an exception is an outcome to compare
             return type(exc).__name__
+        if isinstance(c, (bool, np.bool_)):  # a spanning verdict
+            return [bool(c)]
         mad = None if c.min_abs_det is None else repr(float(c.min_abs_det))
         return [c.full_spark, None if c.witness is None else list(c.witness), mad]
 
-    criterion = getattr(frames, "frame_criterion", None) or frames.frame_criterion_diagonalizable
-
-    def span(*spectrum):
-        try:
-            return [bool(criterion(*spectrum))]
-        except Exception as exc:
-            return type(exc).__name__
-
-    def run(key, m, spectrum=None, frame=None, circulant=None):
-        entry = {"key": key, "input": hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()}
+    def run(key, A, phi, L, spectrum=None, frame=None, circulant=None):
+        """Check the script's orbit of ``A`` from ``phi``, and ``frame``, the tree's own."""
+        m = two_trees.orbit(A, phi, L)
+        entry = {"key": key, "input": hashlib.sha256(m.tobytes()).hexdigest()}
         entry["full_spark"] = certify(full_spark, m)
         if spectrum is not None:
-            entry["criterion"] = certify(frames.full_spark_criterion, *spectrum, m.shape[1])
-            entry["spanning"] = span(*spectrum)
+            entry["criterion"] = certify(full_spark_criterion, *spectrum, L)
+            entry["spanning"] = certify(frame_criterion, *spectrum)
         if circulant is not None:
             entry["circulant"] = [bool(circulant)]
         if frame is not None:
-            A = frame.operator
             entry["diagonal"] = not np.any(A - np.diag(np.diagonal(A)))
             entry["analyze"] = certify(lambda: analyze(frame, spark=True).spark)
+            entry["orbit_diff"] = two_trees.orbit_diff(frame, m)
         records.append(entry)
 
-    def orbit_spectrum(frame):
-        values, vectors = np.linalg.eig(frame.operator)
-        return values, np.linalg.solve(vectors, frame.generator)
+    def orbit(key, A, phi, L, spectrum=None):
+        run(key, A, phi, L, spectrum, build(A, phi, L))
 
     for d in range(3, 11):
         for L in (d + 2, 2 * d) if d <= 8 else (d + 2,):
-            frame = harmonic_frame(d, L)
-            run(f"harmonic d={d} L={L}", frame.synthesis(), orbit_spectrum(frame), frame)
+            A, ones = np.diag(np.exp(2j * np.pi / L) ** np.arange(d)), np.ones(d, dtype=complex)
+            orbit(f"harmonic d={d} L={L}", A, ones, L, _eigen(A, ones))
             for seed in range(2):
                 rng = np.random.default_rng([d, L, seed])
                 tag = f"d={d} L={L} seed={seed}"
-
                 U, values, coords = _unitary(rng, d), _points(rng, d), _points(rng, d)
-                frame = build((U * values) @ U.conj().T, U @ coords, L)
-                run(f"random-diag {tag}", frame.synthesis(), (values, coords), frame)
-
+                A = (U * values) @ U.conj().T
+                orbit(f"random-diag {tag}", A, U @ coords, L, (values, coords))
+                # S J S^{-1}, solved as spectral.assemble solves it
                 mults = (d - 2, 1, 1) if d > 3 else (2, 1)
-                spec = JordanSpec(_points(rng, len(mults)), mults, _unitary(rng, d))
-                frame = build(assemble(spec), spec.basis @ coords, L)
-                run(f"jordan {tag}", frame.synthesis(), frame=frame)
-
+                eigs, S, links = _points(rng, len(mults)), _unitary(rng, d), np.ones(d - 1)
+                links[np.cumsum(mults)[:-1] - 1] = 0.0
+                J = np.diag(np.repeat(eigs, mults)) + np.diag(links, 1)
+                orbit(f"jordan {tag}", np.linalg.solve(S.T, (S @ J).T).T, S @ coords, L)
                 kernel = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                A = kernel[(np.arange(d)[:, None] - np.arange(d)) % d]  # the circulant gather
                 frame, spans = circulant_frame(kernel, coords, L)
-                run(f"circulant {tag}", frame.synthesis(), orbit_spectrum(frame), frame, spans)
-
+                run(f"circulant {tag}", A, coords, L, _eigen(A, coords), frame, spans)
                 # det(A) = 0: every minor without column 0 is scaled to zero
                 singular = np.concatenate(([0.0], _points(rng, d - 1)))
-                frame = build(np.diag(singular), coords, L)
-                run(f"singular-diag {tag}", frame.synthesis(), (singular, coords), frame)
-                frame = build((U * singular) @ U.conj().T, U @ coords, L)
-                run(f"singular-dense {tag}", frame.synthesis(), (singular, coords), frame)
-                frame = build(np.diag(np.ones(d - 1), 1), coords, L)
-                run(f"nilpotent {tag}", frame.synthesis(), frame=frame)
-
+                orbit(f"singular-diag {tag}", np.diag(singular), coords, L, (singular, coords))
+                A = (U * singular) @ U.conj().T
+                orbit(f"singular-dense {tag}", A, U @ coords, L, (singular, coords))
+                orbit(f"nilpotent {tag}", np.diag(np.ones(d - 1), 1), coords, L)
                 for name, pts in (
                     ("random", _points(rng, d)),
                     ("positive", np.sort(rng.uniform(0.2, 2.0, d))),
                     ("geometric", 0.8 * (0.95 * np.exp(0.9j + 0.1j * seed)) ** np.arange(d)),
                     ("roots", np.exp(2j * np.pi * (np.arange(d) + seed) / (d - 1))),
                 ):
-                    run(f"classical-{name} {tag}", classical(pts, L), (pts, np.ones(d)))
+                    run(f"classical-{name} {tag}", np.diag(pts), np.ones(d), L, (pts, np.ones(d)))
     # one orbit whose smallest coordinate ratio, 5e-10, sits just above the cut
     values, coords = np.exp(2j * np.pi / 8) ** np.arange(4), np.array([1.0, 1.0, 1.0, 5e-10])
-    frame = build(np.diag(values), coords, 8)
-    run("band d=4 L=8", frame.synthesis(), (values, coords), frame)
-    with open(path, "w") as fh:
-        json.dump(records, fh)
+    orbit("band d=4 L=8", np.diag(values), coords, 8, (values, coords))
+    return records
 
 
 #: How far ``min_abs_det`` may move when verdict and witness are unchanged.
@@ -154,16 +142,12 @@ DET_ATOL = 1e-15
 
 def _drift(old, new) -> float | None:
     """|min_abs_det| move of a certificate with unchanged verdict and witness."""
-    if isinstance(old, str) or isinstance(new, str):
-        return None
-    if old[:2] != new[:2] or old[2] is None or new[2] is None:
-        return None
-    return abs(float(old[2]) - float(new[2]))
+    same = isinstance(old, list) and isinstance(new, list) and old[:2] == new[:2]
+    return abs(float(old[2]) - float(new[2])) if same and None not in (old[2], new[2]) else None
 
 
 def compare(old: list[dict], new: list[dict]) -> int:
-    if [r["key"] for r in old] != [r["key"] for r in new]:
-        print("matrix grids differ")
+    if not two_trees.same_grid(old, new, "matrix"):
         return 1
     mismatches, structural, tally = [], [], {}
     drifts = {check: [] for check in ("full_spark", "criterion", "analyze")}
@@ -183,13 +167,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
             drift = _drift(outcome, b.get(check))
             if drift is not None and drift <= DET_ATOL:
                 drifts[check].append(drift)
-            elif (
-                check == "analyze"
-                and a["diagonal"]
-                and not isinstance(outcome, str)
-                and outcome[0] is True
-                and outcome[2] is not None
-                and b[check] == [True, None, None]
+            elif check == "analyze" and a["diagonal"] and b[check] == [True, None, None] and (
+                outcome[:1] == [True] and outcome[2] is not None
             ):
                 structural.append((a["key"], outcome[2]))
             else:
@@ -203,29 +182,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
     for key, mad in structural:
         print(f"STRUCTURAL {key}: analyze min_abs_det {mad} -> None")
     print(f"{len(structural)} diagonal analyze records certified by structure")
-    for key, what in mismatches[:20]:
-        print(f"MISMATCH {key}: {what}")
-    print(f"{len(mismatches)} mismatches")
-    return 1 if mismatches else 0
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit(argv[1])
-        return 0
-    if len(argv) != 2:
-        print(__doc__)
-        return 2
-    outcomes = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, src in enumerate(argv):
-            out = os.path.join(tmp, f"{i}.json")
-            env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-            subprocess.run([sys.executable, __file__, "--emit", out], env=env, check=True)
-            with open(out) as fh:
-                outcomes.append(json.load(fh))
-    return compare(*outcomes)
+    return two_trees.report(old, new, mismatches)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(two_trees.main(sys.argv[1:], __file__, emit, compare, __doc__))

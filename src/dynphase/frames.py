@@ -309,7 +309,8 @@ def full_spark_criterion(
     enumeration and give ``min_abs_det=None``. Otherwise the confluent
     matrix is enumerated within ``DEFAULT_BUDGET`` subsets as the orbit it
     is, with ``shift_det = prod(eigenvalues ** multiplicities)`` unless that
-    product overflows.
+    product overflows. A confluent matrix that overflows raises
+    ``ValueError`` naming its first non-finite column.
     """
     values, coords, mults = _spectrum(eigenvalues, coordinates, multiplicities)
     d = coords.size
@@ -323,8 +324,12 @@ def full_spark_criterion(
         return SparkCertificate(False, tuple(range(d)), 0.0)
     if max(mults) == 1 and _structurally_full_spark(values, length):
         return SparkCertificate(True, None, None)
+    confluent = second_kind(values, mults, length)
+    finite = np.isfinite(confluent).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"confluent column {finite.argmin()} is not finite (overflow)")
     shift_det = _finite(np.prod(values ** np.array(mults)))
-    return full_spark(second_kind(values, mults, length), shift_det=shift_det)
+    return full_spark(confluent, shift_det=shift_det)
 
 
 def _finite(value):
