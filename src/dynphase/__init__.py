@@ -35,9 +35,6 @@ from .frames import (
 )
 from .polarization import (
     PolarizationAngles,
-    PolarizationData,
-    recover_product,
-    recover_product_real,
     recover_product_roots_of_unity,
 )
 from .retrieval import (
@@ -111,9 +108,6 @@ __all__ = [
     "harmonic_frame",
     # polarization
     "PolarizationAngles",
-    "PolarizationData",
-    "recover_product",
-    "recover_product_real",
     "recover_product_roots_of_unity",
     # retrieval
     "MeasurementConfig",

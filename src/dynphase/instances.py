@@ -12,7 +12,7 @@ import numpy as np
 
 from .experiments import _dense_coefficients
 from .frames import DynamicalFrame, circulant, dft_matrix
-from .retrieval import MeasurementConfig
+from .retrieval import MeasurementConfig, min_length
 from .serialization import (
     Instance,
     jordan_spec_to_json,
@@ -92,6 +92,7 @@ def make_instance(
     if dim < 1 or length < dim:
         raise ValueError(f"need dim >= 1 and length >= dim, got dim={dim}, length={length}")
     config = config or MeasurementConfig()
+    min_length(dim, config.jumps)  # ValueError unless jumps lies in 0..dim-2
     if config.real_mode and kind != "rotation":
         raise ValueError("real_mode generation is only supported for rotation instances")
     rng = np.random.default_rng(seed)

@@ -12,9 +12,7 @@ and the roots-of-unity variant averages K >= 3 shifted magnitudes against the
 K-th roots of unity with no linear solve at all.
 
 :func:`recover_phases` and :func:`recover_signs` solve many pairs at once;
-every formula, floor and check is written there once. The scalar forms
-:func:`recover_product` and :func:`recover_product_real` are those array
-forms applied to one pair.
+every formula, floor and check is written there once.
 """
 
 from __future__ import annotations
@@ -85,39 +83,8 @@ class PolarizationAngles:
         return 1 if c > 0 else -1
 
 
-@dataclass(frozen=True)
-class PolarizationData:
-    """The four magnitudes |z1|, |z2|, |z1 + e^{i a1} z2|, |z1 + e^{i a2} z2|."""
-
-    m1: float
-    m2: float
-    mplus1: float
-    mplus2: float
-
-    def __post_init__(self):
-        for name in ("m1", "m2", "mplus1", "mplus2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-            object.__setattr__(self, name, v)
-
-
 def _zero_magnitudes(m1: float, m2: float) -> ZeroMagnitudeError:
     return ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
-
-
-def recover_product(data: PolarizationData, angles: PolarizationAngles) -> complex:
-    """The product ``conj(z1) * z2`` from the four magnitudes.
-
-    :func:`recover_phases` on one pair, scaled by ``|z1| |z2|``. Raises
-    ``ZeroMagnitudeError`` when either base magnitude is numerically zero
-    (the relative phase is then undefined and the caller must route around
-    this pair), and ``InconsistentDataError`` when the shifted magnitudes
-    cannot come from any phase.
-    """
-    shifted = np.array([[data.mplus1], [data.mplus2]])
-    phase = recover_phases(np.array([data.m1]), np.array([data.m2]), shifted, angles)
-    return data.m1 * data.m2 * complex(phase[0])
 
 
 def _nonzero_prefix(m1: np.ndarray, m2: np.ndarray) -> int:
@@ -167,33 +134,21 @@ def recover_phases(
     return phases
 
 
-def _real_products(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
-    """The products ``z1 * z2`` of n pairs of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
+def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
+    """The signs of the products ``z1 * z2`` of n pairs of nonzero reals at once.
+
+    ``shifted`` holds ``|z1 + sign*z2|`` per pair; all magnitudes must be
+    finite and nonnegative. A sign is +1 where the product
+    ``(shifted**2 - m1**2 - m2**2) / (2 sign)`` is >= 0 and -1 elsewhere; a
+    zero base magnitude raises ``ZeroMagnitudeError``, for the first such pair.
+    """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     stop = _nonzero_prefix(m1, m2) if m1.size else 0
     if stop < m1.size:
         raise _zero_magnitudes(m1[stop], m2[stop])
-    return (shifted * shifted - m1 * m1 - m2 * m2) / (2.0 * sign)
-
-
-def recover_product_real(m1: float, m2: float, mplus: float, sign: int) -> float:
-    """The product ``z1 * z2`` of nonzero reals from |z1|, |z2|, |z1 + sign*z2|."""
-    for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-    return float(_real_products(*(np.array([float(v)]) for v in (m1, m2, mplus)), sign)[0])
-
-
-def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int) -> np.ndarray:
-    """The signs of the products ``z1 * z2`` of n pairs of nonzero reals at once.
-
-    ``shifted`` holds ``|z1 + sign*z2|`` per pair; all magnitudes must be
-    finite and nonnegative. A sign is +1 where :func:`recover_product_real`
-    returns a product >= 0 and -1 elsewhere; a zero base magnitude raises its
-    error, for the first such pair.
-    """
-    return np.where(_real_products(m1, m2, shifted, sign) >= 0.0, 1.0, -1.0)
+    products = (shifted * shifted - m1 * m1 - m2 * m2) / (2.0 * sign)
+    return np.where(products >= 0.0, 1.0, -1.0)
 
 
 def recover_product_roots_of_unity(magnitudes) -> complex:

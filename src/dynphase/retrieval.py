@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,7 +84,7 @@ class MeasurementConfig:
     real_mode: bool = False
 
     def __post_init__(self):
-        if self.jumps < 0:
+        if operator.index(self.jumps) < 0:
             raise ValueError("jumps must be >= 0")
         if not (0.0 < self.zero_tol < 1.0):
             raise ValueError("zero_tol must lie strictly between 0 and 1")
@@ -140,7 +141,7 @@ class MeasurementSet:
     grid: np.ndarray | Mapping[tuple[int, int, int], float]
 
     def __post_init__(self):
-        length, jumps = int(self.length), int(self.jumps)
+        length, jumps = operator.index(self.length), operator.index(self.jumps)
         base = np.array(self.base, dtype=float)
         if base.shape != (length,):
             raise DimensionMismatchError(

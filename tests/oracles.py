@@ -8,9 +8,10 @@ breadth-first search over an explicit edge list, full-spark certificates
 by one determinant call per column subset, measurements by one scalar ``abs``
 per aligned cell, polarization products by the scalar 2x2 solve, and chain
 phases by one scalar polarization per edge. The library computes
-``recover_product`` and ``recover_product_real`` through its array forms;
-``recover_product_scalar`` and ``recover_product_real_scalar`` write the
-same formulas, floors and messages out for a single pair.
+polarization only through its array kernels ``recover_phases`` and
+``recover_signs``; ``recover_product_scalar`` and
+``recover_product_real_scalar`` write the same formulas, floors and messages
+out for a single pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dynphase.exceptions import (
     InconsistentDataError,
     ZeroMagnitudeError,
 )
-from dynphase.polarization import CLAMP_TOL, MAGNITUDE_RTOL, PolarizationAngles, PolarizationData
+from dynphase.polarization import CLAMP_TOL, MAGNITUDE_RTOL, PolarizationAngles
 from dynphase.retrieval import MeasurementSet
 from dynphase.validation import as_matrix, as_vector
 from dynphase.vandermonde import DEFAULT_BUDGET, DEFAULT_SPARK_TOL, SparkCertificate
@@ -147,14 +148,15 @@ def _extract_cosine(mplus: float, m1: float, m2: float) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def recover_product_scalar(data: PolarizationData, angles: PolarizationAngles) -> complex:
-    """``polarization.recover_product`` as its own scalar 2x2 solve."""
-    m1, m2 = data.m1, data.m2
+def recover_product_scalar(
+    m1: float, m2: float, mplus1: float, mplus2: float, angles: PolarizationAngles
+) -> complex:
+    """``m1 * m2 * polarization.recover_phases`` on one pair, as a scalar 2x2 solve."""
     floor = MAGNITUDE_RTOL * max(m1, m2)
     if m1 <= floor or m2 <= floor:
         raise _zero_magnitudes(m1, m2)
-    r1 = _extract_cosine(data.mplus1, m1, m2)
-    r2 = _extract_cosine(data.mplus2, m1, m2)
+    r1 = _extract_cosine(mplus1, m1, m2)
+    r2 = _extract_cosine(mplus2, m1, m2)
     det = math.sin(angles.alpha1 - angles.alpha2)
     cos_d = (-r1 * math.sin(angles.alpha2) + r2 * math.sin(angles.alpha1)) / det
     sin_d = (r2 * math.cos(angles.alpha1) - r1 * math.cos(angles.alpha2)) / det
@@ -166,7 +168,7 @@ def recover_product_scalar(data: PolarizationData, angles: PolarizationAngles) -
 
 
 def recover_product_real_scalar(m1: float, m2: float, mplus: float, sign: int) -> float:
-    """``polarization.recover_product_real`` as a scalar expression."""
+    """The product whose sign ``polarization.recover_signs`` gives, for one pair."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     for name, v in (("m1", m1), ("m2", m2), ("mplus", mplus)):
@@ -265,10 +267,10 @@ def chain_phases_loop(ms, chain, real_sign) -> np.ndarray:
     for i, (l, m) in enumerate(zip(chain, chain[1:]), start=1):
         shifted = ms.aligned[(l, m - l, 1)]
         if real_sign is None:
-            data = PolarizationData(
-                float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)]
+            product = recover_product_scalar(
+                float(ms.base[l]), float(ms.base[m]), shifted, ms.aligned[(l, m - l, 2)], angles
             )
-            steps[i] = cmath.exp(1j * cmath.phase(recover_product_scalar(data, angles)))
+            steps[i] = cmath.exp(1j * cmath.phase(product))
         else:
             product = recover_product_real_scalar(
                 float(ms.base[l]), float(ms.base[m]), shifted, real_sign

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +442,10 @@ class TestBench:
         measured = capsys.readouterr().err
         assert main(["bench", "--dims", "4", "--jumps", "3"]) == 2
         assert capsys.readouterr().err == measured
+        generated = tmp_path / "jumps.json"
+        assert main(["gen", "harmonic", "4", "8", "--jumps", "3", "--output", str(generated)]) == 2
+        assert capsys.readouterr().err == measured
+        assert not generated.exists()
         assert measured == "error: jumps must lie in 0..2 for dim=4, got 3\n"
 
     def test_lengths_below_dim_rejected(self, capsys, monkeypatch):
@@ -534,6 +540,24 @@ class TestInputFiles:
 class TestPackage:
     def test_every_public_name_resolves(self):
         missing = [name for name in dynphase.__all__ if not hasattr(dynphase, name)]
+        assert missing == []
+
+    def test_readme_synopsis_lists_every_option(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+        synopsis = {line.split()[1]: line for line in block.splitlines()}
+        (commands,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(synopsis) == set(commands.choices)
+        missing = [
+            (name, option)
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if action.dest != "help"
+            for option in action.option_strings
+            if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])
+        ]
         assert missing == []
 
 

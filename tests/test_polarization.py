@@ -1,7 +1,6 @@
 import cmath
 import math
 import pickle
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,10 +10,7 @@ from hypothesis import strategies as st
 from dynphase import (
     InconsistentDataError,
     PolarizationAngles,
-    PolarizationData,
     ZeroMagnitudeError,
-    recover_product,
-    recover_product_real,
     recover_product_roots_of_unity,
 )
 from dynphase.polarization import recover_phases, recover_signs
@@ -31,7 +27,18 @@ nonzero_complex = st.builds(
 
 
 def forward(z1, z2, angles=RIGHT):
-    return PolarizationData(*polarization_forward(z1, z2, angles.alpha1, angles.alpha2))
+    return polarization_forward(z1, z2, angles.alpha1, angles.alpha2)
+
+
+def pairs_of(*values):
+    """Each value, a number or a sequence, as a float array of one or more pairs."""
+    return [np.array(v, dtype=float, ndmin=1) for v in values]
+
+
+def products(m1, m2, plus1, plus2, angles=RIGHT):
+    """``conj(z1) z2`` from the four magnitudes of each pair: ``m1 m2`` times recover_phases."""
+    m1, m2, plus1, plus2 = pairs_of(m1, m2, plus1, plus2)
+    return m1 * m2 * recover_phases(m1, m2, np.array([plus1, plus2]), angles)
 
 
 class TestAngles:
@@ -60,29 +67,28 @@ class TestAngles:
 
 
 class TestRecoverProduct:
+    """recover_phases, scaled by m1 m2, as the product conj(z1) z2."""
+
     def test_equal_units(self):
-        data = PolarizationData(1.0, 1.0, 2.0, math.sqrt(2.0))
-        assert recover_product(data, RIGHT) == pytest.approx(1.0)
+        assert products(1.0, 1.0, 2.0, math.sqrt(2.0))[0] == pytest.approx(1.0)
 
     def test_quarter_phase(self):
-        data = forward(1.0, 1j)
-        assert data.mplus1 == pytest.approx(math.sqrt(2.0))
-        assert data.mplus2 == pytest.approx(0.0)
-        assert recover_product(data, RIGHT) == pytest.approx(1j)
+        mags = forward(1.0, 1j)
+        assert mags[2] == pytest.approx(math.sqrt(2.0))
+        assert mags[3] == pytest.approx(0.0)
+        assert products(*mags)[0] == pytest.approx(1j)
 
     def test_round_trip_batch(self):
         rng = np.random.default_rng(70)
-        for _ in range(1000):
-            z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            if min(abs(z1), abs(z2)) < 1e-3:
-                continue
-            recovered = recover_product(forward(z1, z2), RIGHT)
-            expected = z1.conjugate() * z2
-            assert abs(recovered - expected) <= 1e-9 * abs(z1) * abs(z2)
+        z = np.array([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(1000)])
+        z1, z2 = z[np.min(np.abs(z), axis=1) >= 1e-3].T
+        recovered = products(*forward(z1, z2))
+        expected = z1.conjugate() * z2
+        assert np.all(np.abs(recovered - expected) <= 1e-9 * np.abs(z1) * np.abs(z2))
 
     @given(nonzero_complex, nonzero_complex)
     def test_round_trip_property(self, z1, z2):
-        recovered = recover_product(forward(z1, z2), RIGHT)
+        recovered = products(*forward(z1, z2))[0]
         assert abs(recovered - z1.conjugate() * z2) <= 1e-9 * abs(z1) * abs(z2)
 
     @given(nonzero_complex, nonzero_complex, st.floats(0, 2 * math.pi, allow_nan=False))
@@ -90,26 +96,24 @@ class TestRecoverProduct:
         spin = cmath.exp(1j * theta)
         plain = forward(z1, z2)
         spun = forward(spin * z1, spin * z2)
-        for field in ("m1", "m2", "mplus1", "mplus2"):
-            a, b = getattr(plain, field), getattr(spun, field)
+        for a, b in zip(plain, spun):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
         assert abs(
-            recover_product(plain, RIGHT) - recover_product(spun, RIGHT)
+            products(*plain)[0] - products(*spun)[0]
         ) <= 1e-12 * max(abs(z1) * abs(z2), 1.0)
 
     def test_zero_magnitude_rejected(self):
         with pytest.raises(ZeroMagnitudeError):
-            recover_product(PolarizationData(0.0, 1.0, 1.0, 1.0), RIGHT)
+            products(0.0, 1.0, 1.0, 1.0)
 
     def test_inconsistent_data_rejected(self):
         # mplus far beyond the triangle bound m1 + m2
         with pytest.raises(InconsistentDataError):
-            recover_product(PolarizationData(1.0, 1.0, 3.0, 1.0), RIGHT)
+            products(1.0, 1.0, 3.0, 1.0)
 
     def test_boundary_overshoot_is_clamped(self):
         # collinear case puts r exactly at 1; a tiny overshoot must survive
-        data = PolarizationData(1.0, 1.0, 2.0 + 1e-9, math.sqrt(2.0))
-        assert recover_product(data, RIGHT) == pytest.approx(1.0)
+        assert products(1.0, 1.0, 2.0 + 1e-9, math.sqrt(2.0))[0] == pytest.approx(1.0)
 
     def test_conditioning_degrades_as_angles_collapse(self):
         rng = np.random.default_rng(71)
@@ -123,10 +127,10 @@ class TestRecoverProduct:
             for (z1, z2), eps in zip(pairs, noise):
                 if min(abs(z1), abs(z2)) < 1e-2:
                     continue
-                mags = polarization_forward(z1, z2, angles.alpha1, angles.alpha2)
-                noisy = PolarizationData(*(max(m + e, 0.0) for m, e in zip(mags, eps)))
+                mags = forward(z1, z2, angles)
+                noisy = [max(m + e, 0.0) for m, e in zip(mags, eps)]
                 try:
-                    recovered = recover_product(noisy, angles)
+                    recovered = products(*noisy, angles)[0]
                 except InconsistentDataError:
                     continue
                 total += abs(recovered - z1.conjugate() * z2)
@@ -136,29 +140,29 @@ class TestRecoverProduct:
 
 
 class TestRecoverProductReal:
+    """recover_signs as the sign of the real product z1 * z2."""
+
     def test_plus_one(self):
-        assert recover_product_real(1.0, 1.0, 2.0, 1) == pytest.approx(1.0)
+        assert recover_signs(*pairs_of(1.0, 1.0, 2.0), 1)[0] == 1.0
 
     def test_minus_pair(self):
-        assert recover_product_real(1.0, 1.0, 0.0, 1) == pytest.approx(-1.0)
+        assert recover_signs(*pairs_of(1.0, 1.0, 0.0), 1)[0] == -1.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(72)
-        for _ in range(200):
-            z1, z2 = rng.standard_normal(2)
-            if min(abs(z1), abs(z2)) < 1e-3:
-                continue
-            for sign in (-1, 1):
-                product = recover_product_real(abs(z1), abs(z2), abs(z1 + sign * z2), sign)
-                assert product == pytest.approx(z1 * z2, abs=1e-12)
+        z = np.array([rng.standard_normal(2) for _ in range(200)])
+        z1, z2 = z[np.min(np.abs(z), axis=1) >= 1e-3].T
+        for sign in (-1, 1):
+            got = recover_signs(np.abs(z1), np.abs(z2), np.abs(z1 + sign * z2), sign)
+            assert np.array_equal(got, np.sign(z1 * z2))
 
     def test_zero_magnitude_rejected(self):
         with pytest.raises(ZeroMagnitudeError):
-            recover_product_real(1.0, 0.0, 1.0, 1)
+            recover_signs(*pairs_of(1.0, 0.0, 1.0), 1)
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
-            recover_product_real(1.0, 1.0, 2.0, 2)
+            recover_signs(*pairs_of(1.0, 1.0, 2.0), 2)
 
 
 class TestRootsOfUnity:
@@ -182,8 +186,7 @@ class TestRootsOfUnity:
             mags = [abs(z1 + w**-k * z2) for k in range(4)]
             viaroots = recover_product_roots_of_unity(mags)
             # k = 0 and k = 1 shifts are exactly the angle pair (0, -pi/2)
-            data = PolarizationData(abs(z1), abs(z2), mags[0], mags[1])
-            viasolve = recover_product(data, angles)
+            viasolve = products(abs(z1), abs(z2), mags[0], mags[1], angles)[0]
             expected = z1.conjugate() * z2
             assert abs(viaroots - expected) <= 1e-10 * max(abs(expected), 1.0)
             assert abs(viasolve - viaroots) <= 1e-9 * max(abs(expected), 1.0)
@@ -205,10 +208,9 @@ class TestArrayForms:
     def test_phases_match_recover_product(self):
         angles = PolarizationAngles(0.3, 1.9)
         z1, z2 = self.pairs(50, 74)
-        data = [forward(a, b, angles) for a, b in zip(z1, z2)]
-        m1, m2, p1, p2 = (np.array(col) for col in zip(*(astuple(d) for d in data)))
+        m1, m2, p1, p2 = forward(z1, z2, angles)
         got = recover_phases(m1, m2, np.array([p1, p2]), angles)
-        want = np.array([recover_product_scalar(d, angles) for d in data])
+        want = np.array([recover_product_scalar(*mags, angles) for mags in zip(m1, m2, p1, p2)])
         assert np.max(np.abs(got - want / np.abs(want))) <= 1e-14
 
     def test_signs_match_recover_product_real(self):
@@ -241,13 +243,18 @@ class TestArrayForms:
         with pytest.raises(InconsistentDataError, match="cos term 11.5 outside"):
             recover_phases(m, zero, shifted, RIGHT)
 
+    def test_first_zero_pair_decides_signs(self):
+        m1, m2 = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ZeroMagnitudeError, match=r"\(2, 0\) too close"):
+            recover_signs(m1, m2, np.ones(3), 1)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_signs(np.ones(1), np.ones(1), np.ones(1), 0)
 
 
 class TestScalarFormsMatchOracle:
-    """recover_product / recover_product_real against the scalar oracles."""
+    """recover_phases / recover_signs on one pair against the scalar oracles."""
 
     @staticmethod
     def raised(call, *args):
@@ -262,13 +269,13 @@ class TestScalarFormsMatchOracle:
         for _ in range(500):
             angles = PolarizationAngles(*rng.uniform(-math.pi, math.pi, 2))
             z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            data = forward(z1, z2, angles)
-            want = recover_product_scalar(data, angles)
-            assert abs(recover_product(data, angles) - want) <= 1e-13 * abs(want)
+            mags = forward(z1, z2, angles)
+            want = recover_product_scalar(*mags, angles)
+            assert abs(products(*mags, angles)[0] - want) <= 1e-13 * abs(want)
             for sign in (-1, 1):
-                args = (abs(z1.real), abs(z2.real), abs(z1.real + sign * z2.real), sign)
-                want = recover_product_real_scalar(*args)
-                assert abs(recover_product_real(*args) - want) <= 1e-13 * abs(want)
+                args = (abs(z1.real), abs(z2.real), abs(z1.real + sign * z2.real))
+                want = 1.0 if recover_product_real_scalar(*args, sign) >= 0.0 else -1.0
+                assert recover_signs(*pairs_of(*args), sign)[0] == want
 
     @pytest.mark.parametrize(
         "mags",
@@ -281,10 +288,9 @@ class TestScalarFormsMatchOracle:
         ],
     )
     def test_errors(self, mags):
-        data = PolarizationData(*mags)
-        want = self.raised(recover_product_scalar, data, RIGHT)
+        want = self.raised(recover_product_scalar, *mags, RIGHT)
         assert want is not None
-        assert self.raised(recover_product, data, RIGHT) == want
+        assert self.raised(products, *mags) == want
 
     @pytest.mark.parametrize(
         "args", [(1.0, 0.0, 1.0, 1), (1e-13, 2.0, 2.0, -1), (1.0, 1.0, 2.0, 2)]
@@ -292,4 +298,4 @@ class TestScalarFormsMatchOracle:
     def test_real_errors(self, args):
         want = self.raised(recover_product_real_scalar, *args)
         assert want is not None
-        assert self.raised(recover_product_real, *args) == want
+        assert self.raised(recover_signs, *pairs_of(*args[:3]), args[3]) == want

@@ -156,6 +156,14 @@ class TestMeasurementSetGrid:
         with pytest.raises(ValueError, match="jumps"):
             MeasurementSet(ms.length, -1, ms.angles, ms.base, {})
 
+    def test_non_integer_sizes_rejected(self):
+        ms = self.measured()
+        for sizes in [(6.7, 1), (6, 0.9), (6.0, 1)]:
+            with pytest.raises(TypeError):
+                MeasurementSet(*sizes, ms.angles, ms.base, ms.grid)
+        rebuilt = MeasurementSet(np.int64(6), np.int64(1), ms.angles, ms.base, ms.grid)
+        assert (rebuilt.length, rebuilt.jumps) == (6, 1)
+
     @pytest.mark.parametrize("size", [5, 7])
     def test_wrong_base_shape_rejected(self, size):
         ms = self.measured()
@@ -726,6 +734,10 @@ class TestRecoverReal:
     def test_config_rejects_negative_jumps(self):
         with pytest.raises(ValueError, match=r"^jumps must be >= 0$"):
             MeasurementConfig(jumps=-1)
+
+    def test_config_rejects_non_integer_jumps(self):
+        with pytest.raises(TypeError):
+            MeasurementConfig(jumps=1.5)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-9, 1.5, math.nan])
     def test_config_rejects_zero_tol_outside_unit_interval(self, bad):
