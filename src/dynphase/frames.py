@@ -45,7 +45,8 @@ class DynamicalFrame:
     ``ValueError`` naming its first non-finite column. Kept with the frame:
     its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
     coefficient evaluation and row-subset solve, and from first use their thin
-    SVD (``_row_svd``, for :func:`analyze` and all-L-row solves) and rank.
+    SVD (``_row_svd``, for :func:`analyze`) and its rank-truncated factors
+    (``_row_pinv``, for all-L-row solves).
     """
 
     operator: np.ndarray
@@ -100,10 +101,17 @@ class DynamicalFrame:
         return tuple(factors)
 
     @cached_property
-    def _row_rank(self) -> int:
-        """The numerical rank of all L rows, with ``lstsq``'s default cutoff."""
-        s = self._row_svd[1]
-        return int(np.count_nonzero(s > np.finfo(float).eps * max(self.length, self.dim) * s[0]))
+    def _row_pinv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(Z, Wh, s)``: the rows' pseudo-inverse is ``Z @ diag(1 / s) @ Wh``.
+
+        The SVD is cut at the rank ``s.size`` under ``lstsq``'s default cutoff.
+        """
+        W, s, Zh = self._row_svd
+        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(self.length, self.dim) * s[0]))
+        factors = (Zh[:rank].conj().T, W[:, :rank].conj().T, s[:rank])
+        for a in factors:
+            a.setflags(write=False)
+        return factors
 
     def coefficients(self, x) -> np.ndarray:
         """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1.
@@ -243,6 +251,8 @@ def harmonic_frame(dim: int, length: int) -> DynamicalFrame:
     The synthesis matrix is a row subset of the length-point inverse DFT
     matrix; for ``length >= dim`` this frame spans and has full spark.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if length < dim:
         raise ValueError(f"need length >= dim, got dim={dim}, length={length}")
     w = np.exp(2j * np.pi / length)

@@ -23,7 +23,7 @@ from .spectral import JordanSpec, min_eigenvalue_gap
 
 KINDS = ("random-diag", "jordan", "circulant", "harmonic", "rotation")
 
-#: Enforced relative pairwise eigenvalue gap for generated spectra.
+#: Smallest pairwise distance (absolute) between generated eigenvalues.
 EIGENVALUE_GAP = 0.15
 
 
@@ -33,13 +33,13 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _distinct_eigenvalues(rng: np.random.Generator, count: int, gap: float = EIGENVALUE_GAP) -> np.ndarray:
+def _distinct_eigenvalues(rng: np.random.Generator, count: int) -> np.ndarray:
     """Complex spectrum in an annulus around the unit circle with a pairwise gap."""
     while True:
         radii = rng.uniform(0.7, 1.25, size=count)
         args = rng.uniform(0.0, 2.0 * math.pi, size=count)
         values = radii * np.exp(1j * args)
-        if min_eigenvalue_gap(values) > gap:
+        if min_eigenvalue_gap(values) > EIGENVALUE_GAP:
             return values
 
 

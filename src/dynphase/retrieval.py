@@ -26,7 +26,8 @@ as zero still contribute: each pins the linear constraint
 indices gives s + m independent rows over a full-spark frame, so recovery
 needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
 zeros the signal is identically zero. Each frame keeps its conjugate rows, their
-SVD and rank, and each angle pair its negation and unmixing matrix, for all calls.
+SVD and its rank-truncated factors, and each angle pair its negation and
+unmixing matrix, for all calls.
 """
 
 from __future__ import annotations
@@ -42,22 +43,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    InconsistentDataError,
-    SingularMatrixError,
-    ZeroMagnitudeError,
-)
+from .exceptions import DimensionMismatchError, InconsistentDataError, SingularMatrixError
 from .frames import DynamicalFrame
 from .polarization import PolarizationAngles, recover_phases, recover_signs
 from .validation import as_vector, frozen_copy
 
 DEFAULT_ZERO_TOL = 1e-9
-
-#: Relative floor used when re-thresholding borderline magnitudes for a
-#: partial-chain rescue; sits well below DEFAULT_ZERO_TOL and well above
-#: double-precision noise on honest zeros.
-RELAXED_ZERO_FLOOR = 1e-13
 
 
 def default_angles() -> PolarizationAngles:
@@ -192,7 +183,6 @@ class MeasurementSet:
 
 class RecoveryStatus(Enum):
     RECOVERED = "Recovered"
-    PARTIAL = "RecoveredPartialChain"
     FAILED = "Failed"
 
 
@@ -231,7 +221,8 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     if config.real_mode:
         shifts = np.array([complex(config.angles.real_sign)])
     else:
-        # cmath.exp as in the scalar formula, so the shifts are bit-identical to it
+        # cmath.exp as in tests/oracles.measure_loop, so the shifts are bit-identical
+        # to the loop that the == test compares against
         angles = config.angles
         shifts = np.array([cmath.exp(-1j * angles.alpha1), cmath.exp(-1j * angles.alpha2)])
     # MeasurementSet pads the cells past length - j
@@ -293,12 +284,12 @@ def _solve_rows(
     L, d = frame.length, frame.dim
     if len(indices) == L:
         # all rows in some order: lstsq's minimum-norm solve, cutoff included,
-        # through the frame's cached SVD
-        W, s, Zh = frame._row_svd
-        rank = frame._row_rank
+        # through the frame's cached rank-truncated SVD factors
+        Z, Wh, s = frame._row_pinv
+        rank = s.size
         b = np.empty(L, dtype=complex)
         b[indices] = rhs
-        solution = Zh[:rank].conj().T @ ((W[:, :rank].conj().T @ b) / s[:rank])
+        solution = Z @ ((Wh @ b) / s)
     else:
         solution, _, rank, _ = np.linalg.lstsq(frame._rows[indices], rhs, rcond=None)
     if require_full_rank and rank < d:
@@ -321,6 +312,10 @@ def recover_full_spark(
     the zero-pinned rows (on dense data, all L rows). It matches the true
     signal up to one global phase; a real-mode set, with its single sign
     family, gives a real signal over a real frame up to one global sign.
+    A base magnitude at or below ``zero_tol`` times the largest is a zero,
+    classified once. The result is Recovered when the longest chain and the
+    zeros give at least ``dim`` rows, and Failed, with the minimum-norm
+    solution of those rows as a guess, when they do not.
     The caller is responsible for the full-spark property (certify it with
     :func:`dynphase.frames.full_spark_criterion` or
     :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
@@ -332,47 +327,28 @@ def recover_full_spark(
         )
     base = ms.base
     d = frame.dim
-    scale = float(base.max())
-
-    def attempt(zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nonzero = base > zero_tol * scale
-        alive, bounds = _runs(nonzero, ms.jumps)
-        # argmax keeps the first longest run, so ties go to the lowest indices
-        longest = (bounds[1:] - bounds[:-1]).argmax()
-        return nonzero, (~nonzero).nonzero()[0], alive[bounds[longest] : bounds[longest + 1]]
-
-    def result(status: RecoveryStatus, chain: np.ndarray, zeros: np.ndarray) -> RecoveryResult:
-        # the set's family count picks the formula: phases from two families,
-        # signs from one; the sign is read only when the chain has an edge
-        real_sign = ms.angles.real_sign if chain.size > 1 and not ms.has_two_angles else None
-        rhs = np.zeros(chain.size + zeros.size, dtype=complex)
-        rhs[: chain.size] = base[chain] * _chain_phases(ms, chain, real_sign)
-        rows = np.concatenate((chain, zeros))
-        estimate = _solve_rows(frame, rows, rhs, status is not RecoveryStatus.FAILED)
-        residual = _remeasure_residual(frame, estimate, base)
-        return RecoveryResult(estimate, status, chain, chain.size + zeros.size, residual)
-
-    nonzero, zeros, best = attempt(config.zero_tol)
+    nonzero = base > config.zero_tol * float(base.max())
+    zeros = (~nonzero).nonzero()[0]
     # at least d zero coefficients over a full-spark frame pin the signal to 0
     if zeros.size >= d:
         estimate = np.zeros(d, dtype=complex)
         residual = _remeasure_residual(frame, estimate, base)
         return RecoveryResult(estimate, RecoveryStatus.RECOVERED, (), zeros.size, residual)
-    if best.size + zeros.size >= d:
-        return result(RecoveryStatus.RECOVERED, best, zeros)
-
-    # Rescue pass: magnitudes between the machine floor and zero_tol may be
-    # honest small coefficients; reclassifying them can bridge chain gaps.
-    # Polarizing such a magnitude may still fail, which ends in Failed below.
-    relaxed, rzeros, rbest = attempt(RELAXED_ZERO_FLOOR)
-    if not np.array_equal(relaxed, nonzero) and rbest.size + rzeros.size >= d:
-        try:
-            return result(RecoveryStatus.PARTIAL, rbest, rzeros)
-        except (ZeroMagnitudeError, InconsistentDataError):
-            pass
-
-    # no chain reaches far enough: report failure with a minimum-norm guess
-    return result(RecoveryStatus.FAILED, best, zeros)
+    alive, bounds = _runs(nonzero, ms.jumps)
+    # argmax keeps the first longest run, so ties go to the lowest indices
+    longest = (bounds[1:] - bounds[:-1]).argmax()
+    chain = alive[bounds[longest] : bounds[longest + 1]]
+    # the set's family count picks the formula: phases from two families,
+    # signs from one; the sign is read only when the chain has an edge
+    real_sign = ms.angles.real_sign if chain.size > 1 and not ms.has_two_angles else None
+    rows = np.concatenate((chain, zeros))
+    rhs = np.zeros(rows.size, dtype=complex)
+    rhs[: chain.size] = base[chain] * _chain_phases(ms, chain, real_sign)
+    recovered = rows.size >= d
+    estimate = _solve_rows(frame, rows, rhs, recovered)
+    residual = _remeasure_residual(frame, estimate, base)
+    status = RecoveryStatus.RECOVERED if recovered else RecoveryStatus.FAILED
+    return RecoveryResult(estimate, status, chain, rows.size, residual)
 
 
 def min_length(dim: int, jumps: int = 0) -> int:

@@ -189,7 +189,7 @@ def frame_from_spec(spec: Any, where: str = "frame") -> DynamicalFrame:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A frame description plus measurement config, optional signal and seed."""
 

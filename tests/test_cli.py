@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -103,6 +104,12 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["analyze", str(bad)]) == 2
+
+    def test_empty_harmonic_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        dump_json({"frame": {"harmonic": {"d": 0, "L": 0}}}, path)
+        assert main(["analyze", str(path)]) == 2
+        assert "frame.harmonic: dim must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_overflowing_orbit_exit_code(self, tmp_path, capsys, command):
@@ -559,6 +566,34 @@ class TestPackage:
             if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])
         ]
         assert missing == []
+
+    def test_readme_tolerance_table_lists_every_constant(self):
+        # every public upper-case numeric module constant is a row with its
+        # owner and value, and every name in the table is such a constant
+        defined = {}
+        for path in sorted(Path(dynphase.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    name = getattr(node.targets[0], "id", "")
+                    try:
+                        value = ast.literal_eval(node.value)
+                    except ValueError:
+                        continue
+                    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+                    if numeric and re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+                        defined[name] = (path.stem, value)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Constant | Value | Owner | Rule |", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines()[2:]:
+            names_cell, values_cell, owner_cell = row.split("|")[1:4]
+            names = re.findall(r"`([A-Z][A-Z0-9_]*)`", names_cell)
+            values = [ast.literal_eval(v) for v in re.findall(r"`([^`]+)`", values_cell)]
+            if names:
+                assert len(names) == len(values), row
+                listed.update((n, (owner_cell.strip(" `"), v)) for n, v in zip(names, values))
+        assert "DEFAULT_ZERO_TOL" in defined and "RECOVERY_TOL" in listed
+        assert listed == defined
 
 
 class TestConsoleEntry:

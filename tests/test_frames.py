@@ -244,6 +244,21 @@ class TestRowSvdCache:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    @pytest.mark.parametrize("kind, dim, length", [("harmonic", 4, 6), ("random-diag", 8, 20)])
+    def test_pseudo_inverse_factors_kept_once_and_read_only(self, kind, dim, length):
+        frame = make_instance(kind, dim, length, seed=0).build_frame()
+        factors = frame._row_pinv
+        assert frame._row_pinv is factors
+        Z, Wh, s = factors
+        W, sv, Zh = frame._row_svd
+        rank = s.size
+        assert rank == np.linalg.matrix_rank(frame._rows) == dim
+        for got, want in ((Z, Zh[:rank].conj().T), (Wh, W[:, :rank].conj().T), (s, sv[:rank])):
+            assert got.strides == want.strides and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
 
 def assert_same_certificate(shifted, direct):
     """``analyze`` scales minors by powers of det(A): equal verdicts, rounding-close minima."""

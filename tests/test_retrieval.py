@@ -32,7 +32,6 @@ from dynphase.experiments import (
 )
 from dynphase.instances import make_instance, random_signal_for
 from dynphase.retrieval import (
-    RELAXED_ZERO_FLOOR,
     RecoveryResult,
     _chain_phases,
     _remeasure_residual,
@@ -496,6 +495,8 @@ class TestRecoverFullSpark:
         assert set(result.used_indices) == {0, 2, 4}
 
     def test_partial_chain_on_borderline_magnitude(self):
+        # coefficient 1 sits at 1e-10 of the largest: a zero under the default
+        # zero_tol, which breaks the chain; a chain link under zero_tol=1e-13
         rng = np.random.default_rng(91)
         frame = harmonic_frame(4, 5)
         anchor = signal_with_zero_pattern(frame, (1, 3), rng)
@@ -504,18 +505,21 @@ class TestRecoverFullSpark:
         scale = np.abs(frame.coefficients(anchor)).max()
         x = anchor + (1e-10 * scale / abs(c_bridge)) * bridge
         result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
-        assert result.status == RecoveryStatus.PARTIAL
+        assert result.status == RecoveryStatus.FAILED
+        cfg = MeasurementConfig(zero_tol=1e-13)
+        result = recover_full_spark(measure(x, frame, cfg), frame, cfg)
+        assert result.status == RecoveryStatus.RECOVERED
         assert global_phase_distance(result.estimate, x) <= 1e-6
 
     def test_rescue_pass_ends_in_a_verdict(self):
-        # two near-zero coefficients pass the relaxed floor, but their
-        # aligned magnitudes carry too little precision to polarize
+        # coefficients 1 and 4 lie above 1e-13 of the largest but under the
+        # default zero_tol: as zeros they leave the run (2, 3), and 2 + 2 rows < 5
         rng = np.random.default_rng(1)
         frame = harmonic_frame(5, 6)
         x = signal_with_zero_pattern(frame, (1, 4), rng)
         x = x + 3e-13 * np.linspace(1.0, 2.0, 5) * np.exp(1j * np.arange(5))
         coeffs = np.abs(frame.coefficients(x))
-        assert np.count_nonzero(coeffs > RELAXED_ZERO_FLOOR * coeffs.max()) == 6
+        assert np.count_nonzero(coeffs > 1e-13 * coeffs.max()) == 6
         result = recover_full_spark(measure(x, frame, CFG), frame, CFG)
         assert result.status == RecoveryStatus.FAILED
         assert result.used_indices == (2, 3)
@@ -607,7 +611,7 @@ class TestCachedRowSolve:
 
 RESULT_TEXT = (
     '{\n  "estimate": [\n    [\n      0.5,\n      0.25\n    ],\n    [\n      -1.0,\n      0.0\n'
-    '    ]\n  ],\n  "status": "RecoveredPartialChain",\n  "used_indices": [\n    2,\n    3,\n'
+    '    ]\n  ],\n  "status": "Recovered",\n  "used_indices": [\n    2,\n    3,\n'
     '    4\n  ],\n  "component_size": 5,\n  "residual": 0.125\n}\n'
 )
 
@@ -628,7 +632,7 @@ class TestIndexContract:
     )
     def test_used_indices_are_plain_ints(self, indices):
         estimate = np.array([0.5 + 0.25j, -1.0])
-        result = RecoveryResult(estimate, RecoveryStatus.PARTIAL, indices, 5, 0.125)
+        result = RecoveryResult(estimate, RecoveryStatus.RECOVERED, indices, 5, 0.125)
         assert result.used_indices == (2, 3, 4)
         assert all(type(i) is int for i in result.used_indices)
         assert dump_json(recovery_result_to_json(result)) == RESULT_TEXT

@@ -12,6 +12,7 @@ from dynphase import (
     harmonic_frame,
     measure,
 )
+from dynphase.instances import make_instance
 from dynphase.serialization import (
     Instance,
     dump_json,
@@ -287,6 +288,12 @@ class TestFrameSpecs:
         with pytest.raises(SchemaError, match=r"^frame: missing generator field 'phi'$"):
             frame_from_spec({"A": matrix_to_json(np.eye(2)), "L": 3})
 
+    def test_empty_harmonic_rejected(self):
+        with pytest.raises(ValueError, match=r"^dim must be >= 1$"):
+            harmonic_frame(0, 0)
+        with pytest.raises(SchemaError, match=r"^frame\.harmonic: dim must be >= 1$"):
+            frame_from_spec({"harmonic": {"d": 0, "L": 0}})
+
     def test_short_harmonic_rejected(self):
         with pytest.raises(
             SchemaError, match=r"^frame\.harmonic: need length >= dim, got dim=4, length=3$"
@@ -307,6 +314,12 @@ class TestInstanceSchema:
         assert parsed.config == config
         assert np.array_equal(parsed.signal, signal)
         assert parsed.seed == 42
+
+    def test_equality_and_hash_do_not_raise(self):
+        a = make_instance("harmonic", 4, 6, seed=1)
+        b = make_instance("harmonic", 4, 6, seed=1)
+        assert a == a and a != b  # identity, as for the other array-holding dataclasses
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_frame_built_once(self):
         obj = {"frame": {"harmonic": {"d": 3, "L": 6}}, "seed": 1}
