@@ -40,7 +40,8 @@ MAGNITUDE_RTOL = 1e-12
 class PolarizationAngles:
     """An admissible shift-angle pair: ``alpha1 - alpha2`` not in ``pi * Z``.
 
-    Keeps its negation and :func:`recover_phases`' unmixing matrix; eq and hash ignore both.
+    Keeps its negation, :func:`recover_phases`' unmixing matrix and the shift factors
+    of ``measure``; eq and hash ignore all three.
     """
 
     alpha1: float
@@ -73,6 +74,15 @@ class PolarizationAngles:
         unmix = np.array([[-math.sin(a2), math.sin(a1)], [-math.cos(a2), math.cos(a1)]]) / det
         unmix.setflags(write=False)
         return unmix
+
+    @cached_property
+    def _shifts(self) -> np.ndarray:
+        """The aligned shift factors ``exp(-1j alpha_k)`` that ``measure`` applies."""
+        # cmath.exp as in tests/oracles.measure_loop, so the shifts are bit-identical
+        # to the loop that the == test compares against
+        shifts = np.array([cmath.exp(-1j * self.alpha1), cmath.exp(-1j * self.alpha2)])
+        shifts.setflags(write=False)
+        return shifts
 
     @property
     def real_sign(self) -> int:

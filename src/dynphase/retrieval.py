@@ -11,8 +11,13 @@ A :class:`MeasurementSet` stores the aligned magnitudes in one float grid,
 ``grid[j - 1, k - 1, l]`` for offset j, angle family k and index l, of shape
 ``(jumps + 1, K, L - 1)`` with K = 2 (K = 1 in real mode) and NaN past
 ``L - j``; ``aligned`` is a lazy read-only ``(l, j, k)`` mapping of its cells.
-``measure`` fills the grid with one array expression per offset, and the
-polarization steps of a chain are solved for all of its edges at once.
+``measure`` fills the grid with one array expression per offset and writes
+its NaN padding. When one bound on the largest base magnitude shows every
+value finite, it hands both arrays to the set as they are, read-only,
+without the copy and the per-value checks of the public constructor; any
+other set goes through those checks. The polarization steps of a chain are
+solved for all of its edges at once, and :func:`recover_full_spark` hands
+its fresh estimate to the result the same way.
 
 Recovery, :func:`recover_full_spark`, chains phases over the indices whose
 base magnitude is nonzero. A component is a maximal run of nonzero indices
@@ -26,13 +31,12 @@ as zero still contribute: each pins the linear constraint
 indices gives s + m independent rows over a full-spark frame, so recovery
 needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
 zeros the signal is identically zero. Each frame keeps its conjugate rows, their
-SVD and its rank-truncated factors, and each angle pair its negation and
-unmixing matrix, for all calls.
+SVD and its rank-truncated factors, and each angle pair its negation, its
+unmixing matrix and its shift factors, for all calls.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections.abc import Mapping, Sequence
@@ -49,6 +53,9 @@ from .polarization import PolarizationAngles, recover_phases, recover_signs
 from .validation import as_vector, frozen_copy
 
 DEFAULT_ZERO_TOL = 1e-9
+
+# the largest base magnitude for which measure hands its arrays over unchecked
+_ADOPT_MAX = np.finfo(float).max / 4
 
 
 def default_angles() -> PolarizationAngles:
@@ -168,6 +175,19 @@ class MeasurementSet:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "grid", grid)
 
+    @classmethod
+    def _adopt(cls, length: int, jumps: int, angles, base, grid) -> "MeasurementSet":
+        """:func:`measure`'s hand-off: its own arrays, made read-only, no copy, no check.
+
+        The caller has built both as float64, shown every cell finite and
+        nonnegative, and padded the grid with NaN.
+        """
+        base.setflags(write=False)
+        grid.setflags(write=False)
+        ms = object.__new__(cls)
+        vars(ms).update(length=length, jumps=jumps, angles=angles, base=base, grid=grid)
+        return ms
+
     @cached_property
     def aligned(self) -> Mapping[tuple[int, int, int], float]:
         """The grid's non-NaN cells as a read-only ``(l, j, k)`` mapping, keys sorted."""
@@ -209,6 +229,23 @@ class RecoveryResult:
         ids = ids.astype(np.intp).tolist() if isinstance(ids, np.ndarray) else map(int, ids)
         object.__setattr__(self, "used_indices", tuple(ids))
 
+    @classmethod
+    def _adopt(cls, estimate, status, used_indices, component_size, residual) -> "RecoveryResult":
+        """:func:`recover_full_spark`'s hand-off: its own estimate, made read-only, no copy.
+
+        ``used_indices`` must already be a tuple of ints.
+        """
+        estimate.setflags(write=False)
+        result = object.__new__(cls)
+        vars(result).update(
+            estimate=estimate,
+            status=status,
+            used_indices=used_indices,
+            component_size=component_size,
+            residual=residual,
+        )
+        return result
+
 
 def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementSet:
     """Simulate the phaseless measurement set for a known signal."""
@@ -217,22 +254,25 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
         raise DimensionMismatchError(f"x has dim {x.size}, frame dim is {frame.dim}")
     min_length(frame.dim, config.jumps)  # ValueError for jumps beyond dim - 2
     coeffs = frame._rows @ x  # frame.coefficients(x) minus its second check of x
-    length = frame.length
+    length, jumps = frame.length, operator.index(config.jumps)
     if config.real_mode:
         shifts = np.array([complex(config.angles.real_sign)])
     else:
-        # cmath.exp as in tests/oracles.measure_loop, so the shifts are bit-identical
-        # to the loop that the == test compares against
-        angles = config.angles
-        shifts = np.array([cmath.exp(-1j * angles.alpha1), cmath.exp(-1j * angles.alpha2)])
-    # MeasurementSet pads the cells past length - j
-    grid = np.empty((config.jumps + 1, shifts.size, max(length - 1, 0)))
-    for j in range(1, min(config.jumps + 1, length - 1) + 1):
+        shifts = config.angles._shifts
+    # the cells past length - j stay NaN, the padding MeasurementSet writes
+    grid = np.full((jumps + 1, shifts.size, max(length - 1, 0)), np.nan)
+    for j in range(1, min(jumps + 1, length - 1) + 1):
         z = coeffs[: length - j] + shifts[:, None] * coeffs[j:]
         # hypot, not np.abs: the vectorized complex abs can differ from the
         # scalar abs by one ulp, which moves borderline recoveries
         grid[j - 1, :, : length - j] = np.hypot(z.real, z.imag)
-    return MeasurementSet(length, config.jumps, config.angles, np.abs(coeffs), grid)
+    base = np.abs(coeffs)
+    # a cell |c_l + s c_{l+j}| with |s| = 1 stays below 3 max|c|, intermediates
+    # included, so this one test shows every value finite (NaN fails it); a
+    # set that fails it goes through the checks and errors of the constructor
+    if float(base.max()) <= _ADOPT_MAX:
+        return MeasurementSet._adopt(length, jumps, config.angles, base, grid)
+    return MeasurementSet(length, jumps, config.angles, base, grid)
 
 
 def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
@@ -333,7 +373,7 @@ def recover_full_spark(
     if zeros.size >= d:
         estimate = np.zeros(d, dtype=complex)
         residual = _remeasure_residual(frame, estimate, base)
-        return RecoveryResult(estimate, RecoveryStatus.RECOVERED, (), zeros.size, residual)
+        return RecoveryResult._adopt(estimate, RecoveryStatus.RECOVERED, (), zeros.size, residual)
     alive, bounds = _runs(nonzero, ms.jumps)
     # argmax keeps the first longest run, so ties go to the lowest indices
     longest = (bounds[1:] - bounds[:-1]).argmax()
@@ -348,7 +388,7 @@ def recover_full_spark(
     estimate = _solve_rows(frame, rows, rhs, recovered)
     residual = _remeasure_residual(frame, estimate, base)
     status = RecoveryStatus.RECOVERED if recovered else RecoveryStatus.FAILED
-    return RecoveryResult(estimate, status, chain, rows.size, residual)
+    return RecoveryResult._adopt(estimate, status, tuple(chain.tolist()), rows.size, residual)
 
 
 def min_length(dim: int, jumps: int = 0) -> int:
@@ -356,8 +396,9 @@ def min_length(dim: int, jumps: int = 0) -> int:
 
     ``ceil(dim^2 / 4 + dim / 2)`` without jumps, and
     ``ceil((dim+1)^2 / (4 (jumps+1)) + dim)`` with them. ``jumps`` must stay
-    in ``0 .. dim-2`` (0 is allowed for dim = 1).
+    in ``0 .. dim-2`` (0 is allowed for dim = 1). Both sizes must be integers.
     """
+    dim, jumps = operator.index(dim), operator.index(jumps)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if jumps < 0 or jumps > max(0, dim - 2):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,6 +403,29 @@ class TestBench:
         json_row = load_json(report_path)["outcome"]["rows"][0]
         assert json_row["skipped"] == 1
         assert int(row.split()[6].rstrip("*")) == json_row["skipped"]
+
+    def test_timing_counts_only_measure_and_recovery(self, tmp_path, monkeypatch):
+        # a fake clock: each draw of the sampler takes 1 s, each measure 2 ms
+        now = [0.0]
+        sample, measure = cli.signal_with_zero_pattern, cli.measure
+
+        def slow_sample(*args):
+            now[0] += 1.0
+            return sample(*args)
+
+        def slow_measure(*args):
+            now[0] += 0.002
+            return measure(*args)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(cli, "signal_with_zero_pattern", slow_sample)
+        monkeypatch.setattr(cli, "measure", slow_measure)
+        path = tmp_path / "bench.json"
+        argv = ["bench", "--dims", "4", "--lengths", "6:6", "--timings", "--output", str(path)]
+        assert main(argv) == 0
+        (row,) = load_json(path)["outcome"]["rows"]
+        assert row["attempts"] > 0
+        assert row["mean_ms_per_recovery"] == pytest.approx(2.0)
 
     def test_length_list_matches_range(self, tmp_path):
         reports = []

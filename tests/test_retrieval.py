@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -219,6 +220,69 @@ class TestMeasurementSetGrid:
         assert rebuilt.aligned == ms.aligned
         assert rebuilt.has_two_angles == ms.has_two_angles == (not real)
         assert dump_json(measurement_set_to_json(rebuilt)) == dump_json(measurement_set_to_json(ms))
+
+
+class TestMeasureHandOff:
+    """measure keeps the arrays it built; its sets are those of the public constructor."""
+
+    def assert_matches_constructor(self, ms):
+        for arr in (ms.base, ms.grid):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert (type(ms.length), type(ms.jumps)) == (int, int)
+        rebuilt = MeasurementSet(ms.length, ms.jumps, ms.angles, ms.base, ms.grid)
+        assert np.array_equal(rebuilt.base, ms.base)
+        assert np.array_equal(np.isnan(rebuilt.grid), np.isnan(ms.grid))
+        assert np.array_equal(rebuilt.grid, ms.grid, equal_nan=True)
+        assert rebuilt.aligned == ms.aligned
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize(
+        "frame, jumps",
+        [
+            (harmonic_frame(4, 6), 0),
+            (harmonic_frame(4, 6), 1),
+            (harmonic_frame(4, 6), 2),
+            # jumps + 1 >= L: offsets 2 and 3 have no cells
+            (build(np.diag([0.5, 0.7, 0.9, 1.1]), np.ones(4), 2), 2),
+            (harmonic_frame(1, 1), 0),
+        ],
+        ids=["4/6 J=0", "4/6 J=1", "4/6 J=2", "4/2 J=2", "1/1 J=0"],
+    )
+    def test_sets_match_public_constructor(self, frame, jumps, real):
+        cfg = MeasurementConfig(jumps=np.int64(jumps), real_mode=real)
+        rng = np.random.default_rng(113)
+        d = frame.dim
+        for x in (rng.standard_normal(d) + 1j * rng.standard_normal(d), np.zeros(d)):
+            ms = measure(x, frame, cfg)
+            assert ms.grid.shape == (jumps + 1, 1 if real else 2, frame.length - 1)
+            self.assert_matches_constructor(ms)
+
+    def test_grid_overflow_still_refused(self):
+        # the base is finite; only the aligned cells overflow
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                ValueError, match=r"^aligned magnitudes must be finite and nonnegative$"
+            ):
+                measure(np.array([1e308, 0.0]), harmonic_frame(2, 3), CFG)
+
+    @pytest.mark.parametrize("scale", [4.49e307, 4.5e307])
+    def test_largest_finite_sets_accepted(self, scale):
+        # base magnitudes just below and just above a quarter of the largest float
+        ms = measure(np.array([scale, 0.0]), harmonic_frame(2, 3), CFG)
+        assert np.isfinite(ms.base).all() and np.isfinite(list(ms.aligned.values())).all()
+        self.assert_matches_constructor(ms)
+
+    def test_recovery_result_matches_public_constructor(self):
+        frame = harmonic_frame(4, 6)
+        x = signal_with_zero_pattern(frame, (1,), np.random.default_rng(114))
+        for signal in (x, np.zeros(4)):
+            result = recover_full_spark(measure(signal, frame, CFG), frame, CFG)
+            assert result.estimate.dtype == np.complex128 and not result.estimate.flags.writeable
+            rebuilt = RecoveryResult(*(getattr(result, f.name) for f in fields(RecoveryResult)))
+            assert np.array_equal(rebuilt.estimate, result.estimate)
+            assert rebuilt.used_indices == result.used_indices
+            assert all(type(i) is int for i in result.used_indices)
+            assert type(result.component_size) is int and type(result.residual) is float
 
 
 def test_array_holders_compare_by_identity():
@@ -827,6 +891,14 @@ class TestMinLength:
             min_length(4, -1)
         with pytest.raises(ValueError):
             min_length(0, 0)
+
+    def test_non_integer_sizes_rejected(self):
+        for sizes in [(4.5,), (4.0, 0), (4, 1.0)]:
+            with pytest.raises(TypeError):
+                min_length(*sizes)
+        with pytest.raises(TypeError):
+            make_instance("harmonic", 4.0, 6)
+        assert min_length(np.int64(5), np.int64(1)) == 10
 
 
 class TestGlobalPhaseDistance:
