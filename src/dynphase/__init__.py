@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 from .exceptions import (
     BudgetExceededError,
-    ConvergenceError,
-    DefectiveMatrixError,
     DimensionMismatchError,
     InconsistentDataError,
     SchemaError,
@@ -33,10 +31,7 @@ from .frames import (
     full_spark_criterion,
     harmonic_frame,
 )
-from .polarization import (
-    PolarizationAngles,
-    recover_product_roots_of_unity,
-)
+from .polarization import PolarizationAngles
 from .retrieval import (
     MeasurementConfig,
     MeasurementSet,
@@ -50,20 +45,14 @@ from .retrieval import (
 from .spectral import (
     JordanSpec,
     assemble,
-    eigendecompose,
     generator_coordinates,
     hankel_of,
     jordan_matrix,
-    jordan_power,
 )
 from .vandermonde import (
     SparkCertificate,
     classical,
-    det_product_classical,
-    det_product_second_kind,
-    first_kind,
     full_spark,
-    schur_value,
     second_kind,
 )
 
@@ -71,8 +60,6 @@ __all__ = [
     "__version__",
     # exceptions
     "BudgetExceededError",
-    "ConvergenceError",
-    "DefectiveMatrixError",
     "DimensionMismatchError",
     "InconsistentDataError",
     "SchemaError",
@@ -81,19 +68,13 @@ __all__ = [
     # spectral
     "JordanSpec",
     "assemble",
-    "eigendecompose",
     "generator_coordinates",
     "hankel_of",
     "jordan_matrix",
-    "jordan_power",
     # vandermonde
     "SparkCertificate",
     "classical",
-    "det_product_classical",
-    "det_product_second_kind",
-    "first_kind",
     "full_spark",
-    "schur_value",
     "second_kind",
     # frames
     "DynamicalFrame",
@@ -108,7 +89,6 @@ __all__ = [
     "harmonic_frame",
     # polarization
     "PolarizationAngles",
-    "recover_product_roots_of_unity",
     # retrieval
     "MeasurementConfig",
     "MeasurementSet",

@@ -9,14 +9,6 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible (or full rank) is numerically singular."""
 
 
-class DefectiveMatrixError(ValueError):
-    """Eigendecomposition hit a numerically defective (non-diagonalizable) matrix."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
-
-
 class ZeroMagnitudeError(ValueError):
     """A magnitude required to be nonzero is numerically zero."""
 

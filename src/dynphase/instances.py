@@ -7,6 +7,7 @@ seed reproduces the instance byte for byte after serialization.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -86,9 +87,17 @@ def make_instance(
     theta: float = math.pi / 4.0,
     config: MeasurementConfig | None = None,
 ) -> Instance:
-    """Generate a frame instance with a signal, deterministically from the seed."""
+    """Generate a frame instance with a signal, deterministically from the seed.
+
+    ``dim``, ``length`` and ``seed`` must be integers and ``seed`` not a
+    bool (``TypeError`` otherwise): the instance keeps them as the Python
+    ints its JSON holds.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    if isinstance(seed, bool):
+        raise TypeError("seed must be an integer, not a bool")
+    dim, length, seed = operator.index(dim), operator.index(length), operator.index(seed)
     if dim < 1 or length < dim:
         raise ValueError(f"need dim >= 1 and length >= dim, got dim={dim}, length={length}")
     config = config or MeasurementConfig()

@@ -7,9 +7,7 @@ multiple of pi. Each shifted magnitude yields
 ``r = cos(a) cos(D) - sin(a) sin(D)`` with ``D`` the relative phase; the two
 equations form a 2x2 linear system whose determinant is ``sin(a1 - a2)``.
 
-The real-line variant needs a single shift ``|z1 + s z2|`` with ``s = +-1``,
-and the roots-of-unity variant averages K >= 3 shifted magnitudes against the
-K-th roots of unity with no linear solve at all.
+The real-line variant needs a single shift ``|z1 + s z2|`` with ``s = +-1``.
 
 :func:`recover_phases` and :func:`recover_signs` solve many pairs at once;
 every formula, floor and check is written there once.
@@ -159,21 +157,3 @@ def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int
         raise _zero_magnitudes(m1[stop], m2[stop])
     products = (shifted * shifted - m1 * m1 - m2 * m2) / (2.0 * sign)
     return np.where(products >= 0.0, 1.0, -1.0)
-
-
-def recover_product_roots_of_unity(magnitudes) -> complex:
-    """The product ``conj(z1) * z2`` from K >= 3 root-of-unity shifted magnitudes.
-
-    ``magnitudes[k]`` must be ``|z1 + w^(-k) z2|`` for ``w = exp(2j pi / K)``.
-    The closed form ``(1/K) * sum_k w^k * magnitudes[k]**2`` needs no linear
-    solve and is total: zeros in z1 or z2 simply propagate to the product.
-    """
-    mags = [float(v) for v in magnitudes]
-    K = len(mags)
-    if K < 3:
-        raise ValueError(f"need at least 3 magnitudes, got {K}")
-    for v in mags:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"magnitudes must be finite nonnegative reals, got {v}")
-    root = cmath.exp(2j * math.pi / K)
-    return sum(root**k * mags[k] ** 2 for k in range(K)) / K

@@ -74,6 +74,12 @@ class MeasurementConfig:
     :func:`measure` records these three in the set, and recovery reads them
     from there; of the config it uses only ``zero_tol``, which classifies a
     base magnitude as zero relative to the largest one.
+
+    The fields are stored as a Python ``int``, ``float`` and ``bool``, the
+    types the config's JSON holds, so numpy scalars are accepted. A bool
+    ``jumps``, a ``real_mode`` that is not a bool and ``angles`` that are
+    not a :class:`PolarizationAngles` raise ``TypeError``, since the JSON
+    schema refuses the first two and cannot write the third.
     """
 
     angles: PolarizationAngles = field(default_factory=default_angles)
@@ -82,10 +88,19 @@ class MeasurementConfig:
     real_mode: bool = False
 
     def __post_init__(self):
-        if operator.index(self.jumps) < 0:
+        if not isinstance(self.angles, PolarizationAngles):
+            raise TypeError(f"angles must be PolarizationAngles, got {type(self.angles).__name__}")
+        if isinstance(self.jumps, bool):
+            raise TypeError("jumps must be an integer, not a bool")
+        if not isinstance(self.real_mode, (bool, np.bool_)):
+            raise TypeError(f"real_mode must be a bool, got {type(self.real_mode).__name__}")
+        object.__setattr__(self, "jumps", operator.index(self.jumps))
+        object.__setattr__(self, "real_mode", bool(self.real_mode))
+        if self.jumps < 0:
             raise ValueError("jumps must be >= 0")
         if not (0.0 < self.zero_tol < 1.0):
             raise ValueError("zero_tol must lie strictly between 0 and 1")
+        object.__setattr__(self, "zero_tol", float(self.zero_tol))
         if self.real_mode:
             self.angles.real_sign  # ValueError unless alpha1 is a multiple of pi
 
@@ -254,7 +269,7 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
         raise DimensionMismatchError(f"x has dim {x.size}, frame dim is {frame.dim}")
     min_length(frame.dim, config.jumps)  # ValueError for jumps beyond dim - 2
     coeffs = frame._rows @ x  # frame.coefficients(x) minus its second check of x
-    length, jumps = frame.length, operator.index(config.jumps)
+    length, jumps = frame.length, config.jumps
     if config.real_mode:
         shifts = np.array([complex(config.angles.real_sign)])
     else:

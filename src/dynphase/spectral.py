@@ -4,12 +4,13 @@ A non-diagonalizable operator is never decomposed numerically (that problem
 is ill-posed); instead it is supplied as an explicit :class:`JordanSpec`,
 which fixes the block eigenvalues, block sizes, and the similarity basis.
 This module assembles such operators, writes the binomial powers of a
-Jordan block once (:func:`binomial_powers`, which gives :func:`jordan_power`
-and the confluent Vandermonde columns that the spark criterion enumerates),
-and tests whether a generator vector reaches every Jordan chain
+Jordan block once (:func:`binomial_powers`, the first row of a block's
+powers and the confluent Vandermonde columns that the spark criterion
+enumerates), and tests whether a generator vector reaches every Jordan chain
 (:func:`loads_every_chain`, which also serves diagonalizable operators as
-blocks of size one). Diagonalizable operators are decomposed by
-:func:`eigendecompose`, which refuses numerically defective ones.
+blocks of size one). No operator is eigendecomposed: ``frames.analyze``
+judges an exactly diagonal operator by its diagonal and enumerates the
+minors of every other orbit.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DefectiveMatrixError,
-    DimensionMismatchError,
-    SingularMatrixError,
-)
+from .exceptions import DimensionMismatchError, SingularMatrixError
 from .validation import as_multiplicities, as_square, as_vector, frozen_copy
 
 #: Condition-number ceiling for a user-supplied similarity basis.
@@ -35,14 +31,6 @@ DISTINCT_RTOL = 1e-9
 
 #: Relative threshold for "this coordinate is nonzero" in dependence tests.
 DEPENDENCE_RTOL = 1e-10
-
-#: Relative singular-value spread beyond which an eigenvector basis is treated
-#: as numerically defective. Defective inputs measure near 1e8 (double
-#: eigenvalue) up to 1e10+ (triple); clean separated spectra stay below 1e4.
-DEFECTIVE_COND = 1e7
-
-#: Relative residual ``|m V - V diag(values)| / |m|`` an eigendecomposition may leave.
-EIG_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,27 +117,6 @@ def binomial_powers(lam, size: int, power: int) -> np.ndarray:
     return out
 
 
-def jordan_power(spec: JordanSpec, power: int) -> np.ndarray:
-    """``J**power`` by the closed-form entries binom(l, n-k) * lam^(l-n+k).
-
-    Each block is the upper triangular Toeplitz matrix of
-    :func:`binomial_powers` in Python's complex arithmetic; powers whose
-    binomials or entries overflow a double are rejected.
-    """
-    if power < 0:
-        raise ValueError("power must be a nonnegative integer")
-    d = spec.dim
-    out = np.zeros((d, d), dtype=complex)
-    for lam, sl in zip(spec.eigenvalues, spec.block_slices()):
-        steps = np.arange(sl.stop - sl.start)
-        row = binomial_powers(complex(lam), steps.size, power)
-        # entry (k, n) is row[n - k]; triu drops the wrapped indices n < k
-        out[sl, sl] = np.triu(row[steps[None, :] - steps[:, None]])
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"entries of J**{power} overflow double precision")
-    return out
-
-
 def generator_coordinates(spec: JordanSpec, generator) -> np.ndarray:
     """Coordinates ``S^{-1} phi`` of a generator, block ``j`` at ``spec.block_slices()[j]``."""
     phi = as_vector(generator, "generator")
@@ -207,34 +174,3 @@ def eigenvalues_distinct(values) -> bool:
     v = as_vector(values, "values")
     scale = max(1.0, float(np.max(np.abs(v))))
     return min_eigenvalue_gap(v) > DISTINCT_RTOL * scale
-
-
-def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm eigenvector columns of a diagonalizable matrix.
-
-    Returns ``(values, vectors)`` with ``m @ vectors ~= vectors @ diag(values)``.
-    Raises ``DefectiveMatrixError`` when the eigenvector basis is so badly
-    conditioned that ``m`` is numerically non-diagonalizable; such operators
-    must be described by an explicit :class:`JordanSpec` instead.
-    """
-    a = as_square(m, "m")
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-
-    scale = np.linalg.norm(a)
-    residual = np.linalg.norm(a @ vectors - vectors * values)
-    if residual > EIG_RESIDUAL_RTOL * max(scale, 1e-300):
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_RTOL:.1e} * |m|"
-        )
-    spread = np.linalg.svd(vectors, compute_uv=False)
-    if spread[-1] == 0.0 or spread[0] / spread[-1] > DEFECTIVE_COND:
-        raise DefectiveMatrixError(
-            "eigenvector basis condition "
-            f"{np.inf if spread[-1] == 0 else spread[0] / spread[-1]:.3e} exceeds "
-            f"{DEFECTIVE_COND:.1e}; matrix is numerically defective"
-        )
-    return values, vectors

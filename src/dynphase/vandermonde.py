@@ -1,13 +1,8 @@
-"""Vandermonde matrices, their determinant formulas, and full-spark checks.
+"""Vandermonde matrices and full-spark checks.
 
-Three constructions are provided:
+Two constructions are provided:
 
 * ``classical``: entries ``values[k] ** l`` for column exponents ``0..L-1``.
-* ``first_kind``: a column selection of the classical matrix, exponents given
-  by a strictly increasing integer list. Its determinant factors as the
-  classical determinant times a Schur polynomial value (a symmetric
-  polynomial with nonnegative integer coefficients), which ``schur_value``
-  evaluates numerically from that factorization.
 * ``second_kind``: the confluent block form whose j-th block has entries
   ``binom(l, k) * values[j] ** (l - k)``; its square determinant is
   ``prod_{k<j} (values[j] - values[k]) ** (m[k] * m[j])``. It feeds a
@@ -18,10 +13,10 @@ Three constructions are provided:
 ``full_spark`` certifies that every d-column minor of a wide matrix is
 invertible, by exhaustive enumeration with scale-aware determinant
 thresholds. Column subsets are taken in lexicographic chunks of bounded size
-(about 1 MiB of stacked minors); the witness is still the lexicographically
-first failing subset and ``min_abs_det`` the global minimum. A subset's
-first ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous
-block of subsets: each prefix gets one Householder QR, and each subset one
+(``_CHUNK_BYTES``); the witness is still the lexicographically first failing
+subset and ``min_abs_det`` the global minimum. A subset's first
+``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
+subsets: each prefix gets one Householder QR, and each subset one
 (d - k) x (d - k) determinant of its remaining columns projected onto the
 prefix's orthogonal complement, in closed form up to 4 x 4 (``_tail_det``).
 
@@ -31,16 +26,10 @@ every operator, singular and non-diagonalizable ones included. Given
 ``shift_det=det(A)``, ``full_spark`` factors only the C(L-1, d-1) anchored
 subsets (those containing column 0) and takes every subset with smallest
 index s from its anchored shape times ``|det(A)|^s``.
-
-Sign convention: the classical determinant is computed with the factor order
-``prod_{k > j} (values[k] - values[j])``, which matches the pivoted-LU
-determinant of ``classical`` exactly (not only in magnitude) and makes the
-first-kind factorization hold without sign fixups.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BudgetExceededError, DimensionMismatchError
-from .spectral import binomial_powers, min_eigenvalue_gap
+from .spectral import binomial_powers
 from .validation import as_matrix, as_multiplicities, as_vector
 
 #: A minor passes when ``|det|`` exceeds this times its column-norm product.
@@ -56,10 +45,11 @@ DEFAULT_SPARK_TOL = 1e-10
 #: Column subsets ``full_spark`` enumerates before it gives up.
 DEFAULT_BUDGET = 2_000_000
 
-#: Relative margin below which entries count as coincident for Schur values.
-COINCIDENCE_RTOL = 1e-12
-
-#: Bytes of stacked d x d minors that ``full_spark`` evaluates per chunk.
+#: Bytes per ``full_spark`` chunk, sized as if each subset were a stacked d x d
+#: complex minor; a chunk holds its subsets' index rows and (d - k) x (d - k)
+#: projected tails, which take less. Chunks of 256 KiB, 512 KiB and 16 MiB were
+#: each slower than 1 MiB on random-diag certificates (0, 5 and 1 wins of 30
+#: alternating rounds).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -85,54 +75,12 @@ class SparkCertificate:
             raise ValueError("a failing certificate must carry a witness")
 
 
-def _as_exponents(exponents) -> tuple[int, ...]:
-    exps = tuple(int(e) for e in exponents)
-    if len(exps) == 0:
-        raise ValueError("exponent selection must be nonempty")
-    if exps[0] < 0 or any(b <= a for a, b in zip(exps, exps[1:])):
-        raise ValueError(f"exponents must be strictly increasing and nonnegative: {exps}")
-    return exps
-
-
 def classical(values, length: int) -> np.ndarray:
     """d x L matrix with entries ``values[k] ** l`` (0**0 taken as 1)."""
     v = as_vector(values, "values")
     if length < 1:
         raise ValueError("length must be >= 1")
     return v[:, None] ** np.arange(length)[None, :]
-
-
-def det_product_classical(values) -> complex:
-    """Closed-form classical Vandermonde determinant ``prod_{k>j} (v[k]-v[j])``."""
-    v = as_vector(values, "values")
-    return det_product_second_kind(v, (1,) * v.size)
-
-
-def first_kind(values, exponents) -> np.ndarray:
-    """Column selection of the classical matrix: entries ``values[k] ** exponents[l]``."""
-    v = as_vector(values, "values")
-    exps = _as_exponents(exponents)
-    return v[:, None] ** np.array(exps)[None, :]
-
-
-def schur_value(values, exponents) -> complex:
-    """Schur polynomial value from the first-kind determinant factorization.
-
-    Requires a square selection (as many exponents as entries) and pairwise
-    distinct entries; coincident entries would blow up the division.
-    """
-    v = as_vector(values, "values")
-    exps = _as_exponents(exponents)
-    if len(exps) != v.size:
-        raise DimensionMismatchError(
-            f"need a square selection: {v.size} values but {len(exps)} exponents"
-        )
-    scale = max(1.0, float(np.max(np.abs(v))))
-    gap = min_eigenvalue_gap(v)
-    if gap <= COINCIDENCE_RTOL * scale:
-        raise ValueError(f"entries coincide within tolerance (gap {gap:.3e})")
-    det = complex(np.linalg.det(first_kind(v, exps)))
-    return det / det_product_classical(v)
 
 
 def second_kind(values, multiplicities, length: int) -> np.ndarray:
@@ -153,28 +101,6 @@ def second_kind(values, multiplicities, length: int) -> np.ndarray:
     ])
 
 
-def det_product_second_kind(values, multiplicities) -> complex:
-    """Closed-form confluent determinant ``prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j])``.
-
-    A product that is not finite in double precision raises OverflowError.
-    """
-    v = as_vector(values, "values")
-    mults = as_multiplicities(multiplicities, v.size)
-    pairs = itertools.combinations(range(v.size), 2)
-    try:
-        out = math.prod(
-            (complex(v[j] - v[k]) ** (mults[k] * mults[j]) for k, j in pairs), start=1 + 0j
-        )
-        if cmath.isfinite(out):
-            return out
-    except OverflowError:  # Python's complex power refuses an infinite result
-        pass
-    raise OverflowError(
-        "the determinant product prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j]) "
-        "is not finite in double precision"
-    )
-
-
 def full_spark(
     matrix, *, budget: int = DEFAULT_BUDGET, shift_det: complex | None = None
 ) -> SparkCertificate:
@@ -182,8 +108,8 @@ def full_spark(
 
     A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
     bound makes that ratio scale-free, and a zero-norm column gives ratio 0.
-    Subsets are visited in lexicographic order, in chunks of at most
-    ``_CHUNK_BYTES`` of stacked minors, and enumeration continues past the
+    Subsets are visited in lexicographic order, in chunks bounded by
+    ``_CHUNK_BYTES``, and enumeration continues past the
     first failure so that ``min_abs_det`` reflects the global minimum. The
     witness is the lexicographically first failing subset. Each factored
     minor is the product of a QR of its first ``ceil(d/2)`` columns, shared
@@ -237,15 +163,18 @@ def _combinations(columns: range, width: int) -> np.ndarray:
 
 
 def _subsets(m: np.ndarray, first: int):
-    """Index rows of the d-subsets of columns ``first..L-1``, in lexicographic chunks.
+    """Index rows and head ids of the d-subsets of columns ``first..L-1``, in chunks.
 
-    A chunk holds ``_CHUNK_BYTES`` of stacked d x d minors. With ``first=1``
-    column 0 is prepended to each subset, which gives the subsets that
-    contain column 0, in their own lexicographic order. A subset is a head,
-    its first ``k = ceil(d/2)`` columns, followed by a tail. The tails that
-    fit after a head are the (d - k)-subsets of ``k..L-1`` whose first column
+    Rows come in lexicographic order; a chunk holds as many of them as
+    ``_CHUNK_BYTES`` holds d x d minors of ``m``. With ``first=1`` column 0
+    is prepended to each subset, which gives the subsets that contain
+    column 0, in their own lexicographic order. A subset is a head, its
+    first ``k = ceil(d/2)`` columns, followed by a tail. The tails that fit
+    after a head are the (d - k)-subsets of ``k..L-1`` whose first column
     lies past the head's last, a final block of their lexicographic list, so
-    every row is gathered from two small tables.
+    every row is gathered from two small tables. A row's head id is its
+    head's position in the head table: rows share a prefix exactly when they
+    share the id.
     """
     d, L = m.shape
     k = (d + 1) // 2
@@ -262,7 +191,7 @@ def _subsets(m: np.ndarray, first: int):
         idx = np.zeros((row.size, d), dtype=np.intp)
         idx[:, first:k] = heads[head]
         idx[:, k:] = tails[row - ends[head] + len(tails)]
-        yield idx
+        yield idx, head
 
 
 def _prefix_minors(m: np.ndarray, first: int):
@@ -270,18 +199,18 @@ def _prefix_minors(m: np.ndarray, first: int):
 
     ``first=0`` gives every d-subset and ``first=1`` those that contain
     column 0. The first ``k = ceil(d/2)`` columns of a subset are its prefix
-    P, and the subsets sharing P are contiguous. With the complete QR
-    ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper triangular for every
-    subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
+    P, and the subsets sharing P are contiguous and share a head id. With
+    the complete QR ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper
+    triangular for every subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
     with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
     once, and each subset costs one (d - k) x (d - k) determinant from
     ``_tail_det``, whose rows are the subset's projected columns.
     """
     d, L = m.shape
     k = (d + 1) // 2
-    for idx in _subsets(m, first):
+    for idx, prefix in _subsets(m, first):
         starts = np.ones(idx.shape[0], dtype=bool)
-        starts[1:] = np.any(idx[1:, :k] != idx[:-1, :k], axis=1)
+        starts[1:] = prefix[1:] != prefix[:-1]
         group = np.cumsum(starts) - 1
         q, r = np.linalg.qr(m[:, idx[starts, :k]].transpose(1, 0, 2), mode="complete")
         head = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)

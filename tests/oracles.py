@@ -12,6 +12,15 @@ polarization only through its array kernels ``recover_phases`` and
 ``recover_signs``; ``recover_product_scalar`` and
 ``recover_product_real_scalar`` write the same formulas, floors and messages
 out for a single pair.
+
+The last section holds the paper's closed forms that no library verdict
+reads, with the constants and exceptions that only they use: the classical
+and confluent determinant products ``det_product_classical`` and
+``det_product_second_kind``, first-kind Vandermonde matrices and their Schur
+values (``first_kind``, ``schur_value``), the closed-form Jordan power
+``jordan_power``, the checked eigendecomposition ``eigendecompose`` (which
+raises ``DefectiveMatrixError`` and ``ConvergenceError``), and the K >= 3
+roots-of-unity polarization product ``recover_product_roots_of_unity``.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from dynphase.exceptions import (
 )
 from dynphase.polarization import CLAMP_TOL, MAGNITUDE_RTOL, PolarizationAngles
 from dynphase.retrieval import MeasurementSet
-from dynphase.validation import as_matrix, as_vector
+from dynphase.spectral import JordanSpec, binomial_powers, min_eigenvalue_gap
+from dynphase.validation import as_matrix, as_multiplicities, as_square, as_vector
 from dynphase.vandermonde import DEFAULT_BUDGET, DEFAULT_SPARK_TOL, SparkCertificate
 
 
@@ -277,3 +287,165 @@ def chain_phases_loop(ms, chain, real_sign) -> np.ndarray:
             )
             steps[i] = 1.0 if product >= 0.0 else -1.0
     return np.cumprod(steps)
+
+
+# The paper's closed forms that no verdict of the library reads. Tests check
+# the library's matrices against them and the paper's identities among them.
+
+#: Relative margin below which entries count as coincident for Schur values.
+COINCIDENCE_RTOL = 1e-12
+
+#: Relative singular-value spread beyond which an eigenvector basis is treated
+#: as numerically defective. Defective inputs measure near 1e8 (double
+#: eigenvalue) up to 1e10+ (triple); clean separated spectra stay below 1e4.
+DEFECTIVE_COND = 1e7
+
+#: Relative residual ``|m V - V diag(values)| / |m|`` an eigendecomposition may leave.
+EIG_RESIDUAL_RTOL = 1e-8
+
+
+class DefectiveMatrixError(ValueError):
+    """Eigendecomposition hit a numerically defective (non-diagonalizable) matrix."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative numerical routine failed to converge."""
+
+
+def _as_exponents(exponents) -> tuple[int, ...]:
+    exps = tuple(int(e) for e in exponents)
+    if len(exps) == 0:
+        raise ValueError("exponent selection must be nonempty")
+    if exps[0] < 0 or any(b <= a for a, b in zip(exps, exps[1:])):
+        raise ValueError(f"exponents must be strictly increasing and nonnegative: {exps}")
+    return exps
+
+
+def det_product_classical(values) -> complex:
+    """Closed-form classical Vandermonde determinant ``prod_{k>j} (v[k]-v[j])``.
+
+    This factor order matches the pivoted-LU determinant of
+    ``vandermonde.classical`` exactly (not only in magnitude), so the
+    first-kind factorization holds without sign fixups.
+    """
+    v = as_vector(values, "values")
+    return det_product_second_kind(v, (1,) * v.size)
+
+
+def first_kind(values, exponents) -> np.ndarray:
+    """Column selection of the classical matrix: entries ``values[k] ** exponents[l]``."""
+    v = as_vector(values, "values")
+    exps = _as_exponents(exponents)
+    return v[:, None] ** np.array(exps)[None, :]
+
+
+def schur_value(values, exponents) -> complex:
+    """Schur polynomial value from the first-kind determinant factorization.
+
+    Requires a square selection (as many exponents as entries) and pairwise
+    distinct entries; coincident entries would blow up the division.
+    """
+    v = as_vector(values, "values")
+    exps = _as_exponents(exponents)
+    if len(exps) != v.size:
+        raise DimensionMismatchError(
+            f"need a square selection: {v.size} values but {len(exps)} exponents"
+        )
+    scale = max(1.0, float(np.max(np.abs(v))))
+    gap = min_eigenvalue_gap(v)
+    if gap <= COINCIDENCE_RTOL * scale:
+        raise ValueError(f"entries coincide within tolerance (gap {gap:.3e})")
+    det = complex(np.linalg.det(first_kind(v, exps)))
+    return det / det_product_classical(v)
+
+
+def det_product_second_kind(values, multiplicities) -> complex:
+    """Closed-form confluent determinant ``prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j])``.
+
+    A product that is not finite in double precision raises OverflowError.
+    """
+    v = as_vector(values, "values")
+    mults = as_multiplicities(multiplicities, v.size)
+    pairs = itertools.combinations(range(v.size), 2)
+    try:
+        out = math.prod(
+            (complex(v[j] - v[k]) ** (mults[k] * mults[j]) for k, j in pairs), start=1 + 0j
+        )
+        if cmath.isfinite(out):
+            return out
+    except OverflowError:  # Python's complex power refuses an infinite result
+        pass
+    raise OverflowError(
+        "the determinant product prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j]) "
+        "is not finite in double precision"
+    )
+
+
+def jordan_power(spec: JordanSpec, power: int) -> np.ndarray:
+    """``J**power`` by the closed-form entries binom(l, n-k) * lam^(l-n+k).
+
+    Each block is the upper triangular Toeplitz matrix of
+    :func:`binomial_powers` in Python's complex arithmetic; powers whose
+    binomials or entries overflow a double are rejected.
+    """
+    if power < 0:
+        raise ValueError("power must be a nonnegative integer")
+    d = spec.dim
+    out = np.zeros((d, d), dtype=complex)
+    for lam, sl in zip(spec.eigenvalues, spec.block_slices()):
+        steps = np.arange(sl.stop - sl.start)
+        row = binomial_powers(complex(lam), steps.size, power)
+        # entry (k, n) is row[n - k]; triu drops the wrapped indices n < k
+        out[sl, sl] = np.triu(row[steps[None, :] - steps[:, None]])
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"entries of J**{power} overflow double precision")
+    return out
+
+
+def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit-norm eigenvector columns of a diagonalizable matrix.
+
+    Returns ``(values, vectors)`` with ``m @ vectors ~= vectors @ diag(values)``.
+    Raises ``DefectiveMatrixError`` when the eigenvector basis is so badly
+    conditioned that ``m`` is numerically non-diagonalizable; such operators
+    must be described by an explicit :class:`JordanSpec` instead.
+    """
+    a = as_square(m, "m")
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+
+    scale = np.linalg.norm(a)
+    residual = np.linalg.norm(a @ vectors - vectors * values)
+    if residual > EIG_RESIDUAL_RTOL * max(scale, 1e-300):
+        raise ConvergenceError(
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_RTOL:.1e} * |m|"
+        )
+    spread = np.linalg.svd(vectors, compute_uv=False)
+    if spread[-1] == 0.0 or spread[0] / spread[-1] > DEFECTIVE_COND:
+        raise DefectiveMatrixError(
+            "eigenvector basis condition "
+            f"{np.inf if spread[-1] == 0 else spread[0] / spread[-1]:.3e} exceeds "
+            f"{DEFECTIVE_COND:.1e}; matrix is numerically defective"
+        )
+    return values, vectors
+
+
+def recover_product_roots_of_unity(magnitudes) -> complex:
+    """The product ``conj(z1) * z2`` from K >= 3 root-of-unity shifted magnitudes.
+
+    ``magnitudes[k]`` must be ``|z1 + w^(-k) z2|`` for ``w = exp(2j pi / K)``.
+    The closed form ``(1/K) * sum_k w^k * magnitudes[k]**2`` needs no linear
+    solve and is total: zeros in z1 or z2 simply propagate to the product.
+    """
+    mags = [float(v) for v in magnitudes]
+    K = len(mags)
+    if K < 3:
+        raise ValueError(f"need at least 3 magnitudes, got {K}")
+    for v in mags:
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"magnitudes must be finite nonnegative reals, got {v}")
+    root = cmath.exp(2j * math.pi / K)
+    return sum(root**k * mags[k] ** 2 for k in range(K)) / K

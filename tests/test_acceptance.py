@@ -20,9 +20,6 @@ from dynphase import (
     assemble,
     build,
     classical,
-    det_product_classical,
-    det_product_second_kind,
-    first_kind,
     frame_criterion,
     full_spark,
     full_spark_criterion,
@@ -32,7 +29,6 @@ from dynphase import (
     measure,
     min_length,
     recover_full_spark,
-    schur_value,
     second_kind,
 )
 from dynphase.cli import main as cli_main
@@ -46,10 +42,14 @@ from dynphase.experiments import (
 from dynphase.instances import random_signal_for
 from dynphase.polarization import recover_phases
 from oracles import (
+    det_product_classical,
+    det_product_second_kind,
+    first_kind,
     grid_phase_distance,
     polarization_forward,
     random_distinct,
     random_unitary,
+    schur_value,
     spark_by_enumeration,
 )
 

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynphase import (
-    InconsistentDataError,
-    PolarizationAngles,
-    ZeroMagnitudeError,
-    recover_product_roots_of_unity,
-)
+from dynphase import InconsistentDataError, PolarizationAngles, ZeroMagnitudeError
 from dynphase.polarization import recover_phases, recover_signs
 from dynphase.serialization import angles_to_json, dump_json
-from oracles import polarization_forward, recover_product_real_scalar, recover_product_scalar
+from oracles import (
+    polarization_forward,
+    recover_product_real_scalar,
+    recover_product_roots_of_unity,
+    recover_product_scalar,
+)
 
 RIGHT = PolarizationAngles(0.0, math.pi / 2)
 

@@ -38,7 +38,12 @@ from dynphase.retrieval import (
     _remeasure_residual,
     _solve_rows,
 )
-from dynphase.serialization import dump_json, measurement_set_to_json, recovery_result_to_json
+from dynphase.serialization import (
+    dump_json,
+    instance_to_json,
+    measurement_set_to_json,
+    recovery_result_to_json,
+)
 from oracles import (
     chain_components_bfs,
     chain_phases_loop,
@@ -843,6 +848,16 @@ class TestMakeInstanceRejects:
         ):
             make_instance(kind, 3, 5, config=MeasurementConfig(real_mode=True))
 
+    def test_bool_seed(self):
+        # the instance JSON refuses a bool seed
+        with pytest.raises(TypeError, match=r"^seed must be an integer, not a bool$"):
+            make_instance("harmonic", 4, 6, seed=True)
+
+    def test_numpy_sizes_and_seed_give_the_plain_instance(self):
+        plain = make_instance("harmonic", 4, 6, seed=3)
+        given = make_instance("harmonic", np.int64(4), np.int32(6), seed=np.int64(3))
+        assert dump_json(instance_to_json(given)) == dump_json(instance_to_json(plain))
+
     @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 2 * math.pi, 5 * math.pi])
     def test_rotation_by_a_multiple_of_pi(self, theta):
         with pytest.raises(ValueError, match=r"^rotation angle must not be a multiple of pi$"):
@@ -896,8 +911,10 @@ class TestMinLength:
         for sizes in [(4.5,), (4.0, 0), (4, 1.0)]:
             with pytest.raises(TypeError):
                 min_length(*sizes)
-        with pytest.raises(TypeError):
-            make_instance("harmonic", 4.0, 6)
+        # before any draw, not as a SchemaError on the generated spec
+        for sizes in [(4.0, 6), (4, 6.0), (4, 6.5)]:
+            with pytest.raises(TypeError):
+                make_instance("harmonic", *sizes)
         assert min_length(np.int64(5), np.int64(1)) == 10
 
 

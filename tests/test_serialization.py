@@ -301,6 +301,59 @@ class TestFrameSpecs:
             frame_from_spec({"harmonic": {"d": 4, "L": 3}})
 
 
+_REAL = PolarizationAngles(math.pi, math.pi / 2)
+
+
+class TestConfigStoresJsonTypes:
+    """A config keeps the plain values its JSON holds and refuses what that JSON refuses."""
+
+    @staticmethod
+    def _text(config):
+        instance = Instance({"harmonic": {"d": 4, "L": 8}}, config, seed=3)
+        return dump_json(instance_to_json(instance))
+
+    @pytest.mark.parametrize(
+        "given, plain",
+        [
+            ({"jumps": np.int64(1)}, {"jumps": 1}),
+            ({"jumps": np.uint8(2)}, {"jumps": 2}),
+            ({"zero_tol": np.float64(1e-6)}, {"zero_tol": 1e-6}),
+            ({"zero_tol": np.float32(0.25)}, {"zero_tol": 0.25}),
+            ({"angles": _REAL, "real_mode": np.True_}, {"angles": _REAL, "real_mode": True}),
+            ({"real_mode": np.False_}, {"real_mode": False}),
+        ],
+    )
+    def test_numpy_scalars_round_trip_as_plain_values(self, given, plain):
+        config = MeasurementConfig(**given)
+        want = MeasurementConfig(**plain)
+        assert [type(getattr(config, f)) for f in ("jumps", "zero_tol", "real_mode")] == [
+            int,
+            float,
+            bool,
+        ]
+        text = self._text(config)
+        assert text == self._text(want)
+        assert json_to_instance(json.loads(text)).config == want
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {"jumps": True},
+            {"jumps": False},
+            {"jumps": np.True_},
+            {"real_mode": 1},
+            {"real_mode": 0},
+            {"real_mode": np.int64(1)},
+            {"real_mode": "yes"},
+            {"real_mode": None},
+            {"angles": (0.0, 1.5)},
+        ],
+    )
+    def test_values_the_schema_refuses_raise(self, given):
+        with pytest.raises(TypeError):
+            MeasurementConfig(**given)
+
+
 class TestInstanceSchema:
     def test_round_trip(self):
         rng = np.random.default_rng(104)

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from dynphase import (
-    DefectiveMatrixError,
     DimensionMismatchError,
     JordanSpec,
     SingularMatrixError,
     assemble,
-    eigendecompose,
     generator_coordinates,
     hankel_of,
     jordan_matrix,
-    jordan_power,
     second_kind,
 )
 from dynphase.spectral import DEPENDENCE_RTOL, loads_every_chain, min_eigenvalue_gap
-from oracles import matrix_power_naive, orbit_rank, random_unitary
+from oracles import (
+    DefectiveMatrixError,
+    eigendecompose,
+    jordan_power,
+    matrix_power_naive,
+    orbit_rank,
+    random_unitary,
+)
 
 
 def diag_spec(values, basis=None):

@@ -9,17 +9,22 @@ from dynphase import (
     DimensionMismatchError,
     DynamicalFrame,
     classical,
-    det_product_classical,
-    det_product_second_kind,
-    first_kind,
     full_spark,
     full_spark_criterion,
-    schur_value,
     second_kind,
     vandermonde,
 )
 from dynphase.instances import make_instance
-from oracles import det_cofactor, full_spark_serial, random_distinct, spark_by_enumeration
+from oracles import (
+    det_cofactor,
+    det_product_classical,
+    det_product_second_kind,
+    first_kind,
+    full_spark_serial,
+    random_distinct,
+    schur_value,
+    spark_by_enumeration,
+)
 
 
 def _fields(certificate):
