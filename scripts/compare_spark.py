@@ -32,7 +32,12 @@ kernel or of shift scaling moves its last bits), in every check by at most
 moved records are counted per check. One further difference is allowed and
 listed: an ``analyze`` record of an exactly diagonal operator that passes
 in both trees with a number in OLD and ``min_abs_det`` None in NEW, a
-structural certificate standing in for enumeration. Exit status 0 means
+structural certificate standing in for enumeration. Within each tree, every
+check of a matrix runs twice in one process: first cold, with no enumeration
+plan kept (the tree's ``vandermonde._plans`` cleared, where it has one), then,
+after the matrix's other cold checks, warm, with the plans of every earlier
+check of this and earlier matrices kept. The two outcomes must be identical,
+field for field, so a stale plan shows as a mismatch. Exit status 0 means
 every other outcome matched.
 """
 
@@ -64,11 +69,12 @@ def _eigen(A, phi):
 def emit() -> list[dict]:
     """Run the grid with the dynphase on sys.path and return the outcomes."""
     from dynphase import analyze, build, circulant_frame, frame_criterion, full_spark
-    from dynphase import full_spark_criterion
+    from dynphase import full_spark_criterion, vandermonde
 
     records = []
+    plans = getattr(vandermonde, "_plans", None)  # the tree's kept enumeration plans
 
-    def certify(check, *args):
+    def outcome(check, *args):
         try:
             c = check(*args)
         except Exception as exc:  # an exception is an outcome to compare
@@ -79,18 +85,30 @@ def emit() -> list[dict]:
         return [c.full_spark, None if c.witness is None else list(c.witness), mad]
 
     def run(key, A, phi, L, spectrum=None, frame=None, circulant=None):
-        """Check the script's orbit of ``A`` from ``phi``, and ``frame``, the tree's own."""
+        """Check the script's orbit of ``A`` from ``phi``, and ``frame``, the tree's own.
+
+        Each check runs cold, with no plan kept, and after all of them once
+        more, warm, with the plans of every earlier check; ``warm`` lists
+        the checks whose second outcome differs.
+        """
         m = two_trees.orbit(A, phi, L)
-        entry = {"key": key, "input": hashlib.sha256(m.tobytes()).hexdigest()}
-        entry["full_spark"] = certify(full_spark, m)
+        checks = {"full_spark": (full_spark, m)}
         if spectrum is not None:
-            entry["criterion"] = certify(full_spark_criterion, *spectrum, L)
-            entry["spanning"] = certify(frame_criterion, *spectrum)
+            checks["criterion"] = (full_spark_criterion, *spectrum, L)
+            checks["spanning"] = (frame_criterion, *spectrum)
+        if frame is not None:
+            checks["analyze"] = (lambda: analyze(frame, spark=True).spark,)
+        entry = {"key": key, "input": hashlib.sha256(m.tobytes()).hexdigest()}
+        for name, (check, *args) in checks.items():
+            if plans is not None:
+                plans.clear()
+            entry[name] = outcome(check, *args)
+        warm = {name: outcome(check, *args) for name, (check, *args) in checks.items()}
+        entry["warm"] = [name for name in checks if warm[name] != entry[name]]
         if circulant is not None:
             entry["circulant"] = [bool(circulant)]
         if frame is not None:
             entry["diagonal"] = not np.any(A - np.diag(np.diagonal(A)))
-            entry["analyze"] = certify(lambda: analyze(frame, spark=True).spark)
             entry["orbit_diff"] = two_trees.orbit_diff(frame, m)
         records.append(entry)
 
@@ -155,6 +173,9 @@ def compare(old: list[dict], new: list[dict]) -> int:
         if a["input"] != b["input"]:
             mismatches.append((a["key"], "input matrices differ"))
             continue
+        for tree, record in (("OLD", a), ("NEW", b)):
+            if record.get("warm"):
+                mismatches.append((a["key"], f"{tree} warm run differs in {record['warm']}"))
         for check in ("full_spark", "criterion", "analyze", "spanning", "circulant"):
             if check not in a:
                 continue

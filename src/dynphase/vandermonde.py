@@ -26,12 +26,24 @@ every operator, singular and non-diagonalizable ones included. Given
 ``shift_det=det(A)``, ``full_spark`` factors only the C(L-1, d-1) anchored
 subsets (those containing column 0) and takes every subset with smallest
 index s from its anchored shape times ``|det(A)|^s``.
+
+The enumeration is split into a plan and the arithmetic. The plan holds the
+index tables that depend on the shape alone (each chunk's subsets, prefixes,
+prefix ids and gather offsets, and each shift's subsets), built on the first
+call for a shape and kept read-only, the least recently used dropped first
+once the plans kept exceed ``_PLAN_BYTES``. A call does only the work that
+depends on the matrix, in the same order as when the plan is built anew, so
+a certificate has the same bits either way. Only a process that certifies
+one shape more than once gains; a one-shot ``dynphase verify`` builds its
+plan once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +59,21 @@ DEFAULT_BUDGET = 2_000_000
 
 #: Bytes per ``full_spark`` chunk, sized as if each subset were a stacked d x d
 #: complex minor; a chunk holds its subsets' index rows and (d - k) x (d - k)
-#: projected tails, which take less. Chunks of 256 KiB, 512 KiB and 16 MiB were
-#: each slower than 1 MiB on random-diag certificates (0, 5 and 1 wins of 30
-#: alternating rounds).
+#: projected tails, which take less. With the index tables kept (``_PLAN_BYTES``),
+#: chunks of 256 KiB and 16 MiB each won 0 of 30 alternating rounds against
+#: 1 MiB on the random-diag and jordan 8 x 16 and circulant 6 x 12 orbits
+#: (summed medians 36.9 and 32.3 ms against 22.6 ms); on a random-diag
+#: 10 x 20 orbit 16 MiB won 19 of 20 rounds (85 against 102 ms) and 256 KiB
+#: 2 of 20 (124 ms). One BLAS thread, numpy 2.4.6, 2 shared cores.
 _CHUNK_BYTES = 1 << 20
+#: Bytes of enumeration plans (index tables that depend on the matrix shape
+#: alone, see ``_cached``) kept between ``full_spark`` calls. The plans of a
+#: plain 10 x 20 matrix take 24 MB, those of a 10 x 20 orbit 28 MB and those
+#: of an 11 x 22 orbit 116 MB; an 8 x 16 orbit's take 1.6 MB.
+_PLAN_BYTES = 32 << 20
+
+_plans: OrderedDict[tuple, tuple] = OrderedDict()  # key -> (plan, bytes), oldest first
+_plans_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,12 @@ def full_spark(
     The budget still counts all C(L, d) subsets. A non-finite ``shift_det``
     raises ``ValueError``. A minor whose scaled magnitude is NaN, which
     overflow can give (inf / inf), is not certified: it fails.
+
+    The index tables of the enumeration depend on ``(d, L)``, the chunk size
+    and whether ``shift_det`` is given, not on the entries. They are built
+    once per shape and kept, up to ``_PLAN_BYTES`` in all, so the next call
+    on a matrix of the same shape skips them; its certificate is the same,
+    bit for bit, as with the tables built anew.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -162,21 +191,47 @@ def _combinations(columns: range, width: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
 
 
-def _subsets(m: np.ndarray, first: int):
-    """Index rows and head ids of the d-subsets of columns ``first..L-1``, in chunks.
+def _cached(key: tuple, build):
+    """The plan ``build()`` under ``key``, built on the first call and then kept.
 
-    Rows come in lexicographic order; a chunk holds as many of them as
-    ``_CHUNK_BYTES`` holds d x d minors of ``m``. With ``first=1`` column 0
-    is prepended to each subset, which gives the subsets that contain
-    column 0, in their own lexicographic order. A subset is a head, its
-    first ``k = ceil(d/2)`` columns, followed by a tail. The tails that fit
-    after a head are the (d - k)-subsets of ``k..L-1`` whose first column
-    lies past the head's last, a final block of their lexicographic list, so
-    every row is gathered from two small tables. A row's head id is its
-    head's position in the head table: rows share a prefix exactly when they
-    share the id.
+    Plans hold index tables that depend on the shape alone, so every call on
+    a matrix of that shape reuses them. Their arrays are made read-only. The
+    plans kept take at most ``_PLAN_BYTES`` together: the least recently used
+    go first, and a plan larger than that is built for its one call only.
     """
-    d, L = m.shape
+    with _plans_lock:
+        if key in _plans:
+            _plans.move_to_end(key)
+            return _plans[key][0]
+    plan = build()
+    size = 0
+    for part in plan:
+        for a in part:
+            a.flags.writeable = False
+            size += a.nbytes
+    if size <= _PLAN_BYTES:
+        with _plans_lock:
+            _plans[key] = plan, size
+            while sum(kept for _, kept in _plans.values()) > _PLAN_BYTES:
+                _plans.popitem(last=False)
+    return plan
+
+
+def _subsets(d: int, L: int, first: int, rows: int):
+    """The d-subsets of columns ``first..L-1`` in chunks of at most ``rows``.
+
+    Rows come in lexicographic order. With ``first=1`` column 0 is prepended
+    to each subset, which gives the subsets that contain column 0, in their
+    own lexicographic order. A subset is a head, its first ``k = ceil(d/2)``
+    columns, followed by a tail. The tails that fit after a head are the
+    (d - k)-subsets of ``k..L-1`` whose first column lies past the head's
+    last, a final block of their lexicographic list, so every row is
+    gathered from two small tables. Each chunk is ``(idx, heads, group,
+    gather)``: its subsets, the distinct prefixes ``idx[:, :k]`` in order,
+    each subset's prefix position in ``heads`` (rows share a prefix exactly
+    when they share it), and ``group * L + idx[:, k:]``, the rows of the
+    subset's tail in a stack of L projected columns per prefix.
+    """
     k = (d + 1) // 2
     heads = _combinations(range(first, L - d + k), k - first)
     tails = _combinations(range(k, L), d - k)
@@ -184,23 +239,29 @@ def _subsets(m: np.ndarray, first: int):
     lead = tails[:, 0] if d > k else np.array([L])
     # rows ends[h] - (tails fitting after head h) .. ends[h] - 1 belong to head h
     ends = np.cumsum(len(tails) - np.searchsorted(lead, last, side="right"))
-    chunk = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
-    for start in range(0, int(ends[-1]), chunk):
-        row = np.arange(start, min(start + chunk, ends[-1]))
+    chunks = []
+    for start in range(0, int(ends[-1]), rows):
+        row = np.arange(start, min(start + rows, ends[-1]))
         head = np.searchsorted(ends, row, side="right")
         idx = np.zeros((row.size, d), dtype=np.intp)
         idx[:, first:k] = heads[head]
         idx[:, k:] = tails[row - ends[head] + len(tails)]
-        yield idx, head
+        starts = np.ones(row.size, dtype=bool)
+        starts[1:] = head[1:] != head[:-1]
+        group = np.cumsum(starts) - 1
+        chunks.append((idx, idx[starts, :k], group, group[:, None] * L + idx[:, k:]))
+    return tuple(chunks)
 
 
 def _prefix_minors(m: np.ndarray, first: int):
-    """``(subsets, |det|)`` chunks over the subsets of ``_subsets(m, first)``.
+    """``(subsets, |det|)`` chunks over the subsets of ``_subsets(d, L, first, ...)``.
 
     ``first=0`` gives every d-subset and ``first=1`` those that contain
-    column 0. The first ``k = ceil(d/2)`` columns of a subset are its prefix
-    P, and the subsets sharing P are contiguous and share a head id. With
-    the complete QR ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper
+    column 0. A chunk holds as many subsets as ``_CHUNK_BYTES`` holds d x d
+    minors of ``m``; the chunks' index tables are a plan kept per
+    ``(d, L, first, rows per chunk)``. The first ``k = ceil(d/2)`` columns
+    of a subset are its prefix P, and the subsets sharing P are contiguous.
+    With the complete QR ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper
     triangular for every subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
     with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
     once, and each subset costs one (d - k) x (d - k) determinant from
@@ -208,16 +269,14 @@ def _prefix_minors(m: np.ndarray, first: int):
     """
     d, L = m.shape
     k = (d + 1) // 2
-    for idx, prefix in _subsets(m, first):
-        starts = np.ones(idx.shape[0], dtype=bool)
-        starts[1:] = prefix[1:] != prefix[:-1]
-        group = np.cumsum(starts) - 1
-        q, r = np.linalg.qr(m[:, idx[starts, :k]].transpose(1, 0, 2), mode="complete")
+    rows = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
+    plan = _cached(("subsets", d, L, first, rows), lambda: _subsets(d, L, first, rows))
+    for idx, heads, group, gather in plan:
+        q, r = np.linalg.qr(m[:, heads].transpose(1, 0, 2), mode="complete")
         head = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
         # row p * L + l holds column l of M projected by prefix p's Q2^H
         tail = (q[:, :, k:].conj().transpose(0, 2, 1) @ m).transpose(0, 2, 1)
-        tail = tail.reshape(len(q) * L, d - k)
-        det = _tail_det(tail[group[:, None] * L + idx[:, k:]])
+        det = _tail_det(tail.reshape(len(q) * L, d - k)[gather])
         yield idx, head[group] * np.hypot(det.real, det.imag)
 
 
@@ -258,6 +317,14 @@ def _tail_det(t: np.ndarray) -> np.ndarray:
     ) - (lo[0, 2] * hi[1, 3] + lo[1, 3] * hi[0, 2])
 
 
+def _shifts(anchored: np.ndarray, L: int):
+    """Per shift s: the positions of the ``anchored`` subsets (those with
+    column 0, in lexicographic order) whose last index stays below L - s,
+    and those subsets shifted by s."""
+    fits = [np.flatnonzero(anchored[:, -1] < L - s) for s in range(L - anchored.shape[1] + 1)]
+    return tuple((rows, anchored[rows] + s) for s, rows in enumerate(fits))
+
+
 def _shifted_minors(m: np.ndarray, shift_det: complex):
     """``(subsets, |det|)`` for every d-subset of an orbit, by smallest index.
 
@@ -265,16 +332,12 @@ def _shifted_minors(m: np.ndarray, shift_det: complex):
     column 0) shifted by s whose last index stays below L. Shifting keeps
     their lexicographic order, and every subset starting at s precedes
     those starting at s + 1, so the batches come in lexicographic order.
+    The shifted index tables are a plan kept per ``(d, L)``.
     """
     d, L = m.shape
-    idx = np.empty((math.comb(L - 1, d - 1), d), dtype=np.intp)
-    absdet = np.empty(idx.shape[0])
-    start = 0
-    for part, part_absdet in _prefix_minors(m, 1):
-        stop = start + part.shape[0]
-        idx[start:stop], absdet[start:stop] = part, part_absdet
-        start = stop
+    anchored, absdet = zip(*_prefix_minors(m, 1))
+    absdet = np.concatenate(absdet)
     step = abs(complex(shift_det))
-    for s in range(L - d + 1):
-        fits = idx[:, -1] < L - s
-        yield idx[fits] + s, absdet[fits] * step**s
+    shifts = _cached(("shifts", d, L), lambda: _shifts(np.concatenate(anchored), L))
+    for s, (fits, rows) in enumerate(shifts):
+        yield rows, absdet[fits] * step**s

@@ -124,6 +124,16 @@ class TestCompareSpark:
         new = {**old, "input": "1" * 64}
         assert compare_spark.compare([old], [new]) == 1
 
+    @pytest.mark.parametrize("stale_tree", ["OLD", "NEW"])
+    def test_warm_run_that_differs_fails(self, stale_tree, capsys):
+        # a warm certificate differing from the cold one marks a stale plan
+        record = spark_record(full_spark=[True, None, "0.5"], warm=[])
+        stale = {**record, "warm": ["full_spark"]}
+        pair = (stale, record) if stale_tree == "OLD" else (record, stale)
+        assert compare_spark.compare([pair[0]], [pair[1]]) == 1
+        assert f"{stale_tree} warm run differs in ['full_spark']" in capsys.readouterr().out
+        assert compare_spark.compare([record], [record]) == 0
+
 
 def signal_record(**fields):
     entry = {

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -297,6 +298,8 @@ class TestFullSpark:
         monkeypatch.setattr(np.linalg, "qr", unreachable)
         monkeypatch.setattr(np.linalg, "norm", unreachable)
         monkeypatch.setattr(itertools, "combinations", unreachable)
+        monkeypatch.setattr(vandermonde, "_subsets", unreachable)
+        monkeypatch.setattr(vandermonde, "_shifts", unreachable)
         with pytest.raises(BudgetExceededError):
             full_spark(np.ones((3, 40)), budget=100)
         # the shifted enumeration factors only C(39, 2) = 741 minors, but
@@ -443,6 +446,87 @@ class TestFullSparkShift:
         assert full_spark(m, shift_det=det_a).witness == (1, 2, 3, 4)
         with pytest.raises(ValueError, match="shift_det must be finite"):
             full_spark(m, shift_det=shift_det)
+
+
+def _bits(certificate):
+    """The certificate's fields, ``min_abs_det`` as its exact bits."""
+    return certificate.full_spark, certificate.witness, float(certificate.min_abs_det).hex()
+
+
+class TestPlans:
+    """Index tables kept per shape between ``full_spark`` calls."""
+
+    @pytest.fixture(autouse=True)
+    def no_plans(self, monkeypatch):
+        monkeypatch.setattr(vandermonde, "_plans", OrderedDict())
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shifted"])
+    def test_warm_certificate_is_the_cold_one_bit_for_bit(self, shifted):
+        for name, m, det_a in _shift_cases():
+            shift_det = det_a if shifted else None
+            vandermonde._plans.clear()
+            cold = full_spark(m, shift_det=shift_det)
+            assert vandermonde._plans, name
+            assert _bits(full_spark(m, shift_det=shift_det)) == _bits(cold), name
+
+    def test_same_shape_reuses_the_plan(self, monkeypatch):
+        first, second = (make_instance("jordan", 6, 12, seed=s).build_frame() for s in (0, 1))
+        for shift_det in (None, np.linalg.det(first.operator)):
+            full_spark(first.synthesis(), shift_det=shift_det)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a plan was built again")
+
+        monkeypatch.setattr(vandermonde, "_combinations", unreachable)
+        monkeypatch.setattr(vandermonde, "_shifts", unreachable)
+        m, expected = second.synthesis(), full_spark_serial(second.synthesis())
+        _assert_matches(full_spark(m), expected)
+        _assert_matches(full_spark(m, shift_det=np.linalg.det(second.operator)), expected)
+
+    def test_kept_arrays_are_read_only(self):
+        _, m, det_a = _shift_cases()[0]
+        plain = next(vandermonde._prefix_minors(m, 0))[0]
+        shifted = next(vandermonde._shifted_minors(m, det_a))[0]
+        for idx in (plain, shifted):
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0, 0] = 1
+        kept = [a for plan, _ in vandermonde._plans.values() for part in plan for a in part]
+        assert len(vandermonde._plans) == 3 and not any(a.flags.writeable for a in kept)
+
+    def test_least_recently_used_plan_goes_first(self, monkeypatch):
+        shapes = [classical(np.arange(1, d + 1) / d, L) for d, L in ((3, 6), (3, 7), (4, 8))]
+        sizes = {}
+        for m in shapes:
+            full_spark(m)
+            (key,) = set(vandermonde._plans) - set(sizes)
+            sizes[key] = vandermonde._plans[key][1]
+        first, _, last = sizes
+        # room for any two of the three plans
+        monkeypatch.setattr(vandermonde, "_PLAN_BYTES", sum(sizes.values()) - 1)
+        vandermonde._plans.clear()
+        for m in (shapes[0], shapes[1], shapes[0], shapes[2]):
+            full_spark(m)
+        assert list(vandermonde._plans) == [first, last]
+
+    def test_plan_over_the_bound_is_built_per_call(self, monkeypatch):
+        calls = []
+        combinations = vandermonde._combinations
+
+        def counted(columns, width):
+            calls.append(width)
+            return combinations(columns, width)
+
+        monkeypatch.setattr(vandermonde, "_combinations", counted)
+        small, large = classical(np.arange(1, 4) / 3, 6), classical(np.arange(1, 5) / 4, 8)
+        full_spark(small)
+        ((kept, (_, size)),) = vandermonde._plans.items()
+        monkeypatch.setattr(vandermonde, "_PLAN_BYTES", size)
+        calls.clear()
+        certificates = [full_spark(large) for _ in range(2)]
+        # two tables (heads and tails) per call; the kept plan stays
+        assert len(calls) == 4 and list(vandermonde._plans) == [kept]
+        assert _bits(certificates[0]) == _bits(certificates[1])
+        _assert_matches(certificates[0], full_spark_serial(large))
 
 
 def _family(L, d, first):
