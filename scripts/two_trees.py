@@ -9,6 +9,7 @@ solve the same problem whatever their own builders do.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -19,11 +20,24 @@ import numpy as np
 
 
 def orbit(A, phi, L: int) -> np.ndarray:
-    """d x L matrix of ``A^l phi``, by ``DynamicalFrame``'s loop of ``A @ v`` and to its bits."""
-    A, vectors = np.asarray(A, dtype=complex), [np.asarray(phi, dtype=complex)]
-    for _ in range(L - 1):
-        vectors.append(A @ vectors[-1])
-    return np.column_stack(vectors)
+    """d x L matrix of ``A^l phi``, by ``DynamicalFrame``'s repeated squaring and to its bits.
+
+    Row ``l + s`` of the L x d array is row ``l`` times ``(A^s)^T``, written
+    in blocks of ``s`` rows; the power is squared, and ``s`` doubled, when
+    ``n = 2s`` rows are done and more than ``s`` are left, unless the square
+    over- or underflows.
+    """
+    rows = np.empty((L, len(phi)), dtype=complex)
+    rows[0] = np.asarray(phi, dtype=complex)
+    step, s, n = np.asarray(A, dtype=complex).T, 1, 1
+    while n < L:
+        if n == 2 * s and n + s < L:
+            with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
+                step, s = step @ step, 2 * s
+        m = min(s, L - n)
+        np.matmul(rows[n - s : n - s + m], step, out=rows[n : n + m])
+        n += m
+    return np.ascontiguousarray(rows.T)
 
 
 def orbit_diff(frame, V: np.ndarray) -> float:

@@ -1,9 +1,15 @@
 """Dynamical frames: iterated orbits ``{A^l phi}`` and their frame theory.
 
 A dynamical frame materializes the orbit of a generator vector under repeated
-application of an operator. This module builds orbits, computes frame bounds
-(squared extreme singular values of the synthesis matrix, read from the thin
-SVD of its rows that each frame computes once and keeps), and evaluates one
+application of an operator. The orbit is built by repeated squaring: each
+block of columns is one power ``A^s`` times the block before it, and ``s``
+doubles by squaring, so L columns take about ``log2 L`` squarings and as
+many block products. A power whose computation over- or underflows is not
+used; the blocks then stay as wide as the last power that was.
+
+This module builds orbits, computes frame bounds (squared extreme singular
+values of the synthesis matrix, read from the thin SVD of its rows that
+each frame computes once and keeps), and evaluates one
 spanning criterion and one spark criterion for every operator ``S J S^{-1}``,
 a diagonalizable one being the case of Jordan blocks of size one. For unit
 blocks the spark criterion has structural shortcuts for geometric and for
@@ -20,6 +26,7 @@ the orbit's condition number (see the README).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,10 +46,17 @@ FRAME_RTOL = 1e-10
 class DynamicalFrame:
     """The orbit ``phi, A phi, ..., A^(L-1) phi``, computed from its defining data.
 
-    Each ``A @ v`` is written in place into a row of one L x d array, and
-    the synthesis matrix is its C-contiguous transpose: that layout fixes
-    the bits of :meth:`coefficients`. An orbit that overflows raises
-    ``ValueError`` naming its first non-finite column. Kept with the frame:
+    The orbit is written in place into the rows of one L x d array, in
+    blocks: with ``P = (A^s)^T``, rows ``n..n+s-1`` are rows ``n-s..n-1``
+    times ``P`` (one matmul), and ``P`` is squared and ``s`` doubled each
+    time ``n`` reaches ``2s`` with more than ``s`` rows left. A square whose
+    computation over- or underflows is never used: ``s`` stays, and the
+    blocks go on ``s`` rows wide (``s = 1`` is the step-by-step recurrence
+    ``A @ v``), so an orbit whose columns are finite is built even when its
+    powers of ``A`` are not, and emits no warning. The synthesis matrix is
+    the rows' C-contiguous transpose: that layout fixes the bits of
+    :meth:`coefficients`. An orbit that overflows raises ``ValueError``
+    naming its first non-finite column. Kept with the frame:
     its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
     coefficient evaluation and row-subset solve, and from first use their thin
     SVD (``_row_svd``, for :func:`analyze`) and its rank-truncated factors
@@ -64,8 +78,14 @@ class DynamicalFrame:
             raise ValueError("length must be >= 1")
         rows = np.empty((self.length, phi.size), dtype=complex)
         rows[0] = phi
-        for l in range(1, self.length):
-            np.matmul(A, rows[l - 1], out=rows[l])
+        step, s, n = A.T, 1, 1  # step is (A^s)^T: rows[l + s] = rows[l] @ step
+        while n < self.length:
+            if n == 2 * s and n + s < self.length:
+                with suppress(FloatingPointError), np.errstate(all="raise"):
+                    step, s = step @ step, 2 * s  # kept only if nothing over- or underflowed
+            m = min(s, self.length - n)
+            np.matmul(rows[n - s : n - s + m], step, out=rows[n : n + m])
+            n += m
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise ValueError(f"orbit column A^{finite.argmin()} phi is not finite (overflow)")
@@ -135,7 +155,12 @@ class FrameAnalysis:
 
 
 def build(operator, generator, length: int) -> DynamicalFrame:
-    """Materialize ``{A^l phi}`` by iterated matrix-vector products."""
+    """Materialize ``{A^l phi}``; powers of ``A`` come by repeated squaring.
+
+    See :class:`DynamicalFrame` for the blocks, for what happens when a
+    power over- or underflows, and for the ``ValueError`` of an orbit whose
+    own columns overflow.
+    """
     return DynamicalFrame(operator, generator, length)
 
 

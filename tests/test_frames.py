@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,49 @@ from dynphase import (
 )
 from dynphase.instances import make_instance
 from dynphase.serialization import json_to_jordan_spec
-from oracles import orbit_naive, orbit_rank, random_distinct, random_unitary, spark_by_enumeration
+from oracles import (
+    eigendecompose,
+    jordan_power,
+    orbit_naive,
+    orbit_rank,
+    random_distinct,
+    random_unitary,
+    spark_by_enumeration,
+)
+
+
+#: Lengths 1, 2, 2^k and 2^k + 1: the first block, a block that squares, and
+#: a last block that reuses the power before the last square.
+POWER_LENGTHS = (1, 2, 4, 5, 16, 17, 32, 33)
+
+#: Largest relative column error ``|v_l - w_l| / |w_l|`` against an oracle.
+#: On the operators below the squaring build reaches 1.6e-13 and the
+#: step-by-step ``A @ v`` loop 1.1e-13 (both on the single 4 x 4 Jordan
+#: block at L = 33); over 20 seeds a 6 x 6 block at L = 33 reached 4.4e-13
+#: and 4.6e-13. So 1e-11 leaves a margin of 20 or more, while an off-by-one
+#: power, whose columns differ from their neighbours by over half their
+#: norm here, misses it by ten orders.
+COLUMN_RTOL = 1e-11
+
+#: Largest relative entry error between two orders of the same few products.
+ROUNDING_RTOL = 4 * np.finfo(float).eps
+
+
+def assert_columns_close(V, W):
+    assert V.shape == W.shape
+    error = np.linalg.norm(V - W, axis=0) / np.linalg.norm(W, axis=0)
+    assert np.max(error) <= COLUMN_RTOL
+    if W.shape[1] > 1:  # the tolerance tells neighbouring powers apart
+        shifted = np.linalg.norm(V[:, 1:] - W[:, :-1], axis=0) / np.linalg.norm(W[:, :-1], axis=0)
+        assert np.min(shifted) > 1e6 * COLUMN_RTOL
+
+
+def sequential_orbit(a, phi, length):
+    """The step-by-step recurrence ``v_(l+1) = A @ v_l``, stacked as columns."""
+    vectors = [np.asarray(phi, dtype=complex)]
+    for _ in range(length - 1):
+        vectors.append(np.asarray(a, dtype=complex) @ vectors[-1])
+    return np.column_stack(vectors)
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -88,27 +132,58 @@ class TestBuild:
             with pytest.raises(ValueError):
                 v[0] = 0.0
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    @pytest.mark.parametrize("dim, length", [(1, 1), (1, 2), (1, 273), (3, 1), (3, 2), (5, 273)])
-    def test_synthesis_is_the_sequential_loop_byte_for_byte(self, dim, length, real):
-        rng = np.random.default_rng(1000 * dim + length)
-        a, phi = rng.standard_normal((dim, dim)), rng.standard_normal(dim)
-        if not real:
-            a = a + 1j * rng.standard_normal((dim, dim))
-            phi = phi + 1j * rng.standard_normal(dim)
-        a = a / np.max(np.abs(np.linalg.eigvals(a)))  # 273 powers stay finite and nonzero
-        frame = build(a, phi, length)
-        # the reference: one A @ v product per step, stacked as columns
-        op = np.asarray(a, dtype=complex)
-        vectors = [np.asarray(phi, dtype=complex)]
-        for _ in range(length - 1):
-            vectors.append(op @ vectors[-1])
-        expected = np.column_stack(vectors)
-        synthesis = frame.synthesis()
-        assert synthesis.shape == expected.shape and synthesis.tobytes() == expected.tobytes()
-        assert synthesis.flags.c_contiguous and not synthesis.flags.writeable
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        assert frame.coefficients(x).tobytes() == (expected.conj().T @ x).tobytes()
+    @pytest.mark.parametrize("length", POWER_LENGTHS)
+    @pytest.mark.parametrize("mults", [(1, 1, 1, 1), (3, 1, 2), (4,), (2, 2, 2, 2)])
+    def test_columns_match_the_jordan_power_oracle(self, mults, length):
+        rng = np.random.default_rng(100 * sum(mults) + length)
+        spec = JordanSpec(random_distinct(rng, len(mults)), mults, random_unitary(rng, sum(mults)))
+        coords = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+        phi = spec.basis @ coords
+        frame = build(assemble(spec), phi, length)
+        # S J^l S^{-1} phi, with S unitary so that S^{-1} phi is coords
+        expected = np.column_stack(
+            [spec.basis @ (jordan_power(spec, l) @ coords) for l in range(length)]
+        )
+        assert_columns_close(frame.synthesis(), expected)
+        assert frame.synthesis().flags.c_contiguous and not frame.synthesis().flags.writeable
+
+    @pytest.mark.parametrize("length", POWER_LENGTHS)
+    def test_columns_match_the_eigendecomposition_oracle(self, length):
+        rng = np.random.default_rng(length)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = a / np.max(np.abs(np.linalg.eigvals(a)))
+        phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        values, vectors = eigendecompose(a)
+        coords = np.linalg.solve(vectors, phi)
+        expected = np.column_stack([vectors @ (values**l * coords) for l in range(length)])
+        assert_columns_close(build(a, phi, length).synthesis(), expected)
+
+    def test_nilpotent_orbit_ends_in_exact_zeros(self):
+        rng = np.random.default_rng(55)
+        nilpotent = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), 1)
+        phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        V = build(nilpotent, phi, 17).synthesis()
+        assert_columns_close(V[:, :5], orbit_naive(nilpotent, phi, 5))
+        assert not np.any(V[:, 5:])  # A^5 = 0 exactly, and so is every power after it
+
+    @pytest.mark.parametrize(
+        "operator, generator, length",
+        [
+            # A^2 = (1e400, ...) overflows, yet every column A^l phi is finite
+            (np.array([[1e200, 1.0], [0.0, 2e200]]), np.full(2, 1e-300), 4),
+            # A^2 = (1e-400, ...) underflows to zero, yet A^2 phi is about 4e-100
+            (np.array([[1e-200, 1e-200], [0.0, 2e-200]]), np.full(2, 1e300), 4),
+            # A^2 = diag(1e200, 1) squares to an overflow: the rest goes in pairs of columns
+            (np.diag([1e100, 1.0]), np.array([1e-300, 1.0]), 7),
+        ],
+        ids=["overflow", "underflow", "overflow-later"],
+    )
+    def test_finite_orbit_whose_powers_do_not_square_is_built(self, operator, generator, length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = build(operator, generator, length)
+        expected = sequential_orbit(operator, generator, length)
+        np.testing.assert_allclose(frame.synthesis(), expected, rtol=ROUNDING_RTOL, atol=0)
 
     def test_orbit_vectors_cannot_be_supplied(self):
         phi = np.array([1.0, 0.0])
