@@ -16,9 +16,15 @@ thresholds. Column subsets are taken in lexicographic chunks of bounded size
 (``_CHUNK_BYTES``); the witness is still the lexicographically first failing
 subset and ``min_abs_det`` the global minimum. A subset's first
 ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
-subsets: each prefix gets one Householder QR, and each subset one
-(d - k) x (d - k) determinant of its remaining columns projected onto the
-prefix's orthogonal complement, in closed form up to 4 x 4 (``_tail_det``).
+subsets: each prefix gets one Householder QR and projects the columns past
+k onto its orthogonal complement, and each subset one (d - k) x (d - k)
+determinant of its remaining columns so projected, in closed form up to
+4 x 4 and by LU beyond. At 3 x 3 and 4 x 4 (d = 6..9) the 2 x 2 minors of
+that closed form are tabled once per prefix, over every pair of projected
+columns, and each subset gathers its own (``_tail_dets``); the rounding is
+that of the per-subset formula (``_tail_det``), bit for bit. A subset's
+column indices are a column of a d x N table, so that its column-norm
+product is taken one contiguous index row at a time.
 
 An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
 for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
@@ -29,13 +35,13 @@ index s from its anchored shape times ``|det(A)|^s``.
 
 The enumeration is split into a plan and the arithmetic. The plan holds the
 index tables that depend on the shape alone (each chunk's subsets, prefixes,
-prefix ids and gather offsets, and each shift's subsets), built on the first
-call for a shape and kept read-only, the least recently used dropped first
-once the plans kept exceed ``_PLAN_BYTES``. A call does only the work that
-depends on the matrix, in the same order as when the plan is built anew, so
-a certificate has the same bits either way. Only a process that certifies
-one shape more than once gains; a one-shot ``dynphase verify`` builds its
-plan once.
+prefix ids and offsets into its per-prefix tables, and an orbit's subsets in
+shift order), built on the first call for a shape and kept read-only, the
+least recently used dropped first once the plans kept exceed
+``_PLAN_BYTES``. A call does only the work that depends on the matrix, in
+the same order as when the plan is built anew, so a certificate has the same
+bits either way. Only a process that certifies one shape more than once
+gains; a one-shot ``dynphase verify`` builds its plan once.
 """
 
 from __future__ import annotations
@@ -58,19 +64,28 @@ DEFAULT_SPARK_TOL = 1e-10
 DEFAULT_BUDGET = 2_000_000
 
 #: Bytes per ``full_spark`` chunk, sized as if each subset were a stacked d x d
-#: complex minor; a chunk holds its subsets' index rows and (d - k) x (d - k)
-#: projected tails, which take less. With the index tables kept (``_PLAN_BYTES``),
-#: chunks of 256 KiB and 16 MiB each won 0 of 30 alternating rounds against
-#: 1 MiB on the random-diag and jordan 8 x 16 and circulant 6 x 12 orbits
+#: complex minor; a chunk holds its subsets' index columns and offsets and its
+#: prefixes' projections and minor tables, which take less. Measured when each
+#: subset still gathered its whole projected tail, with the index tables kept
+#: (``_PLAN_BYTES``): chunks of 256 KiB and 16 MiB each won 0 of 30 alternating
+#: rounds against 1 MiB on the random-diag and jordan 8 x 16 and circulant 6 x 12 orbits
 #: (summed medians 36.9 and 32.3 ms against 22.6 ms); on a random-diag
 #: 10 x 20 orbit 16 MiB won 19 of 20 rounds (85 against 102 ms) and 256 KiB
 #: 2 of 20 (124 ms). One BLAS thread, numpy 2.4.6, 2 shared cores.
 _CHUNK_BYTES = 1 << 20
 #: Bytes of enumeration plans (index tables that depend on the matrix shape
 #: alone, see ``_cached``) kept between ``full_spark`` calls. The plans of a
-#: plain 10 x 20 matrix take 24 MB, those of a 10 x 20 orbit 28 MB and those
-#: of an 11 x 22 orbit 116 MB; an 8 x 16 orbit's take 1.6 MB.
+#: plain 10 x 20 matrix take 20 MB, those of a 10 x 20 orbit 26 MB and those
+#: of an 11 x 22 orbit 109 MB; an 8 x 16 orbit's take 1.6 MB.
 _PLAN_BYTES = 32 << 20
+#: The prefixes' projections ``Q2^H M`` start at column ``k = ceil(d/2)``
+#: rounded down to a multiple of this. OpenBLAS's complex matrix product on
+#: x86-64 (the Haswell kernel) takes the columns of its result in blocks of
+#: four from the first, and the last, partial block rounds differently, so
+#: only a product that starts on a block has the bits of the full one:
+#: started at k itself it differed in 151 of 200 random trials (d = 2..10,
+#: L = d + 2..2d + 3), started on a multiple of four in none of 300.
+_GEMM_COLUMNS = 4
 
 _plans: OrderedDict[tuple, tuple] = OrderedDict()  # key -> (plan, bytes), oldest first
 _plans_lock = threading.Lock()
@@ -140,13 +155,17 @@ def full_spark(
     ``n = d - ceil(d/2)`` projected columns, in closed form for n <= 4
     (d <= 9) and by LU beyond. The closed form is off by at most about
     ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at
-    n = 4, far below ``DEFAULT_SPARK_TOL``.
+    n = 4, far below ``DEFAULT_SPARK_TOL``. For n = 3 and 4 its 2 x 2
+    minors are taken once per prefix, in a table over the pairs of
+    projected columns, and each subset gathers its own. A subset's
+    column-norm product is taken from left to right.
 
     ``shift_det`` declares the matrix M an orbit: it is ``det(A)`` for an
     operator A with ``M[:, l + 1] = A @ M[:, l]``. Then
     ``|det M[:, T + s]| = |shift_det|^s * |det M[:, T]|``, so only the
     C(L-1, d-1) subsets that contain column 0 are factored, and the minors
-    of every subset with smallest index s > 0 are scaled from them. The
+    of every subset with smallest index s > 0 are scaled from them, all
+    shifts at once. The
     scaled magnitudes differ from directly factored ones by rounding only.
     The budget still counts all C(L, d) subsets. A non-finite ``shift_det``
     raises ``ValueError``. A minor whose scaled magnitude is NaN, which
@@ -174,13 +193,16 @@ def full_spark(
     min_scaled = float("inf")
     batches = _prefix_minors(m, 0) if shift_det is None else _shifted_minors(m, shift_det)
     for idx, absdet in batches:
-        scale = np.prod(col_norms[idx], axis=1)
+        # one index row at a time, each subset's columns left to right
+        scale = col_norms[idx[0]]
+        for row in idx[1:]:
+            scale *= col_norms[row]
         scaled = np.divide(absdet, scale, out=np.zeros_like(absdet), where=scale > 0.0)
         min_scaled = np.minimum(min_scaled, scaled.min())
         if witness is None:
-            failing = np.flatnonzero(~(scaled > DEFAULT_SPARK_TOL))
-            if failing.size:
-                witness = tuple(int(i) for i in idx[failing[0]])
+            passing = scaled > DEFAULT_SPARK_TOL
+            if not passing.all():  # argmin finds the first False
+                witness = tuple(int(i) for i in idx[:, np.argmin(passing)])
     return SparkCertificate(witness is None, witness, min_scaled)
 
 
@@ -223,14 +245,17 @@ def _subsets(d: int, L: int, first: int, rows: int):
     Rows come in lexicographic order. With ``first=1`` column 0 is prepended
     to each subset, which gives the subsets that contain column 0, in their
     own lexicographic order. A subset is a head, its first ``k = ceil(d/2)``
-    columns, followed by a tail. The tails that fit after a head are the
-    (d - k)-subsets of ``k..L-1`` whose first column lies past the head's
-    last, a final block of their lexicographic list, so every row is
-    gathered from two small tables. Each chunk is ``(idx, heads, group,
-    gather)``: its subsets, the distinct prefixes ``idx[:, :k]`` in order,
-    each subset's prefix position in ``heads`` (rows share a prefix exactly
-    when they share it), and ``group * L + idx[:, k:]``, the rows of the
-    subset's tail in a stack of L projected columns per prefix.
+    columns, followed by a tail of ``n = d - k``. The tails that fit after a
+    head are the n-subsets of ``k..L-1`` whose first column lies past the
+    head's last, a final block of their lexicographic list, so every subset
+    is gathered from two small tables. Each chunk is ``(idx, heads, group,
+    offsets, pairs)``: its subsets, one per column of the d x N table
+    ``idx``, the distinct prefixes ``idx[:k].T`` in order, each subset's
+    prefix position in ``heads`` (subsets share a prefix exactly when they
+    share it), where its tail's entries lie in the per-prefix tables of
+    ``_tail_dets`` (``_offsets``), and the pairs x < y of the L - k columns
+    from k on, in lexicographic order, as two rows (one array for all
+    chunks, empty unless n is 3 or 4).
     """
     k = (d + 1) // 2
     heads = _combinations(range(first, L - d + k), k - first)
@@ -239,45 +264,105 @@ def _subsets(d: int, L: int, first: int, rows: int):
     lead = tails[:, 0] if d > k else np.array([L])
     # rows ends[h] - (tails fitting after head h) .. ends[h] - 1 belong to head h
     ends = np.cumsum(len(tails) - np.searchsorted(lead, last, side="right"))
+    pairs = np.array(np.triu_indices(L - k if d - k in (3, 4) else 0, 1))
     chunks = []
     for start in range(0, int(ends[-1]), rows):
         row = np.arange(start, min(start + rows, ends[-1]))
         head = np.searchsorted(ends, row, side="right")
-        idx = np.zeros((row.size, d), dtype=np.intp)
-        idx[:, first:k] = heads[head]
-        idx[:, k:] = tails[row - ends[head] + len(tails)]
+        idx = np.zeros((d, row.size), dtype=np.intp)
+        idx[first:k] = heads[head].T
+        idx[k:] = tails[row - ends[head] + len(tails)].T
         starts = np.ones(row.size, dtype=bool)
         starts[1:] = head[1:] != head[:-1]
         group = np.cumsum(starts) - 1
-        chunks.append((idx, idx[starts, :k], group, group[:, None] * L + idx[:, k:]))
+        offsets = _offsets(group, idx[k:] - k, L - k)
+        chunks.append((idx, idx[:k, starts].T.copy(), group, offsets, pairs))
     return tuple(chunks)
+
+
+def _offsets(group: np.ndarray, tails: np.ndarray, width: int) -> np.ndarray:
+    """Where each subset's tail entries lie in its chunk's per-prefix tables.
+
+    ``tails`` holds the n tail columns of each subset, counted from column
+    k, and ``width = L - k``. Row i of ``cols = group * width + tails`` is
+    the position of tail column i among the ``width`` projected columns of
+    each prefix. With ``C(width, 2)`` pairs of columns x < y per prefix, in
+    lexicographic order, the pair of tail columns i < j lies at
+    ``group * C(width, 2) + (position of (tails[i], tails[j]))``. The result
+    stacks the rows ``_tail_dets`` reads: ``cols`` unless n = 4, then for
+    n = 3 and 4 the pairs i < j in lexicographic order.
+    """
+    n = len(tails)
+    rows = list(group * width + tails) if n != 4 else []
+    if n in (3, 4):
+        base = group * math.comb(width, 2)
+        for i, j in itertools.combinations(range(n), 2):
+            x, y = tails[i], tails[j]
+            rows.append(base + x * (2 * width - x - 1) // 2 + (y - x - 1))
+    offsets = np.array(rows, dtype=np.intp).reshape(len(rows), group.size)
+    # int32 halves the bytes a plan keeps; _tail_dets widens them once per call
+    return offsets.astype(np.int32) if offsets.max(initial=0) < 2**31 else offsets
 
 
 def _prefix_minors(m: np.ndarray, first: int):
     """``(subsets, |det|)`` chunks over the subsets of ``_subsets(d, L, first, ...)``.
 
     ``first=0`` gives every d-subset and ``first=1`` those that contain
-    column 0. A chunk holds as many subsets as ``_CHUNK_BYTES`` holds d x d
-    minors of ``m``; the chunks' index tables are a plan kept per
-    ``(d, L, first, rows per chunk)``. The first ``k = ceil(d/2)`` columns
-    of a subset are its prefix P, and the subsets sharing P are contiguous.
-    With the complete QR ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper
-    triangular for every subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
+    column 0; a chunk's subsets are the columns of a d x N table. A chunk
+    holds as many subsets as ``_CHUNK_BYTES`` holds d x d minors of ``m``;
+    the chunks' index tables are a plan kept per ``(d, L, first, rows per
+    chunk)``. The first ``k = ceil(d/2)`` columns of a subset are its prefix
+    P, and the subsets sharing P are contiguous. With the complete QR
+    ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper triangular for every
+    subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
     with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
-    once, and each subset costs one (d - k) x (d - k) determinant from
-    ``_tail_det``, whose rows are the subset's projected columns.
+    once and projects the columns ``k..L-1`` of M, the only ones a tail
+    reads; ``_tail_dets`` gives each subset's (d - k) x (d - k) determinant
+    from them. The projection is computed from column k rounded down to a
+    multiple of ``_GEMM_COLUMNS``, so that each of its columns has the bits
+    of the full product ``Q2^H M``.
     """
     d, L = m.shape
     k = (d + 1) // 2
     rows = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
     plan = _cached(("subsets", d, L, first, rows), lambda: _subsets(d, L, first, rows))
-    for idx, heads, group, gather in plan:
+    start = k - k % _GEMM_COLUMNS
+    for idx, heads, group, offsets, pairs in plan:
         q, r = np.linalg.qr(m[:, heads].transpose(1, 0, 2), mode="complete")
-        head = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
-        # row p * L + l holds column l of M projected by prefix p's Q2^H
-        tail = (q[:, :, k:].conj().transpose(0, 2, 1) @ m).transpose(0, 2, 1)
-        det = _tail_det(tail.reshape(len(q) * L, d - k)[gather])
+        head = np.multiply.reduce(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
+        # proj[p, a, l - k] is entry a of column l of M projected by prefix p's Q2^H
+        proj = (q[:, :, k:].conj().transpose(0, 2, 1) @ m[:, start:])[:, :, k - start :]
+        det = _tail_dets(proj, offsets, pairs)
         yield idx, head[group] * np.hypot(det.real, det.imag)
+
+
+def _tail_dets(proj: np.ndarray, offsets: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Each subset's tail determinant from its prefix's projected columns.
+
+    ``proj`` is ``(prefixes, n, width)``, and ``offsets`` and ``pairs`` come
+    from ``_subsets``. The tail of a subset is the n x n block whose row i
+    is its tail column i projected, and the result has the bits
+    ``_tail_det`` gives on the stack of blocks, which is what n < 3 and
+    n > 4 take. For n = 3 and 4 a subset shares the 2 x 2 minors that
+    ``_laplace`` reads with the other subsets of its prefix: the minors of
+    columns (a, a + 1), a = n % 2, n % 2 + 2, .., are taken once per prefix
+    over every pair of projected columns, with the operands of
+    ``_tail_det``, and each subset gathers its own.
+    """
+    prefixes, n, width = proj.shape
+    if n not in (3, 4):
+        stack = proj.transpose(0, 2, 1).reshape(prefixes * width, n)
+        return _tail_det(stack[offsets.T.astype(np.intp, order="C")])
+    offsets = offsets.astype(np.intp)  # once, not per gather
+    firsts = proj[:, 0].ravel()[offsets[:n]] if n == 3 else None
+    position = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    at = offsets[3:] if n == 3 else offsets
+    x, y = pairs
+    minors = {}
+    for a in range(n % 2, n - 1, 2):
+        u, v = proj[:, a], proj[:, a + 1]
+        minors[a] = (u[:, x] * v[:, y] - u[:, y] * v[:, x]).ravel()[at]
+    return _laplace(n, lambda i: firsts[i], lambda a, i, j: minors[a][position[i, j]])
 
 
 def _tail_det(t: np.ndarray) -> np.ndarray:
@@ -285,31 +370,42 @@ def _tail_det(t: np.ndarray) -> np.ndarray:
 
     n = 2 and 3 expand along the first column; n = 4 is the Laplace
     expansion over the six complementary pairs of 2 x 2 minors of columns
-    (0, 1) and (2, 3); n >= 5 falls back to LU. The closed forms are off by
-    at most about ``(n + 1) * eps`` times the permanent of ``|t|``, which is
-    at most ``n^(n/2)`` times the Hadamard bound. Their terms cancel
-    pairwise when two rows are equal, so a repeated row gives exactly 0.
+    (0, 1) and (2, 3) (``_laplace``); n >= 5 falls back to LU. The closed
+    forms are off by at most about ``(n + 1) * eps`` times the permanent of
+    ``|t|``, which is at most ``n^(n/2)`` times the Hadamard bound. Their
+    terms cancel pairwise when two rows are equal, so a repeated row gives
+    exactly 0.
     """
     n = t.shape[-1]
     if n == 0:
         return np.ones(len(t), dtype=t.dtype)
-    if n == 1:
-        return t[:, 0, 0]
     if n > 4:
         return np.linalg.det(t)
 
-    def minor(a, b, i, j):  # rows i, j of columns a, b
-        return t[:, i, a] * t[:, j, b] - t[:, j, a] * t[:, i, b]
+    def minor(a, i, j):  # rows i, j of columns a, a + 1
+        return t[:, i, a] * t[:, j, a + 1] - t[:, j, a] * t[:, i, a + 1]
 
+    return _laplace(n, lambda i: t[:, i, 0], minor)
+
+
+def _laplace(n: int, first, minor):
+    """The closed-form determinant of n x n blocks, 1 <= n <= 4.
+
+    ``first(i)`` is entry (i, 0) of each block and ``minor(a, i, j)`` the
+    2 x 2 minor of its rows i < j and columns a, a + 1. n = 2 and 3 expand
+    along the first column, and n = 4 is the Laplace expansion over the
+    six complementary pairs of minors of columns (0, 1) and (2, 3).
+    """
+    if n == 1:
+        return first(0)
     if n == 2:
-        return minor(0, 1, 0, 1)
+        return minor(0, 0, 1)
     if n == 3:
-        first = t[:, :, 0]
         return (
-            first[:, 0] * minor(1, 2, 1, 2) - first[:, 1] * minor(1, 2, 0, 2)
-        ) + first[:, 2] * minor(1, 2, 0, 1)
-    lo = {p: minor(0, 1, *p) for p in itertools.combinations(range(4), 2)}
-    hi = {p: minor(2, 3, *p) for p in itertools.combinations(range(4), 2)}
+            first(0) * minor(1, 1, 2) - first(1) * minor(1, 0, 2)
+        ) + first(2) * minor(1, 0, 1)
+    lo = {p: minor(0, *p) for p in itertools.combinations(range(4), 2)}
+    hi = {p: minor(2, *p) for p in itertools.combinations(range(4), 2)}
     # grouped so that the terms of each group cancel exactly on equal rows
     return (
         (lo[0, 1] * hi[2, 3] + lo[2, 3] * hi[0, 1])
@@ -318,26 +414,40 @@ def _tail_det(t: np.ndarray) -> np.ndarray:
 
 
 def _shifts(anchored: np.ndarray, L: int):
-    """Per shift s: the positions of the ``anchored`` subsets (those with
-    column 0, in lexicographic order) whose last index stays below L - s,
-    and those subsets shifted by s."""
-    fits = [np.flatnonzero(anchored[:, -1] < L - s) for s in range(L - anchored.shape[1] + 1)]
-    return tuple((rows, anchored[rows] + s) for s, rows in enumerate(fits))
+    """Every d-subset of an orbit by smallest index s, from the ``anchored``
+    ones (those with column 0, the columns of a d x N table, in
+    lexicographic order): the d x C(L, d) table of the anchored subsets
+    whose last index stays below L - s shifted by s, for s = 0, 1, ..,
+    their positions among the anchored subsets, and where each s starts."""
+    fits = [np.flatnonzero(anchored[-1] < L - s) for s in range(L - len(anchored) + 1)]
+    starts = np.cumsum([0] + [len(rows) for rows in fits])
+    idx = np.empty((len(anchored), starts[-1]), dtype=np.intp)
+    for s, rows in enumerate(fits):
+        idx[:, starts[s] : starts[s + 1]] = anchored[:, rows] + s
+    return idx, np.concatenate(fits), starts
 
 
 def _shifted_minors(m: np.ndarray, shift_det: complex):
-    """``(subsets, |det|)`` for every d-subset of an orbit, by smallest index.
+    """``(subsets, |det|)`` for every d-subset of an orbit, in lexicographic order.
 
     The subsets with smallest index s are the anchored subsets (those with
     column 0) shifted by s whose last index stays below L. Shifting keeps
     their lexicographic order, and every subset starting at s precedes
-    those starting at s + 1, so the batches come in lexicographic order.
-    The shifted index tables are a plan kept per ``(d, L)``.
+    those starting at s + 1, so one d x C(L, d) index table holds them all
+    in order, a plan kept per ``(d, L)``. The magnitudes of every shift are
+    scaled at once, in an array of 1/d of that table's bytes, and go out in
+    blocks of the table's columns.
     """
     d, L = m.shape
     anchored, absdet = zip(*_prefix_minors(m, 1))
-    absdet = np.concatenate(absdet)
     step = abs(complex(shift_det))
-    shifts = _cached(("shifts", d, L), lambda: _shifts(np.concatenate(anchored), L))
-    for s, (fits, rows) in enumerate(shifts):
-        yield rows, absdet[fits] * step**s
+    ((idx, fits, starts),) = _cached(
+        ("shifts", d, L), lambda: (_shifts(np.concatenate(anchored, axis=1), L),)
+    )
+    scaled = np.concatenate(absdet)[fits]
+    for s in range(1, len(starts) - 1):
+        scaled[starts[s] : starts[s + 1]] *= step**s
+    # blocks of as many subsets as a chunk holds index columns stay in cache
+    block = max(1, _CHUNK_BYTES // idx[:, :1].nbytes)
+    for start in range(0, scaled.size, block):
+        yield idx[:, start : start + block], scaled[start : start + block]

@@ -420,13 +420,14 @@ class TestFullSparkShift:
     @pytest.mark.parametrize("per_chunk", [1, 5, 64])
     def test_orbits_match_serial_oracle(self, monkeypatch, per_chunk):
         factored = []
-        tail_det = vandermonde._tail_det
+        prefix_minors = vandermonde._prefix_minors
 
-        def counted(t):
-            factored.append(t.shape[0])
-            return tail_det(t)
+        def counted(m, first):
+            for idx, absdet in prefix_minors(m, first):
+                factored.append(absdet.size)
+                yield idx, absdet
 
-        monkeypatch.setattr(vandermonde, "_tail_det", counted)
+        monkeypatch.setattr(vandermonde, "_prefix_minors", counted)
         for name, m, shift_det in _shift_cases():
             d, L = m.shape
             _subsets_per_chunk(monkeypatch, d, per_chunk)
@@ -451,6 +452,105 @@ class TestFullSparkShift:
 def _bits(certificate):
     """The certificate's fields, ``min_abs_det`` as its exact bits."""
     return certificate.full_spark, certificate.witness, float(certificate.min_abs_det).hex()
+
+
+def _pinned_orbit(d, singular):
+    """A d x (d + 3) orbit of a fixed-seed operator A, and det(A).
+
+    ``singular`` zeroes the first column of A, so that every subset without
+    column 0 is rank deficient and the first of them is the witness.
+    """
+    rng = np.random.default_rng([31, d])
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if singular:
+        A[:, 0] = 0.0
+    columns = [rng.standard_normal(d) + 1j * rng.standard_normal(d)]
+    for _ in range(d + 2):
+        columns.append(A @ columns[-1])
+    return np.column_stack(columns), np.linalg.det(A)
+
+
+#: (witness, min_abs_det.hex()) of full_spark on ``_pinned_orbit(d, singular)``,
+#: for singular False then True, each plain then with shift_det, as computed
+#: by the kernel that stacked each subset's projected tail and took every
+#: 2 x 2 minor per subset. Recorded with numpy 2.4.6 and OpenBLAS 0.3.31
+#: (Haswell kernels) on x86-64; another LAPACK or BLAS may round differently.
+PINNED = {
+    1: [
+        (None, "0x1.0000000000000p+0"),
+        (None, "0x1.0000000000000p+0"),
+        ((1,), "0x0.0p+0"),
+        ((1,), "0x0.0p+0"),
+    ],
+    2: [
+        (None, "0x1.a1780440f7110p-4"),
+        (None, "0x1.a1780440f711dp-4"),
+        ((1, 2), "0x1.75f026d3e5923p-55"),
+        ((1, 2), "0x0.0p+0"),
+    ],
+    3: [
+        (None, "0x1.279585bbd32dcp-9"),
+        (None, "0x1.279585bbd32f8p-9"),
+        ((1, 2, 3), "0x1.31d67861ba789p-56"),
+        ((1, 2, 3), "0x0.0p+0"),
+    ],
+    4: [
+        (None, "0x1.de78114657c49p-9"),
+        (None, "0x1.de78114657c43p-9"),
+        ((1, 2, 3, 4), "0x1.e6b3a37638687p-60"),
+        ((1, 2, 3, 4), "0x0.0p+0"),
+    ],
+    5: [
+        (None, "0x1.99aa8709e970ep-12"),
+        (None, "0x1.99aa8709e971fp-12"),
+        ((1, 2, 3, 4, 5), "0x1.3b11069b4c34ep-59"),
+        ((1, 2, 3, 4, 5), "0x0.0p+0"),
+    ],
+    6: [
+        (None, "0x1.705102b6f3c86p-13"),
+        (None, "0x1.705102b6f3c51p-13"),
+        ((1, 2, 3, 4, 5, 6), "0x1.1143e5f35a22ap-59"),
+        ((1, 2, 3, 4, 5, 6), "0x0.0p+0"),
+    ],
+    7: [
+        (None, "0x1.357d60bfabb96p-26"),
+        (None, "0x1.357d60bfabacfp-26"),
+        ((1, 2, 3, 4, 5, 6, 7), "0x1.3c31580441150p-75"),
+        ((1, 2, 3, 4, 5, 6, 7), "0x0.0p+0"),
+    ],
+    8: [
+        ((1, 2, 3, 6, 7, 8, 9, 10), "0x1.c8c779e0bd9f6p-39"),
+        ((1, 2, 3, 6, 7, 8, 9, 10), "0x1.c8c779e0bda1ep-39"),
+        ((1, 2, 3, 4, 5, 6, 7, 8), "0x1.7e3844f599152p-77"),
+        ((1, 2, 3, 4, 5, 6, 7, 8), "0x0.0p+0"),
+    ],
+    9: [
+        (None, "0x1.5f26b8e30a53ap-26"),
+        (None, "0x1.5f26b8e30a41fp-26"),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9), "0x0.0p+0"),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9), "0x0.0p+0"),
+    ],
+    10: [
+        (None, "0x1.15366fca71edap-32"),
+        (None, "0x1.15366fca72d93p-32"),
+        ((0, 1, 2, 5, 6, 7, 8, 9, 10, 12), "0x1.9f6e4dfe0c485p-91"),
+        ((0, 1, 2, 5, 6, 7, 8, 9, 10, 12), "0x0.0p+0"),
+    ],
+}
+
+
+class TestPinnedBits:
+    """Certificates bit for bit as recorded, for trailing blocks of n = 0..5."""
+
+    @pytest.mark.parametrize("d", sorted(PINNED))
+    def test_certificate_bits_are_the_recorded_ones(self, d):
+        got = []
+        for singular in (False, True):
+            m, det_a = _pinned_orbit(d, singular)
+            for shift_det in (None, det_a):
+                certificate = full_spark(m, shift_det=shift_det)
+                got.append((certificate.witness, float(certificate.min_abs_det).hex()))
+        assert got == PINNED[d]
 
 
 class TestPlans:
@@ -492,6 +592,26 @@ class TestPlans:
                 idx[0, 0] = 1
         kept = [a for plan, _ in vandermonde._plans.values() for part in plan for a in part]
         assert len(vandermonde._plans) == 3 and not any(a.flags.writeable for a in kept)
+
+    @pytest.mark.parametrize(
+        "d, shifted, most",
+        # the bytes the plans took with (N, d) index tables and intp offsets
+        [(8, True, 1_601_352), (10, True, 28_128_552), (10, False, 23_780_048)],
+        ids=["orbit-8/16", "orbit-10/20", "plain-10/20"],
+    )
+    def test_plan_bytes_stay_bounded_and_are_built_once(self, monkeypatch, d, shifted, most):
+        frame = make_instance("random-diag", d, 2 * d, seed=0).build_frame()
+        m = frame.synthesis()
+        shift_det = np.linalg.det(frame.operator) if shifted else None
+        first = full_spark(m, shift_det=shift_det)
+        assert sum(size for _, size in vandermonde._plans.values()) <= most
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a plan was built again")
+
+        monkeypatch.setattr(vandermonde, "_combinations", unreachable)
+        monkeypatch.setattr(vandermonde, "_shifts", unreachable)
+        assert _bits(full_spark(m, shift_det=shift_det)) == _bits(first)
 
     def test_least_recently_used_plan_goes_first(self, monkeypatch):
         shapes = [classical(np.arange(1, d + 1) / d, L) for d, L in ((3, 6), (3, 7), (4, 8))]
@@ -537,9 +657,9 @@ def _family(L, d, first):
 
 
 def _prefix(m, first):
-    """Every subset of one family and its |det| from the prefix-QR kernel."""
+    """Every subset of one family, one per row, and its |det| from the prefix-QR kernel."""
     parts = list(vandermonde._prefix_minors(m, first))
-    return np.concatenate([idx for idx, _ in parts]), np.concatenate([a for _, a in parts])
+    return np.concatenate([idx for idx, _ in parts], axis=1).T, np.concatenate([a for _, a in parts])
 
 
 class TestAnchoredMinors:
@@ -562,7 +682,8 @@ class TestAnchoredMinors:
             for first in (0, 1):
                 visited = []
                 # LU chunk by chunk: the plain family of jordan 10/20 has C(20, 10) minors
-                for idx, absdet in vandermonde._prefix_minors(m, first):
+                for columns, absdet in vandermonde._prefix_minors(m, first):
+                    idx = columns.T  # one subset per row
                     want = np.abs(np.linalg.det(m[:, idx].transpose(1, 0, 2)))
                     bad = np.abs(absdet - want) > 1e-13 * np.prod(norms[idx], axis=1)
                     assert not bad.any(), [tuple(row) for row in idx[bad]]
@@ -578,7 +699,7 @@ class TestAnchoredMinors:
         assert all(len(list(vandermonde._prefix_minors(m, first))) == 1 for first, _ in families)
         _subsets_per_chunk(monkeypatch, 6, per_chunk)
         for (first, shift_det), whole in zip(families, wholes):
-            chunks = [idx for idx, _ in vandermonde._prefix_minors(m, first)]
+            chunks = [idx.T for idx, _ in vandermonde._prefix_minors(m, first)]
             # k = 3: some chunk ends inside the block of a prefix (a, b, c)
             assert any(np.array_equal(a[-1, :3], b[0, :3]) for a, b in zip(chunks, chunks[1:]))
             assert _fields(full_spark(m, shift_det=shift_det)) == _fields(whole)
