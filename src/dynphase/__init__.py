@@ -46,7 +46,6 @@ from .spectral import (
     JordanSpec,
     assemble,
     generator_coordinates,
-    hankel_of,
     jordan_matrix,
 )
 from .vandermonde import (
@@ -69,7 +68,6 @@ __all__ = [
     "JordanSpec",
     "assemble",
     "generator_coordinates",
-    "hankel_of",
     "jordan_matrix",
     # vandermonde
     "SparkCertificate",

@@ -2,20 +2,18 @@
 
 Recovery over a full-spark frame survives zero coefficients as long as some
 chain component plus the zero-pinned indices reaches the space dimension.
-These helpers enumerate zero patterns, evaluate that combinatorial condition
-without any linear algebra, and construct signals realizing a prescribed
-zero pattern over a given frame.
+These helpers enumerate zero patterns and construct signals realizing a
+prescribed zero pattern over a given frame.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .frames import DynamicalFrame
-from .retrieval import chain_components
 
 
 def _dense_coefficients(frame: DynamicalFrame, x: np.ndarray, indices=slice(None)) -> bool:
@@ -24,50 +22,10 @@ def _dense_coefficients(frame: DynamicalFrame, x: np.ndarray, indices=slice(None
     return mags.size > 0 and bool(mags.min() > 1e-3 * mags.max())
 
 
-def effective_chain_size(nonzero: Sequence[bool], jumps: int) -> int:
-    """Largest chain component plus the number of zero positions.
-
-    This is the number of linear constraints recovery can assemble for the
-    pattern; over a full-spark frame the pattern is recoverable exactly when
-    the value reaches the space dimension.
-    """
-    zeros = sum(1 for flag in nonzero if not flag)
-    components = chain_components(nonzero, jumps)
-    largest = max((len(c) for c in components), default=0)
-    return largest + zeros
-
-
 def zero_patterns(length: int, max_zeros: int) -> Iterator[tuple[int, ...]]:
     """All zero-index subsets of size 0..max_zeros, in order of size."""
     for m in range(max_zeros + 1):
         yield from itertools.combinations(range(length), m)
-
-
-def pattern_flags(length: int, zero_indices: Iterable[int]) -> list[bool]:
-    flags = [True] * length
-    for idx in zero_indices:
-        flags[idx] = False
-    return flags
-
-
-def worst_case_pattern(dim: int, length: int, zeros: int, jumps: int = 0) -> tuple[int, ...]:
-    """A zero placement that keeps every chain component as short as possible.
-
-    Repeats (dim - zeros - jumps - 1) nonzeros followed by jumps + 1 zeros
-    until the zero budget runs out, then fills with nonzeros.
-    """
-    if zeros >= dim:
-        raise ValueError("zeros must stay below dim")
-    run = max(dim - zeros - jumps - 1, 0)
-    flags: list[bool] = []
-    remaining = zeros
-    while remaining > 0 and len(flags) < length:
-        flags.extend([True] * min(run, length - len(flags)))
-        block = min(jumps + 1, remaining, length - len(flags))
-        flags.extend([False] * block)
-        remaining -= block
-    flags.extend([True] * (length - len(flags)))
-    return tuple(i for i, f in enumerate(flags[:length]) if not f)
 
 
 def signal_with_zero_pattern(

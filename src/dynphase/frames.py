@@ -100,11 +100,6 @@ class DynamicalFrame:
         object.__setattr__(self, "_rows", conj_rows)
 
     @property
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        """The orbit vectors, as read-only columns of the synthesis matrix."""
-        return tuple(self._synthesis.T)
-
-    @property
     def dim(self) -> int:
         return self.operator.shape[0]
 
@@ -335,10 +330,12 @@ def full_spark_criterion(
     """Full-spark certificate for the orbit of an operator ``S J S^{-1}``.
 
     The arguments are those of :func:`frame_criterion`. The orbit is ``S *
-    blockdiag(hankel_of(c_j)) * second_kind(eigenvalues, multiplicities,
-    length)``, and Hankel block j has determinant ``+-(last entry of
-    c_j)^(m_j)``, so it has full spark exactly when the generator loads
-    every Jordan chain and the confluent matrix has full spark. For unit
+    blockdiag(H_j) * second_kind(eigenvalues, multiplicities, length)``,
+    where ``c_j`` are the generator's coordinates in Jordan block j and
+    ``H_j`` is their Hankel block, ``H[k, n] = c_j[k + n]`` for
+    ``k + n < m_j``, else 0. ``H_j`` has determinant ``+-(last entry of
+    c_j)^(m_j)``, so the orbit has full spark exactly when the generator
+    loads every Jordan chain and the confluent matrix has full spark. For unit
     blocks (the confluent matrix is then ``classical``) the shortcuts of
     ``_structurally_full_spark``, which :func:`analyze` shares, skip
     enumeration and give ``min_abs_det=None``. Otherwise the confluent

@@ -14,12 +14,7 @@ import numpy as np
 from .experiments import _dense_coefficients
 from .frames import DynamicalFrame, circulant, dft_matrix
 from .retrieval import MeasurementConfig, min_length
-from .serialization import (
-    Instance,
-    jordan_spec_to_json,
-    matrix_to_json,
-    vector_to_json,
-)
+from .serialization import Instance, jordan_spec_to_json, vector_to_json
 from .spectral import JordanSpec, min_eigenvalue_gap
 
 KINDS = ("random-diag", "jordan", "circulant", "harmonic", "rotation")
@@ -116,7 +111,7 @@ def make_instance(
             dtype=complex,
         )
         phi = np.array([1.0, 0.0], dtype=complex)
-        spec = {"A": matrix_to_json(A), "phi": vector_to_json(phi), "L": length}
+        spec = {"A": vector_to_json(A), "phi": vector_to_json(phi), "L": length}
     elif kind == "harmonic":
         spec = {"harmonic": {"d": dim, "L": length}}
     elif kind == "circulant":
@@ -149,7 +144,7 @@ def make_instance(
         coords = _dense_coordinates(rng, dim)
         A = (basis * values) @ basis.conj().T
         phi = basis @ coords
-        spec = {"A": matrix_to_json(A), "phi": vector_to_json(phi), "L": length}
+        spec = {"A": vector_to_json(A), "phi": vector_to_json(phi), "L": length}
 
     instance = Instance(spec, config, None, seed)
     frame = instance.build_frame()

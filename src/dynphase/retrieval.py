@@ -290,19 +290,6 @@ def measure(x, frame: DynamicalFrame, config: MeasurementConfig) -> MeasurementS
     return MeasurementSet(length, jumps, config.angles, base, grid)
 
 
-def chain_components(nonzero: Sequence[bool], jumps: int) -> list[list[int]]:
-    """Chain components over the True positions of a boolean mask.
-
-    Positions l < m join when both are True and ``m - l <= jumps + 1``; with
-    a complete aligned grid this is the whole edge rule of the recovery
-    chain. No edge can cross a gap wider than ``jumps + 1`` between
-    consecutive True positions, so the components are exactly the maximal
-    runs whose gaps stay within that bound, in increasing order.
-    """
-    alive, bounds = _runs(np.asarray(nonzero, dtype=bool), jumps)
-    return [alive[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-
-
 def _runs(nonzero: np.ndarray, jumps: int) -> tuple[np.ndarray, np.ndarray]:
     """True positions ``alive`` and ``bounds``: component i is ``alive[bounds[i]:bounds[i+1]]``."""
     alive = nonzero.nonzero()[0]

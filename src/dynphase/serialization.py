@@ -58,9 +58,6 @@ def vector_to_json(v) -> list:
     return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
-matrix_to_json = vector_to_json
-
-
 def json_to_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nonempty list of [re, im] pairs")
@@ -87,7 +84,7 @@ def jordan_spec_to_json(spec: JordanSpec) -> dict:
     return {
         "eigenvalues": vector_to_json(spec.eigenvalues),
         "multiplicities": list(spec.multiplicities),
-        "basis": matrix_to_json(spec.basis),
+        "basis": vector_to_json(spec.basis),
     }
 
 

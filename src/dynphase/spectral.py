@@ -143,22 +143,6 @@ def loads_every_chain(coords: np.ndarray, multiplicities) -> bool:
     return bool(np.all(leading > DEPENDENCE_RTOL * np.max(mags)))
 
 
-def hankel_of(block) -> np.ndarray:
-    """Upper-left Hankel matrix of a coordinate block.
-
-    ``H[k, n] = block[k + n]`` when ``k + n <= len(block) - 1``, else 0. It is
-    invertible exactly when the block's last coordinate is nonzero, which is
-    why the dependence test above looks only at each block's last coordinate.
-    """
-    b = as_vector(block, "block")
-    m = b.size
-    H = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        for n in range(m - k):
-            H[k, n] = b[k + n]
-    return H
-
-
 def min_eigenvalue_gap(values) -> float:
     """Smallest pairwise distance among eigenvalues (inf for a single one)."""
     v = as_vector(values, "values")

@@ -7,8 +7,10 @@ Two constructions are provided:
   ``binom(l, k) * values[j] ** (l - k)``; its square determinant is
   ``prod_{k<j} (values[j] - values[k]) ** (m[k] * m[j])``. It feeds a
   verdict: ``frames.full_spark_criterion`` enumerates it for every operator
-  ``S J S^{-1}``, whose orbit is ``S * blockdiag(hankel_of(c_j)) *
-  second_kind(values, m, L)`` with ``c = S^{-1} phi``.
+  ``S J S^{-1}``, whose orbit is ``S * blockdiag(H_j) * second_kind(values,
+  m, L)`` with ``c = S^{-1} phi`` and ``H_j`` the Hankel block of ``c_j``,
+  the coordinates of Jordan block j: ``H[k, n] = c_j[k + n]`` for
+  ``k + n < m_j``, else 0.
 
 ``full_spark`` certifies that every d-column minor of a wide matrix is
 invertible, by exhaustive enumeration with scale-aware determinant
@@ -320,7 +322,11 @@ def _prefix_minors(m: np.ndarray, first: int):
     reads; ``_tail_dets`` gives each subset's (d - k) x (d - k) determinant
     from them. The projection is computed from column k rounded down to a
     multiple of ``_GEMM_COLUMNS``, so that each of its columns has the bits
-    of the full product ``Q2^H M``.
+    of the full product ``Q2^H M``. Two equal columns of M need not project
+    to equal bits: BLAS may round a copy in the last, partial block of
+    ``_GEMM_COLUMNS`` differently. A subset whose tail holds both copies
+    then gets a minor near 0 rather than exactly 0, still far below
+    ``DEFAULT_SPARK_TOL``.
     """
     d, L = m.shape
     k = (d + 1) // 2
@@ -373,8 +379,10 @@ def _tail_det(t: np.ndarray) -> np.ndarray:
     (0, 1) and (2, 3) (``_laplace``); n >= 5 falls back to LU. The closed
     forms are off by at most about ``(n + 1) * eps`` times the permanent of
     ``|t|``, which is at most ``n^(n/2)`` times the Hadamard bound. Their
-    terms cancel pairwise when two rows are equal, so a repeated row gives
-    exactly 0.
+    terms cancel pairwise when two rows are equal, so a repeated row of the
+    stack gives exactly 0. A column repeated in M repeats a row only if its
+    two projected copies round alike, which ``_prefix_minors`` does not
+    promise.
     """
     n = t.shape[-1]
     if n == 0:

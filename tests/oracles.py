@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it checks: matrix
 products by triple loops, determinants by cofactor expansion, matrix
 powers by repeated multiplication, spark by subset SVD ranks, the
 phase-free distance by brute-force grid search, chain components by
-breadth-first search over an explicit edge list, full-spark certificates
+breadth-first search over an explicit edge list (with the zero-pattern
+counts ``effective_chain_size``, ``pattern_flags`` and
+``worst_case_pattern`` built on them), full-spark certificates
 by one determinant call per column subset, measurements by one scalar ``abs``
 per aligned cell, polarization products by the scalar 2x2 solve, and chain
 phases by one scalar polarization per edge. The library computes
@@ -17,7 +19,8 @@ The last section holds the paper's closed forms that no library verdict
 reads, with the constants and exceptions that only they use: the classical
 and confluent determinant products ``det_product_classical`` and
 ``det_product_second_kind``, first-kind Vandermonde matrices and their Schur
-values (``first_kind``, ``schur_value``), the closed-form Jordan power
+values (``first_kind``, ``schur_value``), the Hankel block ``hankel_of`` of
+a generator's Jordan coordinates, the closed-form Jordan power
 ``jordan_power``, the checked eigendecomposition ``eigendecompose`` (which
 raises ``DefectiveMatrixError`` and ``ConvergenceError``), and the K >= 3
 roots-of-unity polarization product ``recover_product_roots_of_unity``.
@@ -244,6 +247,46 @@ def chain_components_bfs(nonzero, jumps: int) -> list[list[int]]:
     return components
 
 
+def effective_chain_size(nonzero, jumps: int) -> int:
+    """Largest chain component plus the number of zero positions.
+
+    This is the number of linear constraints recovery can assemble for the
+    pattern; over a full-spark frame the pattern is recoverable exactly when
+    the value reaches the space dimension.
+    """
+    zeros = sum(1 for flag in nonzero if not flag)
+    components = chain_components_bfs(nonzero, jumps)
+    largest = max((len(c) for c in components), default=0)
+    return largest + zeros
+
+
+def pattern_flags(length: int, zero_indices) -> list[bool]:
+    flags = [True] * length
+    for idx in zero_indices:
+        flags[idx] = False
+    return flags
+
+
+def worst_case_pattern(dim: int, length: int, zeros: int, jumps: int = 0) -> tuple[int, ...]:
+    """A zero placement that keeps every chain component as short as possible.
+
+    Repeats (dim - zeros - jumps - 1) nonzeros followed by jumps + 1 zeros
+    until the zero budget runs out, then fills with nonzeros.
+    """
+    if zeros >= dim:
+        raise ValueError("zeros must stay below dim")
+    run = max(dim - zeros - jumps - 1, 0)
+    flags: list[bool] = []
+    remaining = zeros
+    while remaining > 0 and len(flags) < length:
+        flags.extend([True] * min(run, length - len(flags)))
+        block = min(jumps + 1, remaining, length - len(flags))
+        flags.extend([False] * block)
+        remaining -= block
+    flags.extend([True] * (length - len(flags)))
+    return tuple(i for i, f in enumerate(flags[:length]) if not f)
+
+
 def measure_loop(x, frame, config) -> MeasurementSet:
     """``retrieval.measure`` as a loop filling an ``(l, j, k)`` dict cell by cell."""
     x = as_vector(x, "x")
@@ -379,6 +422,23 @@ def det_product_second_kind(values, multiplicities) -> complex:
         "the determinant product prod_{k<j} (v[j]-v[k]) ** (m[k]*m[j]) "
         "is not finite in double precision"
     )
+
+
+def hankel_of(block) -> np.ndarray:
+    """Upper-left Hankel matrix of a coordinate block.
+
+    ``H[k, n] = block[k + n]`` when ``k + n <= len(block) - 1``, else 0. It is
+    invertible exactly when the block's last coordinate is nonzero, which is
+    why ``spectral.loads_every_chain`` looks only at each block's last
+    coordinate.
+    """
+    b = as_vector(block, "block")
+    m = b.size
+    H = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        for n in range(m - k):
+            H[k, n] = b[k + n]
+    return H
 
 
 def jordan_power(spec: JordanSpec, power: int) -> np.ndarray:

@@ -32,25 +32,22 @@ from dynphase import (
     second_kind,
 )
 from dynphase.cli import main as cli_main
-from dynphase.experiments import (
-    effective_chain_size,
-    pattern_flags,
-    signal_with_zero_pattern,
-    worst_case_pattern,
-    zero_patterns,
-)
+from dynphase.experiments import signal_with_zero_pattern, zero_patterns
 from dynphase.instances import random_signal_for
 from dynphase.polarization import recover_phases
 from oracles import (
     det_product_classical,
     det_product_second_kind,
+    effective_chain_size,
     first_kind,
     grid_phase_distance,
+    pattern_flags,
     polarization_forward,
     random_distinct,
     random_unitary,
     schur_value,
     spark_by_enumeration,
+    worst_case_pattern,
 )
 
 RIGHT_ANGLES = PolarizationAngles(0.0, math.pi / 2)

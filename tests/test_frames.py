@@ -21,13 +21,13 @@ from dynphase import (
     full_spark_criterion,
     generator_coordinates,
     harmonic_frame,
-    hankel_of,
     second_kind,
 )
 from dynphase.instances import make_instance
 from dynphase.serialization import json_to_jordan_spec
 from oracles import (
     eigendecompose,
+    hankel_of,
     jordan_power,
     orbit_naive,
     orbit_rank,
@@ -49,6 +49,13 @@ POWER_LENGTHS = (1, 2, 4, 5, 16, 17, 32, 33)
 #: power, whose columns differ from their neighbours by over half their
 #: norm here, misses it by ten orders.
 COLUMN_RTOL = 1e-11
+
+#: Largest relative column error of a long orbit of one 6 x 6 Jordan block
+#: (L = 64, 65). Each square rounds relative to ``|A^s|^2``, which exceeds
+#: ``|A^2s|`` by a factor that grows with s on a Jordan block: over seeds
+#: 0..19 the squaring build reaches about 1e-9, and the step-by-step loop
+#: about 5e-11. The bound leaves a factor of five over the former.
+LONG_JORDAN_RTOL = 5e-9
 
 #: Largest relative entry error between two orders of the same few products.
 ROUNDING_RTOL = 4 * np.finfo(float).eps
@@ -94,13 +101,13 @@ class TestBuild:
     def test_identity_operator(self):
         phi = np.array([1.0, 2.0j, -1.0])
         frame = build(np.eye(3), phi, 4)
-        for v in frame.vectors:
+        for v in frame.synthesis().T:
             assert np.allclose(v, phi)
 
     def test_quarter_turn_orbit(self):
         frame = build(rotation(np.pi / 2), np.array([1.0, 0.0]), 4)
         expected = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        for v, e in zip(frame.vectors, expected):
+        for v, e in zip(frame.synthesis().T, expected):
             assert np.allclose(v, e, atol=1e-15)
 
     def test_matches_matrix_power_oracle(self):
@@ -125,8 +132,8 @@ class TestBuild:
 
     def test_vectors_are_read_only_columns(self):
         frame = build(rotation(0.3), np.array([1.0, 2.0]), 5)
-        assert len(frame.vectors) == 5
-        for l, v in enumerate(frame.vectors):
+        assert len(frame.synthesis().T) == 5
+        for l, v in enumerate(frame.synthesis().T):
             assert np.array_equal(v, frame.synthesis()[:, l])
             assert not v.flags.writeable
             with pytest.raises(ValueError):
@@ -146,6 +153,21 @@ class TestBuild:
         )
         assert_columns_close(frame.synthesis(), expected)
         assert frame.synthesis().flags.c_contiguous and not frame.synthesis().flags.writeable
+
+    @pytest.mark.parametrize("length", [64, 65])
+    def test_long_jordan_orbit_matches_the_jordan_power_oracle(self, length):
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spec = JordanSpec(random_distinct(rng, 1), (6,), random_unitary(rng, 6))
+            coords = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            frame = build(assemble(spec), spec.basis @ coords, length)
+            expected = np.column_stack(
+                [spec.basis @ (jordan_power(spec, l) @ coords) for l in range(length)]
+            )
+            error = np.linalg.norm(frame.synthesis() - expected, axis=0)
+            worst = max(worst, float(np.max(error / np.linalg.norm(expected, axis=0))))
+        assert worst <= LONG_JORDAN_RTOL
 
     @pytest.mark.parametrize("length", POWER_LENGTHS)
     def test_columns_match_the_eigendecomposition_oracle(self, length):
@@ -514,7 +536,7 @@ class TestHarmonicFrame:
     def test_small_orbit_values(self):
         frame = harmonic_frame(2, 4)
         expected = [(1, 1), (1, 1j), (1, -1), (1, -1j)]
-        for v, e in zip(frame.vectors, expected):
+        for v, e in zip(frame.synthesis().T, expected):
             assert np.allclose(v, e, atol=1e-12)
 
     def test_square_case_is_scaled_unitary(self):

@@ -23,19 +23,13 @@ from dynphase import (
     min_length,
     recover_full_spark,
 )
-from dynphase.experiments import (
-    chain_components,
-    effective_chain_size,
-    pattern_flags,
-    signal_with_zero_pattern,
-    worst_case_pattern,
-    zero_patterns,
-)
+from dynphase.experiments import signal_with_zero_pattern, zero_patterns
 from dynphase.instances import make_instance, random_signal_for
 from dynphase.retrieval import (
     RecoveryResult,
     _chain_phases,
     _remeasure_residual,
+    _runs,
     _solve_rows,
 )
 from dynphase.serialization import (
@@ -47,10 +41,13 @@ from dynphase.serialization import (
 from oracles import (
     chain_components_bfs,
     chain_phases_loop,
+    effective_chain_size,
     grid_phase_distance,
     measure_loop,
+    pattern_flags,
     random_distinct,
     random_unitary,
+    worst_case_pattern,
 )
 
 CFG = MeasurementConfig()
@@ -88,7 +85,8 @@ class TestMeasure:
         frame = harmonic_frame(3, 5)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         ms = measure(x, frame, CFG)
-        coeffs = [np.vdot(v, x) for v in frame.vectors]
+        vectors = frame.synthesis().T
+        coeffs = [np.vdot(v, x) for v in vectors]
         for l in range(5):
             assert ms.base[l] == pytest.approx(abs(coeffs[l]), abs=1e-12)
         for (l, j, k), value in ms.aligned.items():
@@ -98,7 +96,7 @@ class TestMeasure:
         # the aligned magnitude is literally |<x, A^l(phi + e^{ia} A^j phi)>|
         for (l, j, k), value in ms.aligned.items():
             alpha = CFG.angles.alpha1 if k == 1 else CFG.angles.alpha2
-            shifted = frame.vectors[l] + np.exp(1j * alpha) * frame.vectors[l + j]
+            shifted = vectors[l] + np.exp(1j * alpha) * vectors[l + j]
             assert value == pytest.approx(abs(np.vdot(shifted, x)), abs=1e-12)
 
     def test_grid_completeness(self):
@@ -716,16 +714,6 @@ class TestIndexContract:
             assert type(result.used_indices) is tuple and type(result.component_size) is int
             assert all(type(i) is int for i in result.used_indices)
 
-    def test_chain_components_returns_lists_of_ints(self):
-        for mask in ([], [False, False], [True, False, False, True, True], [True] * 4):
-            components = chain_components(mask, 0)
-            assert type(components) is list
-            assert all(type(c) is list and all(type(i) is int for i in c) for c in components)
-        assert chain_components([True, False, False, True, True], 0) == [[0], [3, 4]]
-        assert chain_components([True, False, False, True, True], 1) == [[0], [3, 4]]
-        assert chain_components([True, False, True, False, False, True], 1) == [[0, 2], [5]]
-        assert chain_components([False] * 3, 2) == []
-
     def test_hot_path_checks_still_fire(self):
         frame = harmonic_frame(2, 3)
         with pytest.raises(ValueError, match=re.escape("x contains NaN or Inf entries")):
@@ -966,17 +954,28 @@ class TestZeroCountLaw:
             assert counted == len(zeros) <= 3
 
 
+def run_components(flags, jumps: int) -> list[list[int]]:
+    """The chain components that recovery reads from ``_runs``."""
+    alive, bounds = _runs(np.asarray(flags, dtype=bool), jumps)
+    return [alive[bounds[i] : bounds[i + 1]].tolist() for i in range(bounds.size - 1)]
+
+
 class TestChainCombinatorics:
     def test_components_respect_jumps(self):
         flags = pattern_flags(5, (1, 3))
-        assert chain_components(flags, 0) == [[0], [2], [4]]
-        assert chain_components(flags, 1) == [[0, 2, 4]]
+        assert run_components(flags, 0) == [[0], [2], [4]]
+        assert run_components(flags, 1) == [[0, 2, 4]]
 
     def test_components_match_bfs_oracle(self):
         for length in range(11):
             for flags in itertools.product((False, True), repeat=length):
                 for jumps in range(4):
-                    assert chain_components(flags, jumps) == chain_components_bfs(flags, jumps)
+                    if any(flags):
+                        assert run_components(flags, jumps) == chain_components_bfs(flags, jumps)
+                    else:
+                        # no True position: one empty run, which recovery never
+                        # reaches, since it returns early on d or more zeros
+                        assert run_components(flags, jumps) == [[]]
 
     def test_effective_size_counts_zeros(self):
         flags = pattern_flags(5, (1, 3))

@@ -27,7 +27,6 @@ from dynphase.serialization import (
     json_to_vector,
     jordan_spec_to_json,
     load_json,
-    matrix_to_json,
     measurement_set_to_json,
     vector_to_json,
 )
@@ -43,7 +42,7 @@ class TestScalarRoundTrips:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(101)
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert np.array_equal(json_to_matrix(matrix_to_json(m)), m)
+        assert np.array_equal(json_to_matrix(vector_to_json(m)), m)
 
     def test_round_trip_is_bit_exact_through_text(self):
         rng = np.random.default_rng(102)
@@ -155,7 +154,7 @@ class TestWholeArrayDecode:
         floats = [float(v) for v in EDGE_NUMBERS]
         m = np.array([[complex(a, b) for b in floats] for a in floats])
         for arr in (m, m[:, 3], m.T, m.real):
-            text = dump_json(vector_to_json(arr) if arr.ndim == 1 else matrix_to_json(arr))
+            text = dump_json(vector_to_json(arr))
             assert text == dump_json(per_value_pairs(arr))
         assert "-0.0" in dump_json(vector_to_json(m[:, 7]))
 
@@ -249,7 +248,7 @@ class TestFrameSpecs:
 
     def test_explicit_operator_variant(self):
         spec = {
-            "A": matrix_to_json(np.eye(2)),
+            "A": vector_to_json(np.eye(2)),
             "phi": vector_to_json(np.array([1.0, 2.0])),
             "L": 3,
         }
@@ -275,7 +274,7 @@ class TestFrameSpecs:
         assert np.allclose(frame.operator, [[0.5, 1.0], [0.0, 0.5]])
 
     def test_overflowing_orbit_rejected(self):
-        spec = {"A": matrix_to_json(np.diag([1e200, 1.0])), "phi": [[1.0, 0.0]] * 2, "L": 3}
+        spec = {"A": vector_to_json(np.diag([1e200, 1.0])), "phi": [[1.0, 0.0]] * 2, "L": 3}
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SchemaError, match=r"^frame: orbit column A\^2 phi is not finite"):
                 frame_from_spec(spec)
@@ -286,7 +285,7 @@ class TestFrameSpecs:
 
     def test_missing_generator_rejected(self):
         with pytest.raises(SchemaError, match=r"^frame: missing generator field 'phi'$"):
-            frame_from_spec({"A": matrix_to_json(np.eye(2)), "L": 3})
+            frame_from_spec({"A": vector_to_json(np.eye(2)), "L": 3})
 
     def test_empty_harmonic_rejected(self):
         with pytest.raises(ValueError, match=r"^dim must be >= 1$"):

@@ -7,7 +7,6 @@ from dynphase import (
     SingularMatrixError,
     assemble,
     generator_coordinates,
-    hankel_of,
     jordan_matrix,
     second_kind,
 )
@@ -15,6 +14,7 @@ from dynphase.spectral import DEPENDENCE_RTOL, loads_every_chain, min_eigenvalue
 from oracles import (
     DefectiveMatrixError,
     eigendecompose,
+    hankel_of,
     jordan_power,
     matrix_power_naive,
     orbit_rank,

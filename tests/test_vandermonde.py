@@ -766,3 +766,21 @@ class TestTailDet:
             tail = np.any(idx[:, k:] == 5, axis=1) & np.any(idx[:, k:] == 7, axis=1)
             assert tail.any(), first
             assert np.all(absdet[tail] == 0.0), first
+
+    @pytest.mark.parametrize("d, L, a, b", [(4, 10, 5, 9), (6, 11, 4, 10), (8, 14, 6, 13)])
+    def test_repeated_column_fails_below_the_cut(self, d, L, a, b):
+        # copy b lies in the projection's last, partial block of four
+        # columns, so the minors holding both copies need not be exactly 0;
+        # they still scale far below the cut, and the verdict names them
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
+            m[:, b] = m[:, a]
+            certificate = full_spark(m)
+            assert not certificate.full_spark, seed
+            assert certificate.witness == (*range(d - 2), a, b), seed
+            idx, absdet = _prefix(m, 0)
+            both = np.any(idx == a, axis=1) & np.any(idx == b, axis=1)
+            scaled = absdet[both] / np.prod(np.linalg.norm(m, axis=0)[idx[both]], axis=1)
+            assert both.sum() == math.comb(L - 2, d - 2), seed
+            assert np.all(scaled < vandermonde.DEFAULT_SPARK_TOL), seed
