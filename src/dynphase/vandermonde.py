@@ -20,13 +20,11 @@ subset and ``min_abs_det`` the global minimum. A subset's first
 ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
 subsets: each prefix gets one Householder QR and projects the columns past
 k onto its orthogonal complement, and each subset one (d - k) x (d - k)
-determinant of its remaining columns so projected, in closed form up to
-4 x 4 and by LU beyond. At 3 x 3 and 4 x 4 (d = 6..9) the 2 x 2 minors of
-that closed form are tabled once per prefix, over every pair of projected
-columns, and each subset gathers its own (``_tail_dets``); the rounding is
-that of the per-subset formula (``_tail_det``), bit for bit. A subset's
-column indices are a column of a d x N table, so that its column-norm
-product is taken one contiguous index row at a time.
+determinant of its remaining columns so projected, all by one kernel
+(``_tail_dets``): in closed form up to 4 x 4, with the 2 x 2 minors of the
+3 x 3 and 4 x 4 forms (d = 6..9) tabled once per prefix, and by LU beyond.
+A subset's column indices are a column of a d x N table, so that its
+column-norm product is taken one contiguous index row at a time.
 
 An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
 for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
@@ -155,11 +153,9 @@ def full_spark(
     minor is the product of a QR of its first ``ceil(d/2)`` columns, shared
     by every subset with that prefix, and the determinant of its trailing
     ``n = d - ceil(d/2)`` projected columns, in closed form for n <= 4
-    (d <= 9) and by LU beyond. The closed form is off by at most about
-    ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at
-    n = 4, far below ``DEFAULT_SPARK_TOL``. For n = 3 and 4 its 2 x 2
-    minors are taken once per prefix, in a table over the pairs of
-    projected columns, and each subset gathers its own. A subset's
+    (d <= 9) and by LU beyond (``_tail_dets``). The closed form is off by
+    at most about ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound,
+    about 1e-14 at n = 4, far below ``DEFAULT_SPARK_TOL``. A subset's
     column-norm product is taken from left to right.
 
     ``shift_det`` declares the matrix M an orbit: it is ``det(A)`` for an
@@ -291,8 +287,9 @@ def _offsets(group: np.ndarray, tails: np.ndarray, width: int) -> np.ndarray:
     each prefix. With ``C(width, 2)`` pairs of columns x < y per prefix, in
     lexicographic order, the pair of tail columns i < j lies at
     ``group * C(width, 2) + (position of (tails[i], tails[j]))``. The result
-    stacks the rows ``_tail_dets`` reads: ``cols`` unless n = 4, then for
-    n = 3 and 4 the pairs i < j in lexicographic order.
+    stacks the rows ``_tail_dets`` reads: ``cols`` unless n = 4 (the entries
+    of n <= 3, the blocks LU takes at n > 4), then for n = 3 and 4 the
+    pairs i < j in lexicographic order.
     """
     n = len(tails)
     rows = list(group * width + tails) if n != 4 else []
@@ -343,77 +340,58 @@ def _prefix_minors(m: np.ndarray, first: int):
 
 
 def _tail_dets(proj: np.ndarray, offsets: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Each subset's tail determinant from its prefix's projected columns.
+    """Each subset's tail determinant; the only code that takes one.
 
-    ``proj`` is ``(prefixes, n, width)``, and ``offsets`` and ``pairs`` come
-    from ``_subsets``. The tail of a subset is the n x n block whose row i
-    is its tail column i projected, and the result has the bits
-    ``_tail_det`` gives on the stack of blocks, which is what n < 3 and
-    n > 4 take. For n = 3 and 4 a subset shares the 2 x 2 minors that
-    ``_laplace`` reads with the other subsets of its prefix: the minors of
-    columns (a, a + 1), a = n % 2, n % 2 + 2, .., are taken once per prefix
-    over every pair of projected columns, with the operands of
-    ``_tail_det``, and each subset gathers its own.
+    ``proj[p, a, x]`` is entry a of column k + x projected by prefix p, and
+    ``offsets`` and ``pairs`` come from ``_subsets``. A subset's tail is the
+    n x n block T whose row i is its tail column i projected. n = 0 gives 1;
+    n = 1 and 2 read T from flat gathers ``p_a = proj[:, a].ravel()`` at the
+    subset's offset rows ``c_i``, the entry ``p0[c0]`` or the closed form
+    ``p0[c0] * p1[c1] - p0[c1] * p1[c0]``. n = 3 expands along component 0
+    and n = 4 is the Laplace expansion over the six complementary pairs of
+    2 x 2 minors of components (0, 1) and (2, 3); those minors are tabled
+    once per prefix over its pairs x < y of projected columns (``pairs``),
+    and each subset gathers its own. n > 4 takes LU of the gathered blocks.
+
+    The closed forms take the operands of the per-subset formula in its
+    order: the minor of rows i < j and components a, a + 1 is ``T[i, a]
+    T[j, a + 1] - T[j, a] T[i, a + 1]``, whether a subset or its prefix's
+    table computes it, so tabling moves no bit (``TestPinnedBits`` pins
+    the certificates). They are off by at most about ``(n + 1) * eps``
+    times the permanent of ``|T|``, at most ``n^(n/2)`` times the Hadamard
+    bound, and their terms cancel pairwise on two equal rows, so a repeated
+    row gives exactly 0. A column repeated in M repeats a row only if its
+    two projected copies round alike, which ``_prefix_minors`` does not
+    promise.
     """
     prefixes, n, width = proj.shape
-    if n not in (3, 4):
+    if n == 0:
+        return np.ones(offsets.shape[1], dtype=proj.dtype)
+    if n > 4:
         stack = proj.transpose(0, 2, 1).reshape(prefixes * width, n)
-        return _tail_det(stack[offsets.T.astype(np.intp, order="C")])
-    offsets = offsets.astype(np.intp)  # once, not per gather
-    firsts = proj[:, 0].ravel()[offsets[:n]] if n == 3 else None
-    position = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
-    at = offsets[3:] if n == 3 else offsets
+        return np.linalg.det(stack[offsets.T.astype(np.intp, order="C")])
+    c = offsets.astype(np.intp)  # once, not per gather
+    if n < 3:
+        p0 = proj[:, 0].ravel()
+        if n == 1:
+            return p0[c[0]]
+        p1 = proj[:, 1].ravel()
+        return p0[c[0]] * p1[c[1]] - p0[c[1]] * p1[c[0]]
     x, y = pairs
     minors = {}
     for a in range(n % 2, n - 1, 2):
         u, v = proj[:, a], proj[:, a + 1]
-        minors[a] = (u[:, x] * v[:, y] - u[:, y] * v[:, x]).ravel()[at]
-    return _laplace(n, lambda i: firsts[i], lambda a, i, j: minors[a][position[i, j]])
+        minors[a] = (u[:, x] * v[:, y] - u[:, y] * v[:, x]).ravel()[c[3:] if n == 3 else c]
+    position = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
 
+    def minor(a, i, j):  # rows i < j of components a, a + 1
+        return minors[a][position[i, j]]
 
-def _tail_det(t: np.ndarray) -> np.ndarray:
-    """Determinants of a ``(N, n, n)`` stack, in closed form for n <= 4.
-
-    n = 2 and 3 expand along the first column; n = 4 is the Laplace
-    expansion over the six complementary pairs of 2 x 2 minors of columns
-    (0, 1) and (2, 3) (``_laplace``); n >= 5 falls back to LU. The closed
-    forms are off by at most about ``(n + 1) * eps`` times the permanent of
-    ``|t|``, which is at most ``n^(n/2)`` times the Hadamard bound. Their
-    terms cancel pairwise when two rows are equal, so a repeated row of the
-    stack gives exactly 0. A column repeated in M repeats a row only if its
-    two projected copies round alike, which ``_prefix_minors`` does not
-    promise.
-    """
-    n = t.shape[-1]
-    if n == 0:
-        return np.ones(len(t), dtype=t.dtype)
-    if n > 4:
-        return np.linalg.det(t)
-
-    def minor(a, i, j):  # rows i, j of columns a, a + 1
-        return t[:, i, a] * t[:, j, a + 1] - t[:, j, a] * t[:, i, a + 1]
-
-    return _laplace(n, lambda i: t[:, i, 0], minor)
-
-
-def _laplace(n: int, first, minor):
-    """The closed-form determinant of n x n blocks, 1 <= n <= 4.
-
-    ``first(i)`` is entry (i, 0) of each block and ``minor(a, i, j)`` the
-    2 x 2 minor of its rows i < j and columns a, a + 1. n = 2 and 3 expand
-    along the first column, and n = 4 is the Laplace expansion over the
-    six complementary pairs of minors of columns (0, 1) and (2, 3).
-    """
-    if n == 1:
-        return first(0)
-    if n == 2:
-        return minor(0, 0, 1)
     if n == 3:
-        return (
-            first(0) * minor(1, 1, 2) - first(1) * minor(1, 0, 2)
-        ) + first(2) * minor(1, 0, 1)
-    lo = {p: minor(0, *p) for p in itertools.combinations(range(4), 2)}
-    hi = {p: minor(2, *p) for p in itertools.combinations(range(4), 2)}
+        first = proj[:, 0].ravel()[c[:3]]
+        return (first[0] * minor(1, 1, 2) - first[1] * minor(1, 0, 2)) + first[2] * minor(1, 0, 1)
+    lo = {p: minor(0, *p) for p in position}
+    hi = {p: minor(2, *p) for p in position}
     # grouped so that the terms of each group cancel exactly on equal rows
     return (
         (lo[0, 1] * hi[2, 3] + lo[2, 3] * hi[0, 1])

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it checks: matrix
-products by triple loops, determinants by cofactor expansion, matrix
+products by triple loops, determinants by cofactor expansion (and exactly,
+by ``exact_det``'s elimination over the rationals), matrix
 powers by repeated multiplication, spark by subset SVD ranks, the
 phase-free distance by brute-force grid search, chain components by
 breadth-first search over an explicit edge list (with the zero-pattern
@@ -32,6 +33,7 @@ import cmath
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,6 +73,35 @@ def det_cofactor(m) -> complex:
         minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         total += (-1) ** j * m[0, j] * det_cofactor(minor)
     return total
+
+
+def exact_det(m) -> tuple[Fraction, Fraction]:
+    """The determinant of a square complex matrix exactly, as (real, imag).
+
+    Every float64 is a dyadic rational, so Gaussian elimination over Q(i)
+    in ``fractions.Fraction`` gives the determinant of the stored entries
+    with no rounding at all.
+    """
+    entries = np.asarray(m, dtype=complex).tolist()
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in entries]
+    re, im = Fraction(1), Fraction(0)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != (0, 0)), None)
+        if pivot is None:
+            return Fraction(0), Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            re, im = -re, -im
+        a, b = rows[c][c]
+        re, im = re * a - im * b, re * b + im * a
+        norm = a * a + b * b
+        for r in range(c + 1, len(rows)):
+            e, f = rows[r][c]  # row r -= (e + if) / (a + ib) * row c
+            g, h = (e * a + f * b) / norm, (f * a - e * b) / norm
+            rows[r] = [
+                (x - g * u + h * v, y - g * v - h * u) for (x, y), (u, v) in zip(rows[r], rows[c])
+            ]
+    return re, im
 
 
 def matrix_power_naive(a, power: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from oracles import (
     det_cofactor,
     det_product_classical,
     det_product_second_kind,
+    exact_det,
     first_kind,
     full_spark_serial,
     random_distinct,
@@ -730,6 +731,35 @@ class TestAnchoredMinors:
             _assert_matches(full_spark(m, shift_det=shift_det), expected, first)
 
 
+class TestErrorBound:
+    """Each factored minor within ``16 d u`` of its column-norm product
+    (u = 2^-53) of the exact determinant of the stored float64 minor."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_sampled_minors_against_the_exact_determinant(self, d):
+        rng = np.random.default_rng(60 + d)
+        for m in (_orbit("random-diag", d, 0), _pinned_orbit(d, True)[0]):
+            norms = np.linalg.norm(m, axis=0)
+            for first in (0, 1):
+                idx, absdet = _prefix(m, first)
+                for row in rng.choice(len(idx), size=min(10, len(idx)), replace=False):
+                    exact = math.hypot(*map(float, exact_det(m[:, idx[row]])))
+                    bound = 16 * d * 2.0**-53 * np.prod(norms[idx[row]])
+                    assert abs(absdet[row] - exact) <= bound, (first, tuple(idx[row]))
+
+
+def _stacked_tail_dets(t):
+    """``_tail_dets`` on an (N, n, n) stack laid out as one prefix per block:
+    row i of block p is column i projected by prefix p, and every subset's
+    tail is columns 0..n-1 of its own prefix."""
+    N, n, _ = t.shape
+    group = np.arange(N)
+    tails = np.repeat(np.arange(n)[:, None], N, axis=1)
+    offsets = vandermonde._offsets(group, tails, n)
+    pairs = np.array(np.triu_indices(n if n in (3, 4) else 0, 1))
+    return vandermonde._tail_dets(t.transpose(0, 2, 1), offsets, pairs)
+
+
 class TestTailDet:
     """The closed-form determinants of the trailing blocks against LU."""
 
@@ -738,20 +768,21 @@ class TestTailDet:
         rng = np.random.default_rng(70 + n)
         t = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
         t *= 10.0 ** rng.uniform(-3.0, 3.0, (300, 1, n))
-        got = vandermonde._tail_det(t)
+        got = _stacked_tail_dets(t)
         assert got.shape == (300,)
         norms = np.prod(np.linalg.norm(t, axis=1), axis=1)
         assert np.all(np.abs(got - np.linalg.det(t)) <= 1e-13 * norms)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_repeated_row_gives_exact_zero(self, n):
-        # rows of a trailing block are a subset's projected columns
+        # rows of a trailing block are a subset's projected columns; n = 3
+        # and 4 read their 2 x 2 minors from the per-prefix tables
         rng = np.random.default_rng(80 + n)
         t = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
         for i, j in itertools.combinations(range(n), 2):
             u = t.copy()
             u[:, j] = u[:, i]
-            assert np.all(vandermonde._tail_det(u) == 0.0), (i, j)
+            assert np.all(_stacked_tail_dets(u) == 0.0), (i, j)
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_repeated_trailing_column_gives_exact_zero(self, d):
