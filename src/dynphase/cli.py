@@ -195,11 +195,11 @@ def _cmd_measure(args) -> int:
         # exploration plumbing only: additive magnitude noise, no accuracy claims
         rng = np.random.default_rng(instance.seed if instance.seed is not None else 0)
         base = np.clip(ms.base + args.noise * rng.standard_normal(ms.length), 0.0, None)
-        aligned = {
-            key: max(0.0, value + args.noise * float(rng.standard_normal()))
-            for key, value in ms.aligned.items()
-        }
-        ms = MeasurementSet(ms.length, ms.jumps, ms.angles, base, aligned)
+        cells = ms.grid.transpose(2, 0, 1).copy()  # (l, j, k) order, one draw per cell
+        exists = ~np.isnan(cells)
+        noise = args.noise * rng.standard_normal(np.count_nonzero(exists))
+        cells[exists] = np.maximum(0.0, cells[exists] + noise)
+        ms = MeasurementSet(ms.length, ms.jumps, ms.angles, base, cells.transpose(1, 2, 0))
     _write(dump_json(measurement_set_to_json(ms)), args.output, "measurements")
     return 0
 

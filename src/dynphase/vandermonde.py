@@ -18,8 +18,8 @@ thresholds. Column subsets are taken in lexicographic chunks of bounded size
 (``_CHUNK_BYTES``); the witness is still the lexicographically first failing
 subset and ``min_abs_det`` the global minimum. A subset's first
 ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
-subsets: each prefix gets one Householder QR and projects the columns past
-k onto its orthogonal complement, and each subset one (d - k) x (d - k)
+subsets: each prefix gets one Householder QR and projects the columns from
+k on onto its orthogonal complement, and each subset one (d - k) x (d - k)
 determinant of its remaining columns so projected, all by one kernel
 (``_tail_dets``): in closed form up to 4 x 4, with the 2 x 2 minors of the
 3 x 3 and 4 x 4 forms (d = 6..9) tabled once per prefix, and by LU beyond.
@@ -78,14 +78,6 @@ _CHUNK_BYTES = 1 << 20
 #: plain 10 x 20 matrix take 20 MB, those of a 10 x 20 orbit 26 MB and those
 #: of an 11 x 22 orbit 109 MB; an 8 x 16 orbit's take 1.6 MB.
 _PLAN_BYTES = 32 << 20
-#: The prefixes' projections ``Q2^H M`` start at column ``k = ceil(d/2)``
-#: rounded down to a multiple of this. OpenBLAS's complex matrix product on
-#: x86-64 (the Haswell kernel) takes the columns of its result in blocks of
-#: four from the first, and the last, partial block rounds differently, so
-#: only a product that starts on a block has the bits of the full one:
-#: started at k itself it differed in 151 of 200 random trials (d = 2..10,
-#: L = d + 2..2d + 3), started on a multiple of four in none of 300.
-_GEMM_COLUMNS = 4
 
 _plans: OrderedDict[tuple, tuple] = OrderedDict()  # key -> (plan, bytes), oldest first
 _plans_lock = threading.Lock()
@@ -317,24 +309,20 @@ def _prefix_minors(m: np.ndarray, first: int):
     with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
     once and projects the columns ``k..L-1`` of M, the only ones a tail
     reads; ``_tail_dets`` gives each subset's (d - k) x (d - k) determinant
-    from them. The projection is computed from column k rounded down to a
-    multiple of ``_GEMM_COLUMNS``, so that each of its columns has the bits
-    of the full product ``Q2^H M``. Two equal columns of M need not project
-    to equal bits: BLAS may round a copy in the last, partial block of
-    ``_GEMM_COLUMNS`` differently. A subset whose tail holds both copies
-    then gets a minor near 0 rather than exactly 0, still far below
-    ``DEFAULT_SPARK_TOL``.
+    from them. Two equal columns of M need not project to equal bits: BLAS
+    may round the two columns of a matrix product differently. A subset
+    whose tail holds both copies then gets a minor near 0 rather than
+    exactly 0, still far below ``DEFAULT_SPARK_TOL``.
     """
     d, L = m.shape
     k = (d + 1) // 2
     rows = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
     plan = _cached(("subsets", d, L, first, rows), lambda: _subsets(d, L, first, rows))
-    start = k - k % _GEMM_COLUMNS
     for idx, heads, group, offsets, pairs in plan:
         q, r = np.linalg.qr(m[:, heads].transpose(1, 0, 2), mode="complete")
         head = np.multiply.reduce(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
         # proj[p, a, l - k] is entry a of column l of M projected by prefix p's Q2^H
-        proj = (q[:, :, k:].conj().transpose(0, 2, 1) @ m[:, start:])[:, :, k - start :]
+        proj = q[:, :, k:].conj().transpose(0, 2, 1) @ m[:, k:]
         det = _tail_dets(proj, offsets, pairs)
         yield idx, head[group] * np.hypot(det.real, det.imag)
 

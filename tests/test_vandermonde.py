@@ -473,9 +473,10 @@ def _pinned_orbit(d, singular):
 
 #: (witness, min_abs_det.hex()) of full_spark on ``_pinned_orbit(d, singular)``,
 #: for singular False then True, each plain then with shift_det, as computed
-#: by the kernel that stacked each subset's projected tail and took every
-#: 2 x 2 minor per subset. Recorded with numpy 2.4.6 and OpenBLAS 0.3.31
-#: (Haswell kernels) on x86-64; another LAPACK or BLAS may round differently.
+#: by the kernel that projects columns k..L-1 by each prefix in one product
+#: and takes every tail determinant in ``_tail_dets``. Recorded with numpy
+#: 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on x86-64; another LAPACK or
+#: BLAS may round differently, within the bound ``TestErrorBound`` holds.
 PINNED = {
     1: [
         (None, "0x1.0000000000000p+0"),
@@ -484,7 +485,7 @@ PINNED = {
         ((1,), "0x0.0p+0"),
     ],
     2: [
-        (None, "0x1.a1780440f7110p-4"),
+        (None, "0x1.a1780440f710fp-4"),
         (None, "0x1.a1780440f711dp-4"),
         ((1, 2), "0x1.75f026d3e5923p-55"),
         ((1, 2), "0x0.0p+0"),
@@ -496,19 +497,19 @@ PINNED = {
         ((1, 2, 3), "0x0.0p+0"),
     ],
     4: [
-        (None, "0x1.de78114657c49p-9"),
+        (None, "0x1.de78114657c46p-9"),
         (None, "0x1.de78114657c43p-9"),
-        ((1, 2, 3, 4), "0x1.e6b3a37638687p-60"),
+        ((1, 2, 3, 4), "0x1.c80f6ae125a10p-59"),
         ((1, 2, 3, 4), "0x0.0p+0"),
     ],
     5: [
-        (None, "0x1.99aa8709e970ep-12"),
         (None, "0x1.99aa8709e971fp-12"),
-        ((1, 2, 3, 4, 5), "0x1.3b11069b4c34ep-59"),
+        (None, "0x1.99aa8709e971fp-12"),
+        ((1, 2, 3, 4, 5), "0x1.4081a41f60ff0p-59"),
         ((1, 2, 3, 4, 5), "0x0.0p+0"),
     ],
     6: [
-        (None, "0x1.705102b6f3c86p-13"),
+        (None, "0x1.705102b6f3c89p-13"),
         (None, "0x1.705102b6f3c51p-13"),
         ((1, 2, 3, 4, 5, 6), "0x1.1143e5f35a22ap-59"),
         ((1, 2, 3, 4, 5, 6), "0x0.0p+0"),
@@ -526,15 +527,15 @@ PINNED = {
         ((1, 2, 3, 4, 5, 6, 7, 8), "0x0.0p+0"),
     ],
     9: [
-        (None, "0x1.5f26b8e30a53ap-26"),
+        (None, "0x1.5f26b8e30a5dcp-26"),
         (None, "0x1.5f26b8e30a41fp-26"),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9), "0x0.0p+0"),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9), "0x1.efd65e5fdc21cp-76"),
         ((1, 2, 3, 4, 5, 6, 7, 8, 9), "0x0.0p+0"),
     ],
     10: [
         (None, "0x1.15366fca71edap-32"),
         (None, "0x1.15366fca72d93p-32"),
-        ((0, 1, 2, 5, 6, 7, 8, 9, 10, 12), "0x1.9f6e4dfe0c485p-91"),
+        ((0, 1, 2, 5, 6, 7, 8, 9, 10, 12), "0x1.66af969593173p-89"),
         ((0, 1, 2, 5, 6, 7, 8, 9, 10, 12), "0x0.0p+0"),
     ],
 }
@@ -784,25 +785,14 @@ class TestTailDet:
             u[:, j] = u[:, i]
             assert np.all(_stacked_tail_dets(u) == 0.0), (i, j)
 
-    @pytest.mark.parametrize("d", [4, 6, 8])
-    def test_repeated_trailing_column_gives_exact_zero(self, d):
-        # a subset holding columns 5 and 7 of M in its tail repeats a row
-        # of its trailing block
-        rng = np.random.default_rng(90 + d)
-        m = rng.standard_normal((d, d + 4)) + 1j * rng.standard_normal((d, d + 4))
-        m[:, 7] = m[:, 5]
-        k = (d + 1) // 2
-        for first in (0, 1):
-            idx, absdet = _prefix(m, first)
-            tail = np.any(idx[:, k:] == 5, axis=1) & np.any(idx[:, k:] == 7, axis=1)
-            assert tail.any(), first
-            assert np.all(absdet[tail] == 0.0), first
-
-    @pytest.mark.parametrize("d, L, a, b", [(4, 10, 5, 9), (6, 11, 4, 10), (8, 14, 6, 13)])
+    @pytest.mark.parametrize(
+        "d, L, a, b",
+        [(4, 8, 5, 7), (4, 10, 5, 9), (6, 10, 5, 7), (6, 11, 4, 10), (8, 14, 6, 13)],
+    )
     def test_repeated_column_fails_below_the_cut(self, d, L, a, b):
-        # copy b lies in the projection's last, partial block of four
-        # columns, so the minors holding both copies need not be exactly 0;
-        # they still scale far below the cut, and the verdict names them
+        # BLAS may round the two projected copies of a column differently,
+        # so the minors holding both copies need not be exactly 0; they
+        # still scale far below the cut, and the verdict names them
         for seed in range(3):
             rng = np.random.default_rng(seed)
             m = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
