@@ -12,7 +12,9 @@ Both trees run one instance grid (see ``two_trees``):
   from the all-ones generator, with real signals (``recover_full_spark``
   picks sign recovery from the set);
 * generated instances: ``make_instance(kind, d, min_length(d), seed)`` for
-  every kind in ``KINDS``, d = 1..8 and seeds 0..9, as the texts of
+  every kind in ``KINDS``, d = 1..8 and seeds 0..9, and the real-mode
+  rotation instances of ``dynphase gen rotation 2 L --real`` for L = 2..13
+  and seeds 0..9 (the sampler's real branch), as the texts of
   ``dump_json(instance_to_json(...))``, of their measurement set and of
   ``dynphase measure <instance file> --noise 1e-3``; each instance's own
   signal is recovered by ``recover_full_spark``, and its frame analyzed.
@@ -101,11 +103,17 @@ def emit() -> list[dict]:
         return [text, dump_json(measurement_set_to_json(ms)), f"exit {code}\n{out.getvalue()}"]
 
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, d, seed in itertools.product(KINDS, range(1, 9), range(10)):
-            key = f"{kind} d={d} seed={seed}"
+        cases = [
+            (kind, d, min_length(d), seed, False)
+            for kind, d, seed in itertools.product(KINDS, range(1, 9), range(10))
+        ]
+        cases += [("rotation", 2, L, seed, True) for L in range(2, 14) for seed in range(10)]
+        for kind, d, L, seed, real in cases:
+            key = f"{kind} d={d} seed={seed}" + (f" L={L} real" if real else "")
             entry, instance = {"key": f"instance {key}", "instance": None}, None
             try:
-                instance = make_instance(kind, d, min_length(d), seed=seed)
+                config = retrieval.MeasurementConfig(real_mode=real)
+                instance = make_instance(kind, d, L, seed=seed, config=config)
                 entry.update(instance=texts(instance, tmp), status="ok")
             except Exception as exc:  # an exception is an outcome to compare
                 entry["status"] = type(exc).__name__

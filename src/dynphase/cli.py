@@ -69,7 +69,14 @@ def _load(path: str | Path, decode) -> tuple:
     return decode(load_json(path, data)), hashlib.sha256(data).hexdigest()
 
 
-def _emit(args, report: dict, text_lines: list[str]) -> None:
+def _emit(args, inputs: dict, outcome: dict, elapsed_ms: float | None, text_lines) -> None:
+    """Write the command's report, with its wall time only under ``--timings``, and its text."""
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "outcome": outcome,
+        "wall_time_ms": elapsed_ms if args.timings else None,
+    }
     if args.output:
         dump_json(report, args.output)
     if args.format == "json":
@@ -149,12 +156,6 @@ def _cmd_analyze(args) -> int:
     started = time.perf_counter()
     analysis = analyze(frame, spark=not args.no_spark, budget=args.budget)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
-    report = {
-        "command": "analyze",
-        "inputs": {"instance_sha256": digest},
-        "outcome": _analysis_outcome(frame, analysis),
-        "wall_time_ms": elapsed_ms if args.timings else None,
-    }
     lines = [
         f"dim={frame.dim} length={frame.length}",
         f"is_frame={analysis.is_frame} bounds=({analysis.lower_bound:.6g}, {analysis.upper_bound:.6g})",
@@ -168,7 +169,7 @@ def _cmd_analyze(args) -> int:
                 else ""
             )
         )
-    _emit(args, report, lines)
+    _emit(args, {"instance_sha256": digest}, _analysis_outcome(frame, analysis), elapsed_ms, lines)
     return 0
 
 
@@ -215,15 +216,6 @@ def _cmd_recover(args) -> int:
     error = None
     if instance.signal is not None:
         error = global_phase_distance(result.estimate, instance.signal)
-    report = {
-        "command": "recover",
-        "inputs": {
-            "instance_sha256": digest,
-            "measurements_sha256": ms_digest,
-        },
-        "outcome": _recovery_outcome(result, error),
-        "wall_time_ms": elapsed_ms if args.timings else None,
-    }
     if args.estimate:
         dump_json(recovery_result_to_json(result), args.estimate)
     lines = [
@@ -232,7 +224,8 @@ def _cmd_recover(args) -> int:
     ]
     if error is not None:
         lines.append(f"global_phase_error={error:.3e}")
-    _emit(args, report, lines)
+    inputs = {"instance_sha256": digest, "measurements_sha256": ms_digest}
+    _emit(args, inputs, _recovery_outcome(result, error), elapsed_ms, lines)
     return 0 if result.status != RecoveryStatus.FAILED else 1
 
 
@@ -247,17 +240,12 @@ def _cmd_verify(args) -> int:
     result = recover_full_spark(ms, frame, config)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     error = global_phase_distance(result.estimate, x)
-    report = {
-        "command": "verify",
-        "inputs": {"instance_sha256": digest},
-        "outcome": {**_analysis_outcome(frame, analysis), **_recovery_outcome(result, error)},
-        "wall_time_ms": elapsed_ms if args.timings else None,
-    }
     lines = [
         f"is_frame={analysis.is_frame} status={result.status.value} "
         f"global_phase_error={error:.3e}"
     ]
-    _emit(args, report, lines)
+    outcome = {**_analysis_outcome(frame, analysis), **_recovery_outcome(result, error)}
+    _emit(args, {"instance_sha256": digest}, outcome, elapsed_ms, lines)
     return 0 if result.status != RecoveryStatus.FAILED else 1
 
 
@@ -331,12 +319,6 @@ def _cmd_bench(args) -> int:
                 ),
             }
         )
-    report = {
-        "command": "bench",
-        "inputs": {"dims": dims, "jumps": args.jumps, "trials": args.trials, "seed": args.seed},
-        "outcome": {"rows": rows},
-        "wall_time_ms": None,
-    }
     lines = ["  d   L   J  minL  rate      attempts  skipped"]
     for row in rows:
         rate = "n/a" if row["success_rate"] is None else f"{row['success_rate']:.3f}"
@@ -345,7 +327,8 @@ def _cmd_bench(args) -> int:
             f"  {row['d']:<3d} {row['L']:<3d} {row['J']:<2d} {row['min_length']:<4d} {rate:<9s}"
             f" {row['attempts']:<9d} {row['skipped']}{marker}"
         )
-    _emit(args, report, lines)
+    inputs = {"dims": dims, "jumps": args.jumps, "trials": args.trials, "seed": args.seed}
+    _emit(args, inputs, {"rows": rows}, None, lines)
     return 0
 
 

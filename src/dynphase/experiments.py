@@ -16,10 +16,30 @@ import numpy as np
 from .frames import DynamicalFrame
 
 
-def _dense_coefficients(frame: DynamicalFrame, x: np.ndarray, indices=slice(None)) -> bool:
-    """Whether every frame coefficient of x at ``indices`` exceeds 1e-3 of the largest of them."""
-    mags = np.abs(frame.coefficients(x)[indices])
-    return mags.size > 0 and bool(mags.min() > 1e-3 * mags.max())
+def _dense_draw(
+    frame: DynamicalFrame, basis: np.ndarray, tries: int, real: bool, indices, rng
+) -> np.ndarray | None:
+    """The first dense unit signal ``basis @ w`` of ``tries`` draws, or None.
+
+    ``w`` is standard normal, complex unless ``real``. A draw is dense when
+    every frame coefficient at ``indices`` exceeds 1e-3 of the largest of
+    them; a zero draw is skipped. This loop is the one sampling rule behind
+    :func:`signal_with_zero_pattern` and ``instances.random_signal_for``.
+    """
+    n = basis.shape[1]
+    for _ in range(tries):
+        weights = rng.standard_normal(n)
+        if not real:
+            weights = weights + 1j * rng.standard_normal(n)
+        x = basis @ weights
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        x = x / norm
+        mags = np.abs(frame.coefficients(x)[indices])
+        if mags.size > 0 and mags.min() > 1e-3 * mags.max():
+            return x
+    return None
 
 
 def zero_patterns(length: int, max_zeros: int) -> Iterator[tuple[int, ...]]:
@@ -53,15 +73,4 @@ def signal_with_zero_pattern(
     else:
         null_basis = np.eye(d, dtype=complex)
     others = [l for l in range(frame.length) if l not in zero_set]
-    for _ in range(64):
-        weights = rng.standard_normal(null_basis.shape[1]) + 1j * rng.standard_normal(
-            null_basis.shape[1]
-        )
-        x = null_basis @ weights
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        x = x / norm
-        if _dense_coefficients(frame, x, others):
-            return x
-    return None
+    return _dense_draw(frame, null_basis, 64, False, others, rng)

@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .experiments import _dense_coefficients
+from .experiments import _dense_draw
 from .frames import DynamicalFrame, circulant, dft_matrix
 from .retrieval import MeasurementConfig, min_length
 from .serialization import Instance, jordan_spec_to_json, vector_to_json
@@ -53,15 +53,10 @@ def random_signal_for(
     Returns the first of up to 256 draws whose smallest coefficient magnitude
     exceeds 1e-3 of the largest, and raises ``RuntimeError`` when none does.
     """
-    for _ in range(256):
-        x = rng.standard_normal(frame.dim)
-        if not real:
-            x = x + 1j * rng.standard_normal(frame.dim)
-        x = np.asarray(x, dtype=complex)
-        x /= np.linalg.norm(x)
-        if _dense_coefficients(frame, x):
-            return x
-    raise RuntimeError("could not sample a signal with dense frame coefficients")
+    x = _dense_draw(frame, np.eye(frame.dim, dtype=complex), 256, real, slice(None), rng)
+    if x is None:
+        raise RuntimeError("could not sample a signal with dense frame coefficients")
+    return x
 
 
 def _random_partition(rng: np.random.Generator, total: int, largest: int = 3) -> tuple[int, ...]:

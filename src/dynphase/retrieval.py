@@ -110,6 +110,11 @@ def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
     return (values >= 0.0) & (values < math.inf)
 
 
+def _cells(length: int, jumps: int) -> np.ndarray:
+    """The cells that exist, broadcast over k: ``[j - 1, 0, l]`` is true where ``l < length - j``."""
+    return np.arange(max(length - 1, 0)) < length - np.arange(1, jumps + 2)[:, None, None]
+
+
 def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
     """The grid of a complete ``{(l, j, k): value}`` mapping."""
     families = 2 if any(k == 2 for (_, _, k) in aligned) else 1
@@ -123,11 +128,11 @@ def _grid_from_dict(aligned: Mapping, length: int, jumps: int) -> np.ndarray:
             grid[j - 1, k - 1, l] = v
         else:
             outside += 1
-    # NaN cells in (l, j, k) order, without the padding past l = length - j - 1
-    empty = np.argwhere(np.isnan(grid.transpose(2, 0, 1))).tolist()
-    missing = [(l, j + 1, k + 1) for l, j, k in empty if l < length - j - 1]
-    if missing:
-        raise ValueError(f"aligned grid incomplete: missing {missing[0]}")
+    # the first missing cell in (l, j, k) order
+    missing = (np.isnan(grid) & _cells(length, jumps)).transpose(2, 0, 1)
+    if missing.any():
+        l, j, k = np.unravel_index(missing.argmax(), missing.shape)
+        raise ValueError(f"aligned grid incomplete: missing {(int(l), int(j) + 1, int(k) + 1)}")
     if outside:
         raise ValueError(f"aligned holds {outside} key(s) outside the grid")
     return grid
@@ -172,15 +177,13 @@ class MeasurementSet:
                 )
         else:
             grid = _grid_from_dict(self.grid, length, jumps)
-        cells = 0
-        for j in range(1, jumps + 2):
-            grid[j - 1, :, max(length - j, 0) :] = np.nan
-            cells += max(length - j, 0)
+        exists = _cells(length, jumps)
+        np.copyto(grid, np.nan, where=~exists)
         # one test for every value: only the NaN padding may fail it
         passed = np.count_nonzero(_finite_nonnegative(base)) + np.count_nonzero(
             _finite_nonnegative(grid)
         )
-        if passed != length + grid.shape[1] * cells:
+        if passed != length + grid.shape[1] * np.count_nonzero(exists):
             what = "aligned" if _finite_nonnegative(base).all() else "base"
             raise ValueError(f"{what} magnitudes must be finite and nonnegative")
         base.setflags(write=False)

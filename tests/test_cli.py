@@ -511,6 +511,36 @@ class TestMain:
         assert seen == [str(instance)]
 
 
+class TestReportShape:
+    @staticmethod
+    def report(tmp_path, argv):
+        path = tmp_path / "report.json"
+        assert main([*argv, "--output", str(path)]) == 0
+        return load_json(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "recover", "verify"])
+    def test_wall_time_only_under_timings(self, tmp_path, command):
+        instance = gen_instance(tmp_path)
+        ms_path = tmp_path / "ms.json"
+        assert main(["measure", str(instance), "--output", str(ms_path)]) == 0
+        argv = [command, *([str(ms_path)] if command == "recover" else []), str(instance)]
+        plain = self.report(tmp_path, argv)
+        timed = self.report(tmp_path, [*argv, "--timings"])
+        for report in (plain, timed):
+            assert list(report) == ["command", "inputs", "outcome", "wall_time_ms"]
+            assert report["command"] == command
+        assert plain["wall_time_ms"] is None
+        assert isinstance(timed["wall_time_ms"], float) and timed["wall_time_ms"] >= 0.0
+        assert {**timed, "wall_time_ms": None} == plain
+
+    def test_bench_never_reports_wall_time(self, tmp_path):
+        argv = ["bench", "--dims", "4", "--lengths", "6:6"]
+        for extra in ([], ["--timings"]):
+            report = self.report(tmp_path, [*argv, *extra])
+            assert list(report) == ["command", "inputs", "outcome", "wall_time_ms"]
+            assert report["command"] == "bench" and report["wall_time_ms"] is None
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("command", ["analyze", "verify", "recover"])
     def test_reported_hash_is_of_the_parsed_bytes(self, tmp_path, monkeypatch, command):

@@ -852,6 +852,19 @@ class TestMakeInstanceRejects:
             make_instance("rotation", 2, 4, theta=theta)
 
 
+class TestSharedDenseDraw:
+    @pytest.mark.parametrize("kind, d, L", [("harmonic", 4, 6), ("random-diag", 8, 20)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_pattern_draws_the_dense_signal(self, kind, d, L, seed):
+        # one sampling rule: with no zeros both samplers take the same draws
+        frame = make_instance(kind, d, L).build_frame()
+        dense_rng, pattern_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dense = random_signal_for(frame, dense_rng)
+        pattern = signal_with_zero_pattern(frame, (), pattern_rng)
+        assert pattern.tobytes() == dense.tobytes()
+        assert pattern_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
 class TestDegenerateDimension:
     def test_one_dimensional_orbit(self):
         frame = build(np.array([[0.8 + 0.1j]]), np.array([1.0 + 0j]), 1)

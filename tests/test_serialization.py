@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,34 @@ class TestMeasurementSetSchema:
         }
         with pytest.raises(SchemaError):
             json_to_measurement_set(obj)
+        # of two missing cells, the first in (l, j, k) order is named
+        frame = harmonic_frame(3, 4)
+        obj = measurement_set_to_json(measure(np.ones(3), frame, MeasurementConfig(jumps=1)))
+        obj["aligned"] = [
+            e for e in obj["aligned"] if (e["l"], e["j"], e["k"]) not in {(2, 1, 2), (0, 2, 1)}
+        ]
+        with pytest.raises(SchemaError, match=r"aligned grid incomplete: missing \(0, 2, 1\)$"):
+            json_to_measurement_set(obj)
+
+    def test_large_jumps_load_without_a_per_cell_walk(self):
+        # L = 3 has six cells whatever J is; the padded grid holds 2 (J + 1) (L - 1)
+        cells = [(0, 1), (1, 1), (0, 2)]
+        obj = {
+            "L": 3,
+            "J": 10_000,
+            "angles": [0.0, math.pi / 2],
+            "base": [1.0, 1.0, 1.0],
+            "aligned": [{"l": l, "j": j, "k": k, "value": 1.0} for l, j in cells for k in (1, 2)],
+        }
+        tracemalloc.start()
+        try:
+            ms = json_to_measurement_set(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ms.grid.shape == (10_001, 2, 2)
+        assert len(ms.aligned) == 6
+        assert peak < 4 * ms.grid.nbytes
 
     @pytest.mark.parametrize("extra", [(7, 1, 1), (0, 1, 3), (-1, 1, 1), (0, 2, 1)])
     def test_key_outside_grid_rejected(self, extra):
