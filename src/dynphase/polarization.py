@@ -10,7 +10,9 @@ equations form a 2x2 linear system whose determinant is ``sin(a1 - a2)``.
 The real-line variant needs a single shift ``|z1 + s z2|`` with ``s = +-1``.
 
 :func:`recover_phases` and :func:`recover_signs` solve many pairs at once;
-every formula, floor and check is written there once.
+every formula, floor and check is written there once. One validity mask per
+batch (zero base magnitude, cosine term out of range, vanishing direction)
+decides which pair fails first.
 """
 
 from __future__ import annotations
@@ -95,11 +97,9 @@ def _zero_magnitudes(m1: float, m2: float) -> ZeroMagnitudeError:
     return ZeroMagnitudeError(f"base magnitudes ({m1:.3g}, {m2:.3g}) too close to zero")
 
 
-def _nonzero_prefix(m1: np.ndarray, m2: np.ndarray) -> int:
-    """The number of leading pairs whose base magnitudes are both nonzero."""
-    zero = np.minimum(m1, m2) <= MAGNITUDE_RTOL * np.maximum(m1, m2)
-    first = zero.argmax()
-    return int(first) if zero[first] else zero.size
+def _zero_pairs(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The mask of pairs whose base magnitude is numerically zero."""
+    return np.minimum(m1, m2) <= MAGNITUDE_RTOL * np.maximum(m1, m2)
 
 
 def recover_phases(
@@ -119,19 +119,20 @@ def recover_phases(
     """
     if m1.size == 0:
         return np.ones(0, dtype=complex)
-    stop = _nonzero_prefix(m1, m2)
-    if stop < m1.size:
-        # an inconsistent pair before the zero one is reported first
-        recover_phases(m1[:stop], m2[:stop], shifted[:, :stop], angles)
-        raise _zero_magnitudes(m1[stop], m2[stop])
+    zero = _zero_pairs(m1, m2)
+    moduli = m1 * m2
+    # a zero pair is divided by 1, never by its own |z1 z2|: the mask below refuses it
+    moduli[zero] = 1.0
     # twice the cosine terms (r1, r2); scaling by 2 is exact in binary
-    twice = (shifted * shifted - m1 * m1 - m2 * m2) / (m1 * m2)
+    twice = (shifted * shifted - m1 * m1 - m2 * m2) / moduli
     over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
     direction = angles._unmix @ np.minimum(np.maximum(twice, -2.0), 2.0)
     norm = np.hypot(direction[0], direction[1])
-    bad = over[0] | over[1] | (norm < 1e-12)
+    bad = zero | over[0] | over[1] | (norm < 1e-12)
     first = bad.argmax()
     if bad[first]:
+        if zero[first]:
+            raise _zero_magnitudes(m1[first], m2[first])
         if not (over[0, first] or over[1, first]):
             raise InconsistentDataError("extracted phase direction has vanishing length")
         r = 0.5 * twice[0 if over[0, first] else 1, first]
@@ -152,8 +153,9 @@ def recover_signs(m1: np.ndarray, m2: np.ndarray, shifted: np.ndarray, sign: int
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    stop = _nonzero_prefix(m1, m2) if m1.size else 0
-    if stop < m1.size:
-        raise _zero_magnitudes(m1[stop], m2[stop])
+    zero = _zero_pairs(m1, m2)
+    if zero.any():
+        first = zero.argmax()
+        raise _zero_magnitudes(m1[first], m2[first])
     products = (shifted * shifted - m1 * m1 - m2 * m2) / (2.0 * sign)
     return np.where(products >= 0.0, 1.0, -1.0)

@@ -13,28 +13,25 @@ import numpy as np
 from .exceptions import DimensionMismatchError
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a nonempty 1-d complex array with finite entries."""
+def _as_array(x, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatchError(
-            f"{name} must be a nonempty 1-d array, got shape {arr.shape}"
+            f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def as_vector(x, name: str = "vector") -> np.ndarray:
+    """Coerce to a nonempty 1-d complex array with finite entries."""
+    return _as_array(x, 1, name)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a nonempty 2-d complex array with finite entries."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatchError(
-            f"{name} must be a nonempty 2-d array, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return arr
+    return _as_array(m, 2, name)
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dynphase
-from dynphase import cli
+from dynphase import cli, exceptions
 from dynphase.cli import main
 from dynphase.serialization import dump_json, load_json, vector_to_json
 
@@ -509,6 +509,30 @@ class TestMain:
         monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.instance) or 7)
         assert main(["verify", str(instance), "--no-spark"]) == 7
         assert seen == [str(instance)]
+
+    @pytest.mark.parametrize(
+        "error",
+        [cls for cls in vars(exceptions).values() if isinstance(cls, type)]
+        + [np.linalg.LinAlgError, ValueError, FileNotFoundError],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_exit_codes(self, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fail)
+        code = 3 if error is exceptions.BudgetExceededError else 2
+        assert main(["analyze", "unread.json"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_runtime_error_propagates(self, monkeypatch):
+        # gen's RuntimeError when random_signal_for gives up is a defect, not exit 2
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["analyze", "unread.json"])
 
 
 class TestReportShape:

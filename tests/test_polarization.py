@@ -248,6 +248,38 @@ class TestArrayForms:
         with pytest.raises(ZeroMagnitudeError, match=r"\(2, 0\) too close"):
             recover_signs(m1, m2, np.ones(3), 1)
 
+    @pytest.mark.parametrize("shifted", [1.0, 0.0], ids=["shifted-1", "shifted-0"])
+    def test_zero_pairs_raise_no_floating_point_error(self, shifted):
+        m1 = np.array([1.0, 2.0, 0.0, 3.0])
+        m2 = np.array([1.0, 0.0, 0.0, 1.0])
+        cells = np.array([[2.0, 2.0, shifted, 4.0], [math.sqrt(2.0), 2.0, shifted, 2.0]])
+        both_zero = (m1[2:], m2[2:], cells[:, 2:])
+        with np.errstate(all="raise"):
+            with pytest.raises(ZeroMagnitudeError, match=r"\(0, 0\) too close"):
+                recover_phases(*both_zero, RIGHT)
+            with pytest.raises(ZeroMagnitudeError, match=r"\(2, 0\) too close"):
+                recover_phases(m1, m2, cells, RIGHT)
+            with pytest.raises(ZeroMagnitudeError, match=r"\(0, 0\) too close"):
+                recover_signs(*both_zero[:2], cells[0, 2:], 1)
+            with pytest.raises(ZeroMagnitudeError, match=r"\(2, 0\) too close"):
+                recover_signs(m1, m2, cells[0], -1)
+
+    def test_last_pair_alone_failing_decides(self):
+        m = np.ones(4)
+        shifted = np.array([[2.0] * 4, [math.sqrt(2.0)] * 4])
+        zero = m.copy()
+        zero[3] = 0.0
+        with np.errstate(all="raise"):
+            with pytest.raises(ZeroMagnitudeError, match=r"\(1, 0\) too close"):
+                recover_phases(m, zero, shifted, RIGHT)
+            shifted[1, 3] = 5.0
+            with pytest.raises(InconsistentDataError, match="cos term 11.5 outside"):
+                recover_phases(m, m, shifted, RIGHT)
+            shifted[1, 3] = math.sqrt(2.0)
+            shifted[0, 3] = math.sqrt(2.0)
+            with pytest.raises(InconsistentDataError, match="vanishing length"):
+                recover_phases(m, m, shifted, RIGHT)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_signs(np.ones(1), np.ones(1), np.ones(1), 0)
