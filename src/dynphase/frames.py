@@ -58,9 +58,9 @@ class DynamicalFrame:
     :meth:`coefficients`. An orbit that overflows raises ``ValueError``
     naming its first non-finite column. Kept with the frame:
     its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
-    coefficient evaluation and row-subset solve, and from first use their thin
-    SVD (``_row_svd``, for :func:`analyze`) and its rank-truncated factors
-    (``_row_pinv``, for all-L-row solves).
+    coefficient evaluation and row solve, and from first use their thin SVD
+    (``_row_svd``: every singular value, for :func:`analyze`, and the factors
+    cut at ``lstsq``'s rank, for the all-L-row solves of ``_solve_rows``).
     """
 
     operator: np.ndarray
@@ -109,24 +109,26 @@ class DynamicalFrame:
 
     @cached_property
     def _row_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only thin SVD ``(W, s, Zh)`` of the rows ``synthesis().conj().T``."""
-        factors = np.linalg.svd(self._rows, full_matrices=False)
-        for a in factors:
-            a.setflags(write=False)
-        return tuple(factors)
+        """Read-only ``(Z, s, Wh)``: every singular value s of the rows ``W diag(s) Zh``.
 
-    @cached_property
-    def _row_pinv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(Z, Wh, s)``: the rows' pseudo-inverse is ``Z @ diag(1 / s) @ Wh``.
-
-        The SVD is cut at the rank ``s.size`` under ``lstsq``'s default cutoff.
+        ``Z = Zh[:r]^H`` and ``Wh = W[:, :r]^H`` keep the r above ``lstsq``'s default cutoff.
         """
-        W, s, Zh = self._row_svd
+        W, s, Zh = np.linalg.svd(self._rows, full_matrices=False)
         rank = int(np.count_nonzero(s > np.finfo(float).eps * max(self.length, self.dim) * s[0]))
-        factors = (Zh[:rank].conj().T, W[:, :rank].conj().T, s[:rank])
+        factors = (Zh[:rank].conj().T, s, W[:, :rank].conj().T)
         for a in factors:
             a.setflags(write=False)
         return factors
+
+    def _solve_rows(self, indices, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """``lstsq``'s solution of the rows ``indices``, and their rank; L rows use ``_row_svd``."""
+        if len(indices) < self.length:
+            solution, _, rank, _ = np.linalg.lstsq(self._rows[indices], rhs, rcond=None)
+            return solution, int(rank)
+        Z, s, Wh = self._row_svd
+        b = np.empty(self.length, dtype=complex)
+        b[indices] = rhs
+        return Z @ ((Wh @ b) / s[: Z.shape[1]]), Z.shape[1]
 
     def coefficients(self, x) -> np.ndarray:
         """Frame coefficients ``<x, A^l phi>`` for l = 0..L-1.

@@ -128,7 +128,8 @@ def recover_phases(
     over = abs(twice) > 2.0 * (1.0 + CLAMP_TOL)
     direction = angles._unmix @ np.minimum(np.maximum(twice, -2.0), 2.0)
     norm = np.hypot(direction[0], direction[1])
-    bad = zero | over[0] | over[1] | (norm < 1e-12)
+    # a NaN direction (from a product that over- or underflowed) fails the length test too
+    bad = zero | over[0] | over[1] | ~(norm >= 1e-12)
     first = bad.argmax()
     if bad[first]:
         if zero[first]:

@@ -30,9 +30,9 @@ as zero still contribute: each pins the linear constraint
 ``<x, A^l phi> = 0``. A connected chain of size s together with m zero
 indices gives s + m independent rows over a full-spark frame, so recovery
 needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
-zeros the signal is identically zero. Each frame keeps its conjugate rows, their
-SVD and its rank-truncated factors, and each angle pair its negation, its
-unmixing matrix and its shift factors, for all calls.
+zeros the signal is identically zero. Each frame keeps its rows and their one
+factorization, through which it solves its own rows, and each angle pair its
+negation, its unmixing matrix and its shift factors, for all calls.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ DEFAULT_ZERO_TOL = 1e-9
 
 # the largest base magnitude for which measure hands its arrays over unchecked
 _ADOPT_MAX = np.finfo(float).max / 4
+
+# recovery takes a set as given while the frexp exponent e of its largest base magnitude has
+# |e| <= this, so products of magnitudes above 2^-250 of it stay normal; else it scales by 2^-e
+_UNSCALED_EXPONENT = 256
 
 
 def default_angles() -> PolarizationAngles:
@@ -195,7 +199,7 @@ class MeasurementSet:
 
     @classmethod
     def _adopt(cls, length: int, jumps: int, angles, base, grid) -> "MeasurementSet":
-        """:func:`measure`'s hand-off: its own arrays, made read-only, no copy, no check.
+        """The hand-off of :func:`measure` and of recovery's rescaled copy: read-only, no check.
 
         The caller has built both as float64, shown every cell finite and
         nonnegative, and padded the grid with NaN.
@@ -300,14 +304,15 @@ def _runs(nonzero: np.ndarray, jumps: int) -> tuple[np.ndarray, np.ndarray]:
     return alive, np.concatenate(([0], cuts, [alive.size]))
 
 
-def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | None) -> np.ndarray:
+def _chain_phases(ms: MeasurementSet, chain: Sequence[int]) -> np.ndarray:
     """Unit phases (or signs) along a chain, anchored at its first index.
 
     Consecutive chain indices (l, m) form the aligned edge of offset
     ``j = m - l``; its polarization product ``conj(c_l) c_m`` carries the
     phase step from l to m, and the steps accumulate by cumulative product.
-    All edges are gathered from the grid and solved at once by
-    :func:`recover_phases` (:func:`recover_signs` in real mode), which raise
+    All edges are gathered from the grid and solved at once: the set's
+    family count picks :func:`recover_phases` for two families and
+    :func:`recover_signs`, with ``ms.angles.real_sign``, for one. Both raise
     the error of the first failing edge in chain order.
     """
     steps = np.ones(len(chain), dtype=complex)
@@ -316,36 +321,11 @@ def _chain_phases(ms: MeasurementSet, chain: Sequence[int], real_sign: int | Non
         l = index[:-1]
         cells = ms.grid[index[1:] - l - 1, :, l].T
         mags = ms.base[index]
-        if real_sign is None:
+        if ms.has_two_angles:
             steps[1:] = recover_phases(mags[:-1], mags[1:], cells, ms.angles.negated())
         else:
-            steps[1:] = recover_signs(mags[:-1], mags[1:], cells[0], real_sign)
+            steps[1:] = recover_signs(mags[:-1], mags[1:], cells[0], ms.angles.real_sign)
     return np.multiply.accumulate(steps)
-
-
-def _solve_rows(
-    frame: DynamicalFrame, indices: Sequence[int], rhs: np.ndarray, require_full_rank: bool
-) -> np.ndarray:
-    L, d = frame.length, frame.dim
-    if len(indices) == L:
-        # all rows in some order: lstsq's minimum-norm solve, cutoff included,
-        # through the frame's cached rank-truncated SVD factors
-        Z, Wh, s = frame._row_pinv
-        rank = s.size
-        b = np.empty(L, dtype=complex)
-        b[indices] = rhs
-        solution = Z @ ((Wh @ b) / s)
-    else:
-        solution, _, rank, _ = np.linalg.lstsq(frame._rows[indices], rhs, rcond=None)
-    if require_full_rank and rank < d:
-        raise SingularMatrixError(
-            f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
-        )
-    return solution
-
-
-def _remeasure_residual(frame: DynamicalFrame, estimate: np.ndarray, base: np.ndarray) -> float:
-    return float(np.linalg.norm(np.abs(frame.coefficients(estimate)) - base))
 
 
 def recover_full_spark(
@@ -365,34 +345,46 @@ def recover_full_spark(
     :func:`dynphase.frames.full_spark_criterion` or
     :func:`dynphase.frames.analyze`); a rank-deficient subframe system is
     reported as ``SingularMatrixError`` when the assumption fails.
+    Scaling the set by ``2^k`` scales the estimate and the residual by
+    ``2^k``: a set whose largest base magnitude lies so far from 1 that
+    products of magnitudes would over- or underflow is recovered in units of
+    ``2^e``, e being that magnitude's ``frexp`` exponent.
     """
     if ms.length != frame.length:
         raise InconsistentDataError(
             f"measurement set has L={ms.length}, frame has L={frame.length}"
         )
+    top = float(ms.base.max())
+    e = math.frexp(top)[1]
+    if abs(e) > _UNSCALED_EXPONENT:
+        grid = np.ldexp(ms.grid, -e)
+        unit = MeasurementSet._adopt(ms.length, ms.jumps, ms.angles, np.ldexp(ms.base, -e), grid)
+        r = recover_full_spark(unit, frame, config)
+        estimate = np.ldexp(r.estimate.view(float), e).view(complex)
+        residual = float(np.ldexp(r.residual, e))
+        return RecoveryResult._adopt(estimate, r.status, r.used_indices, r.component_size, residual)
     base = ms.base
     d = frame.dim
-    nonzero = base > config.zero_tol * float(base.max())
+    nonzero = base > config.zero_tol * top
     zeros = (~nonzero).nonzero()[0]
-    # at least d zero coefficients over a full-spark frame pin the signal to 0
     if zeros.size >= d:
-        estimate = np.zeros(d, dtype=complex)
-        residual = _remeasure_residual(frame, estimate, base)
-        return RecoveryResult._adopt(estimate, RecoveryStatus.RECOVERED, (), zeros.size, residual)
-    alive, bounds = _runs(nonzero, ms.jumps)
-    # argmax keeps the first longest run, so ties go to the lowest indices
-    longest = (bounds[1:] - bounds[:-1]).argmax()
-    chain = alive[bounds[longest] : bounds[longest + 1]]
-    # the set's family count picks the formula: phases from two families,
-    # signs from one; the sign is read only when the chain has an edge
-    real_sign = ms.angles.real_sign if chain.size > 1 and not ms.has_two_angles else None
-    rows = np.concatenate((chain, zeros))
-    rhs = np.zeros(rows.size, dtype=complex)
-    rhs[: chain.size] = base[chain] * _chain_phases(ms, chain, real_sign)
-    recovered = rows.size >= d
-    estimate = _solve_rows(frame, rows, rhs, recovered)
-    residual = _remeasure_residual(frame, estimate, base)
-    status = RecoveryStatus.RECOVERED if recovered else RecoveryStatus.FAILED
+        # at least d zero coefficients over a full-spark frame pin the signal to 0
+        chain, rows, estimate = zeros[:0], zeros, np.zeros(d, dtype=complex)
+    else:
+        alive, bounds = _runs(nonzero, ms.jumps)
+        # argmax keeps the first longest run, so ties go to the lowest indices
+        longest = (bounds[1:] - bounds[:-1]).argmax()
+        chain = alive[bounds[longest] : bounds[longest + 1]]
+        rows = np.concatenate((chain, zeros))
+        rhs = np.zeros(rows.size, dtype=complex)
+        rhs[: chain.size] = base[chain] * _chain_phases(ms, chain)
+        estimate, rank = frame._solve_rows(rows, rhs)
+        if rank < d <= rows.size:
+            raise SingularMatrixError(
+                f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
+            )
+    residual = float(np.linalg.norm(np.abs(frame.coefficients(estimate)) - base))
+    status = RecoveryStatus.RECOVERED if rows.size >= d else RecoveryStatus.FAILED
     return RecoveryResult._adopt(estimate, status, tuple(chain.tolist()), rows.size, residual)
 
 

@@ -46,6 +46,20 @@ def _is_pair(obj: Any) -> bool:
     return isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_real, obj))
 
 
+class _Schema:
+    """A ``ValueError`` of the block as ``SchemaError`` at ``where``; a ``SchemaError`` passes."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError) and not isinstance(exc, SchemaError):
+            raise SchemaError(f"{self.where}: {exc}") from exc
+
+
 def json_to_complex(obj: Any, where: str = "value") -> complex:
     if not _is_pair(obj):
         raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
@@ -97,14 +111,12 @@ def json_to_jordan_spec(obj: Any, where: str = "jordan") -> JordanSpec:
     mults = obj["multiplicities"]
     if not isinstance(mults, list) or not all(_is_int(m) and m >= 1 for m in mults):
         raise SchemaError(f"{where}.multiplicities: expected positive integers")
-    try:
+    with _Schema(where):
         return JordanSpec(
             json_to_vector(obj["eigenvalues"], f"{where}.eigenvalues"),
             tuple(mults),
             json_to_matrix(obj["basis"], f"{where}.basis"),
         )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def angles_to_json(angles: PolarizationAngles) -> list[float]:
@@ -114,10 +126,8 @@ def angles_to_json(angles: PolarizationAngles) -> list[float]:
 def json_to_angles(obj: Any, where: str = "angles") -> PolarizationAngles:
     if not _is_pair(obj):
         raise SchemaError(f"{where}: expected [alpha1, alpha2]")
-    try:
+    with _Schema(where):
         return PolarizationAngles(float(obj[0]), float(obj[1]))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def config_to_json(config: MeasurementConfig) -> dict:
@@ -148,10 +158,8 @@ def json_to_config(obj: Any, where: str = "config") -> MeasurementConfig:
         if not isinstance(obj["real_mode"], bool):
             raise SchemaError(f"{where}.real_mode: expected a boolean")
         kwargs["real_mode"] = obj["real_mode"]
-    try:
+    with _Schema(where):
         return MeasurementConfig(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def frame_from_spec(spec: Any, where: str = "frame") -> DynamicalFrame:
@@ -162,25 +170,21 @@ def frame_from_spec(spec: Any, where: str = "frame") -> DynamicalFrame:
         h = spec["harmonic"]
         if not isinstance(h, dict) or not _is_int(h.get("d")) or not _is_int(h.get("L")):
             raise SchemaError(f"{where}.harmonic: expected integer fields 'd' and 'L'")
-        try:
+        with _Schema(f"{where}.harmonic"):
             return harmonic_frame(h["d"], h["L"])
-        except ValueError as exc:
-            raise SchemaError(f"{where}.harmonic: {exc}") from exc
     if not _is_int(spec.get("L")) or spec["L"] < 1:
         raise SchemaError(f"{where}: missing positive integer field 'L'")
     if "phi" not in spec:
         raise SchemaError(f"{where}: missing generator field 'phi'")
     phi = json_to_vector(spec["phi"], f"{where}.phi")
     length = spec["L"]
-    try:
+    with _Schema(where):
         if "A" in spec:
             return build(json_to_matrix(spec["A"], f"{where}.A"), phi, length)
         if "jordan" in spec:
             return build(assemble(json_to_jordan_spec(spec["jordan"], f"{where}.jordan")), phi, length)
         if "circulant" in spec:
             return build(circulant(json_to_vector(spec["circulant"], f"{where}.circulant")), phi, length)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(
         f"{where}: expected one of the variants 'A', 'jordan', 'circulant', 'harmonic'"
     )
@@ -272,10 +276,8 @@ def json_to_measurement_set(obj: Any) -> MeasurementSet:
             raise SchemaError(f"measurements.aligned[{i}]: duplicate entry {key}")
         aligned[key] = float(entry["value"])
     angles = json_to_angles(obj["angles"], "measurements.angles")
-    try:
+    with _Schema("measurements"):
         return MeasurementSet(obj["L"], obj["J"], angles, base, aligned)
-    except ValueError as exc:
-        raise SchemaError(f"measurements: {exc}") from exc
 
 
 def recovery_result_to_json(result: RecoveryResult) -> dict:

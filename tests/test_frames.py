@@ -334,8 +334,8 @@ class TestRowSvdCache:
             recover_full_spark(ms, frame, config)
         assert frame._row_svd is factors
         assert len(calls) == 1
-        W, s, Zh = factors
-        assert (W.shape, s.shape, Zh.shape) == ((6, 4), (4,), (4, 4))
+        Z, s, Wh = factors
+        assert (Z.shape, s.shape, Wh.shape) == ((4, 4), (4,), (4, 6))
         for a in factors:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -344,13 +344,14 @@ class TestRowSvdCache:
     @pytest.mark.parametrize("kind, dim, length", [("harmonic", 4, 6), ("random-diag", 8, 20)])
     def test_pseudo_inverse_factors_kept_once_and_read_only(self, kind, dim, length):
         frame = make_instance(kind, dim, length, seed=0).build_frame()
-        factors = frame._row_pinv
-        assert frame._row_pinv is factors
-        Z, Wh, s = factors
-        W, sv, Zh = frame._row_svd
-        rank = s.size
-        assert rank == np.linalg.matrix_rank(frame._rows) == dim
-        for got, want in ((Z, Zh[:rank].conj().T), (Wh, W[:, :rank].conj().T), (s, sv[:rank])):
+        factors = frame._row_svd
+        assert frame._row_svd is factors
+        Z, s, Wh = factors
+        W, sv, Zh = np.linalg.svd(frame._rows, full_matrices=False)
+        rank = Z.shape[1]
+        assert rank == Wh.shape[0] == np.linalg.matrix_rank(frame._rows) == dim
+        assert np.array_equal(s, sv)
+        for got, want in ((Z, Zh[:rank].conj().T), (Wh, W[:, :rank].conj().T)):
             assert got.strides == want.strides and np.array_equal(got, want)
             assert not got.flags.writeable
             with pytest.raises(ValueError):
@@ -700,3 +701,57 @@ class TestFrameInequality:
             norm2 = float(np.linalg.norm(y) ** 2)
             assert analysis.lower_bound * norm2 <= total * (1 + 1e-9)
             assert total <= analysis.upper_bound * norm2 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: harmonic_frame(2, 3).coefficients(np.ones(3)),
+            DimensionMismatchError,
+            "x has dim 3, expected 2",
+            id="coefficients",
+        ),
+        pytest.param(
+            lambda: circulant_frame([1.0, 0.0], [1.0, 0.0, 0.0], 3),
+            DimensionMismatchError,
+            "kernel has dim 2, generator 3",
+            id="circulant-frame",
+        ),
+        pytest.param(
+            lambda: frame_criterion([1.0, 2.0], [1.0, 1.0, 1.0]),
+            DimensionMismatchError,
+            "blocks (1, 1) need 2 coordinates, got 3",
+            id="spectrum",
+        ),
+        pytest.param(
+            lambda: frame_criterion([1.0, 2.0], [1.0, 1.0, 1.0], [0, 3]),
+            ValueError,
+            "multiplicities must be positive integers",
+            id="multiplicities",
+        ),
+        pytest.param(lambda: dft_matrix(0), ValueError, "dim must be >= 1", id="dft-matrix"),
+        pytest.param(
+            lambda: full_spark_criterion([1.0, 2.0], [1.0, 1.0], 1),
+            ValueError,
+            "need length >= 2, got 1",
+            id="full-spark-criterion",
+        ),
+        pytest.param(
+            lambda: build(np.ones((2, 3)), np.ones(2), 3),
+            DimensionMismatchError,
+            "operator must be square, got shape (2, 3)",
+            id="square",
+        ),
+        pytest.param(
+            lambda: build(np.eye(2), np.ones((2, 1)), 3),
+            DimensionMismatchError,
+            "generator must be a nonempty 1-d array, got shape (2, 1)",
+            id="array-shape",
+        ),
+    ],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -280,6 +280,14 @@ class TestArrayForms:
             with pytest.raises(InconsistentDataError, match="vanishing length"):
                 recover_phases(m, m, shifted, RIGHT)
 
+    def test_nan_direction_refused(self):
+        # m1 * m2 underflows to 0 for a pair that passes the relative zero test
+        m = np.array([1.0, 1e-170])
+        shifted = np.array([[2.0, 2e-170], [math.sqrt(2.0), math.sqrt(2.0) * 1e-170]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InconsistentDataError, match="vanishing length"):
+                recover_phases(m, m, shifted, RIGHT)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_signs(np.ones(1), np.ones(1), np.ones(1), 0)
@@ -331,3 +339,10 @@ class TestScalarFormsMatchOracle:
         want = self.raised(recover_product_real_scalar, *args)
         assert want is not None
         assert self.raised(recover_signs, *pairs_of(*args[:3]), args[3]) == want
+
+
+@pytest.mark.parametrize("alpha1, alpha2", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_argument_checks(alpha1, alpha2):
+    with pytest.raises(ValueError) as exc:
+        PolarizationAngles(alpha1, alpha2)
+    assert str(exc.value) == "angles must be finite"

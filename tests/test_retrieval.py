@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynphase import (
     DimensionMismatchError,
@@ -28,9 +30,7 @@ from dynphase.instances import make_instance, random_signal_for
 from dynphase.retrieval import (
     RecoveryResult,
     _chain_phases,
-    _remeasure_residual,
     _runs,
-    _solve_rows,
 )
 from dynphase.serialization import (
     dump_json,
@@ -339,7 +339,7 @@ class TestVectorizedAgainstLoops:
         ms = measure(np.zeros(8), frame, cfg)
         result = recover_full_spark(ms, frame, cfg)
         assert result.status is RecoveryStatus.FAILED
-        assert _chain_phases(ms, [], cfg.angles.real_sign if real else None).shape == (0,)
+        assert _chain_phases(ms, []).shape == (0,)
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("jumps", [0, 1])
@@ -354,7 +354,7 @@ class TestVectorizedAgainstLoops:
         for x in xs:
             ms = measure(x, frame, cfg)
             for chain in chains:
-                got = _chain_phases(ms, chain, sign)
+                got = _chain_phases(ms, chain)
                 assert np.max(np.abs(got - chain_phases_loop(ms, chain, sign))) <= 1e-14
 
     @staticmethod
@@ -386,14 +386,14 @@ class TestVectorizedAgainstLoops:
         sign = cfg.angles.real_sign if real else None
         if real and all(what == "cell" for what, _ in edits):
             # real polarization has no clamp check: inflated cells only flip signs
-            got = _chain_phases(ms, range(8), sign)
+            got = _chain_phases(ms, range(8))
             assert np.array_equal(got, chain_phases_loop(ms, range(8), sign))
             return
         with pytest.raises(ValueError) as want:
             chain_phases_loop(ms, range(8), sign)
         assert type(want.value) is (ZeroMagnitudeError if real else error)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            _chain_phases(ms, range(8), sign)
+            _chain_phases(ms, range(8))
 
 
 class TestRecoverGeneric:
@@ -471,7 +471,7 @@ class TestRecoverGeneric:
         assert result.used_indices == tuple(range(24))
         assert result.component_size == 24
         phases = chain_phases_loop(ms, range(24), None)
-        assert np.max(np.abs(_chain_phases(ms, range(24), None) - phases)) <= 1e-12
+        assert np.max(np.abs(_chain_phases(ms, range(24)) - phases)) <= 1e-12
         want, rank = lstsq_rows(frame, range(24), ms.base * phases)
         assert rank == 16
         assert np.linalg.norm(result.estimate - want) <= 1e-8 * np.linalg.norm(want)
@@ -622,6 +622,60 @@ class TestRecoverFullSpark:
         assert result.component_size == 3
 
 
+class TestScaleEquivariance:
+    """Recovery works in units of a power of two, so scaling by ``2^k`` commutes with it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(-1, 3),
+        st.integers(0, 6),
+        st.integers(0, 7),
+        st.booleans(),
+        st.booleans(),
+        st.integers(-1000, 1000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling(self, d, extra, jumps, zeros, harmonic, real, k, seed):
+        rng = np.random.default_rng(seed)
+        jumps = min(jumps, max(d - 2, 0))
+        length = max(d, min_length(d, jumps) + extra)  # extra = -1 gives Failed verdicts
+        frame = harmonic_frame(d, length) if harmonic else random_frame(rng, d, length)
+        pattern = rng.choice(length, size=min(zeros, d - 1), replace=False)
+        x = signal_with_zero_pattern(frame, pattern, rng)
+        assume(x is not None)
+        cfg = MeasurementConfig(jumps=jumps, real_mode=real)
+        ms = measure(x, frame, cfg)
+        # the set of 2^k x as exact arithmetic gives it: the pattern's coefficients are
+        # exact zeros, and every other value stays a normal double at any k used here
+        base = np.where(ms.base > 1e-3 * ms.base.max(), ms.base, 0.0)
+        want, got = (
+            recover_full_spark(
+                MeasurementSet(length, jumps, ms.angles, np.ldexp(base, s), np.ldexp(ms.grid, s)),
+                frame,
+                cfg,
+            )
+            for s in (0, k)
+        )
+        assert (got.status, got.used_indices, got.component_size) == (
+            want.status,
+            want.used_indices,
+            want.component_size,
+        )
+        assert np.array_equal(got.estimate, want.estimate * 2.0**k)
+        assert got.residual == want.residual * 2.0**k
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e154, 1e170, 1e290])
+    def test_extreme_scales_recover(self, scale):
+        # m1 * m2 under- or overflows at these scales unless recovery rescales
+        frame = harmonic_frame(4, 6)
+        x = np.array([1.0, 2j, -1.0, 0.5])
+        result = recover_full_spark(measure(scale * x, frame, CFG), frame, CFG)
+        assert result.status is RecoveryStatus.RECOVERED
+        assert global_phase_distance(result.estimate / scale, x) <= 1e-14
+        assert 0.0 <= result.residual <= 1e-14 * scale
+
+
 def lstsq_rows(frame, indices, rhs):
     """The reference solve: ``lstsq`` on a fresh copy of the selected rows."""
     rows = frame.synthesis()[:, list(indices)].conj().T
@@ -640,7 +694,7 @@ class TestCachedRowSolve:
             ms = measure(instance.signal, frame, CFG)
             result = recover_full_spark(ms, frame, CFG)
             assert result.used_indices == tuple(range(20))
-            rhs = ms.base * _chain_phases(ms, range(20), None)
+            rhs = ms.base * _chain_phases(ms, range(20))
             want, _ = lstsq_rows(frame, range(20), rhs)
             assert np.linalg.norm(result.estimate - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -653,7 +707,7 @@ class TestCachedRowSolve:
         assert result.status == RecoveryStatus.RECOVERED
         assert result.used_indices == (2, 3, 4, 5)
         rhs = np.zeros(6, dtype=complex)
-        rhs[:4] = ms.base[2:] * _chain_phases(ms, [2, 3, 4, 5], None)
+        rhs[:4] = ms.base[2:] * _chain_phases(ms, [2, 3, 4, 5])
         want, _ = lstsq_rows(frame, [2, 3, 4, 5, 0, 1], rhs)
         assert np.linalg.norm(result.estimate - want) <= 1e-12 * np.linalg.norm(want)
         assert global_phase_distance(result.estimate, x) <= 1e-10
@@ -665,9 +719,8 @@ class TestCachedRowSolve:
         rhs = np.random.default_rng(11).standard_normal(5) * (1 + 1j)
         want, rank = lstsq_rows(frame, order, rhs)
         assert rank == 2
-        with pytest.raises(SingularMatrixError, match=re.escape(f"rank {rank} < 3")):
-            _solve_rows(frame, order, rhs, require_full_rank=True)
-        guess = _solve_rows(frame, order, rhs, require_full_rank=False)
+        guess, got_rank = frame._solve_rows(order, rhs)
+        assert got_rank == rank
         assert np.linalg.norm(guess - want) <= 1e-12 * np.linalg.norm(want)
         # minimum norm: nothing along the dead direction
         assert abs(guess[2]) <= 1e-14 * np.linalg.norm(guess)
@@ -726,9 +779,9 @@ class TestIndexContract:
         ms = measure(np.array([1.0, 0.5j]), harmonic_frame(2, 4), CFG)
         with pytest.raises(InconsistentDataError, match="measurement set has L=4, frame has L=3"):
             recover_full_spark(ms, frame, CFG)
-        # the estimate is checked as coefficients(x) checks its argument
+        # the residual remeasures the estimate through coefficients, which checks it
         with pytest.raises(ValueError, match=re.escape("x contains NaN or Inf entries")):
-            _remeasure_residual(frame, np.array([np.inf, 0.0]), ms.base[:3])
+            frame.coefficients(np.array([np.inf, 0.0]))
 
 
 class TestRecoverReal:
@@ -1007,3 +1060,24 @@ class TestChainCombinatorics:
         assert worst_case_pattern(4, 6, 2) == (1, 3)
         # with a jump allowance the runs shrink to zero and the zeros lead
         assert worst_case_pattern(4, 5, 2, jumps=1) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: signal_with_zero_pattern(harmonic_frame(3, 5), (1, 5), np.random.default_rng(0)),
+            "zero indices out of range 0..4: [1, 5]",
+            id="zero-pattern",
+        ),
+        pytest.param(
+            lambda: make_instance("harmonic", 4, 3),
+            "need dim >= 1 and length >= dim, got dim=4, length=3",
+            id="make-instance",
+        ),
+    ],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

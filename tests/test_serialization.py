@@ -300,6 +300,27 @@ class TestFrameSpecs:
         ):
             frame_from_spec({"harmonic": {"d": 4, "L": 3}})
 
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            ({"A": []}, r"^frame\.A: expected a nonempty list of rows$"),
+            ({"circulant": 3}, r"^frame\.circulant: expected a nonempty list of \[re, im\] pairs$"),
+            (
+                {"jordan": {"eigenvalues": [[1.0, 0.0]], "multiplicities": [1], "basis": [[1.0]]}},
+                r"^frame\.jordan\.basis: expected a \[re, im\] pair, got 1\.0$",
+            ),
+            (
+                {"jordan": {"eigenvalues": [[1.0, 0.0], [2.0, 0.0]], "multiplicities": [1, 1],
+                            "basis": vector_to_json(np.ones((2, 2)))}},
+                r"^frame\.jordan: similarity basis is numerically singular$",
+            ),
+        ],
+    )
+    def test_field_errors_keep_one_prefix(self, variant, message):
+        spec = {**variant, "phi": [[1.0, 0.0], [0.0, 1.0]], "L": 3}
+        with pytest.raises(SchemaError, match=message):
+            frame_from_spec(spec)
+
 
 _REAL = PolarizationAngles(math.pi, math.pi / 2)
 
@@ -609,3 +630,26 @@ class TestLoadJson:
         path = tmp_path / "ok.json"
         dump_json({"a": [1.5, 2.5]}, path)
         assert load_json(path) == {"a": [1.5, 2.5]}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: json_to_config([]), "config: expected an object", id="config"),
+        pytest.param(lambda: frame_from_spec([]), "frame: expected an object", id="frame"),
+        pytest.param(
+            lambda: json_to_instance([]),
+            "instance: expected an object with a 'frame' field",
+            id="instance",
+        ),
+        pytest.param(
+            lambda: json_to_instance({"x": []}),
+            "instance: expected an object with a 'frame' field",
+            id="instance-without-frame",
+        ),
+    ],
+)
+def test_non_objects_rejected(call, message):
+    with pytest.raises(SchemaError) as exc:
+        call()
+    assert str(exc.value) == message

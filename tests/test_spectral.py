@@ -287,3 +287,20 @@ class TestMinEigenvalueGap:
                 abs(values[i] - values[j]) for i in range(count) for j in range(i + 1, count)
             )
             assert min_eigenvalue_gap(values) == pytest.approx(brute, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: generator_coordinates(JordanSpec(np.array([0.5]), (2,), np.eye(2)), np.ones(3)),
+            DimensionMismatchError,
+            "generator has dim 3, expected 2",
+            id="generator-coordinates",
+        ),
+    ],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -475,7 +475,7 @@ def _pinned_orbit(d, singular):
 #: for singular False then True, each plain then with shift_det, as computed
 #: by the kernel that projects columns k..L-1 by each prefix in one product
 #: and takes every tail determinant in ``_tail_dets``. Recorded with numpy
-#: 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on x86-64; another LAPACK or
+#: 2.4.6 and OpenBLAS 0.3.31 (SkylakeX kernels) on x86-64; another LAPACK or
 #: BLAS may round differently, within the bound ``TestErrorBound`` holds.
 PINNED = {
     1: [
@@ -805,3 +805,28 @@ class TestTailDet:
             scaled = absdet[both] / np.prod(np.linalg.norm(m, axis=0)[idx[both]], axis=1)
             assert both.sum() == math.comb(L - 2, d - 2), seed
             assert np.all(scaled < vandermonde.DEFAULT_SPARK_TOL), seed
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: vandermonde.SparkCertificate(True, (0, 1), None),
+            "a passing certificate cannot carry a witness",
+            id="passing-with-witness",
+        ),
+        pytest.param(
+            lambda: vandermonde.SparkCertificate(False, None, 0.0),
+            "a failing certificate must carry a witness",
+            id="failing-without-witness",
+        ),
+        pytest.param(lambda: classical([1.0, 2.0], 0), "length must be >= 1", id="classical"),
+        pytest.param(
+            lambda: second_kind([1.0, 2.0], (1, 1), 0), "length must be >= 1", id="second-kind"
+        ),
+    ],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
