@@ -179,10 +179,8 @@ def analyze(
     None)``: no minor is enumerated and ``budget`` is not consulted. Every
     other orbit, including every non-diagonal one, is certified by
     enumerating its minors with :func:`~dynphase.vandermonde.full_spark`,
-    which raises ``BudgetExceededError`` past ``budget`` subsets. It is
-    passed ``shift_det=det(A)``, so it factors only the minors through
-    column 0 and scales every other minor from them by ``|det(A)|^s``; when
-    ``det(A)`` overflows, every minor is factored instead.
+    which raises ``BudgetExceededError`` past ``budget`` subsets, given
+    ``shift_det=det(A)`` as it is, overflowed or not (see there).
     """
     sv = frame._row_svd[1]
     upper = float(sv[0] ** 2)
@@ -201,8 +199,7 @@ def analyze(
         ):
             certificate = SparkCertificate(True, None, None)
         else:
-            shift_det = _finite(np.linalg.det(A))
-            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=shift_det)
+            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=np.linalg.det(A))
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
@@ -342,9 +339,9 @@ def full_spark_criterion(
     ``_structurally_full_spark``, which :func:`analyze` shares, skip
     enumeration and give ``min_abs_det=None``. Otherwise the confluent
     matrix is enumerated within ``DEFAULT_BUDGET`` subsets as the orbit it
-    is, with ``shift_det = prod(eigenvalues ** multiplicities)`` unless that
-    product overflows. A confluent matrix that overflows raises
-    ``ValueError`` naming its first non-finite column.
+    is, with ``shift_det = prod(eigenvalues ** multiplicities)`` as it is. A
+    confluent matrix that overflows raises ``ValueError`` naming its first
+    non-finite column.
     """
     values, coords, mults = _spectrum(eigenvalues, coordinates, multiplicities)
     d = coords.size
@@ -362,10 +359,4 @@ def full_spark_criterion(
     finite = np.isfinite(confluent).all(axis=0)
     if not finite.all():
         raise ValueError(f"confluent column {finite.argmin()} is not finite (overflow)")
-    shift_det = _finite(np.prod(values ** np.array(mults)))
-    return full_spark(confluent, shift_det=shift_det)
-
-
-def _finite(value):
-    """``value`` if it is finite, else None."""
-    return value if np.isfinite(value) else None
+    return full_spark(confluent, shift_det=np.prod(values ** np.array(mults)))

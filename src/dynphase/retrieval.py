@@ -183,13 +183,11 @@ class MeasurementSet:
             grid = _grid_from_dict(self.grid, length, jumps)
         exists = _cells(length, jumps)
         np.copyto(grid, np.nan, where=~exists)
-        # one test for every value: only the NaN padding may fail it
-        passed = np.count_nonzero(_finite_nonnegative(base)) + np.count_nonzero(
-            _finite_nonnegative(grid)
-        )
-        if passed != length + grid.shape[1] * np.count_nonzero(exists):
-            what = "aligned" if _finite_nonnegative(base).all() else "base"
-            raise ValueError(f"{what} magnitudes must be finite and nonnegative")
+        if not _finite_nonnegative(base).all():
+            raise ValueError("base magnitudes must be finite and nonnegative")
+        # only the NaN padding may fail the test
+        if np.count_nonzero(_finite_nonnegative(grid)) != grid.shape[1] * np.count_nonzero(exists):
+            raise ValueError("aligned magnitudes must be finite and nonnegative")
         base.setflags(write=False)
         grid.setflags(write=False)
         object.__setattr__(self, "length", length)

@@ -62,6 +62,8 @@ from .validation import as_matrix, as_multiplicities, as_vector
 DEFAULT_SPARK_TOL = 1e-10
 #: Column subsets ``full_spark`` enumerates before it gives up.
 DEFAULT_BUDGET = 2_000_000
+#: Beyond this ``max(d, 2) * |e|`` ``full_spark`` works in units of ``2^e`` (see there).
+_UNSCALED_SPAN = 900
 
 #: Bytes per ``full_spark`` chunk, sized as if each subset were a stacked d x d
 #: complex minor; a chunk holds its subsets' index columns and offsets and its
@@ -139,30 +141,33 @@ def full_spark(
     A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
     bound makes that ratio scale-free, and a zero-norm column gives ratio 0.
     Subsets are visited in lexicographic order, in chunks bounded by
-    ``_CHUNK_BYTES``, and enumeration continues past the
-    first failure so that ``min_abs_det`` reflects the global minimum. The
-    witness is the lexicographically first failing subset. Each factored
-    minor is the product of a QR of its first ``ceil(d/2)`` columns, shared
-    by every subset with that prefix, and the determinant of its trailing
-    ``n = d - ceil(d/2)`` projected columns, in closed form for n <= 4
-    (d <= 9) and by LU beyond (``_tail_dets``). The closed form is off by
-    at most about ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound,
-    about 1e-14 at n = 4, far below ``DEFAULT_SPARK_TOL``. A subset's
-    column-norm product is taken from left to right.
+    ``_CHUNK_BYTES``, and enumeration continues past the first failure so
+    that ``min_abs_det`` reflects the global minimum. The witness is the
+    lexicographically first failing subset. Each factored minor is the
+    product of a QR of its first ``ceil(d/2)`` columns, shared by every
+    subset with that prefix, and the determinant of its trailing ``n = d -
+    ceil(d/2)`` projected columns, in closed form for n <= 4 (d <= 9) and by
+    LU beyond (``_tail_dets``). The closed form is off by at most about
+    ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at n =
+    4, far below ``DEFAULT_SPARK_TOL``. A subset's column-norm product is
+    taken from left to right.
 
-    ``shift_det`` declares the matrix M an orbit: it is ``det(A)`` for an
-    operator A with ``M[:, l + 1] = A @ M[:, l]``. Then
-    ``|det M[:, T + s]| = |shift_det|^s * |det M[:, T]|``, so only the
-    C(L-1, d-1) subsets that contain column 0 are factored, and the minors
-    of every subset with smallest index s > 0 are scaled from them, all
-    shifts at once. The
-    scaled magnitudes differ from directly factored ones by rounding only.
-    The budget still counts all C(L, d) subsets. A non-finite ``shift_det``
-    raises ``ValueError``. A minor whose scaled magnitude is NaN, which
-    overflow can give (inf / inf), is not certified: it fails.
+    ``shift_det=det(A)`` declares M an orbit, ``M[:, l + 1] = A @ M[:, l]``:
+    only the C(L-1, d-1) subsets that contain column 0 are factored, and the
+    others, of smallest index s, scaled from them by ``|shift_det|^s`` (see
+    the module docstring), which differs from factoring them by rounding
+    only. The budget still counts all C(L, d) subsets. A ``shift_det`` that
+    is not finite (``det(A)`` overflowed) declares nothing: all are factored.
+
+    A matrix whose largest entry magnitude has a ``frexp`` exponent e with
+    ``max(d, 2) * |e| > _UNSCALED_SPAN`` is certified as ``2^-e`` times
+    itself, exactly, lest norms or minors leave the normal range; a multiple
+    of an orbit is an orbit of the same A. Other matrices keep every bit.
+    Columns whose norms lie too far apart for one power of two can still
+    leave it: a minor whose scaled magnitude then reads NaN or 0 fails.
 
     The index tables of the enumeration depend on ``(d, L)``, the chunk size
-    and whether ``shift_det`` is given, not on the entries. They are built
+    and whether ``shift_det`` is used, not on the entries. They are built
     once per shape and kept, up to ``_PLAN_BYTES`` in all, so the next call
     on a matrix of the same shape skips them; its certificate is the same,
     bit for bit, as with the tables built anew.
@@ -176,12 +181,14 @@ def full_spark(
         raise BudgetExceededError(
             f"C({L},{d}) = {count} column subsets exceed the budget of {budget}"
         )
-    if shift_det is not None and not np.isfinite(shift_det):
-        raise ValueError(f"shift_det must be finite, got {shift_det}")
+    e = math.frexp(np.abs(m).max())[1]
+    if max(d, 2) * abs(e) > _UNSCALED_SPAN:
+        m = np.ldexp(np.ascontiguousarray(m).view(float), -e).view(complex)
     col_norms = np.linalg.norm(m, axis=0)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
-    batches = _prefix_minors(m, 0) if shift_det is None else _shifted_minors(m, shift_det)
+    shifted = shift_det is not None and np.isfinite(shift_det)
+    batches = _shifted_minors(m, shift_det) if shifted else _prefix_minors(m, 0)
     for idx, absdet in batches:
         # one index row at a time, each subset's columns left to right
         scale = col_norms[idx[0]]

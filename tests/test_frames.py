@@ -1,7 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynphase.frames
 from dynphase import (
@@ -27,6 +30,7 @@ from dynphase.instances import make_instance
 from dynphase.serialization import json_to_jordan_spec
 from oracles import (
     eigendecompose,
+    exact_det,
     hankel_of,
     jordan_power,
     orbit_naive,
@@ -422,7 +426,8 @@ class TestAnalyzeStructuralSpark:
         monkeypatch.setattr(dynphase.frames, "full_spark", spy)
         with np.errstate(over="ignore", invalid="ignore"):
             certificate = analyze(frame, spark=True).spark
-        assert shifts == [None]
+        # analyze hands the overflowed determinant over as it is; full_spark ignores it
+        assert len(shifts) == 1 and np.isinf(shifts[0])
         assert_same_certificate(certificate, full_spark(frame.synthesis()))
 
     def test_dense_operator_enumerates(self, enumerations):
@@ -431,6 +436,27 @@ class TestAnalyzeStructuralSpark:
         assert len(enumerations) == 1
         assert_same_certificate(certificate, full_spark(frame.synthesis()))
         assert certificate.min_abs_det is not None
+
+
+class TestIntegerOrbitSpark:
+    """A full-spark verdict survives exact arithmetic on integer orbits.
+
+    Only that direction: ``analyze`` refuses some orbits that are exactly
+    full spark (ROADMAP 12a).
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_certified_orbit_has_no_singular_minor(self, d, data):
+        ints = st.integers(-2, 2)
+        A = np.reshape(data.draw(st.lists(ints, min_size=d * d, max_size=d * d)), (d, d))
+        phi = np.array(data.draw(st.lists(ints, min_size=d, max_size=d)))
+        length = data.draw(st.integers(d, 2 * d))
+        if analyze(build(A, phi, length), spark=True).spark.full_spark:
+            # entries stay below 10^10, so the int64 orbit is exact
+            orbit = np.column_stack([np.linalg.matrix_power(A, l) @ phi for l in range(length)])
+            for subset in itertools.combinations(range(length), d):
+                assert exact_det(orbit[:, subset]) != (0, 0), subset
 
 
 class TestFrameCriterionDiagonalizable:

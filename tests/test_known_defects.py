@@ -9,7 +9,15 @@ CHANGES.md.
 import numpy as np
 import pytest
 
-from dynphase import analyze, global_phase_distance, instances, measure, recover_full_spark
+from dynphase import (
+    analyze,
+    classical,
+    full_spark,
+    global_phase_distance,
+    instances,
+    measure,
+    recover_full_spark,
+)
 from dynphase.cli import RECOVERY_TOL
 from dynphase.retrieval import RecoveryStatus
 
@@ -55,3 +63,15 @@ def test_12a_jordan_orbits_certified_full_spark():
 def test_1b_circulant_instance_is_generated():
     instance = instances.make_instance("circulant", 6, 12, seed=1)
     assert instance.signal is not None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND on column-norm overflow, ROADMAP 6: column norms 1.7, 3.7e110 and 1e221 "
+    "span too far for one power of two, so the norm product leaves the range and the "
+    "minors of a full-spark Vandermonde matrix read 0",
+)
+def test_6_columns_decades_apart_certified_full_spark():
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert full_spark(classical([1e110, 2e110j, -3e110], 3)).full_spark

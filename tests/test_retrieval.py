@@ -25,8 +25,9 @@ from dynphase import (
     min_length,
     recover_full_spark,
 )
+from dynphase.cli import RECOVERY_TOL
 from dynphase.experiments import signal_with_zero_pattern, zero_patterns
-from dynphase.instances import make_instance, random_signal_for
+from dynphase.instances import KINDS, make_instance, random_signal_for
 from dynphase.retrieval import (
     RecoveryResult,
     _chain_phases,
@@ -674,6 +675,31 @@ class TestScaleEquivariance:
         assert result.status is RecoveryStatus.RECOVERED
         assert global_phase_distance(result.estimate / scale, x) <= 1e-14
         assert 0.0 <= result.residual <= 1e-14 * scale
+
+
+class TestRecoveredImpliesSmallError:
+    """A Recovered verdict is never a wrong signal, on every instance ``gen`` makes at d <= 8."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    def test_recovered_estimate_is_within_tolerance(self, kind, d, seed, data):
+        d = 2 if kind == "rotation" else d
+        length = data.draw(st.integers(d, 3 * d + 2))
+        jumps = data.draw(st.integers(0, max(0, d - 2)))
+        zeros = data.draw(st.integers(0, d - 1))
+        config = MeasurementConfig(jumps=jumps)
+        try:
+            instance = make_instance(kind, d, length, seed=seed, config=config)
+        except RuntimeError:  # the sampler found no dense signal (ROADMAP 1b)
+            assume(False)
+        frame = instance.build_frame()
+        rng = np.random.default_rng(seed)
+        pattern = rng.choice(length, size=zeros, replace=False)
+        signals = [instance.signal, signal_with_zero_pattern(frame, pattern, rng)]
+        for x in (x for x in signals if x is not None):
+            result = recover_full_spark(measure(x, frame, config), frame, config)
+            if result.status is RecoveryStatus.RECOVERED:
+                assert global_phase_distance(result.estimate, x) <= RECOVERY_TOL
 
 
 def lstsq_rows(frame, indices, rhs):

@@ -4,6 +4,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynphase import (
     BudgetExceededError,
@@ -321,16 +323,35 @@ class TestFullSpark:
         assert ok
 
     @pytest.mark.parametrize("shift_det", [None, -1.0], ids=["plain", "shifted"])
-    def test_overflowing_minor_is_not_certified(self, shift_det):
-        # |det| and the column-norm product both overflow, so the scaled
-        # minor is inf / inf = NaN: no evidence of full spark
-        m = np.diag([1e200, 1e200]).astype(complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            certificate = full_spark(m, shift_det=shift_det)
-            expected = full_spark_serial(m)
-        assert certificate.witness == (0, 1)
-        assert math.isnan(certificate.min_abs_det)
-        _assert_matches(certificate, expected)
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_out_of_range_minor_is_certified(self, scale, shift_det):
+        # as given, |det| and the column-norm product both overflow (inf / inf
+        # = NaN) or underflow (0 / 0 = 0); in units of 2^e the minor is 1
+        m = np.diag([scale, scale]).astype(complex)
+        assert _fields(full_spark(m, shift_det=shift_det)) == (True, None, 1.0)
+
+
+class TestScaleEquivariance:
+    """``full_spark`` works far from 1 in units of a power of two, so ``2^k``
+    scaling keeps the verdict and the witness."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["random-diag", "jordan", "circulant", "harmonic"]),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(-1000, 1000),
+    )
+    def test_power_of_two_scaling(self, kind, d, seed, shifted, k):
+        try:
+            frame = make_instance(kind, d, 2 * d, seed=seed).build_frame()
+        except RuntimeError:  # the sampler found no dense signal (ROADMAP 1b)
+            assume(False)
+        m = frame.synthesis()
+        shift_det = np.linalg.det(frame.operator) if shifted else None
+        want = full_spark(m, shift_det=shift_det)
+        _assert_matches(full_spark(m * 2.0**k, shift_det=shift_det), want)
 
 
 class TestFullSparkChunks:
@@ -444,10 +465,10 @@ class TestFullSparkShift:
 
     @pytest.mark.parametrize("shift_det", [np.nan, np.inf, complex("nan")], ids=repr)
     def test_non_finite_shift_det_rejected(self, shift_det):
+        # an overflowed det(A) declares nothing: every minor is factored
         m, det_a = {name: case for name, *case in _shift_cases()}["singular diagonal 4/8"]
         assert full_spark(m, shift_det=det_a).witness == (1, 2, 3, 4)
-        with pytest.raises(ValueError, match="shift_det must be finite"):
-            full_spark(m, shift_det=shift_det)
+        assert _bits(full_spark(m, shift_det=shift_det)) == _bits(full_spark(m))
 
 
 def _bits(certificate):
