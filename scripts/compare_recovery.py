@@ -17,12 +17,15 @@ Both trees run one instance grid (see ``two_trees``):
   and seeds 0..9 (the sampler's real branch), as the texts of
   ``dump_json(instance_to_json(...))``, of their measurement set and of
   ``dynphase measure <instance file> --noise 1e-3``; each instance's own
-  signal is recovered by ``recover_full_spark``, and its frame analyzed.
+  signal is recovered by ``recover_full_spark``, and its frame analyzed;
+* the zero signal, recovered over every frame above (the harmonic, the
+  real-mode and each generated instance's, with that instance's config).
 
 The grid's orbits and signals are built in the script from fixed seeds, so
 both trees see identical inputs (the script checks this). Status (or
 exception type), ``used_indices`` and ``component_size`` must match
-exactly, and the estimates must agree within phase-free distance 1e-10.
+exactly, and the estimates must agree within phase-free distance 1e-10;
+the zero signal's estimate and residual must match bit for bit.
 Generated instances test each tree's own generator: their three texts must
 match byte for byte, or fail with the same exception type. ``analyze`` must
 give the same ``is_frame`` and frame bounds within relative 1e-9. Exit
@@ -70,6 +73,8 @@ def emit() -> list[dict]:
                     size=result.component_size,
                     estimate=[[v.real, v.imag] for v in result.estimate],
                 )
+                if not x.any():  # the zero signal: its estimate and residual, bit for bit
+                    entry["bits"] = [result.estimate.tobytes().hex(), result.residual.hex()]
             except Exception as exc:  # an exception is an outcome to compare
                 entry["status"] = type(exc).__name__
         records.append(entry)
@@ -85,10 +90,12 @@ def emit() -> list[dict]:
             V, frame = two_trees.orbit(A, phi, L), build(A, phi, L)
             diff = two_trees.orbit_diff(frame, V)
             rng = np.random.default_rng([d, L, jumps, int(real)])
+            mode = "real" if real else "complex"
             for m in range(d):
                 for zeros in itertools.combinations(range(L), m):
-                    key = f"{'real' if real else 'complex'} d={d} L={L} J={jumps} zeros={zeros}"
+                    key = f"{mode} d={d} L={L} J={jumps} zeros={zeros}"
                     run(key, two_trees.signal(V, zeros, rng, real), frame, config, orbit_diff=diff)
+            run(f"zero {mode} d={d} L={L} J={jumps}", np.zeros(d), frame, config)
 
     def texts(instance, tmp):
         """The instance, its measurement set and its noisy ``measure`` stdout as text."""
@@ -122,6 +129,7 @@ def emit() -> list[dict]:
                 continue
             frame = instance.build_frame()
             run(f"recovery {key}", instance.signal, frame, instance.config)
+            run(f"zero {key}", np.zeros(frame.dim), frame, instance.config)
             found = analyze(frame)
             bounds = [found.is_frame, found.lower_bound, found.upper_bound]
             records.append({"key": f"analysis {key}", "analysis": bounds})
@@ -176,6 +184,8 @@ def compare(old: list[dict], new: list[dict]) -> int:
         for field in ("status", "used", "size"):
             if a.get(field) != b.get(field):
                 mismatches.append((a["key"], f"{field}: {a.get(field)} vs {b.get(field)}"))
+        if a.get("bits") != b.get("bits"):
+            mismatches.append((a["key"], "estimate or residual bits differ"))
         if "estimate" in a and "estimate" in b:
             x, y = (np.array(r["estimate"], dtype=float).view(complex)[:, 0] for r in (a, b))
             dist = _phase_free_distance(x, y)

@@ -56,15 +56,14 @@ def signal_with_zero_pattern(
     Samples from the orthogonal complement of the selected frame vectors and
     rejects draws whose remaining coefficients come within 1e-3 (times the
     largest one) of zero. Returns None when 64 draws are all rejected, which
-    signals an unrealizable pattern.
+    signals an unrealizable pattern; ``dim`` or more zeros leave an empty
+    complement, whose draws are all zero and leave ``rng`` as it was.
     """
     d = frame.dim
     zero_set = {int(i) for i in zero_indices}
     zero_list = sorted(zero_set)
     if any(i < 0 or i >= frame.length for i in zero_list):
         raise ValueError(f"zero indices out of range 0..{frame.length - 1}: {zero_list}")
-    if len(zero_list) >= d:
-        return None
     synthesis = frame.synthesis()
     if zero_list:
         rows = synthesis[:, zero_list].conj().T

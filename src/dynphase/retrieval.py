@@ -29,10 +29,11 @@ formula; of the config, recovery reads only ``zero_tol``. Indices classified
 as zero still contribute: each pins the linear constraint
 ``<x, A^l phi> = 0``. A connected chain of size s together with m zero
 indices gives s + m independent rows over a full-spark frame, so recovery
-needs a chain of size ``dim - m`` rather than ``dim``. With at least ``dim``
-zeros the signal is identically zero. Each frame keeps its rows and their one
-factorization, through which it solves its own rows, and each angle pair its
-negation, its unmixing matrix and its shift factors, for all calls.
+needs a chain of size ``dim - m`` rather than ``dim``, and none once
+``m >= dim``: one row solve decides every set. Each frame keeps its rows and
+their one factorization, through which it solves its own rows, and each
+angle pair its negation, its unmixing matrix and its shift factors, for all
+calls.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, InconsistentDataError, SingularMatrixError
 from .frames import DynamicalFrame
-from .polarization import PolarizationAngles, recover_phases, recover_signs
+from .polarization import MAGNITUDE_RTOL, PolarizationAngles, recover_phases, recover_signs
 from .validation import as_vector, frozen_copy
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -76,8 +77,9 @@ class MeasurementConfig:
     family with the real shift sign ``angles.real_sign`` replaces the
     two-angle family, so alpha1 must then be a multiple of pi.
     :func:`measure` records these three in the set, and recovery reads them
-    from there; of the config it uses only ``zero_tol``, which classifies a
-    base magnitude as zero relative to the largest one.
+    from there; of the config it uses only ``zero_tol``: a base magnitude at
+    or below ``max(zero_tol, polarization.MAGNITUDE_RTOL)`` (1e-12) times the
+    largest is a zero, so no chain edge meets polarization's pair floor.
 
     The fields are stored as a Python ``int``, ``float`` and ``bool``, the
     types the config's JSON holds, so numpy scalars are accepted. A bool
@@ -335,8 +337,9 @@ def recover_full_spark(
     the zero-pinned rows (on dense data, all L rows). It matches the true
     signal up to one global phase; a real-mode set, with its single sign
     family, gives a real signal over a real frame up to one global sign.
-    A base magnitude at or below ``zero_tol`` times the largest is a zero,
-    classified once. The result is Recovered when the longest chain and the
+    A base magnitude at or below ``max(zero_tol, MAGNITUDE_RTOL)`` times the
+    largest is a zero, classified once; any number of zeros goes through the
+    one row solve. The result is Recovered when the longest chain and the
     zeros give at least ``dim`` rows, and Failed, with the minimum-norm
     solution of those rows as a guess, when they do not.
     The caller is responsible for the full-spark property (certify it with
@@ -363,24 +366,21 @@ def recover_full_spark(
         return RecoveryResult._adopt(estimate, r.status, r.used_indices, r.component_size, residual)
     base = ms.base
     d = frame.dim
-    nonzero = base > config.zero_tol * top
+    # above MAGNITUDE_RTOL of the largest, every chain edge clears polarization's pair floor
+    nonzero = base > max(config.zero_tol, MAGNITUDE_RTOL) * top
     zeros = (~nonzero).nonzero()[0]
-    if zeros.size >= d:
-        # at least d zero coefficients over a full-spark frame pin the signal to 0
-        chain, rows, estimate = zeros[:0], zeros, np.zeros(d, dtype=complex)
-    else:
-        alive, bounds = _runs(nonzero, ms.jumps)
-        # argmax keeps the first longest run, so ties go to the lowest indices
-        longest = (bounds[1:] - bounds[:-1]).argmax()
-        chain = alive[bounds[longest] : bounds[longest + 1]]
-        rows = np.concatenate((chain, zeros))
-        rhs = np.zeros(rows.size, dtype=complex)
-        rhs[: chain.size] = base[chain] * _chain_phases(ms, chain)
-        estimate, rank = frame._solve_rows(rows, rhs)
-        if rank < d <= rows.size:
-            raise SingularMatrixError(
-                f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
-            )
+    alive, bounds = _runs(nonzero, ms.jumps)
+    # argmax keeps the first longest run, so ties go to the lowest indices
+    longest = (bounds[1:] - bounds[:-1]).argmax()
+    chain = alive[bounds[longest] : bounds[longest + 1]]
+    rows = np.concatenate((chain, zeros))
+    rhs = np.zeros(rows.size, dtype=complex)
+    rhs[: chain.size] = base[chain] * _chain_phases(ms, chain)
+    estimate, rank = frame._solve_rows(rows, rhs)
+    if rank < d <= rows.size:
+        raise SingularMatrixError(
+            f"selected frame rows have rank {rank} < {d}; the orbit lacks full spark"
+        )
     residual = float(np.linalg.norm(np.abs(frame.coefficients(estimate)) - base))
     status = RecoveryStatus.RECOVERED if rows.size >= d else RecoveryStatus.FAILED
     return RecoveryResult._adopt(estimate, status, tuple(chain.tolist()), rows.size, residual)

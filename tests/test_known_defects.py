@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dynphase import (
+    SingularMatrixError,
     analyze,
     classical,
     full_spark,
@@ -24,9 +25,9 @@ from dynphase.retrieval import RecoveryStatus
 
 @pytest.mark.xfail(
     strict=True,
-    raises=AssertionError,
+    raises=SingularMatrixError,
     reason="ROADMAP 1a: the global zero cut takes 178 of 272 coefficients of a dense "
-    "signal for zeros, and the 'd zeros' branch returns 0 as Recovered",
+    "signal for zeros, and the raw rows, of condition 2.4e19, solve at rank 7 < 32",
 )
 def test_1a_dense_signal_on_a_long_orbit_is_not_called_zero(monkeypatch):
     def unchecked(frame, rng, *, real=False):
@@ -38,8 +39,8 @@ def test_1a_dense_signal_on_a_long_orbit_is_not_called_zero(monkeypatch):
     instance = instances.make_instance("random-diag", 32, 272, seed=0)
     frame = instance.build_frame()
     result = recover_full_spark(measure(instance.signal, frame, instance.config), frame, instance.config)
-    if result.status is RecoveryStatus.RECOVERED:
-        assert global_phase_distance(result.estimate, instance.signal) <= RECOVERY_TOL
+    assert result.status is RecoveryStatus.RECOVERED
+    assert global_phase_distance(result.estimate, instance.signal) <= RECOVERY_TOL
 
 
 @pytest.mark.xfail(

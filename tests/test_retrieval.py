@@ -28,6 +28,7 @@ from dynphase import (
 from dynphase.cli import RECOVERY_TOL
 from dynphase.experiments import signal_with_zero_pattern, zero_patterns
 from dynphase.instances import KINDS, make_instance, random_signal_for
+from dynphase.polarization import MAGNITUDE_RTOL
 from dynphase.retrieval import (
     RecoveryResult,
     _chain_phases,
@@ -607,20 +608,49 @@ class TestRecoverFullSpark:
         with pytest.raises(SingularMatrixError):
             recover_full_spark(measure(x, frame, CFG), frame, CFG)
 
-    def test_zero_count_implies_zero_signal(self):
-        # d zeros pin the estimate to zero even when other magnitudes remain
+    def test_d_zeros_go_through_the_row_solve(self):
+        # d zeros beside a chain (3, 4, 5) that no signal fits: the estimate is the
+        # least-squares solution of all L rows, not a zero vector
         frame = harmonic_frame(3, 6)
         base = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        aligned = {}
-        for j in (1,):
-            for l in range(6 - j):
-                for k in (1, 2):
-                    aligned[(l, j, k)] = 1.0
-        ms = MeasurementSet(6, 0, CFG.angles, base, aligned)
+        ms = MeasurementSet(6, 0, CFG.angles, base, np.ones((1, 2, 5)))
         result = recover_full_spark(ms, frame, CFG)
+        rows = frame.synthesis().conj().T[[3, 4, 5, 0, 1, 2]]
+        rhs = np.concatenate((base[3:] * _chain_phases(ms, [3, 4, 5]), np.zeros(3)))
+        want = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         assert result.status == RecoveryStatus.RECOVERED
-        assert np.all(result.estimate == 0.0)
-        assert result.component_size == 3
+        assert result.used_indices == (3, 4, 5)
+        assert result.component_size == 6
+        assert np.allclose(result.estimate, want, rtol=0.0, atol=1e-14)
+        remeasured = np.abs(frame.coefficients(result.estimate))
+        assert result.residual == np.linalg.norm(remeasured - base)
+        assert result.residual == pytest.approx(0.908, abs=1e-3)
+
+    def test_zero_signal_over_rank_deficient_orbit_reported(self):
+        # L >= d zeros do not pin x to 0 when the orbit lacks full spark
+        frame = build(np.eye(2), np.array([1.0, 0.0], dtype=complex), 4)
+        with pytest.raises(SingularMatrixError):
+            recover_full_spark(measure(np.zeros(2, dtype=complex), frame, CFG), frame, CFG)
+
+    def test_zero_tol_below_the_pair_floor_cuts_at_the_floor(self):
+        # coefficient 1 at 3e-13 of the largest is no zero under zero_tol=1e-13, but a
+        # chain edge to it meets polarization's 1e-12 floor; recovery cuts at that floor
+        rng = np.random.default_rng(91)
+        frame = harmonic_frame(4, 5)
+        anchor = signal_with_zero_pattern(frame, (1, 3), rng)
+        bridge = signal_with_zero_pattern(frame, (3,), rng)
+        c_bridge = frame.coefficients(bridge)[1]
+        scale = np.abs(frame.coefficients(anchor)).max()
+        x = anchor + (3e-13 * scale / abs(c_bridge)) * bridge
+        results = [
+            recover_full_spark(measure(x, frame, cfg), frame, cfg)
+            for cfg in (MeasurementConfig(zero_tol=tol) for tol in (1e-13, MAGNITUDE_RTOL))
+        ]
+        for result in results:
+            assert result.status == RecoveryStatus.FAILED
+            assert result.used_indices == (0,)
+            assert result.component_size == 3
+        assert np.array_equal(results[0].estimate, results[1].estimate)
 
 
 class TestScaleEquivariance:
@@ -1034,7 +1064,10 @@ class TestZeroCountLaw:
     def test_patterns_beyond_dimension_are_unrealizable(self):
         rng = np.random.default_rng(94)
         frame = harmonic_frame(3, 6)
+        state = rng.bit_generator.state
         assert signal_with_zero_pattern(frame, (0, 1, 2), rng) is None
+        assert signal_with_zero_pattern(frame, range(6), rng) is None
+        assert rng.bit_generator.state == state
 
     def test_nonzero_signals_have_few_zeros(self):
         rng = np.random.default_rng(95)

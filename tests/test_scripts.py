@@ -183,6 +183,13 @@ class TestCompareRecovery:
         new = signal_record(estimate=[[0.0, 1.0], [0.0, 0.0]])
         assert compare_recovery.compare([signal_record()], [new]) == 0
 
+    def test_zero_signal_compared_bit_for_bit(self, capsys):
+        old = signal_record(bits=[bytes(16).hex(), (0.0).hex()])
+        new = signal_record(bits=[bytes(16).hex(), (-0.0).hex()])
+        assert compare_recovery.compare([old], [old]) == 0
+        assert compare_recovery.compare([old], [new]) == 1
+        assert "estimate or residual bits differ" in capsys.readouterr().out
+
     def test_changed_input_signal_fails(self, capsys):
         new = signal_record(x=[[1.0, 0.0], [1e-300, 0.0]])
         assert compare_recovery.compare([signal_record()], [new]) == 1
