@@ -299,10 +299,12 @@ def dump_json(obj: Any, path: str | Path | None = None) -> str:
 
 
 def load_json(path: str | Path, data: bytes | None = None) -> Any:
-    """Parse a JSON file, or the bytes ``data`` read from it; errors give line and column."""
-    text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+    """Parse a UTF-8 JSON file, or its bytes ``data``; errors give the byte, or line and column."""
+    raw = Path(path).read_bytes() if data is None else data
     try:
-        return json.loads(text)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

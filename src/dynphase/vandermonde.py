@@ -14,9 +14,10 @@ Two constructions are provided:
 
 ``full_spark`` certifies that every d-column minor of a wide matrix is
 invertible, by exhaustive enumeration with scale-aware determinant
-thresholds. Column subsets are taken in lexicographic chunks of bounded size
-(``_CHUNK_BYTES``); the witness is still the lexicographically first failing
-subset and ``min_abs_det`` the global minimum. A subset's first
+thresholds. Column subsets are taken in lexicographic chunks of as many as
+``_CHUNK_BYTES`` holds of what the tail kernel keeps per subset
+(``_subset_bytes``); the witness is still the lexicographically first
+failing subset and ``min_abs_det`` the global minimum. A subset's first
 ``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
 subsets: each prefix gets one Householder QR and projects the columns from
 k on onto its orthogonal complement, and each subset one (d - k) x (d - k)
@@ -298,8 +299,16 @@ def _offsets(group: np.ndarray, tails: np.ndarray, width: int) -> np.ndarray:
             x, y = tails[i], tails[j]
             rows.append(base + x * (2 * width - x - 1) // 2 + (y - x - 1))
     offsets = np.array(rows, dtype=np.intp).reshape(len(rows), group.size)
-    # int32 halves the bytes a plan keeps; _tail_dets widens them once per call
+    # int32 halves the bytes a plan keeps; _tail_dets widens them once per chunk
     return offsets.astype(np.int32) if offsets.max(initial=0) < 2**31 else offsets
+
+
+def _subset_bytes(d: int) -> int:
+    """Bytes a chunk holds per d-subset: its intp index column, its offsets as
+    ``_tail_dets`` widens them and the complex128 operands it gathers."""
+    n = d // 2
+    offsets, operands = {3: (6, 6), 4: (6, 12)}.get(n, (n, n * n))
+    return 8 * (d + offsets) + 16 * operands
 
 
 def _prefix_minors(m: np.ndarray, first: int):
@@ -307,9 +316,9 @@ def _prefix_minors(m: np.ndarray, first: int):
 
     ``first=0`` gives every d-subset and ``first=1`` those that contain
     column 0; a chunk's subsets are the columns of a d x N table. A chunk
-    holds as many subsets as ``_CHUNK_BYTES`` holds d x d minors of ``m``;
-    the chunks' index tables are a plan kept per ``(d, L, first, rows per
-    chunk)``. The first ``k = ceil(d/2)`` columns of a subset are its prefix
+    holds as many subsets as ``_CHUNK_BYTES`` holds ``_subset_bytes(d)``;
+    the chunks' index tables are a plan kept per ``(d, L, first,
+    _CHUNK_BYTES)``. The first ``k = ceil(d/2)`` columns of a subset are its prefix
     P, and the subsets sharing P are contiguous. With the complete QR
     ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper triangular for every
     subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
@@ -323,8 +332,8 @@ def _prefix_minors(m: np.ndarray, first: int):
     """
     d, L = m.shape
     k = (d + 1) // 2
-    rows = max(1, _CHUNK_BYTES // (d * d * m.itemsize))
-    plan = _cached(("subsets", d, L, first, rows), lambda: _subsets(d, L, first, rows))
+    key = ("subsets", d, L, first, _CHUNK_BYTES)
+    plan = _cached(key, lambda: _subsets(d, L, first, max(1, _CHUNK_BYTES // _subset_bytes(d))))
     for idx, heads, group, offsets, pairs in plan:
         q, r = np.linalg.qr(m[:, heads].transpose(1, 0, 2), mode="complete")
         head = np.multiply.reduce(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)

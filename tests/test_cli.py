@@ -600,6 +600,13 @@ class TestInputFiles:
         assert main([command, str(bad)]) == 2
         assert "invalid JSON at line 2, column 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"frame": "\u00ff"}'.encode("latin-1"))
+        assert main([command, str(latin1)]) == 2
+        assert f"error: {latin1}: not UTF-8 at byte 11: invalid start byte" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "recover"])
     def test_integer_past_the_double_range_exit_code(self, tmp_path, capsys, command):

@@ -51,8 +51,13 @@ def _orbit(kind, d, seed):
 
 
 def _subsets_per_chunk(monkeypatch, d, count):
-    """Shrink full_spark's chunk to ``count`` complex d x d minors."""
-    monkeypatch.setattr(vandermonde, "_CHUNK_BYTES", count * d * d * 16)
+    """Shrink full_spark's chunks to ``count`` d-subsets, by the module's own sizing."""
+    monkeypatch.setattr(vandermonde, "_CHUNK_BYTES", count * vandermonde._subset_bytes(d))
+
+
+def _chunks(m, first=0):
+    """How many chunks ``_prefix_minors`` yields on ``m`` made complex, as ``full_spark`` does."""
+    return sum(1 for _ in vandermonde._prefix_minors(np.asarray(m, dtype=complex), first))
 
 
 class TestClassical:
@@ -377,6 +382,7 @@ class TestFullSparkChunks:
         order = list(itertools.combinations(range(12), 6))
         assert order.index(expected.witness) >= per_chunk
         _subsets_per_chunk(monkeypatch, 6, per_chunk)
+        assert _chunks(m) == math.ceil(len(order) / per_chunk)
         _assert_matches(full_spark(m), expected)
 
     def test_square_matrix_is_one_subset(self, monkeypatch):
@@ -385,6 +391,7 @@ class TestFullSparkChunks:
         _assert_matches(full_spark(m), full_spark_serial(m))
         m[:, 3] = m[:, 1]
         _subsets_per_chunk(monkeypatch, 5, 1)
+        assert _chunks(m) == 1
         certificate = full_spark(m)
         assert certificate.witness == (0, 1, 2, 3, 4)
         _assert_matches(certificate, full_spark_serial(m))
@@ -394,6 +401,7 @@ class TestFullSparkChunks:
         m = classical(random_distinct(rng, 3), 10)
         m[:, 7] = 0.0
         _subsets_per_chunk(monkeypatch, 3, 4)
+        assert _chunks(m) == math.comb(10, 3) // 4
         certificate = full_spark(m)
         # (0, 1, 7) is the sixth subset, in the second chunk of four
         assert certificate.witness == (0, 1, 7)
@@ -406,9 +414,25 @@ class TestFullSparkChunks:
         _assert_matches(full_spark(m), full_spark_serial(m))
         m[:, 6] = -2.0 * m[:, 2]
         _subsets_per_chunk(monkeypatch, 4, 3)
+        assert _chunks(m) == math.comb(9, 4) // 3
         certificate = full_spark(m)
         assert certificate.witness == (0, 1, 2, 6)
         _assert_matches(certificate, full_spark_serial(m))
+
+    @pytest.mark.parametrize("kind, d", [("jordan", 6), ("random-diag", 8)])
+    def test_chunk_size_moves_no_bit(self, monkeypatch, kind, d):
+        # chunks regroup independent per-prefix LAPACK calls and elementwise
+        # tail arithmetic, so plain and shifted certificates keep every bit
+        monkeypatch.setattr(vandermonde, "_plans", OrderedDict())
+        frame = make_instance(kind, d, 2 * d, seed=0).build_frame()
+        m, det_a = frame.synthesis(), np.linalg.det(frame.operator)
+        subsets = math.comb(2 * d, d)
+        seen = set()
+        for per_chunk in (5, 64, 1000, subsets):
+            _subsets_per_chunk(monkeypatch, d, per_chunk)
+            assert _chunks(m) == math.ceil(subsets / per_chunk)
+            seen.add(tuple(_bits(full_spark(m, shift_det=s)) for s in (None, det_a)))
+        assert len(seen) == 1
 
 
 def _shift_cases():
@@ -456,9 +480,11 @@ class TestFullSparkShift:
             factored.clear()
             certificate = full_spark(m, shift_det=shift_det)
             assert sum(factored) == math.comb(L - 1, d - 1), name
+            assert len(factored) == math.ceil(math.comb(L - 1, d - 1) / per_chunk), name
             factored.clear()
             plain = full_spark(m)
             assert sum(factored) == math.comb(L, d), name
+            assert len(factored) == math.ceil(math.comb(L, d) / per_chunk), name
             expected = full_spark_serial(m)
             _assert_matches(certificate, expected, name)
             _assert_matches(plain, expected, name)
@@ -723,6 +749,7 @@ class TestAnchoredMinors:
         _subsets_per_chunk(monkeypatch, 6, per_chunk)
         for (first, shift_det), whole in zip(families, wholes):
             chunks = [idx.T for idx, _ in vandermonde._prefix_minors(m, first)]
+            assert len(chunks) == math.ceil(math.comb(12 - first, 6 - first) / per_chunk)
             # k = 3: some chunk ends inside the block of a prefix (a, b, c)
             assert any(np.array_equal(a[-1, :3], b[0, :3]) for a, b in zip(chunks, chunks[1:]))
             assert _fields(full_spark(m, shift_det=shift_det)) == _fields(whole)
