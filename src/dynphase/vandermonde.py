@@ -66,15 +66,14 @@ DEFAULT_BUDGET = 2_000_000
 #: Beyond this ``max(d, 2) * |e|`` ``full_spark`` works in units of ``2^e`` (see there).
 _UNSCALED_SPAN = 900
 
-#: Bytes per ``full_spark`` chunk, sized as if each subset were a stacked d x d
-#: complex minor; a chunk holds its subsets' index columns and offsets and its
-#: prefixes' projections and minor tables, which take less. Measured when each
-#: subset still gathered its whole projected tail, with the index tables kept
-#: (``_PLAN_BYTES``): chunks of 256 KiB and 16 MiB each won 0 of 30 alternating
-#: rounds against 1 MiB on the random-diag and jordan 8 x 16 and circulant 6 x 12 orbits
-#: (summed medians 36.9 and 32.3 ms against 22.6 ms); on a random-diag
-#: 10 x 20 orbit 16 MiB won 19 of 20 rounds (85 against 102 ms) and 256 KiB
-#: 2 of 20 (124 ms). One BLAS thread, numpy 2.4.6, 2 shared cores.
+#: Bytes per ``full_spark`` chunk, which takes as many subsets as this holds
+#: ``_subset_bytes(d)``: 3,449 at d = 8, where sizing by d x d complex minors
+#: gave 1,024. Warm calls then take 0.76x the time at 8/16 shifted, 0.8x plain,
+#: 0.78x at 9/18, 0.89x at 7/14 and 0.92x at 10/20 (one chunk either way at
+#: d <= 6), once the process has freed a block of a few MB and glibc keeps
+#: freed heap; before that it trims the heap after each chunk, and 7/14 and
+#: plain 8/16, 9/18 fault their pages anew, taking up to 1.1x. One BLAS
+#: thread, numpy 2.4.6, 2 shared cores.
 _CHUNK_BYTES = 1 << 20
 #: Bytes of enumeration plans (index tables that depend on the matrix shape
 #: alone, see ``_cached``) kept between ``full_spark`` calls. The plans of a
@@ -314,20 +313,19 @@ def _subset_bytes(d: int) -> int:
 def _prefix_minors(m: np.ndarray, first: int):
     """``(subsets, |det|)`` chunks over the subsets of ``_subsets(d, L, first, ...)``.
 
-    ``first=0`` gives every d-subset and ``first=1`` those that contain
-    column 0; a chunk's subsets are the columns of a d x N table. A chunk
-    holds as many subsets as ``_CHUNK_BYTES`` holds ``_subset_bytes(d)``;
-    the chunks' index tables are a plan kept per ``(d, L, first,
-    _CHUNK_BYTES)``. The first ``k = ceil(d/2)`` columns of a subset are its prefix
-    P, and the subsets sharing P are contiguous. With the complete QR
-    ``M[:, P] = Q R``, ``Q^H M[:, T]`` is block upper triangular for every
-    subset T = P + S, so ``|det M[:, T]| = |det R11| * |det(Q2^H M[:, S])|``
-    with Q2 the last d - k columns of Q. Each prefix in a chunk is factored
-    once and projects the columns ``k..L-1`` of M, the only ones a tail
-    reads; ``_tail_dets`` gives each subset's (d - k) x (d - k) determinant
-    from them. Two equal columns of M need not project to equal bits: BLAS
-    may round the two columns of a matrix product differently. A subset
-    whose tail holds both copies then gets a minor near 0 rather than
+    ``first=0`` gives every d-subset and ``first=1`` those that contain column
+    0; a chunk's subsets are the columns of a d x N table. A chunk holds as many
+    subsets as ``_CHUNK_BYTES`` holds ``_subset_bytes(d)``, and the chunks'
+    index tables are a plan kept per ``(d, L, first, _CHUNK_BYTES)``. The first
+    ``k = ceil(d/2)`` columns of a subset are its prefix P, and the subsets
+    sharing P are contiguous. With the complete QR ``M[:, P] = Q R``, ``Q^H M[:,
+    T]`` is block upper triangular for every subset T = P + S, so ``|det M[:,
+    T]| = |det R11| * |det(Q2^H M[:, S])|`` with Q2 the last d - k columns of Q.
+    Each prefix in a chunk is factored once and projects the columns ``k..L-1``
+    of M, the only ones a tail reads; ``_tail_dets`` gives each subset's (d - k)
+    x (d - k) determinant from them. Two equal columns of M need not project to
+    equal bits: BLAS may round the two columns of a matrix product differently.
+    A subset whose tail holds both copies then gets a minor near 0 rather than
     exactly 0, still far below ``DEFAULT_SPARK_TOL``.
     """
     d, L = m.shape
