@@ -16,9 +16,11 @@ blocks the spark criterion has structural shortcuts for geometric and for
 distinct positive real spectra. ``analyze`` takes
 those shortcuts for every exactly diagonal operator (harmonic frames among
 them), whose eigenvalues are its diagonal and whose eigenbasis coordinates
-are the generator itself; any other operator has its minors enumerated,
-those through column 0 factored and the rest scaled from them by powers of
-``det(A)``.
+are the generator itself, and each frame decides them once; any other
+operator has its minors enumerated, those through column 0 factored and the
+rest scaled from them by powers of ``det(A)``. A harmonic frame depends on
+``(dim, length)`` alone, so :func:`harmonic_frame` builds each one once and
+shares it.
 
 No canonical dual frame is built: its frame operator ``Phi Phi^H`` squares
 the orbit's condition number (see the README).
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +42,9 @@ from .vandermonde import DEFAULT_BUDGET, SparkCertificate, full_spark, second_ki
 #: Relative gap between extreme singular values below which the vectors are
 #: treated as rank deficient (not a frame).
 FRAME_RTOL = 1e-10
+
+#: Harmonic frames that :func:`harmonic_frame` keeps, the least recently used evicted first.
+_HARMONIC_FRAMES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +65,12 @@ class DynamicalFrame:
     its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
     coefficient evaluation and row solve, and from first use their thin SVD
     (``_row_svd``: every singular value, for :func:`analyze`, and the factors
-    cut at ``lstsq``'s rank, for the all-L-row solves of ``_solve_rows``).
+    cut at ``lstsq``'s rank, for the all-L-row solves of ``_solve_rows``) and
+    whether :func:`analyze` certifies full spark by structure
+    (``_spark_by_structure``). A frame is immutable: its fields and every
+    array it holds or hands out are read-only, and what it keeps from first
+    use is what a fresh frame computes, bit for bit. So one frame can serve
+    any number of callers, as :func:`harmonic_frame`'s shared frames do.
     """
 
     operator: np.ndarray
@@ -120,6 +130,19 @@ class DynamicalFrame:
             a.setflags(write=False)
         return factors
 
+    @cached_property
+    def _spark_by_structure(self) -> bool:
+        """Whether the operator is exactly diagonal (``length >= dim``) and its diagonal and
+        generator pass :func:`frame_criterion` and a ``_structurally_full_spark`` shortcut."""
+        A = self.operator
+        diagonal = np.diagonal(A)
+        return bool(
+            self.length >= self.dim
+            and not np.any(A - np.diag(diagonal))
+            and frame_criterion(diagonal, self.generator)
+            and _structurally_full_spark(diagonal, self.length)
+        )
+
     def _solve_rows(self, indices, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """``lstsq``'s solution of the rows ``indices``, and their rank; L rows use ``_row_svd``."""
         if len(indices) < self.length:
@@ -174,9 +197,9 @@ def analyze(
     With ``spark=True`` an exactly diagonal operator (``length >= dim``) is
     first tried against :func:`frame_criterion` and the structural
     shortcuts of :func:`full_spark_criterion`, with its diagonal
-    as the eigenvalues and the generator as the eigenbasis coordinates.
-    When both pass, the certificate is ``SparkCertificate(True, None,
-    None)``: no minor is enumerated and ``budget`` is not consulted. Every
+    as the eigenvalues and the generator as the eigenbasis coordinates,
+    once per frame. When both pass, the certificate is ``SparkCertificate(True,
+    None, None)``: no minor is enumerated and ``budget`` is not consulted. Every
     other orbit, including every non-diagonal one, is certified by
     enumerating its minors with :func:`~dynphase.vandermonde.full_spark`,
     which raises ``BudgetExceededError`` past ``budget`` subsets, given
@@ -189,17 +212,11 @@ def analyze(
     is_frame = smin > FRAME_RTOL * float(sv[0])
     certificate = None
     if spark:
-        A = frame.operator
-        diagonal = np.diagonal(A)
-        if (
-            frame.length >= frame.dim
-            and not np.any(A - np.diag(diagonal))
-            and frame_criterion(diagonal, frame.generator)
-            and _structurally_full_spark(diagonal, frame.length)
-        ):
+        if frame._spark_by_structure:
             certificate = SparkCertificate(True, None, None)
         else:
-            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=np.linalg.det(A))
+            shift_det = np.linalg.det(frame.operator)
+            certificate = full_spark(frame.synthesis(), budget=budget, shift_det=shift_det)
     return FrameAnalysis(bool(is_frame), lower, upper, certificate)
 
 
@@ -264,11 +281,21 @@ def circulant_frame(first_column, generator, length: int) -> tuple[DynamicalFram
     return frame, frame_criterion(F @ a, F @ phi)
 
 
+@lru_cache(maxsize=_HARMONIC_FRAMES, typed=True)
 def harmonic_frame(dim: int, length: int) -> DynamicalFrame:
     """Orbit of the all-ones vector under ``diag(w^0, ..., w^(dim-1))``, w = exp(2i pi / length).
 
     The synthesis matrix is a row subset of the length-point inverse DFT
     matrix; for ``length >= dim`` this frame spans and has full spark.
+
+    The frame is shared: calls with equal arguments of equal types, passed
+    the same way, return one immutable frame, so its orbit is built and its
+    rows factored once (see :class:`DynamicalFrame`). The
+    ``_HARMONIC_FRAMES`` = 8 frames used last are kept, each about ``3 *
+    dim * length`` complex values (0.4 MB at 32/272) once factored.
+    ``harmonic_frame.cache_clear()`` drops them. Arguments are keyed by
+    type, so ``4.0`` or ``True`` for an int raises ``TypeError`` as it
+    would on a fresh build.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

@@ -351,6 +351,22 @@ class TestVerify:
         assert outcome["spark"] == {"full_spark": True, "witness": None, "min_abs_det": None}
         assert outcome["recovery_status"] == "Recovered"
 
+    def test_shared_harmonic_frame_keeps_json_bytes(self, tmp_path, capsys):
+        paths = [gen_instance(tmp_path, "harmonic", 16, 72, seed=seed) for seed in (5, 6)]
+        capsys.readouterr()
+
+        def verify(path):
+            assert main(["verify", str(path), "--format", "json"]) == 0
+            return capsys.readouterr().out
+
+        dynphase.harmonic_frame.cache_clear()
+        shared = [verify(path) for path in paths]
+        assert dynphase.harmonic_frame.cache_info().hits >= 1  # the second file reused the frame
+        for path, out in zip(paths, shared):
+            dynphase.harmonic_frame.cache_clear()
+            assert verify(path) == out
+        assert shared[0] != shared[1]
+
 
 class TestBench:
     def test_small_grid(self, tmp_path):

@@ -329,6 +329,7 @@ class TestRowSvdCache:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
         monkeypatch.setattr(np.linalg, "lstsq", None)  # full row sets never reach it
+        harmonic_frame.cache_clear()  # an earlier test may have factored the shared frame
         frame = harmonic_frame(4, 6)
         config = MeasurementConfig()
         ms = measure(random_signal_for(frame, np.random.default_rng(3)), frame, config)
@@ -429,6 +430,18 @@ class TestAnalyzeStructuralSpark:
         # analyze hands the overflowed determinant over as it is; full_spark ignores it
         assert len(shifts) == 1 and np.isinf(shifts[0])
         assert_same_certificate(certificate, full_spark(frame.synthesis()))
+
+    def test_structural_verdict_decided_once_per_frame(self, monkeypatch, enumerations):
+        calls = []
+        criterion = dynphase.frames.frame_criterion
+        monkeypatch.setattr(
+            dynphase.frames, "frame_criterion", lambda *a: calls.append(a) or criterion(*a)
+        )
+        frame = build(np.diag(2.0 ** np.arange(4)), np.ones(4), 8)
+        first = analyze(frame, spark=True)
+        assert analyze(frame, spark=True) == first
+        assert first.spark == SparkCertificate(True, None, None)
+        assert len(calls) == 1 and enumerations == []
 
     def test_dense_operator_enumerates(self, enumerations):
         frame, _, _ = diagonalizable_frame(np.random.default_rng(61), 4, 8)
@@ -585,6 +598,32 @@ class TestHarmonicFrame:
     def test_length_below_dim_rejected(self):
         with pytest.raises(ValueError):
             harmonic_frame(4, 3)
+
+    def test_one_shared_frame_is_the_fresh_build(self):
+        frame = harmonic_frame(5, 9)
+        assert harmonic_frame(5, 9) is frame
+        fresh = build(frame.operator, frame.generator, 9)
+        for got, want in ((frame.synthesis(), fresh.synthesis()), (frame._rows, fresh._rows)):
+            assert got.strides == want.strides and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+    def test_bound_evicts_the_least_recently_used_frame(self):
+        bound = dynphase.frames._HARMONIC_FRAMES
+        harmonic_frame.cache_clear()
+        kept = {L: harmonic_frame(2, L) for L in range(2, 2 + bound)}
+        assert harmonic_frame(2, 2) is kept[2]  # now the most recently used
+        harmonic_frame(2, 2 + bound)  # one shape more than the bound
+        assert harmonic_frame.cache_info().currsize == bound
+        for L in range(4, 2 + bound):
+            assert harmonic_frame(2, L) is kept[L]
+        assert harmonic_frame(2, 2) is kept[2]
+        assert harmonic_frame(2, 3) is not kept[3]  # the least recently used went
+
+    @pytest.mark.parametrize("cached, call", [((4, 8), (4.0, 8)), ((1, 2), (True, 2))])
+    def test_argument_types_are_still_checked_once_cached(self, cached, call):
+        harmonic_frame(*cached)
+        with pytest.raises(TypeError):
+            harmonic_frame(*call)
 
 
 class TestFullSparkCriterion:

@@ -293,8 +293,9 @@ class TestMeasureHandOff:
 def test_array_holders_compare_by_identity():
     x = np.random.default_rng(112).standard_normal(4) + 0j
     pairs = []
+    shared = harmonic_frame(4, 6)  # one frame for every call: two come from build
     for _ in range(2):
-        frame = harmonic_frame(4, 6)
+        frame = build(shared.operator, shared.generator, shared.length)
         ms = measure(x, frame, CFG)
         pairs.append((frame, ms, recover_full_spark(ms, frame, CFG)))
     for first, second in zip(*pairs):
