@@ -3,7 +3,8 @@
     python scripts/bench_record.py OUT.json LABEL=TREE [LABEL=TREE ...] [--seeds 101-105] [--traced]
 
 Each TREE is a checkout holding ``perfbench/`` and ``src/``. For every seed
-and workload the script runs, in each tree in turn,
+and every workload that ``BENCHMARK.json`` names the script runs, in each
+tree in turn,
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
@@ -41,7 +42,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("recover-dense", "zero-sweep", "certify", "orbit-verify")
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
@@ -106,12 +106,14 @@ def main(argv=None) -> int:
     if not seeds:
         parser.error(f"--seeds {args.seeds} gives no seeds; write the range low-high")
 
+    benchmark = json.loads(BENCHMARK.read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
     envs: dict[str, dict] = {}
-    runs = {label: {w: [] for w in WORKLOADS} for label in trees}
-    traced = {label: {w: [] for w in WORKLOADS} for label in trees}
+    runs = {label: {w: [] for w in names} for label in trees}
+    traced = {label: {w: [] for w in names} for label in trees}
     for i, seed in enumerate(seeds):
         order = list(trees.items())[:: -1 if i % 2 else 1]
-        for workload in WORKLOADS:
+        for workload in names:
             for label, tree in order:
                 env, result = run_once(Path(tree), workload, seed, args.seconds)
                 env.pop("workload"), env.pop("seed")
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
                 workloads[workload]["layers"] = summary(traced[label][workload])
         record["trees"][label] = {"env": envs[label], "workloads": workloads}
     if len(trees) == 2:
-        better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
         first, second = (record["trees"][label]["workloads"] for label in trees)
         for workload, entry in second.items():
             for name, metric in entry["metrics"].items():

@@ -190,9 +190,10 @@ def analyze(
     """Frame bounds and verdict; optionally a full-spark certificate.
 
     The bounds are the squared extreme singular values of the synthesis
-    matrix, and the orbit is a frame when ``sigma_min > FRAME_RTOL *
-    sigma_max``. Fewer vectors than dimensions can never span, so the lower
-    bound is reported as zero in that case.
+    matrix, float64 squares that read inf past the range, and the orbit is
+    a frame when ``sigma_min > FRAME_RTOL * sigma_max``. Fewer vectors than
+    dimensions can never span, so the lower bound is reported as zero in
+    that case.
 
     With ``spark=True`` an exactly diagonal operator (``length >= dim``) is
     first tried against :func:`frame_criterion` and the structural
@@ -206,10 +207,10 @@ def analyze(
     ``shift_det=det(A)`` as it is, overflowed or not (see there).
     """
     sv = frame._row_svd[1]
-    upper = float(sv[0] ** 2)
-    smin = float(sv[-1]) if frame.length >= frame.dim else 0.0
-    lower = smin**2
-    is_frame = smin > FRAME_RTOL * float(sv[0])
+    smax, smin = float(sv[0]), float(sv[-1]) if frame.length >= frame.dim else 0.0
+    # float products: a square past the range is inf, where ** would raise
+    lower, upper = smin * smin, smax * smax
+    is_frame = smin > FRAME_RTOL * smax
     certificate = None
     if spark:
         if frame._spark_by_structure:

@@ -7,25 +7,21 @@ Two constructions are provided:
   ``binom(l, k) * values[j] ** (l - k)``; its square determinant is
   ``prod_{k<j} (values[j] - values[k]) ** (m[k] * m[j])``. It feeds a
   verdict: ``frames.full_spark_criterion`` enumerates it for every operator
-  ``S J S^{-1}``, whose orbit is ``S * blockdiag(H_j) * second_kind(values,
-  m, L)`` with ``c = S^{-1} phi`` and ``H_j`` the Hankel block of ``c_j``,
-  the coordinates of Jordan block j: ``H[k, n] = c_j[k + n]`` for
-  ``k + n < m_j``, else 0.
+  ``S J S^{-1}``, whose orbit factors through it (see there).
 
 ``full_spark`` certifies that every d-column minor of a wide matrix is
-invertible, by exhaustive enumeration with scale-aware determinant
-thresholds. Column subsets are taken in lexicographic chunks of as many as
-``_CHUNK_BYTES`` holds of what the tail kernel keeps per subset
-(``_subset_bytes``); the witness is still the lexicographically first
-failing subset and ``min_abs_det`` the global minimum. A subset's first
-``k = ceil(d/2)`` columns, its prefix, are shared by a contiguous block of
-subsets: each prefix gets one Householder QR and projects the columns from
-k on onto its orthogonal complement, and each subset one (d - k) x (d - k)
-determinant of its remaining columns so projected, all by one kernel
-(``_tail_dets``): in closed form up to 4 x 4, with the 2 x 2 minors of the
-3 x 3 and 4 x 4 forms (d = 6..9) tabled once per prefix, and by LU beyond.
-A subset's column indices are a column of a d x N table, so that its
-column-norm product is taken one contiguous index row at a time.
+invertible, by exhaustive enumeration, each column in units of its own
+power of two (``_normalized``). Column subsets are taken in lexicographic
+chunks of as many as ``_CHUNK_BYTES`` holds of what the tail kernel keeps
+per subset (``_subset_bytes``). A subset's first ``k = ceil(d/2)``
+columns, its prefix, are shared by a contiguous block of subsets: each
+prefix gets one Householder QR and projects the columns from k on onto its
+orthogonal complement, and each subset one (d - k) x (d - k) determinant of
+its remaining columns so projected, all by one kernel (``_tail_dets``): in
+closed form up to 4 x 4, with the 2 x 2 minors of the 3 x 3 and 4 x 4 forms
+(d = 6..9) tabled once per prefix, and by LU beyond. A subset's column
+indices are a column of a d x N table, so that its column-norm product is
+taken one contiguous index row at a time.
 
 An orbit ``M[:, l] = A^l phi`` is shift-invariant: ``M[:, T + s] = A^s M[:, T]``
 for a column subset T, hence ``det M[:, T + s] = det(A)^s * det M[:, T]`` for
@@ -34,19 +30,18 @@ every operator, singular and non-diagonalizable ones included. Given
 subsets (those containing column 0) and takes every subset with smallest
 index s from its anchored shape times ``|det(A)|^s``.
 
-The enumeration is split into a plan and the arithmetic. The plan holds the
-index tables that depend on the shape alone (each chunk's subsets, prefixes,
-prefix ids and offsets into its per-prefix tables, and an orbit's subsets in
-shift order), built on the first call for a shape and kept read-only, the
-least recently used dropped first once the plans kept exceed
-``_PLAN_BYTES``. A call does only the work that depends on the matrix, in
-the same order as when the plan is built anew, so a certificate has the same
-bits either way. Only a process that certifies one shape more than once
-gains; a one-shot ``dynphase verify`` builds its plan once.
+The plan of an enumeration holds the index tables that depend on the shape
+alone (each chunk's subsets, prefixes, prefix ids and offsets into its
+per-prefix tables, and an orbit's subsets in shift order), built on the
+first call for a shape and kept read-only, the least recently used dropped
+first once the plans kept exceed ``_PLAN_BYTES``. A call does only the work
+that depends on the matrix, in the same order as when the plan is built
+anew, so a certificate has the same bits either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
@@ -63,8 +58,6 @@ from .validation import as_matrix, as_multiplicities, as_vector
 DEFAULT_SPARK_TOL = 1e-10
 #: Column subsets ``full_spark`` enumerates before it gives up.
 DEFAULT_BUDGET = 2_000_000
-#: Beyond this ``max(d, 2) * |e|`` ``full_spark`` works in units of ``2^e`` (see there).
-_UNSCALED_SPAN = 900
 
 #: Bytes per ``full_spark`` chunk, which takes as many subsets as this holds
 #: ``_subset_bytes(d)``: 3,449 at d = 8, where sizing by d x d complex minors
@@ -138,39 +131,32 @@ def full_spark(
 ) -> SparkCertificate:
     """Certify that every d-column minor of a d x L matrix is invertible.
 
-    A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``; the Hadamard
-    bound makes that ratio scale-free, and a zero-norm column gives ratio 0.
-    Subsets are visited in lexicographic order, in chunks bounded by
-    ``_CHUNK_BYTES``, and enumeration continues past the first failure so
-    that ``min_abs_det`` reflects the global minimum. The witness is the
-    lexicographically first failing subset. Each factored minor is the
-    product of a QR of its first ``ceil(d/2)`` columns, shared by every
-    subset with that prefix, and the determinant of its trailing ``n = d -
-    ceil(d/2)`` projected columns, in closed form for n <= 4 (d <= 9) and by
-    LU beyond (``_tail_dets``). The closed form is off by at most about
-    ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at n =
-    4, far below ``DEFAULT_SPARK_TOL``. A subset's column-norm product is
-    taken from left to right.
+    A minor passes when ``|det| > DEFAULT_SPARK_TOL * prod(column norms)``;
+    the Hadamard bound makes that ratio scale-free, and a zero-norm column
+    gives ratio 0. Subsets are visited in lexicographic order (see the
+    module docstring), past the first failure: ``min_abs_det`` is the global
+    minimum and the witness the lexicographically first failing subset. The
+    tail determinants of ``n = d - ceil(d/2)`` projected columns, in closed
+    form for n <= 4 (d <= 9) and by LU beyond, are off by at most about
+    ``(n + 1) * eps * n^(n/2)`` times the Hadamard bound, about 1e-14 at
+    n = 4, far below ``DEFAULT_SPARK_TOL``.
 
     ``shift_det=det(A)`` declares M an orbit, ``M[:, l + 1] = A @ M[:, l]``:
     only the C(L-1, d-1) subsets that contain column 0 are factored, and the
-    others, of smallest index s, scaled from them by ``|shift_det|^s`` (see
-    the module docstring), which differs from factoring them by rounding
-    only. The budget still counts all C(L, d) subsets. A ``shift_det`` that
-    is not finite (``det(A)`` overflowed) declares nothing: all are factored.
+    others, of smallest index s, scaled from them by ``|shift_det|^s``, which
+    differs from factoring them by rounding only. The budget still counts
+    all C(L, d) subsets.
 
-    A matrix whose largest entry magnitude has a ``frexp`` exponent e with
-    ``max(d, 2) * |e| > _UNSCALED_SPAN`` is certified as ``2^-e`` times
-    itself, exactly, lest norms or minors leave the normal range; a multiple
-    of an orbit is an orbit of the same A. Other matrices keep every bit.
-    Columns whose norms lie too far apart for one power of two can still
-    leave it: a minor whose scaled magnitude then reads NaN or 0 fails.
-
-    The index tables of the enumeration depend on ``(d, L)``, the chunk size
-    and whether ``shift_det`` is used, not on the entries. They are built
-    once per shape and kept, up to ``_PLAN_BYTES`` in all, so the next call
-    on a matrix of the same shape skips them; its certificate is the same,
-    bit for bit, as with the tables built anew.
+    Column l is certified in units of ``2^e_l``, exactly: ``e_l`` is the
+    ``frexp`` exponent of its largest real or imaginary part, so no column
+    norm leaves the range, or, for an orbit, lies on the line ``e_0 + k l``
+    through its first and last nonzero columns, which makes the scaled
+    columns the orbit of ``2^-k A``, of ``|det| = 2^-kd |shift_det|``, and
+    keeps them in range as far as their growth is geometric. A certificate
+    thus keeps its bits when a column (plain) or a whole orbit (shifted) is
+    scaled by a power of two. A ``shift_det`` that is not finite, or whose
+    ``|det|^(L - d)`` is not a positive float (0, whose powers are exact,
+    aside), declares nothing: every subset is factored.
     """
     m = as_matrix(matrix, "matrix")
     d, L = m.shape
@@ -181,14 +167,11 @@ def full_spark(
         raise BudgetExceededError(
             f"C({L},{d}) = {count} column subsets exceed the budget of {budget}"
         )
-    e = math.frexp(np.abs(m).max())[1]
-    if max(d, 2) * abs(e) > _UNSCALED_SPAN:
-        m = np.ldexp(np.ascontiguousarray(m).view(float), -e).view(complex)
+    m, step = _normalized(m, shift_det)
     col_norms = np.linalg.norm(m, axis=0)
     witness: tuple[int, ...] | None = None
     min_scaled = float("inf")
-    shifted = shift_det is not None and np.isfinite(shift_det)
-    batches = _shifted_minors(m, shift_det) if shifted else _prefix_minors(m, 0)
+    batches = _prefix_minors(m, 0) if step is None else _shifted_minors(m, step)
     for idx, absdet in batches:
         # one index row at a time, each subset's columns left to right
         scale = col_norms[idx[0]]
@@ -201,6 +184,23 @@ def full_spark(
             if not passing.all():  # argmin finds the first False
                 witness = tuple(int(i) for i in idx[:, np.argmin(passing)])
     return SparkCertificate(witness is None, witness, min_scaled)
+
+
+def _normalized(m: np.ndarray, shift_det):
+    """``m`` with column l in units of ``2^e_l``, and ``|shift_det|`` in them or None."""
+    d, L = m.shape
+    parts = np.ascontiguousarray(m).view(float).reshape(d, L, 2)
+    top = np.abs(parts).max(axis=(0, 2))
+    e, step = np.frexp(top)[1], None
+    if shift_det is not None and np.isfinite(shift_det):
+        nonzero = top > 0
+        f, g = int(nonzero.argmax()), L - 1 - int(nonzero[::-1].argmax())
+        k = round((int(e[g]) - int(e[f])) / max(g - f, 1))
+        with contextlib.suppress(OverflowError):  # from abs, ldexp or ** past the range
+            det = math.ldexp(abs(complex(shift_det)), -k * d)
+            if det == 0 or det ** (L - d) > 0:
+                e, step = (e[f] + e[g] - k * (f + g)) // 2 + k * np.arange(L), det
+    return np.ldexp(parts, -e[:, None]).reshape(d, 2 * L).view(complex), step
 
 
 def _combinations(columns: range, width: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,6 +128,22 @@ class TestAnalyze:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([command, str(path)]) == 2
         assert "frame: orbit column A^2 phi is not finite" in capsys.readouterr().err
+
+    def test_orbit_decades_apart_is_certified(self, tmp_path, capsys):
+        # columns of diag(100, 200j, -300) from the ones vector span 300^54 ~ 1e133
+        instance = {
+            "frame": {
+                "A": [vector_to_json(row) for row in np.diag([100, 200j, -300])],
+                "phi": vector_to_json(np.ones(3)),
+                "L": 55,
+            },
+        }
+        path = tmp_path / "decades.json"
+        dump_json(instance, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "full_spark=False witness=[2, 52, 53]"
 
     def test_failing_witness_in_text_output(self, tmp_path, capsys):
         # diag(1, -1) from the ones vector: columns 0 and 2 coincide
@@ -341,6 +358,28 @@ class TestVerify:
         report = load_json(report_path)
         assert report["outcome"]["recovery_status"] == "Recovered"
         assert report["outcome"]["global_phase_error"] <= 1e-8
+
+    def test_frame_bounds_past_the_range(self, tmp_path):
+        # a well-conditioned orbit scaled by 1e160: its squared singular values overflow
+        roots = np.exp(2j * np.pi * np.arange(4) / 8)
+        instance = {
+            "frame": {
+                "A": [vector_to_json(row) for row in np.diag(roots)],
+                "phi": vector_to_json(1e160 * np.ones(4)),
+                "L": 8,
+            },
+            "x": vector_to_json(np.full(4, 0.5)),
+        }
+        path, report_path = tmp_path / "large.json", tmp_path / "report.json"
+        dump_json(instance, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path), "--output", str(report_path)]) == 0
+        outcome = load_json(report_path)["outcome"]
+        assert outcome["is_frame"] is True
+        assert (outcome["lower_bound"], outcome["upper_bound"]) == (np.inf, np.inf)
+        assert outcome["recovery_status"] == "Recovered"
+        assert outcome["global_phase_error"] <= 1e-12
 
     def test_harmonic_beyond_enumeration_budget(self, tmp_path):
         # C(30,10) = 30,045,015 minors exceed the default budget of 2,000,000

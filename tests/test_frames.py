@@ -274,6 +274,17 @@ class TestAnalyze:
         frame = build(rotation(np.pi / 4), np.array([1.0, 0.0]), 2)
         assert analyze(frame).is_frame
 
+    def test_bounds_past_the_range_read_inf(self):
+        # sigma_min and sigma_max near 1e160 * sqrt(8): both squares leave the
+        # float64 range, and the verdict, taken from sigma, stays a frame
+        frame = build(np.diag(np.exp(2j * np.pi * np.arange(4) / 8)), 1e160 * np.ones(4), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis = analyze(frame, spark=True)
+        assert analysis.is_frame
+        assert (analysis.lower_bound, analysis.upper_bound) == (np.inf, np.inf)
+        assert analysis.spark.full_spark
+
     def test_spark_on_demand(self):
         frame = harmonic_frame(3, 5)
         assert analyze(frame).spark is None

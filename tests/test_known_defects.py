@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 from dynphase import (
+    MeasurementConfig,
     SingularMatrixError,
     analyze,
     classical,
     full_spark,
     global_phase_distance,
+    harmonic_frame,
     instances,
     measure,
     recover_full_spark,
 )
 from dynphase.cli import RECOVERY_TOL
+from dynphase.experiments import signal_with_zero_pattern
 from dynphase.retrieval import RecoveryStatus
 
 
@@ -69,10 +72,25 @@ def test_1b_circulant_instance_is_generated():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="FOUND on column-norm overflow, ROADMAP 6: column norms 1.7, 3.7e110 and 1e221 "
-    "span too far for one power of two, so the norm product leaves the range and the "
-    "minors of a full-spark Vandermonde matrix read 0",
+    reason="ROADMAP 25: the chain edge through a coefficient at 1e-11 of the largest "
+    "takes its phase step from a cancelling polarization sum, and the error it passes on "
+    "(7.4e-6) lies far above RECOVERY_TOL while the verdict stays Recovered",
 )
+def test_25_ill_conditioned_chain_edge_is_not_recovered():
+    # test_partial_chain_on_borderline_magnitude's construction, with the bridge 10x weaker
+    rng = np.random.default_rng(91)
+    frame = harmonic_frame(4, 5)
+    anchor = signal_with_zero_pattern(frame, (1, 3), rng)
+    bridge = signal_with_zero_pattern(frame, (3,), rng)
+    c_bridge = frame.coefficients(bridge)[1]
+    scale = np.abs(frame.coefficients(anchor)).max()
+    x = anchor + (1e-11 * scale / abs(c_bridge)) * bridge
+    config = MeasurementConfig(zero_tol=1e-13)
+    result = recover_full_spark(measure(x, frame, config), frame, config)
+    if result.status is RecoveryStatus.RECOVERED:
+        assert global_phase_distance(result.estimate, x) <= RECOVERY_TOL
+
+
 def test_6_columns_decades_apart_certified_full_spark():
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        assert full_spark(classical([1e110, 2e110j, -3e110], 3)).full_spark
+    # column norms 1.7, 3.7e110 and 1e221: each column is certified in units of its own 2^e
+    assert full_spark(classical([1e110, 2e110j, -3e110], 3)).full_spark

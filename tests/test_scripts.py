@@ -8,6 +8,7 @@ tree against itself. The benchmark tracer's bindings in
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,27 @@ class TestBenchRecordArguments:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / argv[0]).exists()
+
+    def test_workloads_come_from_the_benchmark(self, monkeypatch, tmp_path):
+        benchmark = json.loads(bench_record.BENCHMARK.read_text())
+        benchmark["workloads"].append({"name": "recover-batch", "why": "a workload added later"})
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        monkeypatch.setattr(bench_record, "BENCHMARK", tmp_path / "BENCHMARK.json")
+        ran = []
+
+        metrics = {m["name"]: {"unit": m["unit"], "value": 1.0} for m in benchmark["end_to_end"]}
+
+        def run_once(tree, workload, seed, seconds, trace=0):
+            ran.append(workload)
+            env = {"workload": workload, "seed": seed}
+            return env, {"correct": True, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(bench_record, "run_once", run_once)
+        out = tmp_path / "out.json"
+        assert bench_record.main([str(out), "a=.", "--seeds", "7"]) == 0
+        names = [w["name"] for w in benchmark["workloads"]]
+        assert ran == names
+        assert list(json.loads(out.read_text())["trees"]["a"]["workloads"]) == names
 
     def test_seed_ranges(self):
         assert bench_record.parse_seeds("101-105") == [101, 102, 103, 104, 105]
