@@ -36,7 +36,7 @@ def _dense_draw(
         if norm == 0.0:
             continue
         x = x / norm
-        mags = np.abs(frame.coefficients(x)[indices])
+        mags = np.abs((frame._rows @ x)[indices])
         if mags.size > 0 and mags.min() > 1e-3 * mags.max():
             return x
     return None
@@ -64,10 +64,8 @@ def signal_with_zero_pattern(
     zero_list = sorted(zero_set)
     if any(i < 0 or i >= frame.length for i in zero_list):
         raise ValueError(f"zero indices out of range 0..{frame.length - 1}: {zero_list}")
-    synthesis = frame.synthesis()
     if zero_list:
-        rows = synthesis[:, zero_list].conj().T
-        _, _, vh = np.linalg.svd(rows)
+        _, _, vh = np.linalg.svd(frame._rows[zero_list])
         null_basis = vh[len(zero_list):].conj().T
     else:
         null_basis = np.eye(d, dtype=complex)

@@ -58,12 +58,13 @@ class DynamicalFrame:
     computation over- or underflows is never used: ``s`` stays, and the
     blocks go on ``s`` rows wide (``s = 1`` is the step-by-step recurrence
     ``A @ v``), so an orbit whose columns are finite is built even when its
-    powers of ``A`` are not, and emits no warning. The synthesis matrix is
-    the rows' C-contiguous transpose: that layout fixes the bits of
-    :meth:`coefficients`. An orbit that overflows raises ``ValueError``
-    naming its first non-finite column. Kept with the frame:
-    its read-only rows ``synthesis().conj().T`` (``_rows``), read by every
-    coefficient evaluation and row solve, and from first use their thin SVD
+    powers of ``A`` are not, and emits no warning. An orbit that overflows
+    raises ``ValueError`` naming its first non-finite column. The frame
+    stores the orbit once, as its read-only conjugate rows ``_rows``
+    (``synthesis().conj().T``), written by one conjugating copy in the
+    F-ordered layout that fixes the bits of :meth:`coefficients`; every
+    coefficient evaluation and row solve reads them, and :meth:`synthesis`
+    conjugates them back. Kept with the frame from first use: their thin SVD
     (``_row_svd``: every singular value, for :func:`analyze`, and the factors
     cut at ``lstsq``'s rank, for the all-L-row solves of ``_solve_rows``) and
     whether :func:`analyze` certifies full spark by structure
@@ -99,14 +100,11 @@ class DynamicalFrame:
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise ValueError(f"orbit column A^{finite.argmin()} phi is not finite (overflow)")
-        V = np.ascontiguousarray(rows.T)
-        conj_rows = V.conj().T  # in the layout of synthesis().conj().T, whose bits it keeps
-        for a in (V, conj_rows):
-            a.setflags(write=False)
+        conj_rows = np.conj(rows.T, order="C").T  # F-ordered: the layout that fixes the bits
+        conj_rows.setflags(write=False)
         object.__setattr__(self, "operator", frozen_copy(A))
         object.__setattr__(self, "generator", frozen_copy(phi))
         object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "_synthesis", V)
         object.__setattr__(self, "_rows", conj_rows)
 
     @property
@@ -114,8 +112,10 @@ class DynamicalFrame:
         return self.operator.shape[0]
 
     def synthesis(self) -> np.ndarray:
-        """Read-only d x L matrix whose columns are the orbit vectors."""
-        return self._synthesis
+        """A fresh read-only C-contiguous d x L matrix whose columns are the orbit vectors."""
+        V = np.conj(self._rows.T)
+        V.setflags(write=False)
+        return V
 
     @cached_property
     def _row_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,8 +292,8 @@ def harmonic_frame(dim: int, length: int) -> DynamicalFrame:
     The frame is shared: calls with equal arguments of equal types, passed
     the same way, return one immutable frame, so its orbit is built and its
     rows factored once (see :class:`DynamicalFrame`). The
-    ``_HARMONIC_FRAMES`` = 8 frames used last are kept, each about ``3 *
-    dim * length`` complex values (0.4 MB at 32/272) once factored.
+    ``_HARMONIC_FRAMES`` = 8 frames used last are kept, each about ``2 *
+    dim * length`` complex values (0.3 MB at 32/272) once factored.
     ``harmonic_frame.cache_clear()`` drops them. Arguments are keyed by
     type, so ``4.0`` or ``True`` for an int raises ``TypeError`` as it
     would on a fresh build.

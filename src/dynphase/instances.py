@@ -59,11 +59,12 @@ def random_signal_for(
     return x
 
 
-def _random_partition(rng: np.random.Generator, total: int, largest: int = 3) -> tuple[int, ...]:
+def _random_partition(rng: np.random.Generator, total: int) -> tuple[int, ...]:
+    """Random Jordan block sizes of at most 3 that sum to ``total``."""
     parts: list[int] = []
     left = total
     while left > 0:
-        part = int(rng.integers(1, min(largest, left) + 1))
+        part = int(rng.integers(1, min(3, left) + 1))
         parts.append(part)
         left -= part
     return tuple(parts)

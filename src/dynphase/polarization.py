@@ -40,8 +40,8 @@ MAGNITUDE_RTOL = 1e-12
 class PolarizationAngles:
     """An admissible shift-angle pair: ``alpha1 - alpha2`` not in ``pi * Z``.
 
-    Keeps its negation, :func:`recover_phases`' unmixing matrix and the shift factors
-    of ``measure``; eq and hash ignore all three.
+    Keeps :func:`recover_phases`' unmixing matrix and the shift factors of
+    ``measure``; eq and hash ignore both.
     """
 
     alpha1: float
@@ -57,14 +57,6 @@ class PolarizationAngles:
             )
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
-
-    def negated(self) -> "PolarizationAngles":
-        """The pair (-alpha1, -alpha2); admissibility is preserved."""
-        return self._negated
-
-    @cached_property
-    def _negated(self) -> "PolarizationAngles":
-        return PolarizationAngles(-self.alpha1, -self.alpha2)
 
     @cached_property
     def _unmix(self) -> np.ndarray:

@@ -4,8 +4,10 @@
 frame: the base magnitudes ``|<x, A^l phi>|`` plus the aligned magnitudes
 ``|<x, A^l (phi + exp(1j a_k) A^j phi)>|`` for offsets ``j = 1..jumps+1``.
 Under the conjugate-linear-second-argument inner product the aligned value
-expands to ``|c_l + exp(-1j a_k) c_{l+j}|`` with ``c_l = <x, A^l phi>``, so
-relative phases are recovered by polarization with the NEGATED angle pair.
+expands to ``|c_l + exp(-1j a_k) c_{l+j}|`` with ``c_l = <x, A^l phi>``,
+which is ``|conj(c_l) + exp(1j a_k) conj(c_{l+j})|``: polarization with the
+set's own angle pair gives the phase of ``c_l conj(c_{l+j})``, the relative
+phase conjugated.
 
 A :class:`MeasurementSet` stores the aligned magnitudes in one float grid,
 ``grid[j - 1, k - 1, l]`` for offset j, angle family k and index l, of shape
@@ -32,8 +34,7 @@ indices gives s + m independent rows over a full-spark frame, so recovery
 needs a chain of size ``dim - m`` rather than ``dim``, and none once
 ``m >= dim``: one row solve decides every set. Each frame keeps its rows and
 their one factorization, through which it solves its own rows, and each
-angle pair its negation, its unmixing matrix and its shift factors, for all
-calls.
+angle pair its unmixing matrix and its shift factors, for all calls.
 """
 
 from __future__ import annotations
@@ -313,7 +314,11 @@ def _chain_phases(ms: MeasurementSet, chain: Sequence[int]) -> np.ndarray:
     All edges are gathered from the grid and solved at once: the set's
     family count picks :func:`recover_phases` for two families and
     :func:`recover_signs`, with ``ms.angles.real_sign``, for one. Both raise
-    the error of the first failing edge in chain order.
+    the error of the first failing edge in chain order. Two families are
+    polarized as the conjugate pair ``(conj(c_l), conj(c_m))`` under
+    ``ms.angles`` and the phases conjugated back, bit for bit what the
+    negated pair ``(-alpha1, -alpha2)`` gives on ``(c_l, c_m)``: negating a
+    pair negates exactly the second row of its unmixing matrix.
     """
     steps = np.ones(len(chain), dtype=complex)
     if len(chain) > 1:
@@ -322,7 +327,9 @@ def _chain_phases(ms: MeasurementSet, chain: Sequence[int]) -> np.ndarray:
         cells = ms.grid[index[1:] - l - 1, :, l].T
         mags = ms.base[index]
         if ms.has_two_angles:
-            steps[1:] = recover_phases(mags[:-1], mags[1:], cells, ms.angles.negated())
+            steps[1:] = recover_phases(mags[:-1], mags[1:], cells, ms.angles)
+            # 0 - sin, not -sin: an exactly cancelled sine stays +0
+            np.subtract(0.0, steps.imag, out=steps.imag)
         else:
             steps[1:] = recover_signs(mags[:-1], mags[1:], cells[0], ms.angles.real_sign)
     return np.multiply.accumulate(steps)

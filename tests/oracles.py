@@ -346,7 +346,8 @@ def measure_loop(x, frame, config) -> MeasurementSet:
 
 def chain_phases_loop(ms, chain, real_sign) -> np.ndarray:
     """``retrieval._chain_phases`` as a loop with one scalar polarization per edge."""
-    angles = ms.angles.negated()
+    # |c_l + e^{-ia} c_m| is the shifted magnitude of (c_l, c_m) under the pair -a
+    angles = PolarizationAngles(-ms.angles.alpha1, -ms.angles.alpha2)
     steps = np.ones(len(chain), dtype=complex)
     for i, (l, m) in enumerate(zip(chain, chain[1:]), start=1):
         shifted = ms.aligned[(l, m - l, 1)]

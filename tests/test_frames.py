@@ -254,6 +254,14 @@ class TestBuild:
             assert np.array_equal(frame.coefficients(x), fresh @ x)
         assert frame._rows is rows
 
+    @pytest.mark.parametrize("kind, dim, length", [("harmonic", 6, 12), ("jordan", 8, 20)])
+    def test_synthesis_is_a_fresh_conjugate_of_the_one_stored_orbit(self, kind, dim, length):
+        frame = make_instance(kind, dim, length, seed=0).build_frame()
+        V = frame.synthesis()
+        assert V.tobytes() == np.conj(frame._rows.T).tobytes()
+        assert V.flags.c_contiguous and not V.flags.writeable
+        assert frame.synthesis() is not V and "_synthesis" not in vars(frame)
+
 
 class TestAnalyze:
     def test_too_short_orbit_is_not_a_frame(self):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from dynphase import (
+    InconsistentDataError,
     MeasurementConfig,
+    PolarizationAngles,
     SingularMatrixError,
     analyze,
     classical,
@@ -23,6 +25,7 @@ from dynphase import (
 )
 from dynphase.cli import RECOVERY_TOL
 from dynphase.experiments import signal_with_zero_pattern
+from dynphase.polarization import recover_phases, recover_signs
 from dynphase.retrieval import RecoveryStatus
 
 
@@ -89,6 +92,30 @@ def test_25_ill_conditioned_chain_edge_is_not_recovered():
     result = recover_full_spark(measure(x, frame, config), frame, config)
     if result.status is RecoveryStatus.RECOVERED:
         assert global_phase_distance(result.estimate, x) <= RECOVERY_TOL
+
+
+# |z1| = |z2| = m, whose product 2.1e-520 underflows to 0
+TINY = np.array([1.4484676898173625e-260])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(RuntimeWarning, InconsistentDataError),
+    reason="ROADMAP 29: the cosine terms of a consistent pair at 1.4e-260 are 0/0",
+)
+def test_29_phase_of_a_tiny_pair():
+    shifted = np.array([np.hypot(TINY, TINY), [0.0]])  # z2 = i z1: |z1 + z2|, |z1 + i z2|
+    phases = recover_phases(TINY, TINY, shifted, PolarizationAngles(0.0, np.pi / 2))
+    np.testing.assert_allclose(phases, [1j], atol=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 29: the product of a real pair at 1.4e-260 reads 0, hence sign +1",
+)
+def test_29_sign_of_a_tiny_pair():
+    assert recover_signs(TINY, TINY, np.array([0.0]), 1)[0] == -1.0  # z2 = -z1: |z1 + z2| = 0
 
 
 def test_6_columns_decades_apart_certified_full_spark():

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dynphase import InconsistentDataError, PolarizationAngles, ZeroMagnitudeError
@@ -24,6 +24,9 @@ nonzero_complex = st.builds(
     st.floats(-5, 5, allow_nan=False),
     st.floats(-5, 5, allow_nan=False),
 ).filter(lambda z: abs(z) > 1e-3)
+
+# zero, or far above where products of magnitudes underflow (ROADMAP 29)
+zero_or_nonzero = st.one_of(st.just(0j), nonzero_complex)
 
 
 def forward(z1, z2, angles=RIGHT):
@@ -47,23 +50,50 @@ class TestAngles:
             with pytest.raises(ValueError):
                 PolarizationAngles(0.3, 0.3 + delta)
 
-    def test_negation_preserves_admissibility(self):
-        neg = RIGHT.negated()
-        assert neg.alpha1 == 0.0 and neg.alpha2 == -math.pi / 2
-
     @pytest.mark.parametrize("pair", [(0.0, math.pi / 2), (0.3, 1.9), (-2.5, 0.7)])
     def test_kept_state_stays_out_of_identity(self, pair):
         used, fresh = PolarizationAngles(*pair), PolarizationAngles(*pair)
         m = np.array([0.8, 1.1])
         recover_phases(m, m[::-1], np.array([[1.2, 1.0], [0.9, 1.3]]), used)
-        neg = used.negated()
-        assert used.negated() is neg and neg == PolarizationAngles(-pair[0], -pair[1])
         assert not used._unmix.flags.writeable
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert dump_json(angles_to_json(used)) == dump_json(angles_to_json(fresh))
         back = pickle.loads(pickle.dumps(used))
         assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
-        assert back.negated() == neg and np.array_equal(back._unmix, used._unmix)
+        assert np.array_equal(back._unmix, used._unmix)
+
+    @given(
+        st.floats(-10, 10),
+        st.floats(-10, 10),
+        st.lists(st.tuples(zero_or_nonzero, zero_or_nonzero), min_size=1, max_size=4),
+    )
+    # equal shifted magnitudes make the sine cancel exactly, to +0 under either pair
+    @example(math.pi / 3, -math.pi / 3, [(0.5, 2.0)])
+    def test_conjugate_pair_is_the_negated_pair_bit_for_bit(self, alpha1, alpha2, pairs):
+        """Measured as ``measure`` writes them, ``|c_l + e^{-ia} c_m|`` is
+        ``|conj(c_l) + e^{ia} conj(c_m)|``: the set's own pair gives the conjugate
+        of the negated pair's phases, ``0 - sin`` keeping a zero sine +0 as they do."""
+        try:
+            angles = PolarizationAngles(alpha1, alpha2)
+        except ValueError:
+            assume(False)
+        negated = PolarizationAngles(-alpha1, -alpha2)
+        c1, c2 = np.array(pairs, dtype=complex).T
+        z = c1 + angles._shifts[:, None] * c2
+        m1, m2, shifted = np.abs(c1), np.abs(c2), np.hypot(z.real, z.imag)
+        outcomes = []
+        for pair in (angles, negated):
+            try:
+                outcomes.append(recover_phases(m1, m2, shifted, pair))
+            except ValueError as error:
+                outcomes.append((type(error), str(error)))
+        got, want = outcomes
+        assert type(got) is type(want)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.real.tobytes() == want.real.tobytes()
+            assert (0.0 - got.imag).tobytes() == want.imag.tobytes()
 
 
 class TestRecoverProduct:

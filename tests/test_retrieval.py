@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynphase import (
@@ -28,7 +28,7 @@ from dynphase import (
 from dynphase.cli import RECOVERY_TOL
 from dynphase.experiments import signal_with_zero_pattern, zero_patterns
 from dynphase.instances import KINDS, make_instance, random_signal_for
-from dynphase.polarization import MAGNITUDE_RTOL
+from dynphase.polarization import MAGNITUDE_RTOL, recover_phases
 from dynphase.retrieval import (
     RecoveryResult,
     _chain_phases,
@@ -359,6 +359,46 @@ class TestVectorizedAgainstLoops:
             for chain in chains:
                 got = _chain_phases(ms, chain)
                 assert np.max(np.abs(got - chain_phases_loop(ms, chain, sign))) <= 1e-14
+
+    @given(
+        st.floats(-10, 10),
+        st.floats(-10, 10),
+        st.lists(
+            st.one_of(
+                st.just(0j),  # else far above where products of magnitudes underflow
+                st.builds(complex, st.floats(-5, 5), st.floats(-5, 5)).filter(
+                    lambda z: abs(z) > 1e-3
+                ),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    # a real pair under a symmetric angle pair: the sine cancels exactly, and the step -1
+    # keeps it +0, where -(+0) would carry on as -0 through the product
+    @example(2 * math.pi / 3, -2 * math.pi / 3, [0.5, -2.0])
+    def test_steps_are_the_negated_pairs_bit_for_bit(self, alpha1, alpha2, coeffs):
+        try:
+            angles = PolarizationAngles(alpha1, alpha2)
+        except ValueError:
+            assume(False)
+        c = np.array(coeffs, dtype=complex)
+        z = c[:-1] + angles._shifts[:, None] * c[1:]
+        grid = np.hypot(z.real, z.imag)[None]
+        ms = MeasurementSet(c.size, 0, angles, np.abs(c), grid)
+        negated = PolarizationAngles(-alpha1, -alpha2)
+        outcomes = []
+        for steps in (
+            lambda: _chain_phases(ms, range(c.size)),
+            lambda: np.multiply.accumulate(
+                np.concatenate(([1], recover_phases(ms.base[:-1], ms.base[1:], grid[0], negated)))
+            ),
+        ):
+            try:
+                outcomes.append(steps().tobytes())
+            except ValueError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
 
     @staticmethod
     def broken(real, edits):
@@ -706,6 +746,13 @@ class TestScaleEquivariance:
         assert result.status is RecoveryStatus.RECOVERED
         assert global_phase_distance(result.estimate / scale, x) <= 1e-14
         assert 0.0 <= result.residual <= 1e-14 * scale
+
+    def test_non_finite_estimate_is_refused(self):
+        # rows at 1e-310 overflow the solve; the residual's coefficients refuse the estimate
+        frame = build(harmonic_frame(4, 8).operator, np.full(4, 1e-310), 8)
+        x = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            recover_full_spark(measure(x, frame, CFG), frame, CFG)
 
 
 class TestRecoveredImpliesSmallError:

@@ -191,6 +191,16 @@ class TestCompareRecovery:
         assert compare_recovery.compare([old], [new]) == 1
         assert "estimate or residual bits differ" in capsys.readouterr().out
 
+    def test_bit_identical_estimates_counted(self, capsys):
+        old = [signal_record(), signal_record(key="real d=4 L=6 J=0 zeros=()")]
+        # within the distance bound, yet not bit for bit: one ulp, then the sign of a zero
+        for moved in ([[1.0 + 2.0**-52, 0.0], [0.0, 0.0]], [[1.0, 0.0], [-0.0, 0.0]]):
+            new = [old[0], {**old[1], "estimate": moved}]
+            assert compare_recovery.compare(old, new) == 0
+            assert "estimates bit-identical: 1 of 2" in capsys.readouterr().out
+        assert compare_recovery.compare(old, old) == 0
+        assert "estimates bit-identical: 2 of 2" in capsys.readouterr().out
+
     def test_changed_input_signal_fails(self, capsys):
         new = signal_record(x=[[1.0, 0.0], [1e-300, 0.0]])
         assert compare_recovery.compare([signal_record()], [new]) == 1
